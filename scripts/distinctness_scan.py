@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Scan the weight-block spectra for repeated eigenvalues.
 
-The sector construction assumes each block of the n=2 chain has all-distinct
-eigenvalues.  This scan reports the smallest gap found over a grid of N, k,
-and q; it is evidence for the conjecture at desk scale, not a proof.
+Conjecture: each weight block of the n=2 chain has all-distinct eigenvalues.
+The sector classification does not rely on it, since it reads the sectors
+off the F_1 kernels.  This scan reports the smallest gap found over a grid
+of N, k, and q; it is evidence for the conjecture at desk scale, not a proof.
 """
 
 import argparse

@@ -9,14 +9,14 @@ values as {re, im} pairs, stable key order).  Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import sys
 
 from . import automata, qalgebra, quandle, spectra, tableaux
+from .automata import SCHEMA
 from .errors import SizeGuardError, ValidationError
 from .hecke import reduced_words_by_length, shuffle_apply
 from .states import TensorState
-
-SCHEMA = "braidlab/1"
 
 
 def fnum(x) -> float:
@@ -33,7 +33,10 @@ def emit(payload) -> None:
 
 
 def _parse_word(text: str, n: int) -> tuple:
-    letters = [int(c) for c in text.replace(",", "")]
+    try:
+        letters = [int(c) for c in text.replace(",", "")]
+    except ValueError:
+        raise ValidationError(f"state word {text!r} must be digits 1..{n}") from None
     if any(x < 1 or x > n for x in letters):
         raise ValidationError(f"state word {text!r} has letters outside [1,{n}]")
     return tuple(letters)
@@ -86,7 +89,13 @@ def cmd_shuffle(args) -> None:
     elif args.z == "minus1":
         z = -1.0
     else:
-        z = float(args.z)
+        try:
+            z = float(args.z)
+        except ValueError:
+            raise ValidationError(f"--z must be q2, minus1, or a float, "
+                                  f"got {args.z!r}") from None
+        if not math.isfinite(z):
+            raise ValidationError(f"--z must be finite, got {args.z!r}")
     out = shuffle_apply(TensorState.basis(args.n, word), z, args.q)
     coeffs = {"".join(map(str, w)): fnum(a) for w, a in sorted(out.amps.items())}
     emit({"schema": SCHEMA, "n": args.n, "N": args.N, "q": fnum(args.q),
@@ -94,7 +103,11 @@ def cmd_shuffle(args) -> None:
 
 
 def cmd_dicke(args) -> None:
-    label = tuple(int(x) for x in args.label.split(","))
+    try:
+        label = tuple(int(x) for x in args.label.split(","))
+    except ValueError:
+        raise ValidationError(f"--label must be comma-separated integers, "
+                              f"got {args.label!r}") from None
     state = qalgebra.q_dicke(args.n, args.N, label, args.q)
     coeffs = {"".join(map(str, w)): fnum(a) for w, a in sorted(state.amps.items())}
     emit({"schema": SCHEMA, "n": args.n, "N": args.N, "q": fnum(args.q),
@@ -164,8 +177,13 @@ def cmd_quandle(args) -> None:
             table = quandle.table_from_json(fh.read())
         emit({"schema": SCHEMA, "n": table.n, **quandle.validate(table)})
     elif args.quandle_cmd == "orbits":
-        table = quandle.dihedral(args.n) if args.table is None else \
-            quandle.table_from_json(open(args.table, encoding="utf-8").read())
+        if args.table is not None:
+            with open(args.table, encoding="utf-8") as fh:
+                table = quandle.table_from_json(fh.read())
+        elif args.n is not None:
+            table = quandle.dihedral(args.n)
+        else:
+            raise ValidationError("quandle orbits needs --n or --table")
         graph = quandle.orbit_automaton(table, args.N)
         if args.dot:
             sys.stdout.write(automata.to_dot(quandle.orbit_to_automaton(graph, table)))

@@ -15,6 +15,7 @@ z = -1 the q-antisymmetrizer.
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import isfinite
 
 import numpy as np
 
@@ -91,8 +92,8 @@ def dense_generator(n: int, N: int, i: int, q: float) -> np.ndarray:
 
 def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
     """Apply the shuffle operator Y_N(z), factors S_1 first."""
-    if q == 0:
-        raise ValidationError("q must be nonzero")
+    if q == 0 or not isfinite(q):
+        raise ValidationError("q must be nonzero and finite")
     for k in range(1, state.N):
         acc = state
         cur = state

@@ -18,6 +18,7 @@ and E/F degenerate to the combinatorial crystal moves.
 """
 
 from itertools import combinations
+from math import isfinite
 
 import numpy as np
 
@@ -127,6 +128,8 @@ def check_label(n: int, N: int, label) -> DickeLabel:
 def dicke_labels(n: int, N: int) -> list[DickeLabel]:
     """All compositions of N into n nonnegative parts, lexicographically
     decreasing from (N, 0, ..., 0)."""
+    if n < 1 or N < 0:
+        raise ValidationError(f"labels need n >= 1 and N >= 0, got n={n}, N={N}")
     out = []
     for cuts in combinations(range(N + n - 1), n - 1):
         bounds = (-1,) + cuts + (N + n - 1,)
@@ -159,8 +162,8 @@ def q_dicke(n: int, N: int, label, q: float) -> TensorState:
     result has coefficient q^(inversions) / norm on each permuted word.
     """
     label = check_label(n, N, label)
-    if q <= 0:
-        raise ValidationError("q must be positive")
+    if not isfinite(q) or q <= 0:
+        raise ValidationError("q must be positive and finite")
     state = q_symmetrize(TensorState.basis(n, ordered_word(label)), q)
     scale = 1.0
     for m in label:
@@ -257,8 +260,8 @@ def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "non
     """
     if labels not in ("none", "canonical", "rescaled"):
         raise ValidationError("labels must be none, canonical, or rescaled")
-    if labels != "none" and (q is None or q <= 0):
-        raise ValidationError("coefficient labels need a positive q")
+    if labels != "none" and (q is None or not isfinite(q) or q <= 0):
+        raise ValidationError("coefficient labels need a positive finite q")
     states = [ordered_word(lab) for lab in dicke_labels(n, N)]
     index = {w: i for i, w in enumerate(states)}
     triples = []

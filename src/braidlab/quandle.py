@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import automata
-from .errors import SizeGuardError, ValidationError
+from .automata import SCHEMA
+from .errors import SizeGuardError, ValidationError, check_dense_dim
 from .states import Word, all_words
-
-SCHEMA = "braidlab/1"
 
 ORBIT_GUARD = 10 ** 5
 
@@ -152,6 +151,24 @@ class QuandleSpectrum:
     eigenvectors: list   # list of (n^2 x dim) arrays aligned with eigenvalues
 
 
+def _cycles(items, step) -> list[list]:
+    """Cycle decomposition of the permutation step on items; each cycle
+    starts at the smallest item not yet visited."""
+    unseen = set(items)
+    cycles = []
+    while unseen:
+        seed = min(unseen)
+        cyc = [seed]
+        unseen.discard(seed)
+        cur = step(seed)
+        while cur != seed:
+            cyc.append(cur)
+            unseen.discard(cur)
+            cur = step(cur)
+        cycles.append(cyc)
+    return cycles
+
+
 def dihedral_spectrum(n: int) -> QuandleSpectrum:
     """Eigenvalues and eigenspaces of the dihedral braid solution, n odd.
 
@@ -172,21 +189,8 @@ def dihedral_spectrum(n: int) -> QuandleSpectrum:
 
     pairs = [(a, b) for a in range(n) for b in range(n)]
     index = {(a, b): a * n + b for a, b in pairs}
-    unseen = set(pairs)
-    cycles = []
-    while unseen:
-        seed = min(unseen)
-        cyc = [seed]
-        unseen.discard(seed)
-        cur = step(seed)
-        while cur != seed:
-            cyc.append(cur)
-            unseen.discard(cur)
-            cur = step(cur)
-        cycles.append(cyc)
-
     by_value: dict[int, list[np.ndarray]] = {}
-    for cyc in cycles:
+    for cyc in _cycles(pairs, step):
         L = len(cyc)
         for j in range(L):
             lam = np.exp(2j * np.pi * j / L)
@@ -263,32 +267,23 @@ def orbit_automaton(table: QuandleTable, N: int) -> OrbitGraph:
     """Cycle decomposition of every generator r_j acting on words."""
     _require_rack(table)
     n = table.n
+    if N < 1:
+        raise ValidationError("N must be >= 1")
     if n ** N > ORBIT_GUARD:
         raise SizeGuardError(f"n^N = {n**N} exceeds the orbit guard {ORBIT_GUARD}")
     words = all_words(n, N)
     cycles = {}
     order = 1
     for j in range(1, N):
-        unseen = set(words)
-        cycles_j = []
-        while unseen:
-            seed = min(unseen)
-            cyc = [seed]
-            unseen.discard(seed)
-            cur = braid_on_word(table, seed, j)
-            while cur != seed:
-                cyc.append(cur)
-                unseen.discard(cur)
-                cur = braid_on_word(table, cur, j)
-            cycles_j.append(cyc)
-            order = order * len(cyc) // math.gcd(order, len(cyc))
-        cycles[j] = cycles_j
+        cycles[j] = _cycles(words, lambda w, j=j: braid_on_word(table, w, j))
+        order = math.lcm(order, *map(len, cycles[j]))
     return OrbitGraph(n, N, cycles, order)
 
 
 def orbit_to_automaton(graph: OrbitGraph, table: QuandleTable) -> automata.Automaton:
     """Word-level automaton of the braid generators, for DOT export."""
     n, N = graph.n, graph.N
+    check_dense_dim(n ** N, "orbit automaton")
     words = all_words(n, N)
     index = {w: i for i, w in enumerate(words)}
     letters = [f"s{j}" for j in range(1, N)]

@@ -12,23 +12,17 @@ kappa_m = [N-k-m]_q [m-k+1]_q.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from math import comb, factorial, isfinite
 
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError, max_dense_dim
 from .hecke import apply_generator
-from .qalgebra import apply_E, apply_F, q_number
+from .qalgebra import apply_E, apply_F, dicke_labels, q_number
 from .states import TensorState, Word
 
 CLUSTER_RTOL = 1e-8
 HW_TOL = 1e-8
-# eigenvectors of eigenvalues closer than this (relative) are numerically
-# entangled; the highest-weight test runs on their joint span instead
-HW_WINDOW_RTOL = 1e-5
-
-MAX_WEIGHT_BLOCK_N = 20
 
 
 @dataclass(frozen=True)
@@ -40,8 +34,8 @@ class OpenChain:
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
             raise ValidationError("n and N must be >= 1")
-        if self.q <= 0:
-            raise ValidationError("q must be positive")
+        if not isfinite(self.q) or self.q <= 0:
+            raise ValidationError("q must be positive and finite")
 
 
 @dataclass
@@ -85,64 +79,50 @@ def hamiltonian_apply(chain: OpenChain, state: TensorState) -> TensorState:
     return out
 
 
-def contents(n: int, N: int) -> list[tuple[int, ...]]:
-    """All letter contents (m_1, ..., m_n), m_i >= 0 summing to N."""
+def weight_basis(n: int, N: int, content: tuple[int, ...]) -> list[Word]:
+    """Words with the given letter content, lexicographically sorted."""
+    counts = list(content)
     out = []
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
+    def rec(prefix, remaining):
+        if not remaining:
+            out.append(prefix)
             return
-        for m in range(remaining, -1, -1):
-            rec(prefix + [m], remaining - m, slots - 1)
+        for a, m in enumerate(counts):
+            if m > 0:
+                counts[a] -= 1
+                rec(prefix + (a + 1,), remaining - 1)
+                counts[a] += 1
 
-    rec([], N, n)
+    rec((), sum(counts))
     return out
 
 
-def weight_basis(n: int, N: int, content: tuple[int, ...]) -> list[Word]:
-    """Words with the given letter content, lexicographically sorted."""
-    letters = []
-    for a, m in enumerate(content, start=1):
-        letters.extend([a] * m)
-
-    seen = set()
-
-    def rec(prefix, pool):
-        if not pool:
-            seen.add(tuple(prefix))
-            return
-        used = set()
-        for i, x in enumerate(pool):
-            if x in used:
-                continue
-            used.add(x)
-            rec(prefix + [x], pool[:i] + pool[i + 1:])
-
-    rec([], letters)
-    return sorted(seen)
+def _block_map(op, n: int, source: list[Word], target: list[Word]) -> np.ndarray:
+    """Dense matrix of a sparse operator from span(source) into span(target)."""
+    index = {w: i for i, w in enumerate(target)}
+    m = np.zeros((len(target), len(source)))
+    for col, w in enumerate(source):
+        for w2, a in op(TensorState.basis(n, w)).amps.items():
+            m[index[w2], col] = a
+    return m
 
 
 def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.ndarray:
     """Restriction of H to one weight block, as a dense symmetric matrix."""
     basis = weight_basis(chain.n, chain.N, content) if basis is None else basis
-    index = {w: i for i, w in enumerate(basis)}
-    m = np.zeros((len(basis), len(basis)))
-    for col, w in enumerate(basis):
-        image = hamiltonian_apply(chain, TensorState.basis(chain.n, w))
-        for w2, a in image.amps.items():
-            m[index[w2], col] = a
-    return m
+    return _block_map(lambda s: hamiltonian_apply(chain, s), chain.n, basis, basis)
 
 
 def _check_guard(chain: OpenChain) -> None:
-    if chain.n ** chain.N <= max_dense_dim():
+    limit = max_dense_dim()
+    if chain.n ** chain.N <= limit:
         return
-    if chain.n == 2 and chain.N <= MAX_WEIGHT_BLOCK_N:
+    if chain.n == 2 and comb(chain.N, chain.N // 2) <= limit:
         return
     raise SizeGuardError(
-        f"n^N = {chain.n ** chain.N} exceeds the dense guard and the weight-block "
-        f"path covers only n=2, N <= {MAX_WEIGHT_BLOCK_N}")
+        f"n^N = {chain.n ** chain.N} exceeds the dense guard {limit}, and the "
+        f"weight-block path covers only n=2 with binomial(N, N//2) <= {limit}")
 
 
 def _cluster_1d(values: np.ndarray, tol: float) -> list[list[int]]:
@@ -169,7 +149,7 @@ def diagonalize(chain: OpenChain, residual_tol: float = 1e-9) -> SpectralDecompo
     _check_guard(chain)
     per_block = []
     max_abs = 1.0
-    for content in contents(chain.n, chain.N):
+    for content in dicke_labels(chain.n, chain.N):
         basis = weight_basis(chain.n, chain.N, content)
         m = block_matrix(chain, content, basis)
         vals, vecs = np.linalg.eigh(m)
@@ -209,8 +189,9 @@ def sector_matrix(N: int, q: float, k: int) -> np.ndarray:
     diagonal (N-1-q^-2, N-2-q^-2, ..., N-2-q^-2, N-2) and off-diagonal q^-1."""
     if not 0 <= k <= N:
         raise ValidationError(f"k must be in [0,{N}]")
-    chain = OpenChain(2, N, q)
-    return block_matrix(chain, (N - k, k), basis=_weight_words(N, k))
+    # descending lexicographic order lists the position sets in combinations order
+    return block_matrix(OpenChain(2, N, q), (N - k, k),
+                        basis=weight_basis(2, N, (N - k, k))[::-1])
 
 
 def sector_multiplicity(N: int, k: int) -> int:
@@ -223,16 +204,6 @@ def sector_multiplicity(N: int, k: int) -> int:
 def sector_dimension(N: int, k: int) -> int:
     """d_{k,2} = N - 2k + 1, the ladder length of one sector-k eigenvalue."""
     return N - 2 * k + 1
-
-
-def _weight_words(N: int, k: int) -> list[Word]:
-    return [tuple(2 if p in posset else 1 for p in range(N))
-            for posset in combinations(range(N), k)]
-
-
-def _vec_state(v: np.ndarray, words: list[Word]) -> TensorState:
-    return TensorState(2, len(words[0]),
-                       {w: float(c) for w, c in zip(words, v) if c != 0.0})
 
 
 @dataclass
@@ -257,15 +228,19 @@ class SectorReport:
 
 
 def classify_sectors(decomposition: SpectralDecomposition, q: float | None = None) -> SectorReport:
-    """Assign n=2 eigenvalues to sectors by the highest-weight test and
-    verify each ladder's closed-form coefficients.
+    """Assign n=2 eigenvalues to sectors from the F_1 kernels of the weight
+    blocks and verify each ladder's closed-form coefficients.
 
-    Within each weight block k <= N/2, the sector-k eigenvalues are those
-    whose eigenvectors are killed by F_1; degenerate clusters are resolved by
-    extracting the F_1 kernel of the eigenspace (the Gram-Schmidt
-    re-orthogonalization against lower sectors).  Cross-sector degeneracies
-    are warned about and fall back to multiplicity-only matching, never
-    silently merged.
+    By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
+    kernel of F_1 on weight block k (k <= N/2).  F_1 is built as a dense map
+    from block k to block k-1; its null space is read off one singular value
+    decomposition, with the rank counted against HW_TOL times the largest
+    singular value, so the sector counts stay measurements.  H compressed to
+    that null space is diagonalized, and each eigenpair is a sector-k
+    eigenvalue with its highest-weight vector.  The sector values are then
+    matched against the full-block clusters of the decomposition; degeneracies
+    across sectors are warned about and fall back to multiplicity-only
+    matching, never silently merged.
     """
     if decomposition.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
@@ -276,32 +251,25 @@ def classify_sectors(decomposition: SpectralDecomposition, q: float | None = Non
     sectors: dict[int, list[SectorLadder]] = {}
     seen_values: list[tuple[float, int]] = []
     max_abs = 1.0
+    lower = None
 
     for k in range(N // 2 + 1):
-        words = _weight_words(N, k)
-        m = sector_matrix(N, q, k)
-        vals, vecs = np.linalg.eigh(m)
+        basis = weight_basis(2, N, (N - k, k))
+        m = block_matrix(chain, (N - k, k), basis)
+        if lower is None:
+            kernel = np.eye(len(basis))
+        else:
+            f1 = _block_map(lambda s: apply_F(s, 1, q), 2, basis, lower)
+            _, sv, vt = np.linalg.svd(f1)
+            kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv[0])):].T
+        vals, rot = np.linalg.eigh(kernel.T @ m @ kernel)
         if vals.size:
             max_abs = max(max_abs, float(np.abs(vals).max()))
         tol = CLUSTER_RTOL * max_abs
         ladders = []
-        # an extraction group spans all eigenvalues whose eigenvectors may be
-        # numerically mixed; the F_1 kernel of the joint span separates the
-        # highest-weight directions and the Rayleigh quotient recovers each
-        # eigenvalue to working precision
-        for group in _cluster_1d(vals, HW_WINDOW_RTOL * max_abs):
-            sub = vecs[:, group]
-            kernel = _highest_weight_subspace(sub, words, k, q)
-            if kernel.shape[1] > 1:
-                # unmix multiple highest-weight directions by re-diagonalizing
-                # the chain inside the kernel
-                _, rot = np.linalg.eigh(kernel.T @ (m @ kernel))
-                kernel = kernel @ rot
-            for col in range(kernel.shape[1]):
-                v = kernel[:, col]
-                value = float(v @ (m @ v))
-                hw = _vec_state(v, words)
-                ladders.append(_verify_ladder(chain, hw, value, k))
+        for value, v in zip(vals, (kernel @ rot).T):
+            hw = TensorState(2, N, {w: float(c) for w, c in zip(basis, v) if c != 0.0})
+            ladders.append(_verify_ladder(chain, hw, float(value), k))
         for lad in ladders:
             for prev_value, prev_k in seen_values:
                 if abs(lad.eigenvalue - prev_value) <= tol and prev_k != k:
@@ -310,36 +278,13 @@ def classify_sectors(decomposition: SpectralDecomposition, q: float | None = Non
                         f"sector {prev_k}; falling back to multiplicity-only matching")
             seen_values.append((lad.eigenvalue, k))
         sectors[k] = ladders
+        lower = basis
 
     m_observed = {k: len(v) for k, v in sectors.items()}
     m_predicted = {k: sector_multiplicity(N, k) for k in range(N // 2 + 1)}
     ok = m_observed == m_predicted and not warnings
     _annotate(decomposition, sectors)
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
-
-
-def _highest_weight_subspace(sub: np.ndarray, words: list[Word], k: int,
-                             q: float) -> np.ndarray:
-    """Orthonormal basis of the F_1 kernel within one eigenspace.
-
-    For a nondegenerate eigenvalue this is the plain highest-weight test; for
-    a degenerate cluster the kernel directions are read off the singular
-    value decomposition of F_1 restricted to the eigenspace, which is what
-    re-orthogonalizing against the lower sectors amounts to.
-    """
-    if k == 0:
-        return sub
-    lower_index = {w: i for i, w in enumerate(_weight_words(len(words[0]), k - 1))}
-    f_img = np.zeros((len(lower_index), sub.shape[1]))
-    for col in range(sub.shape[1]):
-        st = apply_F(_vec_state(sub[:, col], words), 1, q)
-        for w, a in st.amps.items():
-            f_img[lower_index[w], col] = a
-    if sub.shape[1] == 1:
-        return sub if float(np.linalg.norm(f_img)) < HW_TOL else sub[:, :0]
-    _, s, vt = np.linalg.svd(f_img)
-    null_mask = np.concatenate([s, np.zeros(sub.shape[1] - s.size)]) < HW_TOL
-    return sub @ vt.T[:, null_mask]
 
 
 def _verify_ladder(chain: OpenChain, hw: TensorState, value: float, k: int) -> SectorLadder:

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidlab import cli
 
@@ -190,3 +193,133 @@ def test_output_is_byte_deterministic(capsys):
     _, second, _ = run(capsys, "dicke", "--n", "3", "--N", "4", "--q", "0.7",
                        "--label", "2,1,1")
     assert first == second
+
+
+def test_orbits_table_matches_dihedral(tmp_path, capsys):
+    _, table, _ = run(capsys, "quandle", "dihedral", "--n", "3")
+    table_file = tmp_path / "table.json"
+    table_file.write_text(table)
+    code, from_table, _ = run(capsys, "quandle", "orbits", "--table", str(table_file),
+                              "--N", "3")
+    assert code == 0
+    _, from_n, _ = run(capsys, "quandle", "orbits", "--n", "3", "--N", "3")
+    assert from_table == from_n
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["quandle", "orbits", "--N", "2"], id="orbits-no-table"),
+    pytest.param(["dicke", "--n", "2", "--N", "2", "--q", "1.3", "--label", "a,b"],
+                 id="dicke-label-text"),
+    pytest.param(["shuffle", "--n", "2", "--N", "2", "--z", "foo", "--state", "12"],
+                 id="shuffle-z-text"),
+    pytest.param(["shuffle", "--n", "2", "--N", "2", "--z", "inf", "--state", "12"],
+                 id="shuffle-z-inf"),
+    pytest.param(["shuffle", "--n", "2", "--N", "2", "--q", "nan", "--state", "12"],
+                 id="shuffle-q-nan"),
+    pytest.param(["shuffle", "--n", "2", "--N", "2", "--state", "1a"], id="shuffle-state-text"),
+    pytest.param(["spectrum", "--n", "2", "--N", "3", "--q", "nan"], id="spectrum-q-nan"),
+    pytest.param(["spectrum", "--n", "2", "--N", "3", "--q", "inf"], id="spectrum-q-inf"),
+    pytest.param(["verify", "--n", "2", "--N", "3", "--q", "nan"], id="verify-q-nan"),
+    pytest.param(["dicke", "--n", "2", "--N", "2", "--q", "nan", "--label", "1,1"],
+                 id="dicke-q-nan"),
+    pytest.param(["crystal", "--n", "2", "--N", "2", "--q", "inf", "--labels", "canonical"],
+                 id="crystal-q-inf"),
+    pytest.param(["crystal", "--n", "0", "--N", "0"], id="crystal-n0"),
+    pytest.param(["quandle", "orbits", "--n", "3", "--N", "-1"], id="orbits-negative-N"),
+])
+def test_bad_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("braidlab: ")
+
+
+def test_weight_block_guard_exit_code(capsys):
+    # the n=2 path is bounded by its largest block, binomial(15, 7) = 6435
+    code, _, err = run(capsys, "spectrum", "--n", "2", "--N", "15")
+    assert code == 1
+    assert "guard" in err
+
+
+def test_orbit_dot_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "100")
+    code, out, err = run(capsys, "quandle", "orbits", "--n", "3", "--N", "5", "--dot")
+    assert code == 1
+    assert out == ""
+    assert "guard" in err
+
+
+SPECIAL = ["nan", "inf", "foo", "a,b", ""]
+NUMBER = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(0.1, 3.0).map(repr))
+LABEL = st.one_of(st.sampled_from(SPECIAL),
+                  st.lists(st.integers(-1, 4), max_size=4).map(
+                      lambda xs: ",".join(map(str, xs))))
+SIZE = st.integers(-1, 4).map(str)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
+
+
+def _cli_argvs(table_file):
+    tables = st.sampled_from([table_file, table_file + ".missing"])
+    return st.one_of(
+        _argv(st.just(["automaton"]), st.sampled_from([["--example", "exa01"],
+                                                       ["--example", "e1"]]),
+              _opt("--run", st.sampled_from(["a", "ab", "", "c", "foo"])), _switch("--dot")),
+        _argv(st.just(["tableaux"]), _opt("--n", SIZE), _opt("--N", SIZE)),
+        _argv(st.just(["shuffle"]), _opt("--n", SIZE), _opt("--N", SIZE),
+              _opt("--z", st.one_of(NUMBER, st.sampled_from(["q2", "minus1"]))),
+              _opt("--q", NUMBER), _opt("--state", st.sampled_from(["12", "112", "a,b", ""])),
+              _switch("--reduced-words")),
+        _argv(st.just(["dicke"]), _opt("--n", SIZE), _opt("--N", SIZE), _opt("--q", NUMBER),
+              _opt("--label", LABEL)),
+        _argv(st.just(["crystal"]), _opt("--n", SIZE), _opt("--N", SIZE), _opt("--q", NUMBER),
+              _opt("--labels", st.sampled_from(["none", "canonical", "rescaled"]))),
+        _argv(st.just(["spectrum"]), _opt("--n", SIZE), _opt("--N", SIZE), _opt("--q", NUMBER),
+              _opt("--sector", SIZE), _opt("--format", st.sampled_from(["json", "csv"]))),
+        _argv(st.just(["verify"]), _opt("--n", SIZE), _opt("--N", SIZE), _opt("--q", NUMBER)),
+        _argv(st.just(["quandle", "dihedral"]), _opt("--n", SIZE), _switch("--spectrum")),
+        _argv(st.just(["quandle", "validate"]), _opt("--table", tables)),
+        _argv(st.just(["quandle", "orbits"]), _opt("--n", SIZE), _opt("--N", SIZE),
+              _opt("--table", tables), _switch("--dot")),
+    )
+
+
+@pytest.fixture(scope="module")
+def dihedral_table_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "d3.json"
+    path.write_text(json.dumps({"n": 3, "op": [1, 3, 2, 3, 2, 1, 2, 1, 3]}))
+    return str(path)
+
+
+def test_cli_fuzz_exit_contract(dihedral_table_file):
+    # every subcommand at N <= 4 with valid and invalid q, z and label values:
+    # exit codes stay in {0, 1, 2}, nothing escapes as a traceback, and every
+    # nonzero return from main explains itself on a braidlab: line
+    @settings(max_examples=400, deadline=None)
+    @given(_cli_argvs(dihedral_table_file))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code, returned = exc.code, False
+            else:
+                returned = True
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
+        if returned and code:
+            assert "braidlab: " in err.getvalue(), argv
+
+    check()

@@ -152,7 +152,7 @@ def test_blocks_mutually_orthogonal_across_clusters():
 def test_block_matrices_exactly_symmetric():
     for n, N in [(2, 5), (3, 3)]:
         chain = spectra.OpenChain(n, N, Q)
-        for content in spectra.contents(n, N):
+        for content in qalgebra.dicke_labels(n, N):
             m = spectra.block_matrix(chain, content)
             assert np.array_equal(m, m.T)
 
@@ -304,14 +304,16 @@ def test_complementary_sector_spectra_match():
 
 
 def test_ladder_termination():
-    deco = spectra.diagonalize(spectra.OpenChain(2, 6, Q))
-    rep = spectra.classify_sectors(deco, Q)
-    for k, lads in rep.sectors.items():
-        for lad in lads:
-            assert lad.length == 6 - 2 * k + 1
-            assert lad.termination_residual < 1e-8
-            assert lad.kappa_residual < 1e-8
-            assert lad.eigen_residual < 1e-9
+    for N, q in [(6, 1.3), (7, 2.0), (8, 1.5)]:
+        deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
+        rep = spectra.classify_sectors(deco, q)
+        for k, lads in rep.sectors.items():
+            for lad in lads:
+                assert lad.length == N - 2 * k + 1
+                assert lad.hw_residual < 1e-13, (N, q, k)
+                assert lad.termination_residual < 1e-8
+                assert lad.kappa_residual < 1e-8
+                assert lad.eigen_residual < 1e-9
 
 
 def test_symmetry_residual_values():

@@ -1,15 +1,21 @@
 #!/usr/bin/env python3
 """Print the full sector bookkeeping of the open chain for n=2.
 
-For each sector k: the predicted eigenvalue count m_k, the observed
-highest-weight eigenvalues, ladder length, and the worst residuals of the
-closed-form ladder coefficients.  Totals are checked against 2^N.
+For each sector k: the predicted eigenvalue count m_k, the ladder length
+d_k, the observed highest-weight eigenvalues, and the worst of each ladder
+residual over the sector: highest weight (|F_1 v|), closed-form kappa
+coefficient, termination (|E_1 v| at the top rung) and eigenvalue
+persistence.  Totals are checked against 2^N.
 """
 
 import argparse
 import sys
 
 from braidlab import spectra
+
+# column header -> SectorLadder field
+RESIDUALS = {"hw_res": "hw_residual", "kappa_res": "kappa_residual",
+             "term_res": "termination_residual", "eigen_res": "eigen_residual"}
 
 
 def main() -> int:
@@ -19,9 +25,10 @@ def main() -> int:
     args = ap.parse_args()
 
     deco = spectra.diagonalize(spectra.OpenChain(2, args.N, args.q))
-    rep = spectra.classify_sectors(deco, args.q)
+    rep = spectra.classify_sectors(deco)
     print(f"open chain n=2, N={args.N}, q={args.q}")
-    print(f"{'k':>3} {'m_k':>5} {'d_k':>5} {'eigenvalues':<48} {'kappa_res':>10}")
+    print(f"{'k':>3} {'m_k':>5} {'d_k':>5} {'eigenvalues':<48} "
+          + " ".join(f"{name:>10}" for name in RESIDUALS))
     total = 0
     for k in sorted(rep.sectors):
         lads = rep.sectors[k]
@@ -30,8 +37,10 @@ def main() -> int:
         values = ", ".join(f"{lad.eigenvalue:.6g}" for lad in lads[:5])
         if len(lads) > 5:
             values += f", ... ({len(lads)} total)"
-        worst = max((lad.kappa_residual for lad in lads), default=0.0)
-        print(f"{k:>3} {m_k:>5} {d_k:>5} {values:<48} {worst:>10.2e}")
+        worst = [max((getattr(lad, field) for lad in lads), default=0.0)
+                 for field in RESIDUALS.values()]
+        print(f"{k:>3} {m_k:>5} {d_k:>5} {values:<48} "
+              + " ".join(f"{w:>10.2e}" for w in worst))
         total += m_k * d_k
     print(f"sum m_k d_k = {total} = 2^{args.N}: {total == 2 ** args.N}")
     if rep.warnings:

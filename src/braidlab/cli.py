@@ -124,7 +124,7 @@ def _spectrum_rows(args):
     chain = spectra.OpenChain(args.n, args.N, args.q)
     deco = spectra.diagonalize(chain)
     if args.n == 2:
-        spectra.classify_sectors(deco, args.q)
+        spectra.classify_sectors(deco)
     rows = []
     for c in deco.clusters:
         if args.sector is not None and c.sector != args.sector:

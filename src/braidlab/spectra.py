@@ -22,6 +22,7 @@ from .qalgebra import apply_E, apply_F, dicke_labels, q_number
 from .states import TensorState, Word
 
 CLUSTER_RTOL = 1e-8
+EIG_RESIDUAL_TOL = 1e-9
 HW_TOL = 1e-8
 
 
@@ -71,8 +72,6 @@ def hamiltonian_apply(chain: OpenChain, state: TensorState) -> TensorState:
     """H state = sum over j of r_j state."""
     if state.N != chain.N or state.n != chain.n:
         raise ValidationError("state shape does not match the chain")
-    if chain.N == 1:
-        return TensorState.zero(state.n, state.N)
     out = TensorState.zero(state.n, state.N)
     for j in range(1, chain.N):
         out = out.add(apply_generator(state, j, chain.q))
@@ -137,13 +136,13 @@ def _cluster_1d(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def diagonalize(chain: OpenChain, residual_tol: float = 1e-9) -> SpectralDecomposition:
+def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     """Full decomposition via weight blocks, with eigenvalue clustering.
 
     Eigenvalues are merged within a block and matched across blocks at
     relative gap CLUSTER_RTOL * max |eigenvalue|; exact cross-block
     degeneracies are the tableau multiplicities.  Each eigenvector is checked
-    against its eigenvalue within residual_tol.  Eigenvector sign convention:
+    against its eigenvalue within EIG_RESIDUAL_TOL.  Eigenvector sign convention:
     first nonzero component positive.
     """
     _check_guard(chain)
@@ -159,8 +158,8 @@ def diagonalize(chain: OpenChain, residual_tol: float = 1e-9) -> SpectralDecompo
             if lead.size and v[lead[0]] < 0:
                 vecs[:, col] = -v
             resid = float(np.abs(m @ vecs[:, col] - vals[col] * vecs[:, col]).max())
-            if resid > residual_tol * max(1.0, abs(vals[col])):
-                raise ValidationError(f"eigenpair residual {resid} exceeds {residual_tol}")
+            if resid > EIG_RESIDUAL_TOL * max(1.0, abs(vals[col])):
+                raise ValidationError(f"eigenpair residual {resid} exceeds {EIG_RESIDUAL_TOL}")
         per_block.append((content, basis, vals, vecs))
         if vals.size:
             max_abs = max(max_abs, float(np.abs(vals).max()))
@@ -227,59 +226,69 @@ class SectorReport:
     ok: bool
 
 
-def classify_sectors(decomposition: SpectralDecomposition, q: float | None = None) -> SectorReport:
-    """Assign n=2 eigenvalues to sectors from the F_1 kernels of the weight
-    blocks and verify each ladder's closed-form coefficients.
+def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
+    """Assign n=2 eigenvalues to sectors and verify every sector ladder, in
+    one sweep over the weight blocks m = 0..N.
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
-    kernel of F_1 on weight block k (k <= N/2).  F_1 is built as a dense map
-    from block k to block k-1; its null space is read off one singular value
-    decomposition, with the rank counted against HW_TOL times the largest
-    singular value, so the sector counts stay measurements.  H compressed to
-    that null space is diagonalized, and each eigenpair is a sector-k
-    eigenvalue with its highest-weight vector.  The sector values are then
-    matched against the full-block clusters of the decomposition; degeneracies
-    across sectors are warned about and fall back to multiplicity-only
-    matching, never silently merged.
+    kernel of F_1 on weight block k <= N/2 (see _highest_weight).  H on block
+    m and E_1 from block m to m+1 are built once each; F_1 from block m to
+    m-1 is the transpose of the previous E_1 map, which it equals exactly in
+    this basis.  Every open sector-k ladder B is advanced as one matrix
+    product over its columns, checking |H B - B Lambda|, the closed-form
+    coefficient |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and
+    at the top rung m = N-k the termination |E_1 B|, each relative to the
+    rung's column norms.  The sector values are then matched against the
+    full-block clusters of the decomposition; degeneracies across sectors are
+    warned about and fall back to multiplicity-only matching, never silently
+    merged.
     """
     if decomposition.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
-    N = decomposition.N
-    q = decomposition.q if q is None else q
+    N, q = decomposition.N, decomposition.q
     chain = OpenChain(2, N, q)
+    sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
+    # open ladders: k -> (eigenvalues, current rung, residual rows hw/kappa/term/eigen)
+    ladders = {}
+    # E_1 into block 0 comes from the empty block below it
+    basis, e_down = weight_basis(2, N, (N, 0)), np.zeros((1, 0))
+    for m in range(N + 1):
+        above = weight_basis(2, N, (N - m - 1, m + 1)) if m < N else []
+        h = block_matrix(chain, (N - m, m), basis)
+        e_up = _block_map(lambda s: apply_E(s, 1, q), 2, basis, above)
+        if m <= N // 2:
+            values, b = _highest_weight(h, e_down.T)
+            res = np.zeros((4, len(values)))
+            res[0] = np.linalg.norm(e_down.T @ b, axis=0) / np.linalg.norm(b, axis=0)
+            ladders[m] = (values, b, res)
+        for k, (values, b, res) in list(ladders.items()):
+            norms = np.linalg.norm(b, axis=0)
+            res[3] = np.maximum(res[3], np.linalg.norm(h @ b - b * values, axis=0) / norms)
+            up = e_up @ b
+            if m < N - k:
+                kappa = q_number(N - k - m, q) * q_number(m - k + 1, q)
+                res[1] = np.maximum(res[1], np.linalg.norm(e_up.T @ up - kappa * b, axis=0) / norms)
+                ladders[k] = (values, up, res)
+            else:
+                res[2] = np.linalg.norm(up, axis=0) / norms
+                sectors[k] = [SectorLadder(float(v), *map(float, r), m - k + 1)
+                              for v, r in zip(values, res.T)]
+                del ladders[k]
+        basis, e_down = above, e_up
+
     warnings = []
-    sectors: dict[int, list[SectorLadder]] = {}
     seen_values: list[tuple[float, int]] = []
     max_abs = 1.0
-    lower = None
-
-    for k in range(N // 2 + 1):
-        basis = weight_basis(2, N, (N - k, k))
-        m = block_matrix(chain, (N - k, k), basis)
-        if lower is None:
-            kernel = np.eye(len(basis))
-        else:
-            f1 = _block_map(lambda s: apply_F(s, 1, q), 2, basis, lower)
-            _, sv, vt = np.linalg.svd(f1)
-            kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv[0])):].T
-        vals, rot = np.linalg.eigh(kernel.T @ m @ kernel)
-        if vals.size:
-            max_abs = max(max_abs, float(np.abs(vals).max()))
+    for k, lads in sectors.items():
+        max_abs = max([max_abs] + [abs(lad.eigenvalue) for lad in lads])
         tol = CLUSTER_RTOL * max_abs
-        ladders = []
-        for value, v in zip(vals, (kernel @ rot).T):
-            hw = TensorState(2, N, {w: float(c) for w, c in zip(basis, v) if c != 0.0})
-            ladders.append(_verify_ladder(chain, hw, float(value), k))
-        for lad in ladders:
+        for lad in lads:
             for prev_value, prev_k in seen_values:
                 if abs(lad.eigenvalue - prev_value) <= tol and prev_k != k:
                     warnings.append(
                         f"eigenvalue {lad.eigenvalue:.12g} of sector {k} degenerate with "
                         f"sector {prev_k}; falling back to multiplicity-only matching")
             seen_values.append((lad.eigenvalue, k))
-        sectors[k] = ladders
-        lower = basis
-
     m_observed = {k: len(v) for k, v in sectors.items()}
     m_predicted = {k: sector_multiplicity(N, k) for k in range(N // 2 + 1)}
     ok = m_observed == m_predicted and not warnings
@@ -287,28 +296,17 @@ def classify_sectors(decomposition: SpectralDecomposition, q: float | None = Non
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
 
 
-def _verify_ladder(chain: OpenChain, hw: TensorState, value: float, k: int) -> SectorLadder:
-    """Raise a highest-weight vector through its sector ladder and check the
-    kappa coefficients, the termination, and eigenvalue persistence."""
-    N, q = chain.N, chain.q
-    hw_res = apply_F(hw, 1, q).norm() / hw.norm() if k > 0 else 0.0
-    kappa_res = 0.0
-    eig_res = 0.0
-    b = hw
-    length = 1
-    for m in range(k, N - k):
-        nb = b.norm()
-        eig_res = max(eig_res, hamiltonian_apply(chain, b).sub(b.scale(value)).norm() / nb)
-        up = apply_E(b, 1, q)
-        kappa = q_number(N - k - m, q) * q_number(m - k + 1, q)
-        kappa_res = max(kappa_res,
-                        apply_F(up, 1, q).sub(b.scale(kappa)).norm() / nb)
-        b = up
-        length += 1
-    nb = b.norm()
-    eig_res = max(eig_res, hamiltonian_apply(chain, b).sub(b.scale(value)).norm() / nb)
-    term_res = apply_E(b, 1, q).norm() / nb
-    return SectorLadder(value, hw_res, kappa_res, term_res, eig_res, length)
+def _highest_weight(h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of H restricted to the kernel of F_1.
+
+    The null space is read off one singular value decomposition, with the
+    rank counted against HW_TOL times the largest singular value, so the
+    sector counts stay measurements.
+    """
+    _, sv, vt = np.linalg.svd(f)
+    kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
+    vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
+    return vals, kernel @ rot
 
 
 def _annotate(decomposition: SpectralDecomposition, sectors: dict) -> None:
@@ -359,7 +357,7 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
         mismatches.append({"what": "spectral_total", "expected": n ** N, "got": total})
     sector_report = None
     if n == 2:
-        sector_report = classify_sectors(deco, q)
+        sector_report = classify_sectors(deco)
         for k in range(N // 2 + 1):
             expected_m = sector_multiplicity(N, k)
             got_m = sector_report.m_observed.get(k, 0)

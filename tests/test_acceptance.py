@@ -162,7 +162,7 @@ def test_criterion_5_sector_bookkeeping():
         q = 1.5
         for N in range(2, 11):
             deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
-            rep = spectra.classify_sectors(deco, q)
+            rep = spectra.classify_sectors(deco)
             assert not rep.warnings, rep.warnings
             total = 0
             for k in range(N // 2 + 1):

@@ -205,7 +205,7 @@ def test_orthogonality_sum_rule():
 
 def test_classify_sectors_examples():
     deco = spectra.diagonalize(spectra.OpenChain(2, 3, Q))
-    rep = spectra.classify_sectors(deco, Q)
+    rep = spectra.classify_sectors(deco)
     assert rep.m_observed == {0: 1, 1: 2}
     assert all(lad.length == 3 - 2 * k + 1 for k, lads in rep.sectors.items()
                for lad in lads)
@@ -214,11 +214,11 @@ def test_classify_sectors_examples():
         min(by_sector, key=lambda v: abs(v - 2.0))] == 0
 
     deco = spectra.diagonalize(spectra.OpenChain(2, 2, Q))
-    rep = spectra.classify_sectors(deco, Q)
+    rep = spectra.classify_sectors(deco)
     assert rep.m_observed == {0: 1, 1: 1}
 
     deco = spectra.diagonalize(spectra.OpenChain(2, 4, Q))
-    rep = spectra.classify_sectors(deco, Q)
+    rep = spectra.classify_sectors(deco)
     assert rep.m_observed == {0: 1, 1: 3, 2: 2}
     assert sum(spectra.sector_multiplicity(4, k) * spectra.sector_dimension(4, k)
                for k in range(3)) == 16
@@ -229,7 +229,7 @@ def test_sector_values_equal_block_spectrum_differences():
     # the eigenvalues of block k that are absent from block k-1
     for N, q in [(5, 1.3), (6, 0.8), (7, 1.5)]:
         deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
-        rep = spectra.classify_sectors(deco, q)
+        rep = spectra.classify_sectors(deco)
         prev = np.array([])
         for k in range(N // 2 + 1):
             vals = np.linalg.eigvalsh(spectra.sector_matrix(N, q, k))
@@ -246,7 +246,7 @@ def test_classification_clean_at_isotropic_point():
     # without falling back to multiplicity-only matching
     for N in range(2, 8):
         deco = spectra.diagonalize(spectra.OpenChain(2, N, 1.0))
-        rep = spectra.classify_sectors(deco, 1.0)
+        rep = spectra.classify_sectors(deco)
         assert rep.ok and not rep.warnings
 
 
@@ -304,9 +304,9 @@ def test_complementary_sector_spectra_match():
 
 
 def test_ladder_termination():
-    for N, q in [(6, 1.3), (7, 2.0), (8, 1.5)]:
+    for N, q in [(6, 1.3), (7, 2.0), (8, 1.5), (11, 0.7)]:
         deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
-        rep = spectra.classify_sectors(deco, q)
+        rep = spectra.classify_sectors(deco)
         for k, lads in rep.sectors.items():
             for lad in lads:
                 assert lad.length == N - 2 * k + 1
@@ -314,6 +314,53 @@ def test_ladder_termination():
                 assert lad.termination_residual < 1e-8
                 assert lad.kappa_residual < 1e-8
                 assert lad.eigen_residual < 1e-9
+
+
+def test_f1_block_map_is_e1_transpose():
+    # the ladder sweep takes F_1 (block k+1 -> k) as the transpose of E_1
+    # (block k -> k+1); in the word basis the two agree bit for bit
+    for q in (0.7, 1.0, 1.5, 2.0):
+        for N in range(1, 9):
+            for k in range(N):
+                lower = spectra.weight_basis(2, N, (N - k, k))
+                upper = spectra.weight_basis(2, N, (N - k - 1, k + 1))
+                f = spectra._block_map(lambda s: qalgebra.apply_F(s, 1, q), 2, upper, lower)
+                e = spectra._block_map(lambda s: qalgebra.apply_E(s, 1, q), 2, lower, upper)
+                assert np.array_equal(f, e.T), (N, q, k)
+
+
+def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
+    # a basis word of block 1 is neither killed by F_1 nor an eigenvector,
+    # so every residual of its ladder must be far from zero
+    N, q = 6, 1.3
+
+    def one_basis_column(h, f):
+        if f.shape[0] != 1:          # only block 1 maps onto the one-word block 0
+            return np.zeros(0), np.zeros((h.shape[0], 0))
+        return np.array([1.0]), np.eye(h.shape[0])[:, :1]
+
+    monkeypatch.setattr(spectra, "_highest_weight", one_basis_column)
+    chain = spectra.OpenChain(2, N, q)
+    rep = spectra.classify_sectors(spectra.diagonalize(chain))
+    assert rep.m_observed == {0: 0, 1: 1, 2: 0, 3: 0} and not rep.ok
+    (lad,) = rep.sectors[1]
+    assert lad.length == N - 1
+    got = [lad.hw_residual, lad.kappa_residual, lad.termination_residual, lad.eigen_residual]
+    assert min(got) > 0.1
+
+    # the same residuals from the sparse ladder, one rung at a time
+    b = TensorState.basis(2, spectra.weight_basis(2, N, (N - 1, 1))[0])
+    hw = qalgebra.apply_F(b, 1, q).norm() / b.norm()
+    kappa = eigen = 0.0
+    for m in range(1, N - 1):
+        up = qalgebra.apply_E(b, 1, q)
+        c = qalgebra.q_number(N - 1 - m, q) * qalgebra.q_number(m, q)
+        kappa = max(kappa, qalgebra.apply_F(up, 1, q).sub(b.scale(c)).norm() / b.norm())
+        eigen = max(eigen, spectra.hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
+        b = up
+    eigen = max(eigen, spectra.hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
+    term = qalgebra.apply_E(b, 1, q).norm() / b.norm()
+    assert np.allclose(got, [hw, kappa, term, eigen], rtol=1e-12, atol=0.0)
 
 
 def test_symmetry_residual_values():

@@ -24,6 +24,7 @@ from .states import TensorState, Word
 CLUSTER_RTOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-9
 HW_TOL = 1e-8
+RESIDUAL_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -108,9 +109,44 @@ def _block_map(op, n: int, source: list[Word], target: list[Word]) -> np.ndarray
 
 
 def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.ndarray:
-    """Restriction of H to one weight block, as a dense symmetric matrix."""
+    """Restriction of H to one weight block, as a dense symmetric matrix.
+
+    Assembled from ranked words without building a TensorState: each word
+    is keyed by its base-n index and looked up through an argsort of the
+    keys, so any ordering of the block (sector_matrix passes a reversed one)
+    works.  For each site j, over all words at once, r_j adds 1 on the
+    diagonal for an equal pair, 1 - q^-2 for a decreasing pair, and 1/q at
+    the swapped word.  The diagonal is accumulated over j in increasing
+    order, the order of hamiltonian_apply, so the matrix equals the sparse
+    one bit for bit.
+    """
     basis = weight_basis(chain.n, chain.N, content) if basis is None else basis
-    return _block_map(lambda s: hamiltonian_apply(chain, s), chain.n, basis, basis)
+    n, N, q = chain.n, chain.N, chain.q
+    words = np.array(list(basis) or np.zeros((0, N)), dtype=np.int64)
+    if words.shape[1:] != (N,) or not ((words >= 1) & (words <= n)).all():
+        raise ValidationError(f"basis words must lie in [1,{n}]^{N}")
+    # base-n keys overflow int64 beyond n^N = 2^63; Python integers do not
+    key_type = np.int64 if n ** N <= np.iinfo(np.int64).max else object
+    words = words.astype(key_type, copy=False)
+    powers = np.array([n ** (N - 1 - j) for j in range(N)], dtype=key_type)
+    keys = (words - 1) @ powers
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    size = len(words)
+    m = np.zeros((size, size))
+    diag = np.zeros(size)
+    c = 1.0 - q ** -2
+    for j in range(N - 1):
+        x, y = words[:, j], words[:, j + 1]
+        diag += np.where(x == y, 1.0, np.where(x > y, c, 0.0))
+        cols = np.flatnonzero(x != y)
+        swapped = keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1])
+        pos = np.minimum(np.searchsorted(sorted_keys, swapped), size - 1)
+        if not np.array_equal(sorted_keys[pos], swapped):
+            raise ValidationError("basis is not closed under H (not a whole weight block)")
+        m[order[pos], cols] = 1.0 / q
+    m[np.arange(size), np.arange(size)] = diag
+    return m
 
 
 def _check_guard(chain: OpenChain) -> None:
@@ -136,14 +172,38 @@ def _cluster_1d(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
+def _orient_and_check(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Fix the sign of each eigenvector in place and check every eigenpair.
+
+    A column is negated when its first component with |v| > 1e-12 is
+    negative (eigh returns unit columns, so one always exists).  The check
+    is |m v - lambda v|_inf <= EIG_RESIDUAL_TOL * max(1, |lambda|), taken
+    RESIDUAL_CHUNK columns at a time so no temporary outgrows
+    d x RESIDUAL_CHUNK.
+    """
+    for lo in range(0, vecs.shape[1], RESIDUAL_CHUNK):
+        v, lam = vecs[:, lo:lo + RESIDUAL_CHUNK], vals[lo:lo + RESIDUAL_CHUNK]
+        lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
+        v *= np.where(lead < 0, -1.0, 1.0)
+        resid = np.abs(m @ v - v * lam).max(axis=0)
+        bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)))
+        if bad.size:
+            raise ValidationError(
+                f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
+
+
 def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     """Full decomposition via weight blocks, with eigenvalue clustering.
 
+    Each block of H comes from block_matrix (ranked-word assembly) and one
+    dense eigh.  Every eigenvector is checked against its eigenvalue within
+    EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check).  Eigenvector
+    sign convention: first component above 1e-12 in magnitude positive.
     Eigenvalues are merged within a block and matched across blocks at
     relative gap CLUSTER_RTOL * max |eigenvalue|; exact cross-block
-    degeneracies are the tableau multiplicities.  Each eigenvector is checked
-    against its eigenvalue within EIG_RESIDUAL_TOL.  Eigenvector sign convention:
-    first nonzero component positive.
+    degeneracies are the tableau multiplicities.  eigh sorts each block's
+    values, so a within-block cluster is a run of columns and is stored as a
+    view of the block's eigenvector matrix, not a copy.
     """
     _check_guard(chain)
     per_block = []
@@ -152,24 +212,16 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
         basis = weight_basis(chain.n, chain.N, content)
         m = block_matrix(chain, content, basis)
         vals, vecs = np.linalg.eigh(m)
-        for col in range(vecs.shape[1]):
-            v = vecs[:, col]
-            lead = np.nonzero(np.abs(v) > 1e-12)[0]
-            if lead.size and v[lead[0]] < 0:
-                vecs[:, col] = -v
-            resid = float(np.abs(m @ vecs[:, col] - vals[col] * vecs[:, col]).max())
-            if resid > EIG_RESIDUAL_TOL * max(1.0, abs(vals[col])):
-                raise ValidationError(f"eigenpair residual {resid} exceeds {EIG_RESIDUAL_TOL}")
+        _orient_and_check(m, vals, vecs)
         per_block.append((content, basis, vals, vecs))
-        if vals.size:
-            max_abs = max(max_abs, float(np.abs(vals).max()))
+        max_abs = max(max_abs, float(np.abs(vals).max()))
     tol = CLUSTER_RTOL * max_abs
 
     flat = []
     for content, basis, vals, vecs in per_block:
-        for groups in _cluster_1d(vals, tol):
-            value = float(np.mean(vals[groups]))
-            flat.append((value, content, basis, vecs[:, groups]))
+        cuts = list(np.flatnonzero(np.diff(vals) > tol) + 1)
+        for lo, hi in zip([0] + cuts, cuts + [len(vals)]):
+            flat.append((float(np.mean(vals[lo:hi])), content, basis, vecs[:, lo:hi]))
     values = np.array([f[0] for f in flat])
     clusters = []
     for group in _cluster_1d(values, tol):

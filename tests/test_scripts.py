@@ -1,0 +1,26 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path)).stdout
+
+
+def test_sector_survey_residual_columns_line_up():
+    # sectors 1..4 of N=8 have 7 to 28 eigenvalues, more than fit in the
+    # eigenvalue field; the four residual columns must still line up
+    lines = run_script("sector_survey.py", "--N", "8", "--q", "1.5").splitlines()
+    header = lines[1]
+    rows = [line for line in lines if re.match(r"\s*\d+\s", line)]
+    assert len(rows) == 5
+    ends = [m.end() for m in re.finditer(r"\S+", header)][-4:]
+    for row in rows:
+        assert [m.end() for m in re.finditer(r"\S+", row)][-4:] == ends, row

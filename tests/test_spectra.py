@@ -135,6 +135,33 @@ def test_eigenvector_residuals_and_orthonormality():
                 assert resid < 1e-10
 
 
+def test_eigenvector_first_component_positive():
+    # blocks wider than RESIDUAL_CHUNK (n=2, N=10) are oriented chunk by chunk
+    for n, N in [(2, 10), (3, 5), (4, 4)]:
+        deco = spectra.diagonalize(spectra.OpenChain(n, N, Q))
+        for cluster in deco.clusters:
+            for _, _, vecs in cluster.blocks:
+                for v in vecs.T:
+                    assert v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0, (n, N, cluster.value)
+
+
+def test_eigenpair_check_covers_every_chunk(monkeypatch):
+    # a corrupted eigenvector at column 200 lies past the first
+    # RESIDUAL_CHUNK = 128 columns of the 252- and 210-wide N=10 blocks
+    real_eigh = np.linalg.eigh
+
+    def corrupt_eigh(m):
+        vals, vecs = real_eigh(m)
+        if vecs.shape[1] > 200:
+            vecs[0, 200] += 1e-3
+        return vals, vecs
+
+    assert spectra.RESIDUAL_CHUNK <= 200
+    monkeypatch.setattr(spectra.np.linalg, "eigh", corrupt_eigh)
+    with pytest.raises(ValidationError, match="eigenpair residual"):
+        spectra.diagonalize(spectra.OpenChain(2, 10, Q))
+
+
 def test_blocks_mutually_orthogonal_across_clusters():
     # eigenvectors of different clusters living in the same weight block are
     # orthogonal to each other, not just within their own cluster
@@ -155,6 +182,40 @@ def test_block_matrices_exactly_symmetric():
         for content in qalgebra.dicke_labels(n, N):
             m = spectra.block_matrix(chain, content)
             assert np.array_equal(m, m.T)
+
+
+def test_block_matrix_matches_sparse_path():
+    # ranked-word assembly against H applied word by word, bit for bit, in
+    # the lexicographic basis and in the reversed one sector_matrix uses
+    for n, N_max in [(2, 8), (3, 6), (4, 5)]:
+        for N in range(1, N_max + 1):
+            for q in (0.7, 1.0, 1.5, 2.0):
+                chain = spectra.OpenChain(n, N, q)
+                for content in qalgebra.dicke_labels(n, N):
+                    basis = spectra.weight_basis(n, N, content)
+                    for words in (basis, basis[::-1]):
+                        sparse = spectra._block_map(
+                            lambda s: spectra.hamiltonian_apply(chain, s), n, words, words)
+                        assert np.array_equal(spectra.block_matrix(chain, content, words),
+                                              sparse), (n, N, q, content)
+    chain = spectra.OpenChain(2, 5, Q)
+    assert spectra.block_matrix(chain, (5, 0), []).shape == (0, 0)
+    assert np.array_equal(spectra.block_matrix(chain, (5, 0)), [[4.0]])
+    # 2^70 base-2 keys do not fit in int64
+    words = spectra.weight_basis(2, 70, (69, 1))[::-1]
+    sparse = spectra._block_map(lambda s: spectra.hamiltonian_apply(
+        spectra.OpenChain(2, 70, Q), s), 2, words, words)
+    assert np.array_equal(spectra.sector_matrix(70, Q, 1), sparse)
+
+
+def test_block_matrix_rejects_a_basis_that_is_not_a_block():
+    chain = spectra.OpenChain(2, 4, Q)
+    with pytest.raises(ValidationError):
+        spectra.block_matrix(chain, (3, 1), [(1, 1, 1, 3)])
+    with pytest.raises(ValidationError):
+        spectra.block_matrix(chain, (3, 1), [(1, 1, 2)])
+    with pytest.raises(ValidationError):
+        spectra.block_matrix(chain, (3, 1), spectra.weight_basis(2, 4, (3, 1))[:2])
 
 
 def test_sector_matrix_small_cases():
@@ -361,6 +422,40 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
     eigen = max(eigen, spectra.hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
     term = qalgebra.apply_E(b, 1, q).norm() / b.norm()
     assert np.allclose(got, [hw, kappa, term, eigen], rtol=1e-12, atol=0.0)
+
+
+def test_cross_sector_degeneracy_warning(monkeypatch):
+    # sector 1 is made to report the sector-0 eigenvalue N - 1 = 3 in place
+    # of its lowest one: the clash is warned about, and _annotate labels the
+    # shared cluster with sector 0 (the first match) and leaves the cluster
+    # of the displaced value without a sector
+    N, q = 4, 1.5
+    clean = spectra.diagonalize(spectra.OpenChain(2, N, q))
+    spectra.classify_sectors(clean)
+    real = spectra._highest_weight
+    displaced = []
+
+    def clash(h, f):
+        vals, vecs = real(h, f)
+        if h.shape[0] == N:          # block 1, the only N-dimensional block
+            displaced.append(vals[0])
+            vals = np.concatenate([[N - 1.0], vals[1:]])
+        return vals, vecs
+
+    monkeypatch.setattr(spectra, "_highest_weight", clash)
+    deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
+    rep = spectra.classify_sectors(deco)
+    assert rep.warnings == ["eigenvalue 3 of sector 1 degenerate with sector 0; "
+                            "falling back to multiplicity-only matching"]
+    assert rep.ok is False
+    assert rep.m_observed == rep.m_predicted
+    expected = [None if abs(c.value - displaced[0]) < 1e-9 else c.sector
+                for c in clean.clusters]
+    assert expected.count(None) == 1
+    assert [c.sector for c in deco.clusters] == expected
+    top = deco.clusters[-1]
+    assert top.value == pytest.approx(N - 1) and top.sector == 0
+    assert top.hw_residual == rep.sectors[0][0].hw_residual
 
 
 def test_symmetry_residual_values():

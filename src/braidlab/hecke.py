@@ -76,7 +76,8 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
         out[sw] = out.get(sw, 0.0) + amp / q
         if x > y:
             out[w] = out.get(w, 0.0) + amp * c
-    return TensorState(state.n, state.N, {w: a for w, a in out.items() if a != 0.0})
+    # a swap of two letters keeps every word in [1,n]^N
+    return TensorState._trusted(state.n, state.N, {w: a for w, a in out.items() if a != 0.0})
 
 
 def dense_generator(n: int, N: int, i: int, q: float) -> np.ndarray:

@@ -89,7 +89,8 @@ def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int
                 out.pop(w2, None)
             else:
                 out[w2] = s
-    return TensorState(state.n, state.N, out)
+    # source and target lie in [1,n] once _check_species_index has passed
+    return TensorState._trusted(state.n, state.N, out)
 
 
 def apply_E(state: TensorState, j: int, q: float) -> TensorState:
@@ -107,15 +108,16 @@ def apply_F(state: TensorState, j: int, q: float) -> TensorState:
 def apply_qEps(state: TensorState, j: int, q: float) -> TensorState:
     """Diagonal operator: multiplies each word by q^(count of letter j)."""
     _check_species_index(j, state.n, diagonal=True)
-    return TensorState(state.n, state.N,
-                       {w: a * q ** w.count(j) for w, a in state.amps.items()})
+    return TensorState._trusted(state.n, state.N,
+                                {w: a * q ** w.count(j) for w, a in state.amps.items()})
 
 
 def apply_qH(state: TensorState, j: int, q: float) -> TensorState:
     """Diagonal operator: q^(count of j minus count of j+1) per word."""
     _check_species_index(j, state.n, diagonal=False)
-    return TensorState(state.n, state.N,
-                       {w: a * q ** (w.count(j) - w.count(j + 1)) for w, a in state.amps.items()})
+    return TensorState._trusted(state.n, state.N,
+                                {w: a * q ** (w.count(j) - w.count(j + 1))
+                                 for w, a in state.amps.items()})
 
 
 def check_label(n: int, N: int, label) -> DickeLabel:

@@ -4,6 +4,12 @@ A state is a map from words (tuples of letters 1..n, length N) to scalar
 amplitudes.  Operators act word by word, so the cost of one local operator
 is linear in the number of stored amplitudes; the full n^N space is never
 materialized except in the dense oracles used by the tests.
+
+States are validated at the public boundary only: the constructor, basis
+and from_dense check every word.  Operators whose output words are valid by
+construction (scale, add/sub of a state of the same shape, the Hecke
+generators, the ladder and diagonal operators of qalgebra) build their
+result with TensorState._trusted, which skips the per-word check.
 """
 
 from dataclasses import dataclass, field
@@ -19,16 +25,28 @@ _PRUNE = 0.0  # drop exact zeros only; cancellations are meaningful
 
 @dataclass(frozen=True)
 class TensorState:
-    """Element of V_n^{⊗N}, stored as word -> amplitude."""
+    """Element of V_n^{⊗N}, stored as word -> amplitude.
+
+    The constructor checks that every word lies in [1,n]^N.  Internal
+    operators whose output is valid by construction use _trusted instead.
+    """
 
     n: int
     N: int
     amps: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for w in self.amps:
-            if len(w) != self.N or any(x < 1 or x > self.n for x in w):
-                raise ValidationError(f"word {w} not in [1,{self.n}]^{self.N}")
+        _validate(self.n, self.N, self.amps)
+
+    @classmethod
+    def _trusted(cls, n: int, N: int, amps: dict) -> "TensorState":
+        """A state whose words the caller guarantees to lie in [1,n]^N;
+        no word is checked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "n", n)
+        object.__setattr__(state, "N", N)
+        object.__setattr__(state, "amps", amps)
+        return state
 
     @classmethod
     def basis(cls, n: int, word: Word) -> "TensorState":
@@ -58,9 +76,12 @@ class TensorState:
     def scale(self, c) -> "TensorState":
         if c == 0:
             return TensorState.zero(self.n, self.N)
-        return TensorState(self.n, self.N, {w: c * a for w, a in self.amps.items()})
+        return TensorState._trusted(self.n, self.N, {w: c * a for w, a in self.amps.items()})
 
     def add(self, other: "TensorState") -> "TensorState":
+        # other's words are valid for self unless its shape differs
+        if other.N != self.N or other.n > self.n:
+            _validate(self.n, self.N, other.amps)
         out = dict(self.amps)
         for w, a in other.amps.items():
             s = out.get(w, 0.0) + a
@@ -68,7 +89,7 @@ class TensorState:
                 out.pop(w, None)
             else:
                 out[w] = s
-        return TensorState(self.n, self.N, out)
+        return TensorState._trusted(self.n, self.N, out)
 
     def sub(self, other: "TensorState") -> "TensorState":
         return self.add(other.scale(-1.0))
@@ -94,6 +115,12 @@ class TensorState:
             if abs(a) > tol:
                 amps[index_word(idx, n, N)] = complex(a) if np.iscomplexobj(v) else float(a)
         return cls(n, N, amps)
+
+
+def _validate(n: int, N: int, words) -> None:
+    for w in words:
+        if len(w) != N or any(x < 1 or x > n for x in w):
+            raise ValidationError(f"word {w} not in [1,{n}]^{N}")
 
 
 def word_index(word: Word, n: int) -> int:

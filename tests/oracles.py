@@ -2,7 +2,9 @@
 
 Everything here is deliberately dumb and decoupled from the library's code
 paths: dense matrices built from elementary kron products, exhaustive
-filters over all fillings/permutations, and explicit table chasing.
+filters over all fillings/permutations, and explicit table chasing.  The
+one exception is the symmetry sweep, whose slow path applies the library's
+sparse operators word by word.
 """
 
 from itertools import permutations, product
@@ -125,3 +127,27 @@ def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u, _ = np.linalg.qr(z)
     return u
+
+
+def symmetry_residual_per_word(n, N, q):
+    """Max norm of [H, y] v over the coproduct operators y and the basis
+    words v, applying H and y to one sparse state at a time; the slow path
+    of spectra.symmetry_residual."""
+    from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH
+    from braidlab.spectra import OpenChain, hamiltonian_apply
+    from braidlab.states import TensorState, all_words
+    chain = OpenChain(n, N, q)
+    ops = []
+    for j in range(1, n):
+        ops.append(lambda s, j=j: apply_E(s, j, q))
+        ops.append(lambda s, j=j: apply_F(s, j, q))
+        ops.append(lambda s, j=j: apply_qH(s, j, q))
+    for j in range(1, n + 1):
+        ops.append(lambda s, j=j: apply_qEps(s, j, q))
+    worst = 0.0
+    for word in all_words(n, N):
+        v = TensorState.basis(n, word)
+        hv = hamiltonian_apply(chain, v)
+        for op in ops:
+            worst = max(worst, hamiltonian_apply(chain, op(v)).sub(op(hv)).norm())
+    return worst

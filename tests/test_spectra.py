@@ -5,7 +5,7 @@ from braidlab import qalgebra, spectra
 from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.states import TensorState
 
-from oracles import dense_hamiltonian, state_to_dense
+from oracles import dense_hamiltonian, state_to_dense, symmetry_residual_per_word
 
 Q = 1.3
 
@@ -424,6 +424,17 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
     assert np.allclose(got, [hw, kappa, term, eigen], rtol=1e-12, atol=0.0)
 
 
+def test_ladder_residuals_above_tolerance_fail_the_report():
+    # at q = 0.3 the N = 12 ladders lose accuracy (kappa residual 6.0e-4 in
+    # sector 3) although every sector count is right
+    rep = spectra.classify_sectors(spectra.diagonalize(spectra.OpenChain(2, 12, 0.3)))
+    assert rep.m_observed == rep.m_predicted
+    assert max(lad.kappa_residual for lad in rep.sectors[3]) > 1e-4
+    assert [w.split(" ladder")[0] for w in rep.warnings] == [
+        "sector 1", "sector 2", "sector 3", "sector 4"]
+    assert rep.ok is False
+
+
 def test_cross_sector_degeneracy_warning(monkeypatch):
     # sector 1 is made to report the sector-0 eigenvalue N - 1 = 3 in place
     # of its lowest one: the clash is warned about, and _annotate labels the
@@ -445,7 +456,10 @@ def test_cross_sector_degeneracy_warning(monkeypatch):
     monkeypatch.setattr(spectra, "_highest_weight", clash)
     deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
     rep = spectra.classify_sectors(deco)
-    assert rep.warnings == ["eigenvalue 3 of sector 1 degenerate with sector 0; "
+    # the displaced value's eigenvector has eigenvalue displaced[0], not 3
+    assert rep.warnings == [f"sector 1 ladder residuals above 1e-08: eigen_residual "
+                            f"{abs(N - 1 - displaced[0]):.2e}",
+                            "eigenvalue 3 of sector 1 degenerate with sector 0; "
                             "falling back to multiplicity-only matching"]
     assert rep.ok is False
     assert rep.m_observed == rep.m_predicted
@@ -463,6 +477,49 @@ def test_symmetry_residual_values():
     assert spectra.symmetry_residual(2, 2, 0.7) < 1e-12
     assert spectra.symmetry_residual(3, 2, 2.0) < 1e-12
     assert spectra.symmetry_residual(2, 3, 1.0) < 1e-12   # classical limit
+
+
+def test_symmetry_residual_matches_per_word_sweep():
+    for q in (0.7, 1.0, 1.5, 2.0):
+        for n, N in [(2, N) for N in range(1, 8)] + [(3, N) for N in range(1, 6)]:
+            fast = spectra.symmetry_residual(n, N, q)
+            assert abs(fast - symmetry_residual_per_word(n, N, q)) <= 1e-12, (n, N, q)
+
+
+def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
+    # one off-diagonal entry of the (2, 2) block of H is changed: H no longer
+    # commutes with E_1 and F_1, and the sweep must say so
+    real = spectra.block_matrix
+
+    def perturbed(chain, content, basis=None):
+        m = real(chain, content, basis)
+        if content == (2, 2):
+            m[0, 1] += 0.1
+        return m
+
+    monkeypatch.setattr(spectra, "block_matrix", perturbed)
+    assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["apply_E", "apply_F", "apply_qH", "apply_qEps"])
+def test_symmetry_residual_sweeps_every_operator_kind(monkeypatch, name):
+    # each operator, followed by a weight that varies within a weight block,
+    # no longer commutes with H; the sweep must apply it to see that
+    real = getattr(spectra, name)
+
+    def weighted(s, j, q):
+        out = real(s, j, q)
+        return TensorState(out.n, out.N, {w: a * w[0] for w, a in out.amps.items()})
+
+    monkeypatch.setattr(spectra, name, weighted)
+    assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
+
+
+def test_symmetry_residual_guard(monkeypatch):
+    # the sweep builds the same weight blocks as diagonalize, under its guard
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "10")
+    with pytest.raises(SizeGuardError):
+        spectra.symmetry_residual(2, 6, 1.3)
 
 
 def test_diagonalize_guard():

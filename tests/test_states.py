@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from braidlab import hecke, qalgebra
 from braidlab.errors import ValidationError
 from braidlab.states import TensorState, all_words, index_word, word_index
 
@@ -49,3 +51,55 @@ def test_validation_rejects_bad_words():
         TensorState(2, 2, {(1, 2, 1): 1.0})
     with pytest.raises(ValidationError):
         TensorState.zero(2, 2).normalized()
+
+
+def test_add_sub_reject_a_state_of_another_shape():
+    a = TensorState(2, 2, {(1, 2): 1.0})
+    for other in (TensorState(2, 3, {(1, 1, 1): 1.0}), TensorState(3, 2, {(1, 3): 1.0}),
+                  TensorState(3, 1, {(1,): 1.0})):
+        with pytest.raises(ValidationError):
+            a.add(other)
+        with pytest.raises(ValidationError):
+            a.sub(other)
+    # words of a state with a larger n are accepted when they fit, as before
+    assert a.add(TensorState(3, 2, {(2, 1): 1.0})).amps == {(1, 2): 1.0, (2, 1): 1.0}
+    assert TensorState(3, 2, {(3, 3): 1.0}).sub(a).amps == {(3, 3): 1.0, (1, 2): -1.0}
+
+
+@st.composite
+def _state_pairs(draw):
+    n, N = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    words = st.tuples(*[st.integers(1, n)] * N)
+    amps = st.dictionaries(words, st.floats(-2.0, 2.0).filter(bool), max_size=6)
+    return TensorState(n, N, draw(amps)), TensorState(n, N, draw(amps))
+
+
+def _operator_results(s, other, site, j, q):
+    """Every internal operator that builds its result without validation."""
+    lmax = s.N * (s.N - 1) // 2
+    out = {"scale": s.scale(-0.5), "add": s.add(other), "sub": s.sub(other),
+           "shuffle": hecke.shuffle_apply(s, 0.8, q),
+           "word_sum": hecke.word_sum_operator(s.N, site % (lmax + 1), q, s),
+           "E": qalgebra.apply_E(s, j, q), "F": qalgebra.apply_F(s, j, q),
+           "qH": qalgebra.apply_qH(s, j, q), "qEps": qalgebra.apply_qEps(s, j + 1, q)}
+    if s.N > 1:
+        out["generator"] = hecke.apply_generator(s, 1 + site % (s.N - 1), q)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_state_pairs(), st.integers(0, 10), st.integers(0, 10), st.floats(0.3, 2.5))
+def test_trusted_results_pass_validation_and_match_the_validated_path(pair, site, j, q):
+    # operators skip re-validation only where their output is valid by
+    # construction: each result must pass the public constructor and carry
+    # the amplitudes the validating constructor produces
+    s, other = pair
+    j = 1 + j % (s.n - 1)
+    trusted = _operator_results(s, other, site, j, q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(TensorState, "_trusted", classmethod(lambda cls, n, N, amps: cls(n, N, amps)))
+        validated = _operator_results(s, other, site, j, q)
+    for name, out in trusted.items():
+        assert (out.n, out.N) == (s.n, s.N), name
+        assert TensorState(out.n, out.N, out.amps).amps == out.amps, name
+        assert out.amps == validated[name].amps, name

@@ -80,17 +80,6 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
     return TensorState._trusted(state.n, state.N, {w: a for w, a in out.items() if a != 0.0})
 
 
-def dense_generator(n: int, N: int, i: int, q: float) -> np.ndarray:
-    """Dense n^N x n^N matrix for r_i; the oracle counterpart of apply_generator."""
-    if not 1 <= i <= N - 1:
-        raise ValidationError(f"generator index {i} out of range [1,{N - 1}]")
-    r = r_matrix(n, q).entries
-    out = np.eye(n ** (i - 1))
-    out = np.kron(out, r)
-    out = np.kron(out, np.eye(n ** (N - i - 1)))
-    return out
-
-
 def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
     """Apply the shuffle operator Y_N(z), factors S_1 first."""
     if q == 0 or not isfinite(q):

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import automata
 from .errors import SizeGuardError, ValidationError
-from .hecke import bracket, bracket_factorial, q_symmetrize
+from .hecke import bracket_factorial, q_symmetrize
 from .states import TensorState, Word
 
 Q_ONE_EPS = 1e-9
@@ -54,36 +54,25 @@ def q_binomial(m: int, k: int, q: float) -> float:
     return q_factorial(m, q) / (q_factorial(k, q) * q_factorial(m - k, q))
 
 
-def bracket_number(m: int, xi: float) -> float:
-    """[[m]] at base xi: (xi^2m - 1)/(xi^2 - 1)."""
-    return bracket(m, xi * xi)
-
-
-def bracket_number_factorial(m: int, xi: float) -> float:
-    return bracket_factorial(m, xi * xi)
-
-
 def _check_species_index(j: int, n: int, diagonal: bool) -> None:
     top = n if diagonal else n - 1
     if not 1 <= j <= top:
         raise ValidationError(f"operator index {j} out of range [1,{top}]")
 
 
-def _tail_exponent(word: Word, j: int, k: int) -> float:
-    """Exponent of q from the q^{+-s_j/2} tails around position k."""
-    left = sum(1 if x == j else -1 if x == j + 1 else 0 for x in word[:k])
-    right = sum(1 if x == j else -1 if x == j + 1 else 0 for x in word[k + 1:])
-    return 0.5 * (right - left)
-
-
 def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int) -> TensorState:
     out = {}
     for w, amp in state.amps.items():
+        # tail exponent at k: half of (j count - j+1 count) right of k minus
+        # the same left of k, from the word total and a running count to k
+        total, left = w.count(j) - w.count(j + 1), 0
         for k, x in enumerate(w):
+            step = (x == j) - (x == j + 1)
+            left += step
             if x != source:
                 continue
             w2 = w[:k] + (target,) + w[k + 1:]
-            coeff = amp * q ** _tail_exponent(w, j, k)
+            coeff = amp * q ** (0.5 * (total + step - 2 * left))
             s = out.get(w2, 0.0) + coeff
             if s == 0.0:
                 out.pop(w2, None)
@@ -152,8 +141,8 @@ def dicke_norm(label: DickeLabel, q: float) -> float:
     N = sum(label)
     denom = 1.0
     for m in label:
-        denom *= bracket_number_factorial(m, q)
-    return (bracket_number_factorial(N, q) / denom) ** 0.5
+        denom *= bracket_factorial(m, q * q)
+    return (bracket_factorial(N, q * q) / denom) ** 0.5
 
 
 def q_dicke(n: int, N: int, label, q: float) -> TensorState:
@@ -169,7 +158,7 @@ def q_dicke(n: int, N: int, label, q: float) -> TensorState:
     state = q_symmetrize(TensorState.basis(n, ordered_word(label)), q)
     scale = 1.0
     for m in label:
-        scale *= bracket_number_factorial(m, q)
+        scale *= bracket_factorial(m, q * q)
     return state.scale(1.0 / (scale * dicke_norm(label, q)))
 
 

@@ -17,9 +17,8 @@ from math import comb, factorial, isfinite
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError, max_dense_dim
-from .hecke import apply_generator
-from .qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
-from .states import TensorState, Word
+from .qalgebra import dicke_labels, q_number
+from .states import Word
 
 CLUSTER_RTOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-9
@@ -69,16 +68,6 @@ class SpectralDecomposition:
         return sum(self.multiplicities)
 
 
-def hamiltonian_apply(chain: OpenChain, state: TensorState) -> TensorState:
-    """H state = sum over j of r_j state."""
-    if state.N != chain.N or state.n != chain.n:
-        raise ValidationError("state shape does not match the chain")
-    out = TensorState.zero(state.n, state.N)
-    for j in range(1, chain.N):
-        out = out.add(apply_generator(state, j, chain.q))
-    return out
-
-
 def weight_basis(n: int, N: int, content: tuple[int, ...]) -> list[Word]:
     """Words with the given letter content, lexicographically sorted."""
     counts = list(content)
@@ -98,30 +87,9 @@ def weight_basis(n: int, N: int, content: tuple[int, ...]) -> list[Word]:
     return out
 
 
-def _block_map(op, n: int, source: list[Word], target: list[Word]) -> np.ndarray:
-    """Dense matrix of a sparse operator from span(source) into span(target)."""
-    index = {w: i for i, w in enumerate(target)}
-    m = np.zeros((len(target), len(source)))
-    for col, w in enumerate(source):
-        for w2, a in op(TensorState.basis(n, w)).amps.items():
-            m[index[w2], col] = a
-    return m
-
-
-def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.ndarray:
-    """Restriction of H to one weight block, as a dense symmetric matrix.
-
-    Assembled from ranked words without building a TensorState: each word
-    is keyed by its base-n index and looked up through an argsort of the
-    keys, so any ordering of the block (sector_matrix passes a reversed one)
-    works.  For each site j, over all words at once, r_j adds 1 on the
-    diagonal for an equal pair, 1 - q^-2 for a decreasing pair, and 1/q at
-    the swapped word.  The diagonal is accumulated over j in increasing
-    order, the order of hamiltonian_apply, so the matrix equals the sparse
-    one bit for bit.
-    """
-    basis = weight_basis(chain.n, chain.N, content) if basis is None else basis
-    n, N, q = chain.n, chain.N, chain.q
+def _rank(n: int, N: int, basis) -> tuple:
+    """Letters, base-n keys and a key -> position lookup for a block's words;
+    a key outside the basis (not a whole weight block) is a ValidationError."""
     words = np.array(list(basis) or np.zeros((0, N)), dtype=np.int64)
     if words.shape[1:] != (N,) or not ((words >= 1) & (words <= n)).all():
         raise ValidationError(f"basis words must lie in [1,{n}]^{N}")
@@ -131,7 +99,29 @@ def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.n
     powers = np.array([n ** (N - 1 - j) for j in range(N)], dtype=key_type)
     keys = (words - 1) @ powers
     order = np.argsort(keys)
-    sorted_keys = keys[order]
+    # the sentinel n^N lies past every word's key, so each position is in range
+    sorted_keys = np.append(keys[order], np.array([n ** N], dtype=key_type))
+
+    def lookup(wanted):
+        pos = np.searchsorted(sorted_keys, wanted)
+        if not np.array_equal(sorted_keys[pos], wanted):
+            raise ValidationError("basis is not a whole weight block")
+        return order[pos]
+
+    return words, powers, keys, lookup
+
+
+def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.ndarray:
+    """Restriction of H to one weight block, as a dense symmetric matrix.
+
+    Assembled from ranked words (_rank), in any order of the block: per site
+    j, over all words at once, r_j adds 1 on the diagonal for an equal pair,
+    1 - q^-2 for a decreasing pair, and 1/q at the swapped word.  Summed over
+    j in increasing order, it equals H applied word by word bit for bit.
+    """
+    basis = weight_basis(chain.n, chain.N, content) if basis is None else basis
+    N, q = chain.N, chain.q
+    words, powers, keys, lookup = _rank(chain.n, N, basis)
     size = len(words)
     m = np.zeros((size, size))
     diag = np.zeros(size)
@@ -140,12 +130,43 @@ def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.n
         x, y = words[:, j], words[:, j + 1]
         diag += np.where(x == y, 1.0, np.where(x > y, c, 0.0))
         cols = np.flatnonzero(x != y)
-        swapped = keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1])
-        pos = np.minimum(np.searchsorted(sorted_keys, swapped), size - 1)
-        if not np.array_equal(sorted_keys[pos], swapped):
-            raise ValidationError("basis is not closed under H (not a whole weight block)")
-        m[order[pos], cols] = 1.0 / q
+        m[lookup(keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1])), cols] = 1.0 / q
     m[np.arange(size), np.arange(size)] = diag
+    return m
+
+
+def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
+    """Matrix of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
+    from span(source) into span(target), which must hold every image word.
+
+    Built from ranked words like block_matrix: the E_j or F_j term at site k
+    moves the key by +-n^(N-1-k), with q to half of (j count - j+1 count)
+    right of k minus left of k, from one cumulative sum.  Every power of q
+    (diagonal kinds too, per word) is a Python float from a table over the
+    exponents that occur: the block equals the sparse operator bit for bit.
+    """
+    n, N, q = chain.n, chain.N, chain.q
+    if kind not in ("E", "F", "qH", "qEps") or not 1 <= j <= (n if kind == "qEps" else n - 1):
+        raise ValidationError(f"no coproduct operator {kind}_{j} for n={n}")
+    words, powers, keys, _ = _rank(n, N, source)
+    target_words, _, _, lookup = _rank(n, N, target)
+    step = (words == j).astype(np.int64) - (words == j + 1)
+    # terms: (source columns, image keys, twice the exponent of q)
+    if kind == "qH" or kind == "qEps":
+        counts = (words == j).sum(axis=1) if kind == "qEps" else step.sum(axis=1)
+        terms = [(np.arange(len(words)), keys, 2 * counts)]
+    else:
+        left = np.cumsum(step, axis=1) - step                      # count left of k
+        twice = step.sum(axis=1, keepdims=True) - step - 2 * left  # right minus left
+        letter, shift = (j, 1) if kind == "E" else (j + 1, -1)
+        cols = [np.flatnonzero(words[:, k] == letter) for k in range(N)]
+        terms = [(c, keys[c] + shift * powers[k], twice[c, k]) for k, c in enumerate(cols)]
+    exps = np.concatenate([e for _, _, e in terms])
+    lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
+    table = np.array([q ** (0.5 * e) for e in range(lo, hi + 1)])
+    m = np.zeros((len(target_words), len(words)))
+    for cols, image, e in terms:
+        m[lookup(image), cols] = table[e - lo]
     return m
 
 
@@ -289,11 +310,12 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
     kernel of F_1 on weight block k <= N/2 (see _highest_weight).  H on block
-    m and E_1 from block m to m+1 are built once each; F_1 from block m to
-    m-1 is the transpose of the previous E_1 map, which it equals exactly in
-    this basis.  Every open sector-k ladder B is advanced as one matrix
-    product over its columns, checking |H B - B Lambda|, the closed-form
-    coefficient |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and
+    m (block_matrix) and E_1 from block m to m+1 (coproduct_block) are built
+    once each from ranked words; F_1 from block m to m-1 is the transpose of
+    the previous E_1 map, which it equals exactly in this basis.  Every open
+    sector-k ladder B is advanced as one matrix product over its columns,
+    checking |H B - B Lambda|, the closed-form coefficient
+    |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and
     at the top rung m = N-k the termination |E_1 B|, each relative to the
     rung's column norms.  A sector whose worst hw, kappa, termination or
     eigen residual exceeds HW_TOL gets a warning.  The sector values are then
@@ -314,7 +336,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     for m in range(N + 1):
         above = weight_basis(2, N, (N - m - 1, m + 1)) if m < N else []
         h = block_matrix(chain, (N - m, m), basis)
-        e_up = _block_map(lambda s: apply_E(s, 1, q), 2, basis, above)
+        e_up = coproduct_block(chain, "E", 1, basis, above)
         if m <= N // 2:
             values, b = _highest_weight(h, e_down.T)
             res = np.zeros((4, len(values)))
@@ -454,30 +476,27 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     q^{H_j} and q^{eps_j}; zero in exact arithmetic by the invariance of the
     chain.
 
-    One sweep over the weight blocks: H_mu comes from block_matrix, and each
-    y from block mu to the block nu it maps into comes from _block_map, so
-    the residual is the worst column norm of H_nu Y - Y H_mu, the norm of
-    [H, y] v for each basis word v of block mu.  The sweep holds every H
-    block at once, as diagonalize holds every eigenvector block, under the
-    same size guard (_check_guard).
+    One sweep over the weight blocks, each operator built from ranked words:
+    H_mu comes from block_matrix, and each y from block mu to the block nu
+    it maps into comes from coproduct_block, so the residual is the worst
+    column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each basis word
+    v of block mu.  The sweep holds every H block at once, as diagonalize
+    holds every eigenvector block, under the same size guard (_check_guard).
     """
     chain = OpenChain(n, N, q)
     _check_guard(chain)
-    # (operator, letter it removes, letter it adds); diagonal ones move none
+    # (kind, j, letter it removes, letter it adds); diagonal ones move none
     ops = []
     for j in range(1, n):
-        ops.append((lambda s, j=j: apply_E(s, j, q), j, j + 1))
-        ops.append((lambda s, j=j: apply_F(s, j, q), j + 1, j))
-        ops.append((lambda s, j=j: apply_qH(s, j, q), None, None))
-    for j in range(1, n + 1):
-        ops.append((lambda s, j=j: apply_qEps(s, j, q), None, None))
+        ops += [("E", j, j, j + 1), ("F", j, j + 1, j), ("qH", j, None, None)]
+    ops += [("qEps", j, None, None) for j in range(1, n + 1)]
     blocks = {}
     for content in dicke_labels(n, N):
         basis = weight_basis(n, N, content)
         blocks[content] = (basis, block_matrix(chain, content, basis))
     worst = 0.0
     for content, (basis, h) in blocks.items():
-        for op, removed, added in ops:
+        for kind, j, removed, added in ops:
             target = list(content)
             if removed is not None:
                 target[removed - 1] -= 1
@@ -485,6 +504,6 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
                 if target[removed - 1] < 0:
                     continue            # y kills the whole block
             target_basis, target_h = blocks[tuple(target)]
-            y = _block_map(op, n, basis, target_basis)
+            y = coproduct_block(chain, kind, j, basis, target_basis)
             worst = max(worst, float(np.linalg.norm(target_h @ y - y @ h, axis=0).max()))
     return worst

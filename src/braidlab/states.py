@@ -3,7 +3,9 @@
 A state is a map from words (tuples of letters 1..n, length N) to scalar
 amplitudes.  Operators act word by word, so the cost of one local operator
 is linear in the number of stored amplitudes; the full n^N space is never
-materialized except in the dense oracles used by the tests.
+materialized except in the dense oracles used by the tests.  spectra builds
+its weight blocks from ranked words, not from states; the per-word paths
+that the tests hold those blocks to live in the test oracles.
 
 States are validated at the public boundary only: the constructor, basis
 and from_dense check every word.  Operators whose output words are valid by

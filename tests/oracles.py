@@ -3,13 +3,22 @@
 Everything here is deliberately dumb and decoupled from the library's code
 paths: dense matrices built from elementary kron products, exhaustive
 filters over all fillings/permutations, and explicit table chasing.  The
-one exception is the symmetry sweep, whose slow path applies the library's
-sparse operators word by word.
+exceptions are the per-word slow paths: hamiltonian_apply, block_map and
+the symmetry sweep apply the library's sparse operators to one basis state
+at a time.  The library builds every weight block from ranked words
+(spectra.block_matrix, spectra.coproduct_block); the tests hold those
+blocks to these paths bit for bit.
 """
 
 from itertools import permutations, product
 
 import numpy as np
+
+from braidlab.errors import ValidationError
+from braidlab.hecke import apply_generator
+from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH
+from braidlab.spectra import OpenChain
+from braidlab.states import TensorState, Word, all_words
 
 
 def elementary(n, x, y):
@@ -129,13 +138,30 @@ def random_unitary(n, rng):
     return u
 
 
+def hamiltonian_apply(chain: OpenChain, state: TensorState) -> TensorState:
+    """H state = sum over j of r_j state."""
+    if state.N != chain.N or state.n != chain.n:
+        raise ValidationError("state shape does not match the chain")
+    out = TensorState.zero(state.n, state.N)
+    for j in range(1, chain.N):
+        out = out.add(apply_generator(state, j, chain.q))
+    return out
+
+
+def block_map(op, n: int, source: list[Word], target: list[Word]) -> np.ndarray:
+    """Dense matrix of a sparse operator from span(source) into span(target)."""
+    index = {w: i for i, w in enumerate(target)}
+    m = np.zeros((len(target), len(source)))
+    for col, w in enumerate(source):
+        for w2, a in op(TensorState.basis(n, w)).amps.items():
+            m[index[w2], col] = a
+    return m
+
+
 def symmetry_residual_per_word(n, N, q):
     """Max norm of [H, y] v over the coproduct operators y and the basis
     words v, applying H and y to one sparse state at a time; the slow path
     of spectra.symmetry_residual."""
-    from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH
-    from braidlab.spectra import OpenChain, hamiltonian_apply
-    from braidlab.states import TensorState, all_words
     chain = OpenChain(n, N, q)
     ops = []
     for j in range(1, n):

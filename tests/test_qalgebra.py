@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidlab import qalgebra, tableaux
 from braidlab.errors import ValidationError
-from braidlab.hecke import apply_generator
+from braidlab.hecke import apply_generator, bracket, bracket_factorial
 from braidlab.states import TensorState, all_words
 
 from oracles import inversion_count, multiset_permutations
@@ -28,10 +28,10 @@ def test_q_factorial_and_binomial():
 
 
 def test_bracket_numbers():
-    assert qalgebra.bracket_number(2, 1.3) == pytest.approx(1 + 1.3 ** 2)
-    assert qalgebra.bracket_number(2, 1.0) == 2.0
-    assert qalgebra.bracket_number_factorial(0, 1.3) == 1.0
-    assert qalgebra.bracket_number_factorial(3, 1.0) == 6.0
+    assert bracket(2, 1.3 * 1.3) == pytest.approx(1 + 1.3 ** 2)
+    assert bracket(2, 1.0 * 1.0) == 2.0
+    assert bracket_factorial(0, 1.3 * 1.3) == 1.0
+    assert bracket_factorial(3, 1.0 * 1.0) == 6.0
 
 
 def test_apply_E_reference_state_pattern():
@@ -103,7 +103,7 @@ def test_q_dicke_norm_formula_matches_computation():
         raw = q_symmetrize(TensorState.basis(n, qalgebra.ordered_word(label)), q)
         scale = 1.0
         for m in label:
-            scale *= qalgebra.bracket_number_factorial(m, q)
+            scale *= bracket_factorial(m, q * q)
         assert raw.norm() / scale == pytest.approx(qalgebra.dicke_norm(label, q))
 
 

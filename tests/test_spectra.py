@@ -3,9 +3,11 @@ import pytest
 
 from braidlab import qalgebra, spectra
 from braidlab.errors import SizeGuardError, ValidationError
+from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
-from oracles import dense_hamiltonian, state_to_dense, symmetry_residual_per_word
+from oracles import (block_map, dense_hamiltonian, hamiltonian_apply, state_to_dense,
+                     symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -14,7 +16,7 @@ def test_hamiltonian_on_reference_state():
     for n, N in [(2, 3), (3, 4), (2, 6)]:
         chain = spectra.OpenChain(n, N, Q)
         v = TensorState.basis(n, (1,) * N)
-        out = spectra.hamiltonian_apply(chain, v)
+        out = hamiltonian_apply(chain, v)
         assert out.sub(v.scale(N - 1)).norm() < 1e-14
 
 
@@ -22,7 +24,7 @@ def test_hamiltonian_single_bond():
     chain = spectra.OpenChain(2, 2, Q)
     from braidlab.hecke import apply_generator
     v = TensorState.basis(2, (2, 1))
-    assert spectra.hamiltonian_apply(chain, v).sub(apply_generator(v, 1, Q)).is_zero()
+    assert hamiltonian_apply(chain, v).sub(apply_generator(v, 1, Q)).is_zero()
 
 
 def test_dicke_states_are_top_eigenstates():
@@ -31,7 +33,7 @@ def test_dicke_states_are_top_eigenstates():
         chain = spectra.OpenChain(n, N, Q)
         for label in qalgebra.dicke_labels(n, N):
             b = qalgebra.q_dicke(n, N, label, Q)
-            resid = spectra.hamiltonian_apply(chain, b).sub(b.scale(N - 1)).norm()
+            resid = hamiltonian_apply(chain, b).sub(b.scale(N - 1)).norm()
             assert resid < 1e-11, (n, N, label)
 
 
@@ -43,7 +45,7 @@ def test_hamiltonian_matches_dense_oracle():
         for _ in range(10):
             w = tuple(rng.integers(1, n + 1, size=N))
             v = TensorState.basis(n, w)
-            assert np.abs(state_to_dense(spectra.hamiltonian_apply(chain, v))
+            assert np.abs(state_to_dense(hamiltonian_apply(chain, v))
                           - H @ state_to_dense(v)).max() < 1e-13
 
 
@@ -82,9 +84,9 @@ def test_three_site_printed_eigenstates():
     ]
     for lam, amps21, amps12 in cases:
         b21 = TensorState(2, 3, amps21).normalized()
-        assert spectra.hamiltonian_apply(chain, b21).sub(b21.scale(lam)).norm() < 1e-12
+        assert hamiltonian_apply(chain, b21).sub(b21.scale(lam)).norm() < 1e-12
         b12 = TensorState(2, 3, amps12).normalized()
-        assert spectra.hamiltonian_apply(chain, b12).sub(b12.scale(lam)).norm() < 1e-12
+        assert hamiltonian_apply(chain, b12).sub(b12.scale(lam)).norm() < 1e-12
         raised = qalgebra.apply_E(b21, 1, q)
         overlap = abs(raised.inner(b12)) / (raised.norm() * b12.norm())
         assert abs(overlap - 1.0) < 1e-12
@@ -98,7 +100,7 @@ def test_qubit_dicke_general_N_forms():
     q = 1.3
     for N in (4, 6):
         b = qalgebra.q_dicke(2, N, (N - 1, 1), q)
-        nrm = qalgebra.bracket_number(N, q) ** 0.5
+        nrm = bracket(N, q * q) ** 0.5
         for i in range(N):
             w = tuple(2 if p == N - 1 - i else 1 for p in range(N))
             assert b.amps[w] == pytest.approx(q ** i / nrm)
@@ -130,7 +132,7 @@ def test_eigenvector_residuals_and_orthonormality():
             for col in range(vecs.shape[1]):
                 st = TensorState(2, 4, {w: float(c) for w, c in zip(words, vecs[:, col])
                                         if c != 0.0})
-                resid = spectra.hamiltonian_apply(chain, st).sub(
+                resid = hamiltonian_apply(chain, st).sub(
                     st.scale(cluster.value)).norm()
                 assert resid < 1e-10
 
@@ -194,8 +196,8 @@ def test_block_matrix_matches_sparse_path():
                 for content in qalgebra.dicke_labels(n, N):
                     basis = spectra.weight_basis(n, N, content)
                     for words in (basis, basis[::-1]):
-                        sparse = spectra._block_map(
-                            lambda s: spectra.hamiltonian_apply(chain, s), n, words, words)
+                        sparse = block_map(
+                            lambda s: hamiltonian_apply(chain, s), n, words, words)
                         assert np.array_equal(spectra.block_matrix(chain, content, words),
                                               sparse), (n, N, q, content)
     chain = spectra.OpenChain(2, 5, Q)
@@ -203,9 +205,90 @@ def test_block_matrix_matches_sparse_path():
     assert np.array_equal(spectra.block_matrix(chain, (5, 0)), [[4.0]])
     # 2^70 base-2 keys do not fit in int64
     words = spectra.weight_basis(2, 70, (69, 1))[::-1]
-    sparse = spectra._block_map(lambda s: spectra.hamiltonian_apply(
+    sparse = block_map(lambda s: hamiltonian_apply(
         spectra.OpenChain(2, 70, Q), s), 2, words, words)
     assert np.array_equal(spectra.sector_matrix(70, Q, 1), sparse)
+
+
+def _moved(content, removed, added):
+    """The content with one letter `removed` turned into `added`; None when
+    there is no such letter."""
+    if content[removed - 1] == 0:
+        return None
+    out = list(content)
+    out[removed - 1] -= 1
+    out[added - 1] += 1
+    return tuple(out)
+
+
+def _coproduct_cases(n, q, content):
+    """(kind, j, sparse operator, content of the image block or None)."""
+    for j in range(1, n):
+        yield "E", j, lambda s, j=j: qalgebra.apply_E(s, j, q), _moved(content, j, j + 1)
+        yield "F", j, lambda s, j=j: qalgebra.apply_F(s, j, q), _moved(content, j + 1, j)
+        yield "qH", j, lambda s, j=j: qalgebra.apply_qH(s, j, q), content
+    for j in range(1, n + 1):
+        yield "qEps", j, lambda s, j=j: qalgebra.apply_qEps(s, j, q), content
+
+
+def test_coproduct_block_matches_sparse_path():
+    # ranked-word assembly of E_j, F_j, q^{H_j} and q^{eps_j} against the
+    # sparse operator applied word by word, bit for bit, in the
+    # lexicographic basis and in the reversed one; an operator that kills
+    # the block maps it into the empty target
+    for n, N_max in [(2, 8), (3, 6), (4, 5)]:
+        for N in range(1, N_max + 1):
+            for q in (0.7, 1.0, 1.5, 2.0):
+                chain = spectra.OpenChain(n, N, q)
+                for content in qalgebra.dicke_labels(n, N):
+                    basis = spectra.weight_basis(n, N, content)
+                    for kind, j, op, image in _coproduct_cases(n, q, content):
+                        target = [] if image is None else spectra.weight_basis(n, N, image)
+                        for source, into in ((basis, target), (basis[::-1], target[::-1])):
+                            assert np.array_equal(
+                                spectra.coproduct_block(chain, kind, j, source, into),
+                                block_map(op, n, source, into)), (n, N, q, content, kind, j)
+    # 2^70 base-2 keys do not fit in int64
+    chain = spectra.OpenChain(2, 70, Q)
+    lower = spectra.weight_basis(2, 70, (69, 1))[::-1]
+    upper = spectra.weight_basis(2, 70, (68, 2))[::-1]
+    for kind, j, op, image in _coproduct_cases(2, Q, (69, 1)):
+        target = {(69, 1): lower, (68, 2): upper, (70, 0): [(1,) * 70]}[image]
+        assert np.array_equal(spectra.coproduct_block(chain, kind, j, lower, target),
+                              block_map(op, 2, lower, target)), (kind, j)
+
+
+def test_coproduct_block_rejects_a_target_that_is_not_the_image_block():
+    chain = spectra.OpenChain(2, 4, Q)
+    lower = spectra.weight_basis(2, 4, (3, 1))
+    upper = spectra.weight_basis(2, 4, (2, 2))
+    for kind, j, source, target in [("E", 1, lower, upper[:-1]),
+                                    ("F", 1, upper, lower[1:]),
+                                    ("E", 1, lower, []),          # empty, not IndexError
+                                    ("qH", 1, lower, upper),
+                                    ("qEps", 2, lower, lower[:2]),
+                                    ("E", 1, lower, [(1, 2, 3, 1)]),
+                                    ("E", 2, lower, upper),       # no E_2 for n = 2
+                                    ("qEps", 3, lower, lower),
+                                    ("X", 1, lower, upper)]:
+        with pytest.raises(ValidationError):
+            spectra.coproduct_block(chain, kind, j, source, target)
+    # nothing to map: an empty source, or a block the operator kills
+    assert spectra.coproduct_block(chain, "E", 1, [], upper).shape == (6, 0)
+    assert spectra.coproduct_block(chain, "E", 1, [(2, 2, 2, 2)], []).shape == (0, 1)
+    assert spectra.coproduct_block(chain, "qH", 1, [], []).shape == (0, 0)
+
+
+def test_spectra_builds_blocks_without_sparse_states():
+    # every weight block comes from ranked words: spectra holds no sparse
+    # state, no sparse operator and nothing from hecke, so a second,
+    # per-word block path cannot come back unnoticed
+    names = vars(spectra)
+    assert "TensorState" not in names and "apply_generator" not in names
+    assert [name for name in names if name.startswith("apply_")] == []
+    assert [name for name, value in names.items()
+            if getattr(value, "__module__", None) == "braidlab.hecke"] == []
+    assert "_block_map" not in names and "hamiltonian_apply" not in names
 
 
 def test_block_matrix_rejects_a_basis_that_is_not_a_block():
@@ -379,15 +462,22 @@ def test_ladder_termination():
 
 def test_f1_block_map_is_e1_transpose():
     # the ladder sweep takes F_1 (block k+1 -> k) as the transpose of E_1
-    # (block k -> k+1); in the word basis the two agree bit for bit
-    for q in (0.7, 1.0, 1.5, 2.0):
-        for N in range(1, 9):
-            for k in range(N):
-                lower = spectra.weight_basis(2, N, (N - k, k))
-                upper = spectra.weight_basis(2, N, (N - k - 1, k + 1))
-                f = spectra._block_map(lambda s: qalgebra.apply_F(s, 1, q), 2, upper, lower)
-                e = spectra._block_map(lambda s: qalgebra.apply_E(s, 1, q), 2, lower, upper)
-                assert np.array_equal(f, e.T), (N, q, k)
+    # (block k -> k+1); in the word basis the two agree bit for bit, and so
+    # do F_j and E_j for every n <= 4 and every j
+    for n, N_max in [(2, 8), (3, 6), (4, 5)]:
+        for q in (0.7, 1.0, 1.5, 2.0):
+            for N in range(1, N_max + 1):
+                chain = spectra.OpenChain(n, N, q)
+                for content in qalgebra.dicke_labels(n, N):
+                    for j in range(1, n):
+                        raised = _moved(content, j, j + 1)
+                        if raised is None:
+                            continue
+                        lower = spectra.weight_basis(n, N, content)
+                        upper = spectra.weight_basis(n, N, raised)
+                        f = spectra.coproduct_block(chain, "F", j, upper, lower)
+                        e = spectra.coproduct_block(chain, "E", j, lower, upper)
+                        assert np.array_equal(f, e.T), (n, N, q, content, j)
 
 
 def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
@@ -417,9 +507,9 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
         up = qalgebra.apply_E(b, 1, q)
         c = qalgebra.q_number(N - 1 - m, q) * qalgebra.q_number(m, q)
         kappa = max(kappa, qalgebra.apply_F(up, 1, q).sub(b.scale(c)).norm() / b.norm())
-        eigen = max(eigen, spectra.hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
+        eigen = max(eigen, hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
         b = up
-    eigen = max(eigen, spectra.hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
+    eigen = max(eigen, hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
     term = qalgebra.apply_E(b, 1, q).norm() / b.norm()
     assert np.allclose(got, [hw, kappa, term, eigen], rtol=1e-12, atol=0.0)
 
@@ -504,14 +594,16 @@ def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
 @pytest.mark.parametrize("name", ["apply_E", "apply_F", "apply_qH", "apply_qEps"])
 def test_symmetry_residual_sweeps_every_operator_kind(monkeypatch, name):
     # each operator, followed by a weight that varies within a weight block,
-    # no longer commutes with H; the sweep must apply it to see that
-    real = getattr(spectra, name)
+    # no longer commutes with H; the sweep must build it to see that
+    real = spectra.coproduct_block
 
-    def weighted(s, j, q):
-        out = real(s, j, q)
-        return TensorState(out.n, out.N, {w: a * w[0] for w, a in out.amps.items()})
+    def weighted(chain, kind, j, source, target):
+        m = real(chain, kind, j, source, target)
+        if kind == name.removeprefix("apply_"):
+            m = m * np.array([float(w[0]) for w in target]).reshape(-1, 1)
+        return m
 
-    monkeypatch.setattr(spectra, name, weighted)
+    monkeypatch.setattr(spectra, "coproduct_block", weighted)
     assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
 
 

@@ -4,7 +4,7 @@ Subcommands: automaton, tableaux, shuffle, dicke, crystal, spectrum, verify,
 quandle.  JSON, CSV, or DOT goes to stdout and diagnostics to stderr; output
 is deterministic for fixed inputs (floats at 12 significant digits, complex
 values as {re, im} pairs, stable key order).  Exit codes: 0 success,
-2 validation error, 1 guard rejection.
+2 validation error (overflowing q or z included), 1 guard rejection.
 """
 
 import argparse
@@ -278,11 +278,12 @@ def main(argv=None) -> int:
     except SizeGuardError as exc:
         print(f"braidlab: {exc}", file=sys.stderr)
         return 1
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"braidlab: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"braidlab: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        # a finite but extreme q (say 1e200) overflows float powers of q
+        print(f"braidlab: numerical overflow, q or z out of range: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -18,12 +18,12 @@ and E/F degenerate to the combinatorial crystal moves.
 """
 
 from itertools import combinations
-from math import isfinite
+from math import comb, isfinite
 
 import numpy as np
 
 from . import automata
-from .errors import SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError, check_dense_dim
 from .hecke import bracket_factorial, q_symmetrize
 from .states import TensorState, Word
 
@@ -242,8 +242,10 @@ def crystal_f(j: int, word, n: int | None = None):
 
 def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "none"):
     """The symmetric crystal automaton on ordered words as a combinatorial
-    automaton (for DOT export).
+    automaton (for DOT export), one state per composition of N into n parts.
 
+    Its 2(n-1) transition matrices are dense, so the number of states is
+    held to the dense guard (check_dense_dim) before anything is built.
     With labels="canonical" or "rescaled" the DOT edge weights carry the
     q-coefficients of the corresponding raising/lowering action on q-Dicke
     states: canonical uses the symmetric sqrt form on both E and F; rescaled
@@ -253,6 +255,9 @@ def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "non
         raise ValidationError("labels must be none, canonical, or rescaled")
     if labels != "none" and (q is None or not isfinite(q) or q <= 0):
         raise ValidationError("coefficient labels need a positive finite q")
+    if n < 1 or N < 0:
+        raise ValidationError(f"labels need n >= 1 and N >= 0, got n={n}, N={N}")
+    check_dense_dim(comb(N + n - 1, n - 1), "crystal automaton")
     states = [ordered_word(lab) for lab in dicke_labels(n, N)]
     index = {w: i for i, w in enumerate(states)}
     triples = []

@@ -17,8 +17,7 @@ from math import comb, factorial, isfinite
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError, max_dense_dim
-from .qalgebra import dicke_labels, q_number
-from .states import Word
+from .qalgebra import check_label, dicke_labels, q_number
 
 CLUSTER_RTOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-9
@@ -43,7 +42,7 @@ class OpenChain:
 class EigenCluster:
     value: float
     multiplicity: int
-    # per contributing weight block: (content, basis words, eigenvector columns)
+    # per contributing weight block: (content, weight_basis words, eigenvector columns)
     blocks: list = field(default_factory=list)
     sector: int | None = None
     hw_residual: float | None = None
@@ -68,29 +67,29 @@ class SpectralDecomposition:
         return sum(self.multiplicities)
 
 
-def weight_basis(n: int, N: int, content: tuple[int, ...]) -> list[Word]:
-    """Words with the given letter content, lexicographically sorted."""
-    counts = list(content)
-    out = []
-
-    def rec(prefix, remaining):
-        if not remaining:
-            out.append(prefix)
-            return
-        for a, m in enumerate(counts):
-            if m > 0:
-                counts[a] -= 1
-                rec(prefix + (a + 1,), remaining - 1)
-                counts[a] += 1
-
-    rec((), sum(counts))
-    return out
+def weight_basis(n: int, N: int, content: tuple[int, ...]) -> np.ndarray:
+    """The (d, N) int64 array of the words with the given letter content in
+    lexicographic order, built one position at a time from rows (letter
+    counts left, word so far): each prefix row is followed by the letters it
+    still has, in order.  A non-composition content is a ValidationError."""
+    rows = np.zeros((1, n + N), dtype=np.int64)
+    rows[0, :n] = check_label(n, N, content)
+    for k in range(n, n + N):
+        prefix, letters = np.nonzero(rows[:, :n])
+        rows = rows[prefix]
+        rows[np.arange(len(prefix)), letters] -= 1
+        rows[:, k] = letters + 1
+    return rows[:, n:]
 
 
 def _rank(n: int, N: int, basis) -> tuple:
-    """Letters, base-n keys and a key -> position lookup for a block's words;
-    a key outside the basis (not a whole weight block) is a ValidationError."""
-    words = np.array(list(basis) or np.zeros((0, N)), dtype=np.int64)
+    """Letters, base-n keys and a key -> position lookup for a weight block
+    given as its lexicographic word array (weight_basis), whose increasing
+    keys the lookup searches directly; words out of order, or a key outside
+    the basis (not a whole weight block), are a ValidationError."""
+    words = np.asarray(basis, dtype=np.int64)
+    if words.shape == (0,):
+        words = words.reshape(0, N)
     if words.shape[1:] != (N,) or not ((words >= 1) & (words <= n)).all():
         raise ValidationError(f"basis words must lie in [1,{n}]^{N}")
     # base-n keys overflow int64 beyond n^N = 2^63; Python integers do not
@@ -98,28 +97,29 @@ def _rank(n: int, N: int, basis) -> tuple:
     words = words.astype(key_type, copy=False)
     powers = np.array([n ** (N - 1 - j) for j in range(N)], dtype=key_type)
     keys = (words - 1) @ powers
-    order = np.argsort(keys)
+    if (np.diff(keys) <= 0).any():
+        raise ValidationError("basis words must be distinct and in lexicographic order")
     # the sentinel n^N lies past every word's key, so each position is in range
-    sorted_keys = np.append(keys[order], np.array([n ** N], dtype=key_type))
+    sorted_keys = np.append(keys, np.array([n ** N], dtype=key_type))
 
     def lookup(wanted):
         pos = np.searchsorted(sorted_keys, wanted)
         if not np.array_equal(sorted_keys[pos], wanted):
             raise ValidationError("basis is not a whole weight block")
-        return order[pos]
+        return pos
 
     return words, powers, keys, lookup
 
 
-def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.ndarray:
-    """Restriction of H to one weight block, as a dense symmetric matrix.
+def block_matrix(chain: OpenChain, basis) -> np.ndarray:
+    """Restriction of H to one weight block, as a dense symmetric matrix in
+    the order of basis, the block's lexicographic word array (weight_basis).
 
-    Assembled from ranked words (_rank), in any order of the block: per site
-    j, over all words at once, r_j adds 1 on the diagonal for an equal pair,
-    1 - q^-2 for a decreasing pair, and 1/q at the swapped word.  Summed over
-    j in increasing order, it equals H applied word by word bit for bit.
+    Assembled from ranked words (_rank): per site j, over all words at once,
+    r_j adds 1 on the diagonal for an equal pair, 1 - q^-2 for a decreasing
+    pair, and 1/q at the swapped word.  Summed over j in increasing order,
+    it equals H applied word by word bit for bit.
     """
-    basis = weight_basis(chain.n, chain.N, content) if basis is None else basis
     N, q = chain.N, chain.q
     words, powers, keys, lookup = _rank(chain.n, N, basis)
     size = len(words)
@@ -137,7 +137,8 @@ def block_matrix(chain: OpenChain, content: tuple[int, ...], basis=None) -> np.n
 
 def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
     """Matrix of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
-    from span(source) into span(target), which must hold every image word.
+    from span(source) into span(target), two lexicographic word arrays
+    (weight_basis); target must hold every image word.
 
     Built from ranked words like block_matrix: the E_j or F_j term at site k
     moves the key by +-n^(N-1-k), with q to half of (j count - j+1 count)
@@ -231,7 +232,7 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     max_abs = 1.0
     for content in dicke_labels(chain.n, chain.N):
         basis = weight_basis(chain.n, chain.N, content)
-        m = block_matrix(chain, content, basis)
+        m = block_matrix(chain, basis)
         vals, vecs = np.linalg.eigh(m)
         _orient_and_check(m, vals, vecs)
         per_block.append((content, basis, vals, vecs))
@@ -258,13 +259,13 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
 
 def sector_matrix(N: int, q: float, k: int) -> np.ndarray:
     """Weight-k block of the n=2 chain in the basis of high-letter position
-    sets i_1 < ... < i_k; for k=1 this is the tridiagonal matrix with
-    diagonal (N-1-q^-2, N-2-q^-2, ..., N-2-q^-2, N-2) and off-diagonal q^-1."""
+    sets i_1 < ... < i_k, which is descending lexicographic order: the
+    lexicographic block reversed in rows and columns.  For k=1 this is the
+    tridiagonal matrix with diagonal (N-1-q^-2, N-2-q^-2, ..., N-2-q^-2, N-2)
+    and off-diagonal q^-1."""
     if not 0 <= k <= N:
         raise ValidationError(f"k must be in [0,{N}]")
-    # descending lexicographic order lists the position sets in combinations order
-    return block_matrix(OpenChain(2, N, q), (N - k, k),
-                        basis=weight_basis(2, N, (N - k, k))[::-1])
+    return block_matrix(OpenChain(2, N, q), weight_basis(2, N, (N - k, k)))[::-1, ::-1]
 
 
 def sector_multiplicity(N: int, k: int) -> int:
@@ -335,7 +336,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     basis, e_down = weight_basis(2, N, (N, 0)), np.zeros((1, 0))
     for m in range(N + 1):
         above = weight_basis(2, N, (N - m - 1, m + 1)) if m < N else []
-        h = block_matrix(chain, (N - m, m), basis)
+        h = block_matrix(chain, basis)
         e_up = coproduct_block(chain, "E", 1, basis, above)
         if m <= N // 2:
             values, b = _highest_weight(h, e_down.T)
@@ -490,10 +491,8 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     for j in range(1, n):
         ops += [("E", j, j, j + 1), ("F", j, j + 1, j), ("qH", j, None, None)]
     ops += [("qEps", j, None, None) for j in range(1, n + 1)]
-    blocks = {}
-    for content in dicke_labels(n, N):
-        basis = weight_basis(n, N, content)
-        blocks[content] = (basis, block_matrix(chain, content, basis))
+    bases = {content: weight_basis(n, N, content) for content in dicke_labels(n, N)}
+    blocks = {content: (basis, block_matrix(chain, basis)) for content, basis in bases.items()}
     worst = 0.0
     for content, (basis, h) in blocks.items():
         for kind, j, removed, added in ops:

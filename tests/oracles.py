@@ -18,7 +18,7 @@ from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH
 from braidlab.spectra import OpenChain
-from braidlab.states import TensorState, Word, all_words
+from braidlab.states import TensorState, all_words
 
 
 def elementary(n, x, y):
@@ -148,8 +148,11 @@ def hamiltonian_apply(chain: OpenChain, state: TensorState) -> TensorState:
     return out
 
 
-def block_map(op, n: int, source: list[Word], target: list[Word]) -> np.ndarray:
-    """Dense matrix of a sparse operator from span(source) into span(target)."""
+def block_map(op, n: int, source, target) -> np.ndarray:
+    """Dense matrix of a sparse operator from span(source) into span(target),
+    each a word array (spectra.weight_basis) or a list of word tuples."""
+    source, target = ([tuple(w) for w in np.asarray(ws, dtype=np.int64).tolist()]
+                      for ws in (source, target))
     index = {w: i for i, w in enumerate(target)}
     m = np.zeros((len(target), len(source)))
     for col, w in enumerate(source):

@@ -226,6 +226,15 @@ def test_orbits_table_matches_dihedral(tmp_path, capsys):
                  id="crystal-q-inf"),
     pytest.param(["crystal", "--n", "0", "--N", "0"], id="crystal-n0"),
     pytest.param(["quandle", "orbits", "--n", "3", "--N", "-1"], id="orbits-negative-N"),
+    # finite but extreme q overflows a float power of q
+    pytest.param(["verify", "--n", "2", "--N", "6", "--q", "1e100"], id="verify-q-1e100"),
+    pytest.param(["verify", "--n", "2", "--N", "4", "--q", "1e-200"], id="verify-q-1e-200"),
+    pytest.param(["spectrum", "--n", "2", "--N", "4", "--q", "1e-200"], id="spectrum-q-1e-200"),
+    pytest.param(["dicke", "--n", "2", "--N", "4", "--q", "1e200", "--label", "2,2"],
+                 id="dicke-q-1e200"),
+    pytest.param(["shuffle", "--N", "4", "--state", "1212", "--q", "1e200"], id="shuffle-q-1e200"),
+    pytest.param(["crystal", "--n", "2", "--N", "4", "--q", "1e200", "--labels", "canonical"],
+                 id="crystal-q-1e200"),
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -249,7 +258,20 @@ def test_orbit_dot_guard_exit_code(capsys, monkeypatch):
     assert "guard" in err
 
 
-SPECIAL = ["nan", "inf", "foo", "a,b", ""]
+def test_crystal_guard_exit_code(capsys, monkeypatch):
+    # C(92, 2) = 4186 states: four dense 4186 x 4186 matrices, refused up front
+    code, out, err = run(capsys, "crystal", "--n", "3", "--N", "90")
+    assert code == 1
+    assert out == ""
+    assert "guard" in err
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "5")
+    code, out, _ = run(capsys, "crystal", "--n", "2", "--N", "5")
+    assert code == 1 and out == ""
+    code, out, _ = run(capsys, "crystal", "--n", "2", "--N", "4")
+    assert code == 0 and out.startswith("digraph")
+
+
+SPECIAL = ["nan", "inf", "foo", "a,b", "", "1e100", "1e-200"]
 NUMBER = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(0.1, 3.0).map(repr))
 LABEL = st.one_of(st.sampled_from(SPECIAL),

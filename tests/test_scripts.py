@@ -24,3 +24,10 @@ def test_sector_survey_residual_columns_line_up():
     ends = [m.end() for m in re.finditer(r"\S+", header)][-4:]
     for row in rows:
         assert [m.end() for m in re.finditer(r"\S+", row)][-4:] == ends, row
+
+
+def test_distinctness_scan_reports_the_smallest_gap():
+    # every weight block of N <= 6 at the default q values, through sector_matrix
+    lines = run_script("distinctness_scan.py", "--max-N", "6").splitlines()
+    assert lines[-1] == "distinct"
+    assert lines[-2] == "smallest gap 1.366e-02 at (q, N, k) = (0.7, 6, 3)"

@@ -6,8 +6,8 @@ from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
-from oracles import (block_map, dense_hamiltonian, hamiltonian_apply, state_to_dense,
-                     symmetry_residual_per_word)
+from oracles import (block_map, dense_hamiltonian, hamiltonian_apply, multiset_permutations,
+                     state_to_dense, symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -130,7 +130,8 @@ def test_eigenvector_residuals_and_orthonormality():
             gram = vecs.T @ vecs
             assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12
             for col in range(vecs.shape[1]):
-                st = TensorState(2, 4, {w: float(c) for w, c in zip(words, vecs[:, col])
+                st = TensorState(2, 4, {tuple(w): float(c)
+                                        for w, c in zip(words.tolist(), vecs[:, col])
                                         if c != 0.0})
                 resid = hamiltonian_apply(chain, st).sub(
                     st.scale(cluster.value)).norm()
@@ -182,27 +183,32 @@ def test_block_matrices_exactly_symmetric():
     for n, N in [(2, 5), (3, 3)]:
         chain = spectra.OpenChain(n, N, Q)
         for content in qalgebra.dicke_labels(n, N):
-            m = spectra.block_matrix(chain, content)
+            m = spectra.block_matrix(chain, spectra.weight_basis(n, N, content))
             assert np.array_equal(m, m.T)
 
 
 def test_block_matrix_matches_sparse_path():
     # ranked-word assembly against H applied word by word, bit for bit, in
-    # the lexicographic basis and in the reversed one sector_matrix uses
+    # the lexicographic basis, and sector_matrix in the reversed one
     for n, N_max in [(2, 8), (3, 6), (4, 5)]:
         for N in range(1, N_max + 1):
             for q in (0.7, 1.0, 1.5, 2.0):
                 chain = spectra.OpenChain(n, N, q)
                 for content in qalgebra.dicke_labels(n, N):
                     basis = spectra.weight_basis(n, N, content)
-                    for words in (basis, basis[::-1]):
+                    sparse = block_map(lambda s: hamiltonian_apply(chain, s), n, basis, basis)
+                    assert np.array_equal(spectra.block_matrix(chain, basis),
+                                          sparse), (n, N, q, content)
+                    if n == 2:
+                        words = basis[::-1]
                         sparse = block_map(
                             lambda s: hamiltonian_apply(chain, s), n, words, words)
-                        assert np.array_equal(spectra.block_matrix(chain, content, words),
-                                              sparse), (n, N, q, content)
+                        assert np.array_equal(spectra.sector_matrix(N, q, content[1]),
+                                              sparse), (N, q, content)
     chain = spectra.OpenChain(2, 5, Q)
-    assert spectra.block_matrix(chain, (5, 0), []).shape == (0, 0)
-    assert np.array_equal(spectra.block_matrix(chain, (5, 0)), [[4.0]])
+    assert spectra.block_matrix(chain, []).shape == (0, 0)
+    assert np.array_equal(spectra.block_matrix(chain, spectra.weight_basis(2, 5, (5, 0))),
+                          [[4.0]])
     # 2^70 base-2 keys do not fit in int64
     words = spectra.weight_basis(2, 70, (69, 1))[::-1]
     sparse = block_map(lambda s: hamiltonian_apply(
@@ -234,8 +240,8 @@ def _coproduct_cases(n, q, content):
 def test_coproduct_block_matches_sparse_path():
     # ranked-word assembly of E_j, F_j, q^{H_j} and q^{eps_j} against the
     # sparse operator applied word by word, bit for bit, in the
-    # lexicographic basis and in the reversed one; an operator that kills
-    # the block maps it into the empty target
+    # lexicographic basis; an operator that kills the block maps it into
+    # the empty target
     for n, N_max in [(2, 8), (3, 6), (4, 5)]:
         for N in range(1, N_max + 1):
             for q in (0.7, 1.0, 1.5, 2.0):
@@ -244,14 +250,13 @@ def test_coproduct_block_matches_sparse_path():
                     basis = spectra.weight_basis(n, N, content)
                     for kind, j, op, image in _coproduct_cases(n, q, content):
                         target = [] if image is None else spectra.weight_basis(n, N, image)
-                        for source, into in ((basis, target), (basis[::-1], target[::-1])):
-                            assert np.array_equal(
-                                spectra.coproduct_block(chain, kind, j, source, into),
-                                block_map(op, n, source, into)), (n, N, q, content, kind, j)
+                        assert np.array_equal(
+                            spectra.coproduct_block(chain, kind, j, basis, target),
+                            block_map(op, n, basis, target)), (n, N, q, content, kind, j)
     # 2^70 base-2 keys do not fit in int64
     chain = spectra.OpenChain(2, 70, Q)
-    lower = spectra.weight_basis(2, 70, (69, 1))[::-1]
-    upper = spectra.weight_basis(2, 70, (68, 2))[::-1]
+    lower = spectra.weight_basis(2, 70, (69, 1))
+    upper = spectra.weight_basis(2, 70, (68, 2))
     for kind, j, op, image in _coproduct_cases(2, Q, (69, 1)):
         target = {(69, 1): lower, (68, 2): upper, (70, 0): [(1,) * 70]}[image]
         assert np.array_equal(spectra.coproduct_block(chain, kind, j, lower, target),
@@ -294,11 +299,41 @@ def test_spectra_builds_blocks_without_sparse_states():
 def test_block_matrix_rejects_a_basis_that_is_not_a_block():
     chain = spectra.OpenChain(2, 4, Q)
     with pytest.raises(ValidationError):
-        spectra.block_matrix(chain, (3, 1), [(1, 1, 1, 3)])
+        spectra.block_matrix(chain, [(1, 1, 1, 3)])
     with pytest.raises(ValidationError):
-        spectra.block_matrix(chain, (3, 1), [(1, 1, 2)])
+        spectra.block_matrix(chain, [(1, 1, 2)])
     with pytest.raises(ValidationError):
-        spectra.block_matrix(chain, (3, 1), spectra.weight_basis(2, 4, (3, 1))[:2])
+        spectra.block_matrix(chain, spectra.weight_basis(2, 4, (3, 1))[:2])
+
+
+def test_weight_basis_is_the_lexicographic_block():
+    # one int64 array per weight block, its words in lexicographic order
+    for n, N_max in [(1, 3), (2, 8), (3, 5), (4, 4)]:
+        for N in range(0, N_max + 1):
+            for content in qalgebra.dicke_labels(n, N):
+                basis = spectra.weight_basis(n, N, content)
+                assert basis.dtype == np.int64 and basis.shape[1] == N
+                assert [tuple(w) for w in basis.tolist()] == multiset_permutations(
+                    qalgebra.ordered_word(content)), (n, N, content)
+
+
+@pytest.mark.parametrize("content", [(3, 2), (2, 1), (5, -1), (2, 2, 0), (4,)])
+def test_weight_basis_rejects_a_content_that_is_not_a_composition(content):
+    with pytest.raises(ValidationError, match="composition"):
+        spectra.weight_basis(2, 4, content)
+
+
+def test_block_matrix_rejects_a_basis_out_of_lexicographic_order():
+    chain = spectra.OpenChain(2, 4, Q)
+    lower = spectra.weight_basis(2, 4, (3, 1))
+    upper = spectra.weight_basis(2, 4, (2, 2))
+    for words in (lower[::-1], lower[[0, 2, 1, 3]], lower[[0, 0, 1, 2, 3]]):
+        with pytest.raises(ValidationError, match="lexicographic"):
+            spectra.block_matrix(chain, words)
+        with pytest.raises(ValidationError, match="lexicographic"):
+            spectra.coproduct_block(chain, "E", 1, words, upper)
+    with pytest.raises(ValidationError, match="lexicographic"):
+        spectra.coproduct_block(chain, "E", 1, lower, upper[::-1])
 
 
 def test_sector_matrix_small_cases():
@@ -500,7 +535,7 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
     assert min(got) > 0.1
 
     # the same residuals from the sparse ladder, one rung at a time
-    b = TensorState.basis(2, spectra.weight_basis(2, N, (N - 1, 1))[0])
+    b = TensorState.basis(2, tuple(spectra.weight_basis(2, N, (N - 1, 1))[0].tolist()))
     hw = qalgebra.apply_F(b, 1, q).norm() / b.norm()
     kappa = eigen = 0.0
     for m in range(1, N - 1):
@@ -581,9 +616,9 @@ def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
     # commutes with E_1 and F_1, and the sweep must say so
     real = spectra.block_matrix
 
-    def perturbed(chain, content, basis=None):
-        m = real(chain, content, basis)
-        if content == (2, 2):
+    def perturbed(chain, basis):
+        m = real(chain, basis)
+        if sorted(basis[0].tolist()) == [1, 1, 2, 2]:
             m[0, 1] += 0.1
         return m
 

@@ -20,8 +20,12 @@ from .states import TensorState
 
 
 def fnum(x) -> float:
-    """Float rounded to 12 significant digits for stable output."""
-    return float(f"{float(x):.12g}")
+    """Float rounded to 12 significant digits for stable output; a NaN or
+    an infinity (q overflowing inside numpy) is an OverflowError."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise OverflowError(f"non-finite value {x} in the output")
+    return float(f"{x:.12g}")
 
 
 def cnum(z) -> dict:
@@ -29,7 +33,13 @@ def cnum(z) -> dict:
 
 
 def emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print payload as JSON; a NaN or infinity that bypassed fnum is an
+    OverflowError, so no non-JSON float reaches stdout."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OverflowError(exc) from None
+    print(text)
 
 
 def _parse_word(text: str, n: int) -> tuple:
@@ -282,7 +292,8 @@ def main(argv=None) -> int:
         print(f"braidlab: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        # a finite but extreme q (say 1e200) overflows float powers of q
+        # a finite but extreme q (say 1e200) overflows float powers of q, or
+        # numpy arithmetic into a NaN or infinity (fnum, emit)
         print(f"braidlab: numerical overflow, q or z out of range: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -111,28 +111,57 @@ def _rank(n: int, N: int, basis) -> tuple:
     return words, powers, keys, lookup
 
 
-def block_matrix(chain: OpenChain, basis) -> np.ndarray:
-    """Restriction of H to one weight block, as a dense symmetric matrix in
-    the order of basis, the block's lexicographic word array (weight_basis).
-
-    Assembled from ranked words (_rank): per site j, over all words at once,
-    r_j adds 1 on the diagonal for an equal pair, 1 - q^-2 for a decreasing
-    pair, and 1/q at the swapped word.  Summed over j in increasing order,
-    it equals H applied word by word bit for bit.
+def _block_sites(chain: OpenChain, basis) -> tuple:
+    """H on one weight block as site arrays (diag, sites, 1/q), from ranked
+    words (_rank).  Per site j, over all words at once, r_j adds 1 to diag
+    for an equal pair and 1 - q^-2 for a decreasing pair (summed over j in
+    increasing order), and 1/q at (rows, cols): cols are the words whose
+    letters at j, j+1 differ, rows the swapped words.  No (row, col) occurs
+    twice.
     """
     N, q = chain.N, chain.q
     words, powers, keys, lookup = _rank(chain.n, N, basis)
-    size = len(words)
-    m = np.zeros((size, size))
-    diag = np.zeros(size)
+    diag = np.zeros(len(words))
     c = 1.0 - q ** -2
+    sites = []
     for j in range(N - 1):
         x, y = words[:, j], words[:, j + 1]
         diag += np.where(x == y, 1.0, np.where(x > y, c, 0.0))
         cols = np.flatnonzero(x != y)
-        m[lookup(keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1])), cols] = 1.0 / q
+        sites.append((lookup(keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1])),
+                      cols))
+    return diag, sites, 1.0 / q
+
+
+def _dense(block: tuple) -> np.ndarray:
+    """The dense matrix of a block's site arrays (_block_sites)."""
+    diag, sites, off = block
+    size = len(diag)
+    m = np.zeros((size, size))
+    for rows, cols in sites:
+        m[rows, cols] = off
     m[np.arange(size), np.arange(size)] = diag
     return m
+
+
+def _block_apply(block: tuple, v: np.ndarray) -> np.ndarray:
+    """H v for a (d, m) array v, from a block's site arrays (_block_sites):
+    O(N d) per column, where the dense product costs O(d^2)."""
+    diag, sites, off = block
+    hv, scaled = v * diag[:, None], v * off
+    for rows, cols in sites:
+        hv[rows] += scaled[cols]
+    return hv
+
+
+def block_matrix(chain: OpenChain, basis) -> np.ndarray:
+    """Restriction of H to one weight block, as a dense symmetric matrix in
+    the order of basis, the block's lexicographic word array (weight_basis).
+
+    The dense scatter of the block's site arrays (_block_sites): it equals
+    H applied word by word bit for bit.
+    """
+    return _dense(_block_sites(chain, basis))
 
 
 def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
@@ -194,33 +223,51 @@ def _cluster_1d(values: np.ndarray, tol: float) -> list[list[int]]:
     return groups
 
 
-def _orient_and_check(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Fix the sign of each eigenvector in place and check every eigenpair.
+def _orient_and_check(block: tuple, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Fix the sign of each eigenvector in place and check every eigenpair
+    against the block's own H, given as its site arrays (_block_sites).
 
     A column is negated when its first component with |v| > 1e-12 is
-    negative (eigh returns unit columns, so one always exists).  The check
-    is |m v - lambda v|_inf <= EIG_RESIDUAL_TOL * max(1, |lambda|), taken
-    RESIDUAL_CHUNK columns at a time so no temporary outgrows
-    d x RESIDUAL_CHUNK.
+    negative (the columns are unit vectors, so one always exists).  The check
+    is |H v - lambda v|_inf <= EIG_RESIDUAL_TOL * max(1, |lambda|), with H v
+    from _block_apply, taken RESIDUAL_CHUNK columns at a time so no
+    temporary outgrows d x RESIDUAL_CHUNK.
     """
     for lo in range(0, vecs.shape[1], RESIDUAL_CHUNK):
         v, lam = vecs[:, lo:lo + RESIDUAL_CHUNK], vals[lo:lo + RESIDUAL_CHUNK]
         lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
         v *= np.where(lead < 0, -1.0, 1.0)
-        resid = np.abs(m @ v - v * lam).max(axis=0)
+        hv = _block_apply(block, v)
+        hv -= v * lam           # hv and its abs in place: two fewer d x chunk temporaries
+        resid = np.abs(hv, out=hv).max(axis=0)
         bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)))
         if bad.size:
             raise ValidationError(
                 f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
 
 
+def _w0_positions(n: int, N: int, basis, partner) -> np.ndarray:
+    """Position in partner, the block of the reversed content, of the w0
+    image of each word of basis: the word reversed, each letter a sent to
+    n + 1 - a."""
+    words, powers, _, _ = _rank(n, N, basis)
+    _, _, _, lookup = _rank(n, N, partner)
+    return lookup((n - words[:, ::-1]) @ powers)
+
+
 def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     """Full decomposition via weight blocks, with eigenvalue clustering.
 
-    Each block of H comes from block_matrix (ranked-word assembly) and one
-    dense eigh.  Every eigenvector is checked against its eigenvalue within
-    EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check).  Eigenvector
-    sign convention: first component above 1e-12 in magnitude positive.
+    H commutes with the longest Weyl element w0 (reverse a word, send each
+    letter a to n + 1 - a), which maps weight block mu onto block
+    reversed(mu).  The first block of each such pair gets one dense eigh of
+    block_matrix; its mirror takes the same values, and as vectors the
+    partner's rows at the w0 images of its words (_w0_positions), with no
+    dense matrix built.  Palindromic contents are solved directly.  Every
+    block, mirrored ones included, is checked against its own H within
+    EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check), so each run
+    verifies the w0 symmetry it uses.  Eigenvector sign convention: first
+    component above 1e-12 in magnitude positive.
     Eigenvalues are merged within a block and matched across blocks at
     relative gap CLUSTER_RTOL * max |eigenvalue|; exact cross-block
     degeneracies are the tableau multiplicities.  eigh sorts each block's
@@ -228,19 +275,24 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     view of the block's eigenvector matrix, not a copy.
     """
     _check_guard(chain)
-    per_block = []
+    n, N = chain.n, chain.N
+    per_block = {}
     max_abs = 1.0
-    for content in dicke_labels(chain.n, chain.N):
-        basis = weight_basis(chain.n, chain.N, content)
-        m = block_matrix(chain, basis)
-        vals, vecs = np.linalg.eigh(m)
-        _orient_and_check(m, vals, vecs)
-        per_block.append((content, basis, vals, vecs))
+    for content in dicke_labels(n, N):
+        basis = weight_basis(n, N, content)
+        block = _block_sites(chain, basis)
+        if content[::-1] in per_block:
+            partner, vals, partner_vecs = per_block[content[::-1]]
+            vecs = partner_vecs[_w0_positions(n, N, basis, partner)]
+        else:
+            vals, vecs = np.linalg.eigh(_dense(block))
+        _orient_and_check(block, vals, vecs)
+        per_block[content] = (basis, vals, vecs)
         max_abs = max(max_abs, float(np.abs(vals).max()))
     tol = CLUSTER_RTOL * max_abs
 
     flat = []
-    for content, basis, vals, vecs in per_block:
+    for content, (basis, vals, vecs) in per_block.items():
         cuts = list(np.flatnonzero(np.diff(vals) > tol) + 1)
         for lo, hi in zip([0] + cuts, cuts + [len(vals)]):
             value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))

@@ -235,12 +235,27 @@ def test_orbits_table_matches_dihedral(tmp_path, capsys):
     pytest.param(["shuffle", "--N", "4", "--state", "1212", "--q", "1e200"], id="shuffle-q-1e200"),
     pytest.param(["crystal", "--n", "2", "--N", "4", "--q", "1e200", "--labels", "canonical"],
                  id="crystal-q-1e200"),
+    # finite q whose numpy arithmetic ends in NaN or infinity, not JSON
+    pytest.param(["dicke", "--n", "2", "--N", "4", "--q", "1e30", "--label", "4,0"],
+                 id="dicke-q-1e30-nan"),
+    pytest.param(["shuffle", "--n", "2", "--N", "4", "--q", "1e30", "--state", "1111"],
+                 id="shuffle-q-1e30-inf"),
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("braidlab: ")
+
+
+def test_emit_refuses_non_finite_floats(capsys):
+    # a NaN that bypasses fnum never reaches stdout as non-JSON text
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(OverflowError):
+            cli.emit({"x": value})
+        with pytest.raises(OverflowError):
+            cli.fnum(value)
+    assert capsys.readouterr().out == ""
 
 
 def test_weight_block_guard_exit_code(capsys):
@@ -271,7 +286,7 @@ def test_crystal_guard_exit_code(capsys, monkeypatch):
     assert code == 0 and out.startswith("digraph")
 
 
-SPECIAL = ["nan", "inf", "foo", "a,b", "", "1e100", "1e-200"]
+SPECIAL = ["nan", "inf", "foo", "a,b", "", "1e100", "1e-200", "1e30"]
 NUMBER = st.one_of(st.sampled_from(SPECIAL),
                    st.floats(0.1, 3.0).map(repr))
 LABEL = st.one_of(st.sampled_from(SPECIAL),

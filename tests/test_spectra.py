@@ -165,6 +165,81 @@ def test_eigenpair_check_covers_every_chunk(monkeypatch):
         spectra.diagonalize(spectra.OpenChain(2, 10, Q))
 
 
+def test_one_eigh_per_mirror_pair(monkeypatch):
+    # w0 pairs block mu with block reversed(mu); only the first is solved
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.shape[0])
+        return real_eigh(m)
+
+    monkeypatch.setattr(spectra.np.linalg, "eigh", counting_eigh)
+    for n, N, expected in [(2, 12, 7), (2, 13, 7)]:
+        calls.clear()
+        spectra.diagonalize(spectra.OpenChain(n, N, Q))
+        assert len(calls) == expected, (n, N)
+    calls.clear()
+    spectra.diagonalize(spectra.OpenChain(3, 5, Q))
+    contents = qalgebra.dicke_labels(3, 5)
+    pairs = {frozenset((c, c[::-1])) for c in contents}
+    assert len(calls) == len(pairs) < len(contents)
+
+
+def _block_vectors(deco):
+    """content -> (words, eigenvector columns of the whole block), the
+    clusters' pieces joined in increasing eigenvalue order."""
+    pieces = {}
+    for cluster in deco.clusters:
+        for content, words, vecs in cluster.blocks:
+            pieces.setdefault(content, (words, []))[1].append(vecs)
+    return {c: (words, np.hstack(vs)) for c, (words, vs) in pieces.items()}
+
+
+def test_mirrored_blocks_are_w0_permutations_of_their_partners():
+    for n, N in [(2, 12), (3, 6), (4, 5)]:
+        for q in (0.3, 0.7, 1.5, 3.0):
+            blocks = _block_vectors(spectra.diagonalize(spectra.OpenChain(n, N, q)))
+            seen = set()
+            for content in qalgebra.dicke_labels(n, N):
+                mirrored = content[::-1] in seen    # a palindrome is not seen yet
+                seen.add(content)
+                if not mirrored:
+                    continue
+                words, vecs = blocks[content]
+                partner_words, partner_vecs = blocks[content[::-1]]
+                index = {tuple(w): i for i, w in enumerate(partner_words.tolist())}
+                perm = [index[tuple(n + 1 - a for a in reversed(w))] for w in words.tolist()]
+                moved = partner_vecs[perm]
+                same = np.all(vecs == moved, axis=0) | np.all(vecs == -moved, axis=0)
+                assert same.all(), (n, N, q, content)
+                gram = vecs.T @ vecs
+                assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12, (n, N, q, content)
+
+
+def test_mirrored_block_with_a_wrong_permutation_fails_the_check(monkeypatch):
+    real = spectra._w0_positions
+    monkeypatch.setattr(spectra, "_w0_positions", lambda *args: np.roll(real(*args), 1))
+    with pytest.raises(ValidationError, match="eigenpair residual"):
+        spectra.diagonalize(spectra.OpenChain(2, 6, Q))
+
+
+def test_site_array_product_matches_block_matrix():
+    # the H V that _orient_and_check forms, against the dense block
+    rng = np.random.default_rng(8)
+    for n, N_max in [(2, 8), (3, 6), (4, 5)]:
+        for N in range(1, N_max + 1):
+            for q in (0.7, 1.0, 1.5, 2.0):
+                chain = spectra.OpenChain(n, N, q)
+                for content in qalgebra.dicke_labels(n, N):
+                    basis = spectra.weight_basis(n, N, content)
+                    m = spectra.block_matrix(chain, basis)
+                    v = rng.uniform(-1.0, 1.0, size=(len(basis), 5))
+                    hv = spectra._block_apply(spectra._block_sites(chain, basis), v)
+                    assert (np.abs(hv - m @ v).max()
+                            <= 1e-13 * np.linalg.norm(m, np.inf)), (n, N, q, content)
+
+
 def test_blocks_mutually_orthogonal_across_clusters():
     # eigenvectors of different clusters living in the same weight block are
     # orthogonal to each other, not just within their own cluster

@@ -54,7 +54,7 @@ _KIND_CHECKS = {
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """An n x n transition matrix tagged with its kind."""
+    """An n x n transition matrix of finite entries, tagged with its kind."""
 
     entries: np.ndarray
     kind: str = "general"
@@ -63,6 +63,8 @@ class TransitionMatrix:
         m = np.asarray(self.entries)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
+        if self.kind != "combinatorial" and not np.isfinite(m).all():  # 0/1 is finite
+            raise ValidationError("transition matrix entries must be finite")
         if self.kind not in KINDS:
             raise ValidationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         if not _KIND_CHECKS[self.kind](m):
@@ -142,19 +144,12 @@ def linearize(table, states=None, alphabet=None, start=1, accepting=()) -> Autom
             raise ValidationError(f"duplicate transition for state {s!r}, letter {a!r}")
         seen.add((s, a))
     if states is None:
-        states = []
-        for s, _, t in triples:
-            for x in (s, t):
-                if x is not None and x not in states:
-                    states.append(x)
+        states = dict.fromkeys(x for s, _, t in triples for x in (s, t) if x is not None)
     states = list(states)
     if not states:
         raise ValidationError("no states")
     if alphabet is None:
-        alphabet = []
-        for _, a, _ in triples:
-            if a not in alphabet:
-                alphabet.append(a)
+        alphabet = list(dict.fromkeys(a for _, a, _ in triples))
     if not alphabet:
         raise ValidationError("no letters")
     index = {s: i for i, s in enumerate(states)}
@@ -320,7 +315,7 @@ def to_json(a: Automaton) -> str:
 def from_json(text: str) -> Automaton:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:            # JSONDecodeError, or an integer too long to parse
         raise ValidationError(f"bad automaton JSON: {exc}") from exc
     try:
         labels = tuple(payload["states"])
@@ -338,7 +333,7 @@ def from_json(text: str) -> Automaton:
                        for a in alphabet}
         return Automaton(n, alphabet, transitions, int(payload["start"]),
                          frozenset(payload["accepting"]), labels)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad automaton JSON: missing/ill-typed field ({exc})") from exc
 
 

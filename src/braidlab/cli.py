@@ -12,6 +12,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import automata, qalgebra, quandle, spectra, tableaux
 from .automata import SCHEMA
 from .errors import SizeGuardError, ValidationError
@@ -284,16 +286,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.fn(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            args.fn(args)
     except SizeGuardError as exc:
         print(f"braidlab: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, OSError) as exc:
         print(f"braidlab: {exc}", file=sys.stderr)
         return 2
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         # a finite but extreme q (say 1e200) overflows float powers of q, or
-        # numpy arithmetic into a NaN or infinity (fnum, emit)
+        # numpy arithmetic into a NaN or infinity (errstate, fnum, emit)
         print(f"braidlab: numerical overflow, q or z out of range: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -170,10 +170,13 @@ def word_sum_operator(N: int, ell: int, q: float, state: TensorState) -> TensorS
         raise ValidationError(f"word length {ell} out of range [0,{lmax}]")
     if state.N != N:
         raise ValidationError(f"state has N={state.N}, expected {N}")
-    if ell == 0:
-        return state
+    return _word_sum(reduced_words_by_length(N).get(ell, []), q, state) if ell else state
+
+
+def _word_sum(words: list[BraidWord], q: float, state: TensorState) -> TensorState:
+    """Sum over the given braid words of each applied to state, in order."""
     total = TensorState.zero(state.n, state.N)
-    for w in reduced_words_by_length(N).get(ell, []):
+    for w in words:
         cur = state
         for i in reversed(w):
             cur = apply_generator(cur, i, q).scale(q)
@@ -185,19 +188,20 @@ def conjecture_commutator_check(N: int, n: int, q: float) -> float:
     """Desk-scale check that word-length sums commute pairwise.
 
     Returns the maximum norm of [s_k, s_l] v over all basis states v and all
-    pairs of lengths; evidence, not a proof.
+    pairs of lengths; evidence, not a proof.  The words are grouped once.
     """
     if N > 4 or n > 3:
         raise ValidationError("desk-scale check limited to N <= 4, n <= 3")
     from .states import all_words
     lmax = N * (N - 1) // 2
+    by_length = reduced_words_by_length(N) if lmax else {}
     worst = 0.0
     for word in all_words(n, N):
         v = TensorState.basis(n, word)
-        images = {ell: word_sum_operator(N, ell, q, v) for ell in range(1, lmax + 1)}
+        images = {ell: _word_sum(by_length[ell], q, v) for ell in range(1, lmax + 1)}
         for k in range(1, lmax + 1):
             for ell in range(k + 1, lmax + 1):
-                ab = word_sum_operator(N, k, q, images[ell])
-                ba = word_sum_operator(N, ell, q, images[k])
+                ab = _word_sum(by_length[k], q, images[ell])
+                ba = _word_sum(by_length[ell], q, images[k])
                 worst = max(worst, ab.sub(ba).norm())
     return worst

@@ -311,13 +311,15 @@ def table_to_json(table: QuandleTable) -> str:
 
 
 def table_from_json(text: str) -> QuandleTable:
+    """The table of table_to_json; n and every op entry must be a JSON integer."""
     try:
         payload = json.loads(text)
-        n = int(payload["n"])
-        flat = list(payload["op"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        n, flat = payload["n"], list(payload["op"])
+    except (KeyError, TypeError, ValueError) as exc:     # ValueError: JSONDecodeError too
         raise ValidationError(f"bad quandle table JSON: {exc}") from exc
+    if any(type(v) is not int for v in [n, *flat]):
+        raise ValidationError("bad quandle table JSON: n and the op entries must be integers")
     if len(flat) != n * n:
         raise ValidationError(f"op must hold {n * n} row-major entries, got {len(flat)}")
-    rows = tuple(tuple(int(flat[i * n + j]) - 1 for j in range(n)) for i in range(n))
+    rows = tuple(tuple(flat[i * n + j] - 1 for j in range(n)) for i in range(n))
     return QuandleTable(n, rows)

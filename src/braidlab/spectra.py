@@ -211,16 +211,12 @@ def _check_guard(chain: OpenChain) -> None:
         f"weight-block path covers only n=2 with binomial(N, N//2) <= {limit}")
 
 
-def _cluster_1d(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group sorted-value indices whose neighbors differ by at most tol."""
-    order = np.argsort(values)
-    groups = []
-    for idx in order:
-        if groups and abs(values[idx] - values[groups[-1][-1]]) <= tol:
-            groups[-1].append(int(idx))
-        else:
-            groups.append([int(idx)])
-    return groups
+def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """Half-open (lo, hi) bounds of the runs of sorted values whose
+    neighbours differ by at most tol: each gap above tol starts a new run."""
+    cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
+    bounds = [0, *cuts, len(values)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 def _orient_and_check(block: tuple, vals: np.ndarray, vecs: np.ndarray) -> None:
@@ -268,11 +264,14 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check), so each run
     verifies the w0 symmetry it uses.  Eigenvector sign convention: first
     component above 1e-12 in magnitude positive.
-    Eigenvalues are merged within a block and matched across blocks at
-    relative gap CLUSTER_RTOL * max |eigenvalue|; exact cross-block
-    degeneracies are the tableau multiplicities.  eigh sorts each block's
-    values, so a within-block cluster is a run of columns and is stored as a
-    view of the block's eigenvector matrix, not a copy.
+    Eigenvalues are grouped by one rule (_runs) at tol = CLUSTER_RTOL *
+    max(1, max |eigenvalue|): a run of sorted values whose neighbours differ
+    by at most tol.  Within a block the runs of eigh's sorted values are
+    merged to their mean; across blocks the runs of those means, sorted
+    once, are the clusters, valued at the mean of their means and in
+    increasing order.  Exact cross-block degeneracies are the tableau
+    multiplicities.  A within-block run is a run of columns and is stored as
+    a view of the block's eigenvector matrix, not a copy.
     """
     _check_guard(chain)
     n, N = chain.n, chain.N
@@ -293,19 +292,18 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
 
     flat = []
     for content, (basis, vals, vecs) in per_block.items():
-        cuts = list(np.flatnonzero(np.diff(vals) > tol) + 1)
-        for lo, hi in zip([0] + cuts, cuts + [len(vals)]):
+        for lo, hi in _runs(vals, tol):
             value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
             flat.append((value, content, basis, vecs[:, lo:hi]))
     values = np.array([f[0] for f in flat])
+    order = np.argsort(values)
     clusters = []
-    for group in _cluster_1d(values, tol):
-        entries = [flat[i] for i in group]
+    for lo, hi in _runs(values[order], tol):
+        entries = [flat[i] for i in order[lo:hi]]
         value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
         mult = sum(e[3].shape[1] for e in entries)
         clusters.append(EigenCluster(value, mult,
                                      [(e[1], e[2], e[3]) for e in entries]))
-    clusters.sort(key=lambda c: c.value)
     return SpectralDecomposition(chain.n, chain.N, chain.q, clusters)
 
 
@@ -371,11 +369,14 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and
     at the top rung m = N-k the termination |E_1 B|, each relative to the
     rung's column norms.  A sector whose worst hw, kappa, termination or
-    eigen residual exceeds HW_TOL gets a warning.  The sector values are then
-    matched against the full-block clusters of the decomposition;
-    degeneracies across sectors are warned about and fall back to
-    multiplicity-only matching, never silently merged.  ok holds when the
-    sector counts match the prediction and there is no warning.
+    eigen residual exceeds HW_TOL gets a warning.  Sector labels come from
+    one sorted pass over every cluster and ladder value, cut into runs at
+    CLUSTER_RTOL * max(1, max |cluster value|) (_runs, as in diagonalize):
+    a cluster takes the lowest sector in its run and the hw_residual of
+    that sector's first ladder there.  A run holding ladders of two sectors
+    is a degeneracy across sectors, warned about after that sector's
+    residual warning and never silently merged.  ok holds when the sector
+    counts match the prediction and there is no warning.
     """
     if decomposition.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
@@ -410,9 +411,23 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
                 del ladders[k]
         basis, e_down = above, e_up
 
+    # cluster values, then ladder values tagged (k, i) for ladder i of sector k
+    clusters = decomposition.clusters
+    tags = [(k, i) for k, lads in sectors.items() for i in range(len(lads))]
+    values = np.array([c.value for c in clusters] + [sectors[k][i].eigenvalue for k, i in tags])
+    order = np.argsort(values)
+    tol = CLUSTER_RTOL * max(1.0, max((abs(c.value) for c in clusters), default=1.0))
+    clash = {}                  # (k, i) -> the lower sector of each ladder in its run
+    for lo, hi in _runs(values[order], tol):
+        run = np.sort(order[lo:hi]) - len(clusters)   # clusters < 0 (from the end), ladders >= 0
+        labelled = [tags[j] for j in run[run >= 0]]
+        for t, (k, i) in enumerate(labelled):
+            clash[k, i] = [prev_k for prev_k, _ in labelled[:t] if prev_k != k]
+        if labelled:
+            k, i = labelled[0]
+            for j in run[run < 0]:
+                clusters[j].sector, clusters[j].hw_residual = k, sectors[k][i].hw_residual
     warnings = []
-    seen_values: list[tuple[float, int]] = []
-    max_abs = 1.0
     for k, lads in sectors.items():
         failing = []
         for name in LADDER_RESIDUALS:
@@ -422,19 +437,13 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "
                             + ", ".join(failing))
-        max_abs = max([max_abs] + [abs(lad.eigenvalue) for lad in lads])
-        tol = CLUSTER_RTOL * max_abs
-        for lad in lads:
-            for prev_value, prev_k in seen_values:
-                if abs(lad.eigenvalue - prev_value) <= tol and prev_k != k:
-                    warnings.append(
-                        f"eigenvalue {lad.eigenvalue:.12g} of sector {k} degenerate with "
-                        f"sector {prev_k}; falling back to multiplicity-only matching")
-            seen_values.append((lad.eigenvalue, k))
+        for i, lad in enumerate(lads):
+            warnings += [f"eigenvalue {lad.eigenvalue:.12g} of sector {k} degenerate with "
+                         f"sector {prev_k}; falling back to multiplicity-only matching"
+                         for prev_k in clash[k, i]]
     m_observed = {k: len(v) for k, v in sectors.items()}
     m_predicted = {k: sector_multiplicity(N, k) for k in range(N // 2 + 1)}
     ok = m_observed == m_predicted and not warnings
-    _annotate(decomposition, sectors)
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
 
 
@@ -449,20 +458,6 @@ def _highest_weight(h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarra
     kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
     vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
     return vals, kernel @ rot
-
-
-def _annotate(decomposition: SpectralDecomposition, sectors: dict) -> None:
-    """Attach sector labels and highest-weight residuals to eigen clusters."""
-    tol = CLUSTER_RTOL * max(1.0, max((abs(c.value) for c in decomposition.clusters), default=1.0))
-    for cluster in decomposition.clusters:
-        for k, ladders in sectors.items():
-            for lad in ladders:
-                if abs(cluster.value - lad.eigenvalue) <= tol:
-                    cluster.sector = k
-                    cluster.hw_residual = lad.hw_residual
-                    break
-            if cluster.sector is not None:
-                break
 
 
 @dataclass

@@ -7,7 +7,9 @@ exceptions are the per-word slow paths: hamiltonian_apply, block_map and
 the symmetry sweep apply the library's sparse operators to one basis state
 at a time.  The library builds every weight block from ranked words
 (spectra.block_matrix, spectra.coproduct_block); the tests hold those
-blocks to these paths bit for bit.
+blocks to these paths bit for bit.  Likewise sector_warnings_pairwise and
+annotate_pairwise are the pairwise tolerance scans that
+spectra.classify_sectors replaced by one sorted pass.
 """
 
 from itertools import permutations, product
@@ -17,7 +19,7 @@ import numpy as np
 from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH
-from braidlab.spectra import OpenChain
+from braidlab.spectra import CLUSTER_RTOL, HW_TOL, LADDER_RESIDUALS, OpenChain
 from braidlab.states import TensorState, all_words
 
 
@@ -180,3 +182,48 @@ def symmetry_residual_per_word(n, N, q):
         for op in ops:
             worst = max(worst, hamiltonian_apply(chain, op(v)).sub(op(hv)).norm())
     return worst
+
+
+def sector_warnings_pairwise(sectors):
+    """classify_sectors' warnings from pairwise scans: per sector, the ladder
+    residual warning, then a clash for every earlier ladder of another
+    sector within a running tolerance (CLUSTER_RTOL times the largest
+    ladder magnitude so far, at least 1)."""
+    warnings = []
+    seen_values: list[tuple[float, int]] = []
+    max_abs = 1.0
+    for k, lads in sectors.items():
+        failing = []
+        for name in LADDER_RESIDUALS:
+            worst = max((getattr(lad, name) for lad in lads), default=0.0)
+            if worst > HW_TOL:
+                failing.append(f"{name} {worst:.2e}")
+        if failing:
+            warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "
+                            + ", ".join(failing))
+        max_abs = max([max_abs] + [abs(lad.eigenvalue) for lad in lads])
+        tol = CLUSTER_RTOL * max_abs
+        for lad in lads:
+            for prev_value, prev_k in seen_values:
+                if abs(lad.eigenvalue - prev_value) <= tol and prev_k != k:
+                    warnings.append(
+                        f"eigenvalue {lad.eigenvalue:.12g} of sector {k} degenerate with "
+                        f"sector {prev_k}; falling back to multiplicity-only matching")
+            seen_values.append((lad.eigenvalue, k))
+    return warnings
+
+
+def annotate_pairwise(decomposition, sectors):
+    """Label each cluster with the first sector, in order, holding a ladder
+    within CLUSTER_RTOL * max(1, max |cluster value|) of it, and with that
+    ladder's hw_residual: O(clusters x ladders) comparisons."""
+    tol = CLUSTER_RTOL * max(1.0, max((abs(c.value) for c in decomposition.clusters), default=1.0))
+    for cluster in decomposition.clusters:
+        for k, ladders in sectors.items():
+            for lad in ladders:
+                if abs(cluster.value - lad.eigenvalue) <= tol:
+                    cluster.sector = k
+                    cluster.hw_residual = lad.hw_residual
+                    break
+            if cluster.sector is not None:
+                break

@@ -31,6 +31,24 @@ def test_linearize_empty_word_is_identity():
     assert np.array_equal(automata.word_matrix(a, ""), np.eye(3))
 
 
+def test_linearize_orders_states_and_letters_by_first_appearance():
+    # targets count as appearances; a None target (undefined) does not
+    a = automata.linearize([("s2", "b", "s3"), ("s1", "a", None), ("s3", "a", "s1"),
+                            ("s1", "b", "s2"), (0, "c", 0)])
+    assert a.state_labels == ("s2", "s3", "s1", "0")
+    assert a.alphabet == ("b", "a", "c")
+    assert a.matrix("a")[2, 1] == 1.0 and not a.matrix("a")[:, 2].any()
+
+
+@pytest.mark.parametrize("kind", automata.KINDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_transition_matrix_rejects_non_finite_entries(kind, bad):
+    # the stochastic and unitary checks scale their tolerance by max |entry|,
+    # so [[inf]] passes them
+    with pytest.raises(ValidationError):
+        automata.TransitionMatrix(np.array([[bad]]), kind)
+
+
 def test_linearize_rejects_duplicates():
     with pytest.raises(ValidationError):
         automata.linearize([("q1", "a", "q1"), ("q1", "a", "q2")])

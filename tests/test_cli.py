@@ -240,12 +240,65 @@ def test_orbits_table_matches_dihedral(tmp_path, capsys):
                  id="dicke-q-1e30-nan"),
     pytest.param(["shuffle", "--n", "2", "--N", "4", "--q", "1e30", "--state", "1111"],
                  id="shuffle-q-1e30-inf"),
+    # finite q whose ladder checks overflow inside numpy (errstate in main)
+    pytest.param(["verify", "--n", "2", "--N", "3", "--q", "1e100"], id="verify-q-1e100-numpy"),
+    pytest.param(["spectrum", "--n", "2", "--N", "4", "--q", "1e30"], id="spectrum-q-1e30-numpy"),
 ])
 def test_bad_input_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("braidlab: ")
+
+
+AUTOMATON = {"states": ["q1", "q2"], "alphabet": ["a"], "kind": "general",
+             "matrices": {"a": [[0.0, 1.0], [1.0, 0.0]]}, "start": 1, "accepting": [2]}
+QUANDLE = {"n": 2, "op": [1, 2, 1, 2]}
+
+
+def _with(payload, **fields):
+    return json.dumps({**payload, **fields})
+
+
+MALFORMED_TABLES = [
+    pytest.param(["automaton"], _with(AUTOMATON, start="x"), id="automaton-start-text"),
+    pytest.param(["automaton"], _with(AUTOMATON, matrices={"a": [["x", 1.0], [1.0, 0.0]]}),
+                 id="automaton-cell-text"),
+    pytest.param(["automaton"], _with(AUTOMATON, matrices={"a": [[0.0, 1.0], [1.0]]}),
+                 id="automaton-ragged-rows"),
+    pytest.param(["automaton"], _with(AUTOMATON, matrices={"a": [[float("nan"), 1.0], [1.0, 0.0]]}),
+                 id="automaton-nan-cell"),
+    pytest.param(["automaton", "--dot"],
+                 _with(AUTOMATON, matrices={"a": [[float("nan"), 1.0], [1.0, 0.0]]}),
+                 id="automaton-nan-cell-dot"),
+    pytest.param(["automaton"], _with(AUTOMATON, matrices={"a": [[float("inf"), 1.0], [1.0, 0.0]]}),
+                 id="automaton-inf-cell"),
+    pytest.param(["quandle", "validate"], _with(QUANDLE, op=[None, 2, 1, 2]), id="quandle-null"),
+    pytest.param(["quandle", "validate"], _with(QUANDLE, op=["x", 2, 1, 2]), id="quandle-text"),
+    pytest.param(["quandle", "validate"], _with(QUANDLE, op=[2.5, 2, 1, 2]), id="quandle-float"),
+    # 1.5 truncated to 1 would be the valid table
+    pytest.param(["quandle", "orbits", "--N", "2"], _with(QUANDLE, op=[1.5, 2, 1, 2]),
+                 id="orbits-float"),
+]
+
+
+@pytest.mark.parametrize("argv, text", MALFORMED_TABLES)
+def test_malformed_table_file_exits_2(tmp_path, capsys, argv, text):
+    path = tmp_path / "table.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("braidlab: ")
+
+
+def test_well_formed_table_files_still_load(tmp_path, capsys):
+    # the bases of MALFORMED_TABLES are valid, so each case fails on its one change
+    for argv, payload in [(["automaton"], AUTOMATON), (["quandle", "validate"], QUANDLE)]:
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, *argv, "--table", str(path))
+        assert code == 0 and json.loads(out)
 
 
 def test_emit_refuses_non_finite_floats(capsys):
@@ -307,11 +360,13 @@ def _argv(*parts):
     return st.tuples(*parts).map(lambda ps: [x for p in ps for x in p])
 
 
-def _cli_argvs(table_file):
-    tables = st.sampled_from([table_file, table_file + ".missing"])
+def _cli_argvs(quandle_files, automaton_files):
+    tables = st.sampled_from(quandle_files)
+    automaton_tables = st.sampled_from(automaton_files).map(lambda p: ["--table", p])
     return st.one_of(
-        _argv(st.just(["automaton"]), st.sampled_from([["--example", "exa01"],
-                                                       ["--example", "e1"]]),
+        _argv(st.just(["automaton"]), st.one_of(st.sampled_from([["--example", "exa01"],
+                                                                 ["--example", "e1"]]),
+                                                automaton_tables),
               _opt("--run", st.sampled_from(["a", "ab", "", "c", "foo"])), _switch("--dot")),
         _argv(st.just(["tableaux"]), _opt("--n", SIZE), _opt("--N", SIZE)),
         _argv(st.just(["shuffle"]), _opt("--n", SIZE), _opt("--N", SIZE),
@@ -333,18 +388,28 @@ def _cli_argvs(table_file):
 
 
 @pytest.fixture(scope="module")
-def dihedral_table_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "d3.json"
-    path.write_text(json.dumps({"n": 3, "op": [1, 3, 2, 3, 2, 1, 2, 1, 3]}))
-    return str(path)
+def table_files(tmp_path_factory):
+    """Quandle and automaton table files: one valid each, a missing path,
+    and the malformed files of MALFORMED_TABLES."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {"quandle": [], "automaton": []}
+    cases = [("quandle", json.dumps({"n": 3, "op": [1, 3, 2, 3, 2, 1, 2, 1, 3]})),
+             ("automaton", json.dumps(AUTOMATON))]
+    cases += [(case.values[0][0], case.values[1]) for case in MALFORMED_TABLES]
+    for i, (kind, text) in enumerate(cases):
+        path = folder / f"{kind}{i}.json"
+        path.write_text(text)
+        files[kind].append(str(path))
+    return files["quandle"] + [str(folder / "missing.json")], files["automaton"]
 
 
-def test_cli_fuzz_exit_contract(dihedral_table_file):
-    # every subcommand at N <= 4 with valid and invalid q, z and label values:
-    # exit codes stay in {0, 1, 2}, nothing escapes as a traceback, and every
-    # nonzero return from main explains itself on a braidlab: line
+def test_cli_fuzz_exit_contract(table_files):
+    # every subcommand at N <= 4 with valid and invalid q, z and label values
+    # and valid, missing or malformed table files: exit codes stay in
+    # {0, 1, 2}, nothing escapes as a traceback, and every nonzero return
+    # from main explains itself on a braidlab: line
     @settings(max_examples=400, deadline=None)
-    @given(_cli_argvs(dihedral_table_file))
+    @given(_cli_argvs(*table_files))
     def check(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -220,6 +220,28 @@ def test_commutator_check_small_n():
     assert hecke.conjecture_commutator_check(3, 3, 0.7) < 1e-10
 
 
+def test_commutator_check_derives_the_reduced_words_once(monkeypatch):
+    # the check equals the pairwise word_sum_operator sweep bit for bit, and
+    # bubble-sorts each of the N! permutations once
+    N, n, q = 4, 2, 0.7
+    lmax = N * (N - 1) // 2
+    slow = 0.0
+    for word in all_words(n, N):
+        v = TensorState.basis(n, word)
+        images = {ell: hecke.word_sum_operator(N, ell, q, v) for ell in range(1, lmax + 1)}
+        for k in range(1, lmax + 1):
+            for ell in range(k + 1, lmax + 1):
+                ab = hecke.word_sum_operator(N, k, q, images[ell])
+                ba = hecke.word_sum_operator(N, ell, q, images[k])
+                slow = max(slow, ab.sub(ba).norm())
+    calls = []
+    real = hecke.reduced_word
+    monkeypatch.setattr(hecke, "reduced_word", lambda perm: calls.append(perm) or real(perm))
+    assert hecke.conjecture_commutator_check(N, n, q) == slow
+    assert len(calls) == 24
+    assert hecke.conjecture_commutator_check(1, n, q) == 0.0
+
+
 def test_commutator_check_refutes_conjecture_at_four_strands():
     # The length-class sums stop commuting at N=4: exact arithmetic in the
     # group algebra of S_4 (q=1) already gives [s_1, s_2] != 0, and the

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
-from oracles import (block_map, dense_hamiltonian, hamiltonian_apply, multiset_permutations,
-                     state_to_dense, symmetry_residual_per_word)
+from oracles import (annotate_pairwise, block_map, dense_hamiltonian, hamiltonian_apply,
+                     multiset_permutations, sector_warnings_pairwise, state_to_dense,
+                     symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -670,6 +673,82 @@ def test_cross_sector_degeneracy_warning(monkeypatch):
     top = deco.clusters[-1]
     assert top.value == pytest.approx(N - 1) and top.sector == 0
     assert top.hw_residual == rep.sectors[0][0].hw_residual
+
+
+def _runs_loop(values, tol):
+    runs = []
+    for i, v in enumerate(values):
+        if runs and v - values[i - 1] <= tol:
+            runs[-1] = (runs[-1][0], i + 1)
+        else:
+            runs.append((i, i + 1))
+    return runs
+
+
+def test_runs_match_a_plain_loop():
+    # dyadic steps make every gap exact: ties (0), gaps of exactly tol (a
+    # neighbour inside the run) and gaps just above it (a new run)
+    tol = 0.25
+    rng = np.random.default_rng(7)
+    assert spectra._runs(np.array([]), tol) == []
+    for size in [1, 2, 3, 10, 40]:
+        for _ in range(25):
+            steps = rng.choice([0.0, 0.125, tol, tol + 2.0 ** -20, 1.0], size=size)
+            values = 3.5 + np.cumsum(steps)
+            assert spectra._runs(values, tol) == _runs_loop(values.tolist(), tol)
+    assert spectra._runs(np.array([0.0, 0.25, 0.5, 1.0, 1.0]), tol) == [(0, 3), (3, 5)]
+
+
+def _labels_and_pairwise(deco, rep):
+    """The cluster labels classify_sectors gave, then those of the pairwise
+    oracle on the same clusters and ladders."""
+    got = [(c.sector, c.hw_residual) for c in deco.clusters]
+    for c in deco.clusters:
+        c.sector = c.hw_residual = None
+    annotate_pairwise(deco, rep.sectors)
+    return got, [(c.sector, c.hw_residual) for c in deco.clusters]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.0, 1.5, 2.0, 3.0])
+def test_sector_pass_matches_the_pairwise_scans(q):
+    for N in range(1, 11):
+        deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
+        rep = spectra.classify_sectors(deco)
+        assert rep.warnings == sector_warnings_pairwise(rep.sectors), N
+        got, want = _labels_and_pairwise(deco, rep)
+        assert got == want, N
+        assert None not in [sector for sector, _ in got], N
+
+
+@pytest.mark.parametrize("moved", [{1: 1}, {1: 2, 2: 1}], ids=["two-sectors", "three-sectors"])
+def test_sector_clashes_match_the_pairwise_scans(monkeypatch, moved):
+    # the lowest moved[k] values of sector k are set to the sector-0 value
+    # N - 1, the last one 3e-9 relative above it (inside the relative
+    # tolerance, outside an absolute 1e-8): one run holds two or three
+    # sectors, and two ladders of sector 1 in the three-sector case
+    N, q = 6, 1.5
+    real = spectra._highest_weight
+    sizes = {comb(N, k): k for k in moved}     # blocks 0..N/2 differ in size
+
+    def clash(h, f):
+        vals, vecs = real(h, f)
+        k = sizes.get(h.shape[0])
+        if k is not None:
+            vals = vals.copy()
+            vals[:moved[k]] = N - 1.0
+            vals[moved[k] - 1] *= 1 + 3e-9
+        return vals, vecs
+
+    monkeypatch.setattr(spectra, "_highest_weight", clash)
+    deco = spectra.diagonalize(spectra.OpenChain(2, N, q))
+    rep = spectra.classify_sectors(deco)
+    clashes = [w for w in rep.warnings if "degenerate" in w]
+    assert len(clashes) == {1: 1, 2: 5}[len(moved)]
+    assert rep.warnings == sector_warnings_pairwise(rep.sectors)
+    got, want = _labels_and_pairwise(deco, rep)
+    assert got == want
+    assert got[-1] == (0, rep.sectors[0][0].hw_residual)
+    assert [sector for sector, _ in got].count(None) == sum(moved.values())
 
 
 def test_symmetry_residual_values():

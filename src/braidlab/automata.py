@@ -30,18 +30,20 @@ def is_combinatorial(entries: np.ndarray) -> bool:
     return bool(np.all(m.sum(axis=0) <= 1))
 
 
-def is_stochastic(entries: np.ndarray, tol: float = KIND_TOL) -> bool:
+def is_stochastic(entries: np.ndarray) -> bool:
     if np.iscomplexobj(entries) and np.any(entries.imag != 0):
         return False
     m = entries.real
-    if np.any(m < -tol):
+    if np.any(m < -KIND_TOL):
         return False
-    return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= tol * max(1.0, float(np.abs(m).max(initial=1.0)))))
+    scale = max(1.0, float(np.abs(m).max(initial=1.0)))
+    return bool(np.all(np.abs(m.sum(axis=0) - 1.0) <= KIND_TOL * scale))
 
 
-def is_unitary(entries: np.ndarray, tol: float = KIND_TOL) -> bool:
+def is_unitary(entries: np.ndarray) -> bool:
     n = entries.shape[0]
-    return bool(np.abs(entries.conj().T @ entries - np.eye(n)).max() <= tol * max(1.0, float(np.abs(entries).max())))
+    scale = max(1.0, float(np.abs(entries).max()))
+    return bool(np.abs(entries.conj().T @ entries - np.eye(n)).max() <= KIND_TOL * scale)
 
 
 _KIND_CHECKS = {
@@ -231,20 +233,20 @@ def tree_order_enumerate(alphabet, max_len: int) -> list:
         raise ValidationError("max_len must be >= 0")
     if not alphabet:
         raise ValidationError("alphabet must be nonempty")
-    rank = {a: i for i, a in enumerate(alphabet)}
+    if len(set(alphabet)) != len(alphabet):
+        raise ValidationError("alphabet letters must be distinct")
     out = [()]
     level = [()]
     for _ in range(max_len):
         level = [(a,) + w for w in level for a in alphabet]
-        level.sort(key=lambda w: tuple(rank[x] for x in reversed(w)))
         out.extend(level)
     if all(isinstance(a, str) for a in alphabet):
         return ["".join(w) for w in out]
     return out
 
 
-def complete_with_sink(a: Automaton, sink_label: str = "sink") -> Automaton:
-    """Completion transform: route every undefined transition to a new sink state."""
+def complete_with_sink(a: Automaton) -> Automaton:
+    """Completion transform: route every undefined transition to a new state "sink"."""
     if a.kind != "combinatorial":
         raise ValidationError("sink completion is defined for combinatorial automata")
     n = a.n_states
@@ -262,7 +264,7 @@ def complete_with_sink(a: Automaton, sink_label: str = "sink") -> Automaton:
         m[n, n] = 1.0
         transitions[letter] = TransitionMatrix(m, "combinatorial")
     return Automaton(n + 1, a.alphabet, transitions, a.start, a.accepting,
-                     a.state_labels + (sink_label,))
+                     a.state_labels + ("sink",))
 
 
 def to_dot(a: Automaton) -> str:
@@ -313,6 +315,7 @@ def to_json(a: Automaton) -> str:
 
 
 def from_json(text: str) -> Automaton:
+    """The automaton of to_json; start and accepting states must be JSON integers."""
     try:
         payload = json.loads(text)
     except ValueError as exc:            # JSONDecodeError, or an integer too long to parse
@@ -331,8 +334,11 @@ def from_json(text: str) -> Automaton:
 
         transitions = {a: TransitionMatrix(parse_matrix(payload["matrices"][a]), kind)
                        for a in alphabet}
-        return Automaton(n, alphabet, transitions, int(payload["start"]),
-                         frozenset(payload["accepting"]), labels)
+        start, accepting = payload["start"], list(payload["accepting"])
+        if any(type(s) is not int for s in [start, *accepting]):
+            raise ValidationError("bad automaton JSON: start and the accepting states "
+                                  "must be integers")
+        return Automaton(n, alphabet, transitions, start, frozenset(accepting), labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad automaton JSON: missing/ill-typed field ({exc})") from exc
 

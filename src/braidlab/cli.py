@@ -54,12 +54,16 @@ def _parse_word(text: str, n: int) -> tuple:
     return tuple(letters)
 
 
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def cmd_automaton(args) -> None:
     if args.example:
         a = automata.example_exa01() if args.example == "exa01" else automata.example_e1()
     elif args.table:
-        with open(args.table, encoding="utf-8") as fh:
-            a = automata.from_json(fh.read())
+        a = automata.from_json(_read(args.table))
     else:
         a = automata.from_json(sys.stdin.read())
     if args.run is not None:
@@ -185,13 +189,11 @@ def cmd_quandle(args) -> None:
         else:
             print(quandle.table_to_json(table))
     elif args.quandle_cmd == "validate":
-        with open(args.table, encoding="utf-8") as fh:
-            table = quandle.table_from_json(fh.read())
+        table = quandle.table_from_json(_read(args.table))
         emit({"schema": SCHEMA, "n": table.n, **quandle.validate(table)})
     elif args.quandle_cmd == "orbits":
         if args.table is not None:
-            with open(args.table, encoding="utf-8") as fh:
-                table = quandle.table_from_json(fh.read())
+            table = quandle.table_from_json(_read(args.table))
         elif args.n is not None:
             table = quandle.dihedral(args.n)
         else:

@@ -1,8 +1,9 @@
-"""Shared exceptions and the dense-size guard."""
+"""Shared exceptions, the dense-size guard and the sparse-state bound."""
 
 import os
 
 DEFAULT_MAX_DIM = 4096
+MAX_SPARSE_WORDS = 10 ** 6
 
 
 class BraidlabError(Exception):
@@ -36,3 +37,11 @@ def check_dense_dim(dim: int, context: str) -> None:
     if dim > limit:
         raise SizeGuardError(f"{context}: dimension {dim} exceeds guard {limit} "
                              f"(set BRAIDLAB_MAX_DIM to raise it)")
+
+
+def check_sparse_words(count: int, context: str) -> None:
+    """Refuse a sparse computation whose states would hold more than
+    MAX_SPARSE_WORDS words."""
+    if count > MAX_SPARSE_WORDS:
+        raise SizeGuardError(f"{context}: {count} words exceed the sparse-state "
+                             f"bound {MAX_SPARSE_WORDS}")

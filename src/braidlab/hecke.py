@@ -13,13 +13,13 @@ permutation length (inversion count).  z = q^2 gives the q-symmetrizer and
 z = -1 the q-antisymmetrizer.
 """
 
-from dataclasses import dataclass
+from collections import Counter
 from itertools import permutations
-from math import isfinite
+from math import factorial, isfinite, prod
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeGuardError, ValidationError, check_sparse_words
 from .states import TensorState, Word
 
 BraidWord = tuple[int, ...]
@@ -27,16 +27,7 @@ BraidWord = tuple[int, ...]
 MAX_REDUCED_N = 8
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    """Dense n^2 x n^2 form of the rescaled braid operator."""
-
-    n: int
-    q: float
-    entries: np.ndarray
-
-
-def r_matrix(n: int, q: float) -> RMatrix:
+def r_matrix(n: int, q: float) -> np.ndarray:
     """The rescaled braid operator on V_n tensor V_n as a dense matrix."""
     if n < 2:
         raise ValidationError("r_matrix needs n >= 2")
@@ -56,7 +47,7 @@ def r_matrix(n: int, q: float) -> RMatrix:
                 m[idx(b, a), idx(a, b)] = 1.0 / q
                 if a > b:
                     m[idx(a, b), idx(a, b)] = c
-    return RMatrix(n, q, m)
+    return m
 
 
 def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
@@ -81,9 +72,12 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
 
 
 def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
-    """Apply the shuffle operator Y_N(z), factors S_1 first."""
+    """Apply the shuffle operator Y_N(z), factors S_1 first.  Its states
+    hold rearrangements of the input words only; their count is bounded first."""
     if q == 0 or not isfinite(q):
         raise ValidationError("q must be nonzero and finite")
+    contents = {tuple(sorted(w)) for w in state.amps}
+    check_sparse_words(sum(map(_rearrangements, contents)), "shuffled state")
     for k in range(1, state.N):
         acc = state
         cur = state
@@ -96,19 +90,17 @@ def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
     return state
 
 
+def _rearrangements(word: Word) -> int:
+    """Distinct rearrangements of a word: the multinomial of its letter counts."""
+    return factorial(len(word)) // prod(map(factorial, Counter(word).values()))
+
+
 def q_symmetrize(state: TensorState, q: float) -> TensorState:
     return shuffle_apply(state, q ** 2, q)
 
 
 def q_antisymmetrize(state: TensorState, q: float) -> TensorState:
     return shuffle_apply(state, -1.0, q)
-
-
-def inversions(word: Word) -> int:
-    """Number of out-of-order pairs; the permutation length of the word
-    relative to its sorted arrangement."""
-    return sum(1 for i in range(len(word)) for j in range(i + 1, len(word))
-               if word[i] > word[j])
 
 
 def bracket(m: int, z) -> float:
@@ -146,10 +138,12 @@ def reduced_word(perm: tuple[int, ...]) -> BraidWord:
 
 
 def reduced_words(N: int) -> list[BraidWord]:
-    """All N! canonical reduced words of S_N, sorted by (length, word)."""
+    """All N! canonical reduced words of S_N, sorted by (length, word); N
+    past MAX_REDUCED_N is a size refusal, N < 2 a validation error."""
     if not 2 <= N <= MAX_REDUCED_N:
-        raise ValidationError(f"reduced_words supports 2 <= N <= {MAX_REDUCED_N} "
-                              "(factorial blow-up guard)")
+        error = ValidationError if N < 2 else SizeGuardError
+        raise error(f"reduced_words supports 2 <= N <= {MAX_REDUCED_N} "
+                    "(factorial blow-up guard)")
     words = [reduced_word(p) for p in permutations(range(1, N + 1))]
     words.sort(key=lambda w: (len(w), w))
     return words

@@ -23,7 +23,7 @@ from math import comb, isfinite
 import numpy as np
 
 from . import automata
-from .errors import SizeGuardError, ValidationError, check_dense_dim
+from .errors import ValidationError, check_dense_dim, check_sparse_words
 from .hecke import bracket_factorial, q_symmetrize
 from .states import TensorState, Word
 
@@ -198,8 +198,7 @@ def generate_basis_by_raising(n: int, N: int, q: float) -> dict[DickeLabel, Tens
     times, then E_2 (k_3 + ... + k_n) times, and so on; each result is
     normalized.  Agrees with q_dicke label by label.
     """
-    if n ** N > 10 ** 6:
-        raise SizeGuardError(f"n^N = {n**N} exceeds the raising guard 10^6")
+    check_sparse_words(n ** N, "raising basis")
     out = {}
     for label in dicke_labels(n, N):
         state = TensorState.basis(n, (1,) * N)
@@ -213,27 +212,28 @@ def generate_basis_by_raising(n: int, N: int, q: float) -> dict[DickeLabel, Tens
     return out
 
 
-def crystal_e(j: int, word, n: int | None = None):
-    """Crystal raising move on an ordered word: one letter j becomes j+1;
-    None when there is no letter j."""
+def _crystal_word(j: int, word, n: int) -> Word:
+    """word as a tuple, checked to be ordered and j an E/F index for n."""
     word = tuple(word)
-    n = n if n is not None else max(word)
     if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
         raise ValidationError(f"crystal moves are defined on ordered words, got {word}")
     _check_species_index(j, n, diagonal=False)
+    return word
+
+
+def crystal_e(j: int, word, n: int):
+    """Crystal raising move on an ordered word: one letter j becomes j+1;
+    None when there is no letter j."""
+    word = _crystal_word(j, word, n)
     if j not in word:
         return None
     k = word.index(j) + word.count(j) - 1  # rightmost j
     return tuple(sorted(word[:k] + (j + 1,) + word[k + 1:]))
 
 
-def crystal_f(j: int, word, n: int | None = None):
+def crystal_f(j: int, word, n: int):
     """Crystal lowering move: one letter j+1 becomes j; None when impossible."""
-    word = tuple(word)
-    n = n if n is not None else max(word)
-    if any(word[i] > word[i + 1] for i in range(len(word) - 1)):
-        raise ValidationError(f"crystal moves are defined on ordered words, got {word}")
-    _check_species_index(j, n, diagonal=False)
+    word = _crystal_word(j, word, n)
     if j + 1 not in word:
         return None
     k = word.index(j + 1)

@@ -44,9 +44,6 @@ class QuandleTable:
                     raise ValidationError(f"table entry {v} out of range [0,{self.n - 1}]")
         object.__setattr__(self, "op", op)
 
-    def apply(self, a: int, b: int) -> int:
-        return self.op[a][b]
-
 
 def validate(table: QuandleTable) -> dict:
     """Axiom flags {shelf, rack, quandle} from exhaustive checks."""
@@ -77,6 +74,11 @@ def tetrahedron() -> QuandleTable:
             perm[x] = cyc[(i + 1) % 3]
         op.append(tuple(perm))
     return QuandleTable(4, tuple(op))
+
+
+def _check_orbit_size(n: int, N: int) -> None:
+    if n ** N > ORBIT_GUARD:
+        raise SizeGuardError(f"n^N = {n**N} exceeds the orbit guard {ORBIT_GUARD}")
 
 
 def _require_rack(table: QuandleTable) -> None:
@@ -181,16 +183,11 @@ def dihedral_spectrum(n: int) -> QuandleSpectrum:
     """
     if n < 3 or n % 2 == 0:
         raise ValidationError("the dihedral spectrum statement covers odd n >= 3")
-    table = dihedral(n)
-
-    def step(pair):
-        a, b = pair
-        return b, table.op[b][a]
-
+    braid = braid_solution(dihedral(n))
     pairs = [(a, b) for a in range(n) for b in range(n)]
     index = {(a, b): a * n + b for a, b in pairs}
     by_value: dict[int, list[np.ndarray]] = {}
-    for cyc in _cycles(pairs, step):
+    for cyc in _cycles(pairs, lambda pair: braid.pair_map(*pair)):
         L = len(cyc)
         for j in range(L):
             lam = np.exp(2j * np.pi * j / L)
@@ -230,8 +227,7 @@ def centralizer_residual(table: QuandleTable, N: int) -> int:
     """
     _require_rack(table)
     n = table.n
-    if n ** N > ORBIT_GUARD:
-        raise SizeGuardError(f"n^N = {n**N} exceeds the orbit guard {ORBIT_GUARD}")
+    _check_orbit_size(n, N)
     inv = _inverse_rows(table)
     words = all_words(n, N)
 
@@ -269,8 +265,7 @@ def orbit_automaton(table: QuandleTable, N: int) -> OrbitGraph:
     n = table.n
     if N < 1:
         raise ValidationError("N must be >= 1")
-    if n ** N > ORBIT_GUARD:
-        raise SizeGuardError(f"n^N = {n**N} exceeds the orbit guard {ORBIT_GUARD}")
+    _check_orbit_size(n, N)
     words = all_words(n, N)
     cycles = {}
     order = 1

@@ -16,7 +16,7 @@ from math import comb, factorial, isfinite
 
 import numpy as np
 
-from .errors import SizeGuardError, ValidationError, max_dense_dim
+from .errors import ValidationError, check_dense_dim
 from .qalgebra import check_label, dicke_labels, q_number
 
 CLUSTER_RTOL = 1e-8
@@ -201,14 +201,10 @@ def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.n
 
 
 def _check_guard(chain: OpenChain) -> None:
-    limit = max_dense_dim()
-    if chain.n ** chain.N <= limit:
-        return
-    if chain.n == 2 and comb(chain.N, chain.N // 2) <= limit:
-        return
-    raise SizeGuardError(
-        f"n^N = {chain.n ** chain.N} exceeds the dense guard {limit}, and the "
-        f"weight-block path covers only n=2 with binomial(N, N//2) <= {limit}")
+    """The dense guard on the largest block solved: the middle weight block
+    binomial(N, N//2) for n = 2, the whole n^N space otherwise."""
+    n, N = chain.n, chain.N
+    check_dense_dim(comb(N, N // 2) if n == 2 else n ** N, f"open chain n={n}, N={N}")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -369,7 +365,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and
     at the top rung m = N-k the termination |E_1 B|, each relative to the
     rung's column norms.  A sector whose worst hw, kappa, termination or
-    eigen residual exceeds HW_TOL gets a warning.  Sector labels come from
+    eigen residual exceeds HW_TOL, or is NaN, gets a warning.  Sector labels come from
     one sorted pass over every cluster and ladder value, cut into runs at
     CLUSTER_RTOL * max(1, max |cluster value|) (_runs, as in diagonalize):
     a cluster takes the lowest sector in its run and the hw_residual of
@@ -431,8 +427,9 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     for k, lads in sectors.items():
         failing = []
         for name in LADDER_RESIDUALS:
-            worst = max((getattr(lad, name) for lad in lads), default=0.0)
-            if worst > HW_TOL:
+            # np.max returns NaN when any residual is NaN, which fails the gate
+            worst = float(np.max([getattr(lad, name) for lad in lads], initial=0.0))
+            if not worst <= HW_TOL:
                 failing.append(f"{name} {worst:.2e}")
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "

@@ -111,10 +111,10 @@ class TensorState:
         return v
 
     @classmethod
-    def from_dense(cls, v: np.ndarray, n: int, N: int, tol: float = 0.0) -> "TensorState":
+    def from_dense(cls, v: np.ndarray, n: int, N: int) -> "TensorState":
         amps = {}
         for idx, a in enumerate(v):
-            if abs(a) > tol:
+            if abs(a) > 0.0:
                 amps[index_word(idx, n, N)] = complex(a) if np.iscomplexobj(v) else float(a)
         return cls(n, N, amps)
 
@@ -143,8 +143,3 @@ def index_word(idx: int, n: int, N: int) -> Word:
 def all_words(n: int, N: int) -> list[Word]:
     """All n^N words in lexicographic order."""
     return [index_word(i, n, N) for i in range(n ** N)]
-
-
-def residual(actual: TensorState, expected: TensorState) -> float:
-    """Euclidean distance between two sparse states."""
-    return actual.sub(expected).norm()

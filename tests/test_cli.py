@@ -116,6 +116,29 @@ def test_shuffle_reduced_words(capsys):
                                 "# length 3", "t1 t2 t1"]
 
 
+def test_reduced_words_past_eight_strands_exit_1(capsys):
+    # 9! words are a size refusal; N = 1 stays a validation error
+    code, out, err = run(capsys, "shuffle", "--N", "9", "--reduced-words")
+    assert (code, out) == (1, "") and "blow-up guard" in err
+    assert run(capsys, "shuffle", "--N", "1", "--reduced-words")[0] == 2
+
+
+def test_dicke_state_size_refusal(capsys):
+    # C(40, 20) ~ 1.4e11 words are refused up front; C(16, 8) = 12870 run
+    code, out, err = run(capsys, "dicke", "--n", "2", "--N", "40", "--q", "1.3",
+                         "--label", "20,20")
+    assert (code, out) == (1, "") and "137846528820 words" in err
+    code, out, _ = run(capsys, "dicke", "--n", "2", "--N", "16", "--q", "1.3",
+                       "--label", "8,8")
+    assert code == 0 and len(json.loads(out)["coefficients"]) == 12870
+
+
+def test_shuffle_state_size_refusal(capsys):
+    code, out, err = run(capsys, "shuffle", "--n", "2", "--N", "40",
+                         "--state", "1" * 20 + "2" * 20)
+    assert (code, out) == (1, "") and "137846528820 words" in err
+
+
 def test_crystal_dot(capsys):
     code, out, _ = run(capsys, "crystal", "--n", "2", "--N", "3")
     assert code == 0
@@ -262,6 +285,9 @@ def _with(payload, **fields):
 
 MALFORMED_TABLES = [
     pytest.param(["automaton"], _with(AUTOMATON, start="x"), id="automaton-start-text"),
+    # 2.7 truncated to 2 would be a valid start; 1.5 would never accept
+    pytest.param(["automaton"], _with(AUTOMATON, start=2.7), id="automaton-start-float"),
+    pytest.param(["automaton"], _with(AUTOMATON, accepting=[1.5]), id="automaton-accepting-float"),
     pytest.param(["automaton"], _with(AUTOMATON, matrices={"a": [["x", 1.0], [1.0, 0.0]]}),
                  id="automaton-cell-text"),
     pytest.param(["automaton"], _with(AUTOMATON, matrices={"a": [[0.0, 1.0], [1.0]]}),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidlab import hecke
-from braidlab.errors import ValidationError
+from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.states import TensorState, all_words
 
 from oracles import (dense_r, dense_site_operator, inversion_count,
@@ -14,21 +14,21 @@ QS = (0.7, 1.3, 2.0)
 
 def test_r_matrix_action_rules():
     q = 1.3
-    r = hecke.r_matrix(2, q).entries
+    r = hecke.r_matrix(2, q)
     e12 = np.zeros(4); e12[1] = 1.0
     out = r @ e12
     expect = np.zeros(4); expect[2] = 1 / q        # q^{-1} x2 ox x1
     assert np.allclose(out, expect)
     e11 = np.zeros(4); e11[0] = 1.0
     assert np.allclose(r @ e11, e11)               # diagonal fixed
-    assert np.allclose(hecke.r_matrix(2, 1.0).entries,
+    assert np.allclose(hecke.r_matrix(2, 1.0),
                        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def test_r_matrix_symmetric_and_hecke_constraint():
     for n in (2, 3):
         for q in QS:
-            r = hecke.r_matrix(n, q).entries
+            r = hecke.r_matrix(n, q)
             assert np.array_equal(r, r.T)
             resid = r @ r - (1 - q ** -2) * r - q ** -2 * np.eye(n * n)
             assert np.abs(resid).max() < 1e-14
@@ -83,6 +83,24 @@ def test_braid_and_far_commutation_relations():
                 far_lhs = hecke.apply_generator(hecke.apply_generator(v, 1, q), 3, q)
                 far_rhs = hecke.apply_generator(hecke.apply_generator(v, 3, q), 1, q)
                 assert far_lhs.sub(far_rhs).norm() < 1e-12
+
+
+def test_sparse_state_bound_is_shared(monkeypatch):
+    # one bound holds the shuffle output (the rearrangements of each letter
+    # content: 6 of 1122; 3 + 3 for the contents of 112 and 122; 10 of
+    # 11122) and the raising basis (n^N words)
+    from braidlab import errors, qalgebra
+    monkeypatch.setattr(errors, "MAX_SPARSE_WORDS", 8)
+    assert len(hecke.q_symmetrize(TensorState.basis(2, (1, 1, 2, 2)), 1.3).amps) == 6
+    two_contents = TensorState(2, 3, {(1, 1, 2): 1.0, (2, 2, 1): 1.0, (1, 2, 1): 1.0})
+    hecke.q_symmetrize(two_contents, 1.3)
+    with pytest.raises(SizeGuardError):
+        hecke.q_symmetrize(TensorState.basis(2, (1, 1, 1, 2, 2)), 1.3)
+    with pytest.raises(SizeGuardError):
+        qalgebra.q_dicke(2, 5, (3, 2), 1.3)
+    assert len(qalgebra.generate_basis_by_raising(2, 3, 1.3)) == 4
+    with pytest.raises(SizeGuardError):
+        qalgebra.generate_basis_by_raising(2, 4, 1.3)
 
 
 def test_shuffle_small_cases():
@@ -186,7 +204,7 @@ def test_reduced_words_reach_each_permutation_once():
 
 
 def test_reduced_words_guard():
-    with pytest.raises(ValidationError):
+    with pytest.raises(SizeGuardError):
         hecke.reduced_words(9)
     with pytest.raises(ValidationError):
         hecke.reduced_words(1)

@@ -31,3 +31,13 @@ def test_distinctness_scan_reports_the_smallest_gap():
     lines = run_script("distinctness_scan.py", "--max-N", "6").splitlines()
     assert lines[-1] == "distinct"
     assert lines[-2] == "smallest gap 1.366e-02 at (q, N, k) = (0.7, 6, 3)"
+
+
+def test_word_sum_commutators_exact_q1_verdicts():
+    # the exact group-algebra check: length sums commute for N = 2 and 3,
+    # and four pairs stop commuting at N = 4 (run_script checks exit 0)
+    lines = run_script("word_sum_commutators.py").splitlines()
+    assert [line.strip() for line in lines if "exact q=1" in line] == [
+        "exact q=1 group algebra: all length sums commute",
+        "exact q=1 group algebra: all length sums commute",
+        "exact q=1 group algebra: noncommuting pairs [(1, 2), (1, 4), (2, 5), (4, 5)]"]

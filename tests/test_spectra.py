@@ -638,6 +638,16 @@ def test_ladder_residuals_above_tolerance_fail_the_report():
     assert rep.ok is False
 
 
+def test_nan_ladder_residual_fails_the_gate():
+    # q = 1e100 overflows the sector-0 kappa check to NaN, which no
+    # comparison with HW_TOL can pass
+    with np.errstate(all="ignore"):
+        rep = spectra.classify_sectors(spectra.diagonalize(spectra.OpenChain(2, 3, 1e100)))
+    assert np.isnan(rep.sectors[0][0].kappa_residual)
+    assert "sector 0 ladder residuals above 1e-08: kappa_residual nan" in rep.warnings
+    assert rep.ok is False
+
+
 def test_cross_sector_degeneracy_warning(monkeypatch):
     # sector 1 is made to report the sector-0 eigenvalue N - 1 = 3 in place
     # of its lowest one: the clash is warned about, and _annotate labels the
@@ -808,6 +818,22 @@ def test_diagonalize_guard():
         spectra.diagonalize(spectra.OpenChain(4, 10, Q))
     # n = 2 is allowed past the dense cap through the weight-block path
     spectra.diagonalize(spectra.OpenChain(2, 13, Q))
+
+
+def test_guard_is_the_largest_solved_block(monkeypatch):
+    # refused past n^N unless n = 2 and the middle weight block,
+    # binomial(N, N//2) <= 2^N, fits: the largest block each path solves
+    for limit in (5, 20, 100, 4096):
+        monkeypatch.setenv("BRAIDLAB_MAX_DIM", str(limit))
+        for n in range(1, 6):
+            for N in range(1, 16):
+                refused = n ** N > limit and not (n == 2 and comb(N, N // 2) <= limit)
+                try:
+                    spectra._check_guard(spectra.OpenChain(n, N, Q))
+                except SizeGuardError:
+                    assert refused, (limit, n, N)
+                else:
+                    assert not refused, (limit, n, N)
 
 
 def test_guard_env_override(monkeypatch):

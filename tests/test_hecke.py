@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidlab import hecke
+from braidlab import errors, hecke, qalgebra
 from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.states import TensorState, all_words
 
@@ -89,7 +89,6 @@ def test_sparse_state_bound_is_shared(monkeypatch):
     # one bound holds the shuffle output (the rearrangements of each letter
     # content: 6 of 1122; 3 + 3 for the contents of 112 and 122; 10 of
     # 11122) and the raising basis (n^N words)
-    from braidlab import errors, qalgebra
     monkeypatch.setattr(errors, "MAX_SPARSE_WORDS", 8)
     assert len(hecke.q_symmetrize(TensorState.basis(2, (1, 1, 2, 2)), 1.3).amps) == 6
     two_contents = TensorState(2, 3, {(1, 1, 2): 1.0, (2, 2, 1): 1.0, (1, 2, 1): 1.0})

@@ -84,7 +84,7 @@ def cmd_automaton(args) -> None:
 def cmd_tableaux(args) -> None:
     rows = tableaux.dimension_table(args.n, args.N)
     emit({"schema": SCHEMA, "n": args.n, "N": args.N,
-          "schur_weyl_ok": tableaux.schur_weyl_check(args.n, args.N),
+          "schur_weyl_ok": tableaux.schur_weyl_check(args.n, args.N, rows),
           "table": rows})
 
 
@@ -182,7 +182,7 @@ def cmd_quandle(args) -> None:
     if args.quandle_cmd == "dihedral":
         table = quandle.dihedral(args.n)
         if args.spectrum:
-            spec = quandle.dihedral_spectrum(args.n)
+            spec = quandle.dihedral_spectrum(args.n, vectors=False)
             emit({"schema": SCHEMA, "n": args.n,
                   "eigenvalues": [cnum(v) for v in spec.eigenvalues],
                   "dimensions": spec.dimensions})

@@ -13,7 +13,9 @@ residues x_i = i - 1) in all I/O.
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,22 +102,29 @@ class QuandleBraid:
     """Linearized braid solution r(e_a ox e_b) = e_b ox e_{b > a}."""
 
     n: int
-    matrix: np.ndarray
     table: QuandleTable
 
     def pair_map(self, a: int, b: int) -> tuple[int, int]:
         return b, self.table.op[b][a]
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Permutation matrix on V_n tensor V_n (n^2 x n^2), built on first
+        use: pair_map alone needs none."""
+        n = self.n
+        m = np.zeros((n * n, n * n), dtype=int)
+        for a in range(n):
+            for b in range(n):
+                c, d = self.pair_map(a, b)
+                m[c * n + d, a * n + b] = 1
+        return m
+
 
 def braid_solution(table: QuandleTable) -> QuandleBraid:
-    """Permutation matrix of the rack braid solution on V_n tensor V_n."""
+    """The rack braid solution of a table; its permutation matrix is
+    QuandleBraid.matrix."""
     _require_rack(table)
-    n = table.n
-    m = np.zeros((n * n, n * n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            m[b * n + table.op[b][a], a * n + b] = 1
-    return QuandleBraid(n, m, table)
+    return QuandleBraid(table.n, table)
 
 
 def inverse_solution(table: QuandleTable) -> np.ndarray:
@@ -142,15 +151,16 @@ def braid_on_word(table: QuandleTable, word: Word, j: int) -> Word:
 class QuandleSpectrum:
     """Spectral decomposition of a quandle braid matrix (N = 2).
 
-    Eigenvalues are roots of unity, one group per value; eigenvectors are
-    stored as dense complex columns over the n^2 pair basis, built from the
-    cycle decomposition with the seed coefficient real positive.
+    Eigenvalues are roots of unity, one group per value; eigenvectors, when
+    asked for, are stored as dense complex columns over the n^2 pair basis,
+    built from the cycle decomposition with the seed coefficient real
+    positive.
     """
 
     n: int
     eigenvalues: list
     dimensions: list
-    eigenvectors: list   # list of (n^2 x dim) arrays aligned with eigenvalues
+    eigenvectors: list | None   # (n^2 x dim) arrays aligned with eigenvalues, or None
 
 
 def _cycles(items, step) -> list[list]:
@@ -171,39 +181,43 @@ def _cycles(items, step) -> list[list]:
     return cycles
 
 
-def dihedral_spectrum(n: int) -> QuandleSpectrum:
+def dihedral_spectrum(n: int, vectors: bool = True) -> QuandleSpectrum:
     """Eigenvalues and eigenspaces of the dihedral braid solution, n odd.
 
-    Every eigenvalue is an n-th root of unity.  Eigenvectors are generated
-    cycle by cycle: a cycle of length L contributes one eigenvector
-    (1/sqrt(L)) sum_t lambda^{-t} r^t (seed) for each L-th root lambda.  For
-    prime n every off-diagonal cycle has full length n and the eigenspace
-    dimensions are (n-1, ..., n-1) with 2n-1 at eigenvalue 1; for composite
-    odd n shorter cycles occur and the non-unit eigenspaces shrink.
+    Every eigenvalue is an n-th root of unity.  A cycle of length L of the
+    braid on pairs contributes one eigenvector for each L-th root lambda,
+    the n-th root with exponent j n/L, so the dimensions are counted from
+    the cycle lengths alone.  With vectors, the eigenvectors are generated
+    cycle by cycle: (1/sqrt(L)) sum_t lambda^{-t} r^t (seed); without, none
+    is built and eigenvectors is None.  For prime n every off-diagonal
+    cycle has full length n and the eigenspace dimensions are (n-1, ...,
+    n-1) with 2n-1 at eigenvalue 1; for composite odd n shorter cycles occur
+    and the non-unit eigenspaces shrink.
     """
     if n < 3 or n % 2 == 0:
         raise ValidationError("the dihedral spectrum statement covers odd n >= 3")
     braid = braid_solution(dihedral(n))
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    index = {(a, b): a * n + b for a, b in pairs}
-    by_value: dict[int, list[np.ndarray]] = {}
-    for cyc in _cycles(pairs, lambda pair: braid.pair_map(*pair)):
-        L = len(cyc)
-        for j in range(L):
-            lam = np.exp(2j * np.pi * j / L)
-            v = np.zeros(n * n, dtype=complex)
-            for t, pair in enumerate(cyc):
-                v[index[pair]] += lam ** (-t) / np.sqrt(L)
-            root = (j * (n // L)) % n  # as an n-th root exponent
-            by_value.setdefault(root, []).append(v)
-
-    eigenvalues, dims, vectors = [], [], []
-    for root in sorted(by_value, key=lambda r: (r == 0, r)):
-        cols = np.column_stack(by_value[root])
-        eigenvalues.append(np.exp(2j * np.pi * root / n))
-        dims.append(cols.shape[1])
-        vectors.append(cols)
-    return QuandleSpectrum(n, eigenvalues, dims, vectors)
+    cycles = _cycles(pairs, lambda pair: braid.pair_map(*pair))
+    # the n-th root exponent of the eigenvalue exp(2 pi i j / L) of a cycle of length L
+    exponents = [[(j * (n // len(cyc))) % n for j in range(len(cyc))] for cyc in cycles]
+    dims = Counter(root for roots in exponents for root in roots)
+    order = sorted(dims, key=lambda r: (r == 0, r))
+    eigenvalues = [np.exp(2j * np.pi * root / n) for root in order]
+    eigenvectors = None
+    if vectors:
+        index = {(a, b): a * n + b for a, b in pairs}
+        by_value: dict[int, list[np.ndarray]] = {}
+        for cyc, roots in zip(cycles, exponents):
+            L = len(cyc)
+            for j, root in enumerate(roots):
+                lam = np.exp(2j * np.pi * j / L)
+                v = np.zeros(n * n, dtype=complex)
+                for t, pair in enumerate(cyc):
+                    v[index[pair]] += lam ** (-t) / np.sqrt(L)
+                by_value.setdefault(root, []).append(v)
+        eigenvectors = [np.column_stack(by_value[root]) for root in order]
+    return QuandleSpectrum(n, eigenvalues, [dims[root] for root in order], eigenvectors)
 
 
 def quandle_group_rep(table: QuandleTable, a: int) -> np.ndarray:

@@ -13,6 +13,7 @@ kappa_m = [N-k-m]_q [m-k+1]_q.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +49,22 @@ class EigenCluster:
     hw_residual: float | None = None
 
 
+class WeightBlock(NamedTuple):
+    """One weight block as diagonalize solved it."""
+    basis: np.ndarray       # (d, N) lexicographic words (weight_basis)
+    sites: tuple            # H on the block as site arrays (_block_sites)
+    values: np.ndarray      # eigh's eigenvalues, increasing
+    vectors: np.ndarray     # (d, d) oriented, checked eigenvectors, one column per value
+
+
 @dataclass
 class SpectralDecomposition:
     n: int
     N: int
     q: float
     clusters: list
+    blocks: dict            # content -> WeightBlock
+    tol: float              # the clustering tolerance CLUSTER_RTOL * max(1, max |eigenvalue|)
 
     @property
     def eigenvalues(self) -> list[float]:
@@ -267,7 +278,9 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     once, are the clusters, valued at the mean of their means and in
     increasing order.  Exact cross-block degeneracies are the tableau
     multiplicities.  A within-block run is a run of columns and is stored as
-    a view of the block's eigenvector matrix, not a copy.
+    a view of the block's eigenvector matrix, not a copy.  Every block's
+    words, site arrays, values and vectors are kept as a WeightBlock, and
+    the tolerance as tol, for classify_sectors.
     """
     _check_guard(chain)
     n, N = chain.n, chain.N
@@ -277,17 +290,18 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
         basis = weight_basis(n, N, content)
         block = _block_sites(chain, basis)
         if content[::-1] in per_block:
-            partner, vals, partner_vecs = per_block[content[::-1]]
-            vecs = partner_vecs[_w0_positions(n, N, basis, partner)]
+            partner = per_block[content[::-1]]
+            vals = partner.values
+            vecs = partner.vectors[_w0_positions(n, N, basis, partner.basis)]
         else:
             vals, vecs = np.linalg.eigh(_dense(block))
         _orient_and_check(block, vals, vecs)
-        per_block[content] = (basis, vals, vecs)
+        per_block[content] = WeightBlock(basis, block, vals, vecs)
         max_abs = max(max_abs, float(np.abs(vals).max()))
     tol = CLUSTER_RTOL * max_abs
 
     flat = []
-    for content, (basis, vals, vecs) in per_block.items():
+    for content, (basis, _, vals, vecs) in per_block.items():
         for lo, hi in _runs(vals, tol):
             value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
             flat.append((value, content, basis, vecs[:, lo:hi]))
@@ -300,7 +314,7 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
         mult = sum(e[3].shape[1] for e in entries)
         clusters.append(EigenCluster(value, mult,
                                      [(e[1], e[2], e[3]) for e in entries]))
-    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters)
+    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, per_block, tol)
 
 
 def sector_matrix(N: int, q: float, k: int) -> np.ndarray:
@@ -351,21 +365,39 @@ class SectorReport:
     ok: bool
 
 
+class _Rung(NamedTuple):
+    """n=2 weight block m with F_1 on it: the block as diagonalize solved
+    it, e the E_1 map from block m-1 (F_1 = e.T), the runs of its values at
+    diagonalize's tolerance, fv = F_1 V for its eigenvectors V with the
+    column norms of fv, and w = [N-2m]_q, by which F_1 E_1 exceeds E_1 F_1
+    on the block."""
+    block: WeightBlock
+    e: np.ndarray
+    runs: list
+    fv: np.ndarray
+    norms: np.ndarray
+    w: float
+
+
 def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     """Assign n=2 eigenvalues to sectors and verify every sector ladder, in
     one sweep over the weight blocks m = 0..N.
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
-    kernel of F_1 on weight block k <= N/2 (see _highest_weight).  H on block
-    m (block_matrix) and E_1 from block m to m+1 (coproduct_block) are built
-    once each from ranked words; F_1 from block m to m-1 is the transpose of
-    the previous E_1 map, which it equals exactly in this basis.  Every open
-    sector-k ladder B is advanced as one matrix product over its columns,
-    checking |H B - B Lambda|, the closed-form coefficient
-    |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and
-    at the top rung m = N-k the termination |E_1 B|, each relative to the
-    rung's column norms.  A sector whose worst hw, kappa, termination or
-    eigen residual exceeds HW_TOL, or is NaN, gets a warning.  Sector labels come from
+    kernel of F_1 on weight block k <= N/2, which _highest_weight takes
+    run by run from the eigenvectors diagonalize kept (decomposition.blocks,
+    runs at decomposition.tol).  No H is rebuilt: E_1 from block m to m+1
+    (coproduct_block) is built once per block from ranked words, F_1 from
+    block m to m-1 is the transpose of the previous E_1 map, which it equals
+    exactly in this basis, and F_1 V is formed once per block m <= N/2.  The
+    open ladders are one column array, sectors increasing, advanced once per
+    block: H from the block's site arrays (_block_apply) and E_1 by one
+    dense product, checking |H B - B Lambda|, the closed-form coefficient
+    |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and at the
+    top rung m = N-k the termination |E_1 B|, each relative to the rung's
+    column norms.  The hw residual is |F_1 b| / |b| for each highest
+    weight vector b.  A sector whose worst hw, kappa, termination or eigen
+    residual exceeds HW_TOL, or is NaN, gets a warning.  Sector labels come from
     one sorted pass over every cluster and ladder value, cut into runs at
     CLUSTER_RTOL * max(1, max |cluster value|) (_runs, as in diagonalize):
     a cluster takes the lowest sector in its run and the hw_residual of
@@ -378,34 +410,42 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         raise ValidationError("sector classification is defined for the n=2 slice")
     N, q = decomposition.N, decomposition.q
     chain = OpenChain(2, N, q)
+    blocks = [decomposition.blocks[N - m, m] for m in range(N + 1)]
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
-    # open ladders: k -> (eigenvalues, current rung, residual rows hw/kappa/term/eigen)
-    ladders = {}
+    # open ladders, one column each: current rung, eigenvalue, sector
+    # (increasing) and residual rows hw/kappa/term/eigen
+    b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
     # E_1 into block 0 comes from the empty block below it
-    basis, e_down = weight_basis(2, N, (N, 0)), np.zeros((1, 0))
-    for m in range(N + 1):
-        above = weight_basis(2, N, (N - m - 1, m + 1)) if m < N else []
-        h = block_matrix(chain, basis)
-        e_up = coproduct_block(chain, "E", 1, basis, above)
+    e_down, below = np.zeros((1, 0)), None
+    for m, block in enumerate(blocks):
+        e_up = coproduct_block(chain, "E", 1, block.basis, blocks[m + 1].basis if m < N else [])
         if m <= N // 2:
-            values, b = _highest_weight(h, e_down.T)
-            res = np.zeros((4, len(values)))
-            res[0] = np.linalg.norm(e_down.T @ b, axis=0) / np.linalg.norm(b, axis=0)
-            ladders[m] = (values, b, res)
-        for k, (values, b, res) in list(ladders.items()):
-            norms = np.linalg.norm(b, axis=0)
-            res[3] = np.maximum(res[3], np.linalg.norm(h @ b - b * values, axis=0) / norms)
-            up = e_up @ b
-            if m < N - k:
-                kappa = q_number(N - k - m, q) * q_number(m - k + 1, q)
-                res[1] = np.maximum(res[1], np.linalg.norm(e_up.T @ up - kappa * b, axis=0) / norms)
-                ladders[k] = (values, up, res)
-            else:
-                res[2] = np.linalg.norm(up, axis=0) / norms
-                sectors[k] = [SectorLadder(float(v), *map(float, r), m - k + 1)
-                              for v, r in zip(values, res.T)]
-                del ladders[k]
-        basis, e_down = above, e_up
+            fv = e_down.T @ block.vectors
+            rung = _Rung(block, e_down, _runs(block.values, decomposition.tol), fv,
+                         np.linalg.norm(fv, axis=0), q_number(N - 2 * m, q))
+            hw_values, hw = _highest_weight(rung, below)
+            hw_res = np.zeros((4, len(hw_values)))
+            hw_res[0] = np.linalg.norm(e_down.T @ hw, axis=0) / np.linalg.norm(hw, axis=0)
+            b, values = np.hstack([b, hw]), np.concatenate([values, hw_values])
+            sector = np.concatenate([sector, np.full(len(hw_values), m)])
+            res = np.hstack([res, hw_res])
+            below = rung
+        norms = np.linalg.norm(b, axis=0)
+        res[3] = np.maximum(res[3], np.linalg.norm(_block_apply(block.sites, b) - b * values,
+                                                   axis=0) / norms)
+        up = e_up @ b
+        top = int(np.searchsorted(sector, N - m))    # sector N - m ends here
+        ks, counts = np.unique(sector[:top], return_counts=True)
+        kappa = np.repeat([q_number(N - k - m, q) * q_number(m - k + 1, q) for k in ks.tolist()],
+                          counts)
+        res[1, :top] = np.maximum(res[1, :top], np.linalg.norm(
+            e_up.T @ up[:, :top] - kappa * b[:, :top], axis=0) / norms[:top])
+        res[2, top:] = np.linalg.norm(up[:, top:], axis=0) / norms[top:]
+        if top < len(sector):
+            sectors[N - m] = [SectorLadder(v, *r, 2 * m - N + 1)
+                              for v, r in zip(values[top:].tolist(), res[:, top:].T.tolist())]
+        b, values, sector, res = up[:, :top], values[:top], sector[:top], res[:, :top]
+        e_down = e_up
 
     # cluster values, then ladder values tagged (k, i) for ladder i of sector k
     clusters = decomposition.clusters
@@ -444,17 +484,66 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
 
 
-def _highest_weight(h: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of H restricted to the kernel of F_1.
+def _highest_weight(rung: _Rung, below: _Rung | None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of H on the kernel of F_1 in one weight
+    block m, from the block's eigenpairs (rung.block) and F_1 V (rung.fv).
 
-    The null space is read off one singular value decomposition, with the
-    rank counted against HW_TOL times the largest singular value, so the
-    sector counts stay measurements.
+    F_1 commutes with H, so ker F_1 is spanned by pieces of eigenspaces:
+    per run of the block's values, the kernel of F_1 on the run's columns.
+    A one-column run is kept when its column norm is at most HW_TOL * s; a
+    longer run keeps the right singular vectors of its columns of F_1 V with
+    singular values at most HW_TOL * s, and H compressed onto them (the
+    run's values, diagonal in its columns) gets one small eigh, so every run
+    yields increasing values.  s, the largest singular value of F_1, is the
+    largest of the runs' singular values (the column norms of one-column
+    runs): F_1 maps distinct eigenspaces of H into mutually orthogonal ones,
+    so the singular values of F_1 V, which are those of F_1, are the runs'.
+    Counting the rank against HW_TOL * s keeps the sector counts
+    measurements.
+
+    Eigenvectors of the whole block carry components of the size of
+    rounding over the eigenvalue gap outside ker F_1, which the ladder
+    amplifies.  Two steps of b <- b - E_1 (E_1^T E_1)^-1 F_1 b, with E_1 =
+    rung.e, project them out.  E_1^T E_1 on block m-1 is F_1 E_1 = E_1 F_1
+    + [N-2m+2]_q, so in the eigenvectors V of block m-1 it is (F_1 V)^T
+    (F_1 V) + [N-2m+2]_q (below.fv and below.w), block-diagonal over runs:
+    its inverse is one division per column of a one-column run and one
+    small solve per longer run.  Block 0 (below is None) has F_1 = 0.
     """
-    _, sv, vt = np.linalg.svd(f)
-    kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
-    vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
-    return vals, kernel @ rot
+    vals, vecs, fv, norms = rung.block.values, rung.block.vectors, rung.fv, rung.norms
+    multi = [(lo, hi, *np.linalg.svd(fv[:, lo:hi])[1:]) for lo, hi in rung.runs if hi - lo > 1]
+    cut = HW_TOL * max([norms.max(initial=0.0)] + [sv.max(initial=0.0) for *_, sv, _ in multi])
+    keep = norms <= cut
+    for lo, hi, _, _ in multi:
+        keep[lo:hi] = False
+    cols = np.flatnonzero(keep)
+    starts, hw_values, hw = [cols], [vals[cols]], [vecs[:, cols]]
+    for lo, hi, sv, vt in multi:
+        w = vt[np.count_nonzero(sv > cut):].T
+        run_vals, rot = np.linalg.eigh((w.T * vals[lo:hi]) @ w)
+        starts.append(np.full(len(run_vals), lo))
+        hw_values.append(run_vals)
+        hw.append(vecs[:, lo:hi] @ (w @ rot))
+    order = np.argsort(np.concatenate(starts), kind="stable")     # runs in increasing order
+    b = np.hstack(hw)[:, order]
+    if below is not None:
+        for _ in range(2):
+            b -= rung.e @ _solve_f1e1(below, rung.e.T @ b)
+    return np.concatenate(hw_values)[order], b
+
+
+def _solve_f1e1(rung: _Rung, y: np.ndarray) -> np.ndarray:
+    """(F_1 E_1)^-1 y on the rung's block, from its eigenvectors V:
+    V G^-1 V^T y with G = (F_1 V)^T (F_1 V) + [N-2m]_q block-diagonal over
+    the runs (see _highest_weight)."""
+    vecs, fv = rung.block.vectors, rung.fv
+    c = vecs.T @ y
+    x = c / (rung.norms ** 2 + rung.w)[:, None]
+    for lo, hi in rung.runs:
+        if hi - lo > 1:
+            g = fv[:, lo:hi].T @ fv[:, lo:hi] + rung.w * np.eye(hi - lo)
+            x[lo:hi] = np.linalg.solve(g, c[lo:hi])
+    return vecs @ x
 
 
 @dataclass
@@ -473,9 +562,13 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     """Cross-check the diagonalized multiplicities against tableau predictions.
 
     For n=2: each sector k must contribute m_k eigenvalues of multiplicity
-    N - 2k + 1, and their total must be 2^N.  For general n only the total
-    dimension is matched against the Schur-Weyl sum (the lambda-resolved
-    matching is a gl_2 statement).
+    N - 2k + 1, and their total must be 2^N.  The sectors come from
+    classify_sectors on the one decomposition diagonalize returns: the
+    highest weight vectors are its kept eigenvectors, taken run by run in
+    the kernel of F_1, so no block of H is built or solved twice.  For
+    general n only the total dimension is matched against the Schur-Weyl
+    sum, from the hook and hook-content formulas of tableaux (the
+    lambda-resolved matching is a gl_2 statement).
     """
     from .tableaux import partitions_of, ssyt_dim, syt_dim
     chain = OpenChain(n, N, q)

@@ -1,16 +1,19 @@
 """Partitions and Young tableau dimension counting.
 
-Standard-tableau dimensions come from the hook length formula in exact
-integer arithmetic; semistandard counts come from backtracking enumeration,
-so every number is traceable to first principles.  These counts predict the
+Standard-tableau dimensions come from the hook length formula and
+semistandard ones from the hook-content formula, both in exact integer
+arithmetic; Kostka numbers come from backtracking enumeration, so every
+number is traceable to first principles.  These counts predict the
 eigenspace dimensions and multiplicities of the invariant open chain.
 """
 
 from math import comb, factorial
 
-from .errors import ValidationError
+from .errors import SizeGuardError, ValidationError
 
 Partition = tuple[int, ...]
+# partitions_of enumerates one partition at a time; this bounds the list
+MAX_PARTITIONS = 10 ** 4
 
 
 def check_partition(parts) -> Partition:
@@ -22,11 +25,30 @@ def check_partition(parts) -> Partition:
     return parts
 
 
+def partition_count(N: int, max_rows: int) -> int:
+    """Number of partitions of N with at most max_rows parts: by
+    conjugation, the partitions of N into parts of size at most max_rows,
+    counted by the recurrence over part sizes."""
+    ways = [1] + [0] * N
+    for part in range(1, min(max_rows, N) + 1):
+        for total in range(part, N + 1):
+            ways[total] += ways[total - part]
+    return ways[N]
+
+
 def partitions_of(N: int, max_rows: int | None = None) -> list[Partition]:
     """All partitions of N (optionally with at most max_rows parts), in
-    reverse-lexicographic order: (N) first, (1,...,1) last."""
+    reverse-lexicographic order: (N) first, (1,...,1) last.  More than
+    MAX_PARTITIONS of them (partition_count) is a SizeGuardError."""
     if N < 1:
         raise ValidationError("N must be >= 1")
+    if max_rows is not None and max_rows < 0:
+        raise ValidationError(f"max_rows must be >= 0, got {max_rows}")
+    rows = N if max_rows is None else max_rows
+    count = partition_count(N, rows)
+    if count > MAX_PARTITIONS:
+        raise SizeGuardError(f"partitions of {N} with at most {rows} rows: {count} "
+                             f"exceed the enumeration bound {MAX_PARTITIONS}")
     out = []
 
     def descend(remaining, cap, prefix):
@@ -35,7 +57,9 @@ def partitions_of(N: int, max_rows: int | None = None) -> list[Partition]:
             return
         if max_rows is not None and len(prefix) == max_rows:
             return
-        for part in range(min(cap, remaining), 0, -1):
+        # parts no larger than this one must fill the rows that are left
+        least = 1 if max_rows is None else -(-remaining // (max_rows - len(prefix)))
+        for part in range(min(cap, remaining), least - 1, -1):
             prefix.append(part)
             descend(remaining - part, part, prefix)
             prefix.pop()
@@ -46,7 +70,11 @@ def partitions_of(N: int, max_rows: int | None = None) -> list[Partition]:
 
 def hook_lengths(shape: Partition) -> list[list[int]]:
     shape = check_partition(shape)
-    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    # cols[j], the length of column j: exactly rows 0..i reach columns shape[i+1]..shape[i]-1
+    cols = [0] * shape[0]
+    for i, row in enumerate(shape):
+        below = shape[i + 1] if i + 1 < len(shape) else 0
+        cols[below:row] = [i + 1] * (row - below)
     return [[(row - j) + (cols[j] - i) - 1 for j in range(row)]
             for i, row in enumerate(shape)]
 
@@ -65,16 +93,16 @@ def syt_dim(shape: Partition) -> int:
     return quotient
 
 
-def _ssyt_count(shape: Partition, n: int, content: tuple[int, ...] | None) -> int:
-    """Backtracking count of semistandard fillings with entries in [1, n].
+def _ssyt_count(shape: Partition, content: tuple[int, ...]) -> int:
+    """Backtracking count of semistandard fillings in which entry i appears
+    exactly content[i-1] times.
 
-    Rows weakly increase, columns strictly increase.  When ``content`` is
-    given, entry i must appear exactly content[i-1] times.
+    Rows weakly increase, columns strictly increase.
     """
-    rows = len(shape)
+    rows, n = len(shape), len(content)
     if rows > n:
         return 0
-    remaining = list(content) if content is not None else None
+    remaining = list(content)
 
     def fill(i, j, above_rows):
         # above_rows[r][j] = entry at row r, column j (rows already filled up to (i, j))
@@ -89,15 +117,13 @@ def _ssyt_count(shape: Partition, n: int, content: tuple[int, ...] | None) -> in
             lo = max(lo, above_rows[i - 1][j] + 1)
         total = 0
         for v in range(lo, n + 1):
-            if remaining is not None:
-                if v > len(remaining) or remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
             above_rows[i].append(v)
             total += fill(i, j + 1, above_rows)
             above_rows[i].pop()
-            if remaining is not None:
-                remaining[v - 1] += 1
+            remaining[v - 1] += 1
         return total
 
     return fill(0, 0, [[] for _ in range(rows)])
@@ -105,11 +131,24 @@ def _ssyt_count(shape: Partition, n: int, content: tuple[int, ...] | None) -> in
 
 def ssyt_dim(shape: Partition, n: int) -> int:
     """Number of semistandard Young tableaux of the given shape with entries
-    in [1, n]; the dimension of the corresponding irreducible gl_n module."""
+    in [1, n]; the dimension of the corresponding irreducible gl_n module.
+
+    The hook-content formula: the product over the cells u = (i, j) of
+    (n + j - i) / h(u), in exact integers; a shape with more than n rows has
+    the factor n + 0 - n = 0 in its first column.
+    """
     if n < 1:
         raise ValidationError("alphabet size n must be >= 1")
     shape = check_partition(shape)
-    return _ssyt_count(shape, n, None)
+    numer = denom = 1
+    for i, row in enumerate(hook_lengths(shape)):
+        for j, h in enumerate(row):
+            numer *= n + j - i
+            denom *= h
+    quotient, rem = divmod(numer, denom)
+    if rem:
+        raise ValidationError(f"hook product {denom} does not divide {numer}")
+    return quotient
 
 
 def kostka(shape: Partition, content) -> int:
@@ -120,7 +159,7 @@ def kostka(shape: Partition, content) -> int:
         raise ValidationError("content entries must be nonnegative")
     if sum(shape) != sum(content):
         raise ValidationError(f"|shape|={sum(shape)} and |content|={sum(content)} differ")
-    return _ssyt_count(shape, len(content), content)
+    return _ssyt_count(shape, content)
 
 
 def ordered_sequence_count(n: int, N: int) -> int:
@@ -129,15 +168,18 @@ def ordered_sequence_count(n: int, N: int) -> int:
     return comb(n + N - 1, N)
 
 
-def schur_weyl_check(n: int, N: int) -> bool:
-    """True iff sum over partitions (rows <= n) of syt_dim * ssyt_dim is n^N."""
+def schur_weyl_check(n: int, N: int, table: list[dict] | None = None) -> bool:
+    """True iff sum over partitions (rows <= n) of syt_dim * ssyt_dim is
+    n^N; table, if given, is dimension_table(n, N), summed as it stands."""
     if n < 1 or N < 1:
         raise ValidationError("n and N must be >= 1")
-    total = sum(syt_dim(lam) * ssyt_dim(lam, n) for lam in partitions_of(N, max_rows=n))
-    return total == n ** N
+    rows = dimension_table(n, N) if table is None else table
+    return sum(r["syt_dim"] * r["ssyt_dim"] for r in rows) == n ** N
 
 
 def dimension_table(n: int, N: int) -> list[dict]:
     """Rows {partition, syt_dim, ssyt_dim} for every partition of N with <= n rows."""
+    if n < 1:
+        raise ValidationError("alphabet size n must be >= 1")
     return [{"partition": list(lam), "syt_dim": syt_dim(lam), "ssyt_dim": ssyt_dim(lam, n)}
             for lam in partitions_of(N, max_rows=n)]

@@ -9,7 +9,9 @@ at a time.  The library builds every weight block from ranked words
 (spectra.block_matrix, spectra.coproduct_block); the tests hold those
 blocks to these paths bit for bit.  Likewise sector_warnings_pairwise and
 annotate_pairwise are the pairwise tolerance scans that
-spectra.classify_sectors replaced by one sorted pass.
+spectra.classify_sectors replaced by one sorted pass, and
+highest_weight_svd is the kernel of F_1 from a full SVD that it replaced by
+the kernel per run of diagonalize's eigenvectors.
 """
 
 from itertools import permutations, product
@@ -227,3 +229,14 @@ def annotate_pairwise(decomposition, sectors):
                     break
             if cluster.sector is not None:
                 break
+
+
+def highest_weight_svd(h, f):
+    """Eigenvalues and eigenvectors of H restricted to the kernel of F_1,
+    from a dense block h and F_1 = f: the null space from one full singular
+    value decomposition, with the rank counted against HW_TOL times the
+    largest singular value, then one eigh of h compressed onto it."""
+    _, sv, vt = np.linalg.svd(f)
+    kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
+    vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
+    return vals, kernel @ rot

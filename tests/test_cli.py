@@ -82,6 +82,27 @@ def test_tableaux_payload(capsys):
         (3,): 10, (2, 1): 8, (1, 1, 1): 1}
 
 
+def test_tableaux_computes_each_dimension_once(capsys, monkeypatch):
+    # one ssyt_dim call per partition of 10 with at most 6 rows (35), shared
+    # by the table and the Schur-Weyl check
+    from braidlab import tableaux
+    calls = []
+    real = tableaux.ssyt_dim
+    monkeypatch.setattr(tableaux, "ssyt_dim", lambda shape, n: calls.append(shape) or real(shape, n))
+    code, out, _ = run(capsys, "tableaux", "--n", "6", "--N", "10")
+    assert code == 0 and json.loads(out)["schur_weyl_ok"] is True
+    assert len(calls) == len(set(calls)) == 35
+
+
+def test_tableaux_enumeration_refusal(capsys):
+    # 16928 partitions of 40 with at most 10 rows exceed the bound; the
+    # 70 of 12 with at most 8 rows run
+    code, out, err = run(capsys, "tableaux", "--n", "10", "--N", "40")
+    assert (code, out) == (1, "") and "16928 exceed the enumeration bound" in err
+    code, out, _ = run(capsys, "tableaux", "--n", "8", "--N", "12")
+    assert code == 0 and len(json.loads(out)["table"]) == 70
+
+
 def test_dicke_payload(capsys):
     code, out, _ = run(capsys, "dicke", "--n", "2", "--N", "2", "--q", "1.3",
                        "--label", "1,1")

@@ -142,6 +142,17 @@ def test_dihedral_spectrum_matches_dense_oracle():
         assert sorted(map(key, ours)) == sorted(map(key, np.round(dense, 10)))
 
 
+def test_dihedral_spectrum_without_vectors_matches_the_vector_path():
+    # dimensions from cycle lengths alone equal the column counts of the
+    # eigenvectors built cycle by cycle, value for value
+    for n in range(3, 22, 2):
+        bare = quandle.dihedral_spectrum(n, vectors=False)
+        full = quandle.dihedral_spectrum(n)
+        assert bare.eigenvectors is None
+        assert bare.eigenvalues == full.eigenvalues, n
+        assert bare.dimensions == full.dimensions == [v.shape[1] for v in full.eigenvectors], n
+
+
 def test_dihedral_spectrum_composite_odd_differs_from_prime_pattern():
     # n = 9 has short cycles (step divisible by 3), so the prime-n dimension
     # pattern does not hold; the cycle-exact computation is still correct

@@ -1,10 +1,11 @@
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from braidlab import tableaux
-from braidlab.errors import ValidationError
+from braidlab.errors import SizeGuardError, ValidationError
 
 from oracles import count_ssyt_bruteforce, count_syt_bruteforce
 
@@ -51,6 +52,39 @@ def test_ssyt_dim_matches_bruteforce():
             for shape in tableaux.partitions_of(N):
                 assert tableaux.ssyt_dim(shape, n) == count_ssyt_bruteforce(shape, n), \
                     (shape, n)
+
+
+def _contents(N, n):
+    """Every weak composition of N into n parts."""
+    for cuts in combinations(range(N + n - 1), n - 1):
+        bounds = (-1, *cuts, N + n - 1)
+        yield tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+
+
+def test_ssyt_dim_hook_content_matches_kostka_enumeration():
+    # the semistandard tableaux with entries in [1, n] are those of every
+    # content: the sum of the enumerated Kostka numbers over them
+    for N in range(1, 9):
+        for n in range(1, 6):
+            contents = list(_contents(N, n))
+            assert len(contents) == comb(N + n - 1, n - 1)
+            for shape in tableaux.partitions_of(N):
+                assert tableaux.ssyt_dim(shape, n) == sum(
+                    tableaux.kostka(shape, mu) for mu in contents), (shape, n)
+
+
+def test_partition_count_and_enumeration_bound(monkeypatch):
+    for N in range(1, 16):
+        for rows in [None, 0, 1, 2, 3, 7, 20]:
+            count = tableaux.partition_count(N, N if rows is None else rows)
+            assert len(tableaux.partitions_of(N, max_rows=rows)) == count, (N, rows)
+    assert tableaux.partition_count(40, 10) == 16928
+    monkeypatch.setattr(tableaux, "MAX_PARTITIONS", 42)
+    assert len(tableaux.partitions_of(10)) == 42
+    with pytest.raises(SizeGuardError, match="partitions of 11 with at most 11 rows: 56"):
+        tableaux.partitions_of(11)
+    with pytest.raises(ValidationError):
+        tableaux.partitions_of(5, max_rows=-1)
 
 
 def test_ssyt_column_shape():

@@ -192,22 +192,20 @@ def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.n
     words, powers, keys, _ = _rank(n, N, source)
     target_words, _, _, lookup = _rank(n, N, target)
     step = (words == j).astype(np.int64) - (words == j + 1)
-    # terms: (source columns, image keys, twice the exponent of q)
+    # every term at once: source columns, image keys, twice the exponent of q
     if kind == "qH" or kind == "qEps":
         counts = (words == j).sum(axis=1) if kind == "qEps" else step.sum(axis=1)
-        terms = [(np.arange(len(words)), keys, 2 * counts)]
+        cols, image, exps = np.arange(len(words)), keys, 2 * counts
     else:
         left = np.cumsum(step, axis=1) - step                      # count left of k
         twice = step.sum(axis=1, keepdims=True) - step - 2 * left  # right minus left
         letter, shift = (j, 1) if kind == "E" else (j + 1, -1)
-        cols = [np.flatnonzero(words[:, k] == letter) for k in range(N)]
-        terms = [(c, keys[c] + shift * powers[k], twice[c, k]) for k, c in enumerate(cols)]
-    exps = np.concatenate([e for _, _, e in terms])
+        cols, sites = np.nonzero(words == letter)                  # (word, site k) pairs
+        image, exps = keys[cols] + shift * powers[sites], twice[cols, sites]
     lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
     table = np.array([q ** (0.5 * e) for e in range(lo, hi + 1)])
     m = np.zeros((len(target_words), len(words)))
-    for cols, image, e in terms:
-        m[lookup(image), cols] = table[e - lo]
+    m[lookup(image), cols] = table[exps - lo]
     return m
 
 

@@ -182,7 +182,7 @@ def cmd_quandle(args) -> None:
     if args.quandle_cmd == "dihedral":
         table = quandle.dihedral(args.n)
         if args.spectrum:
-            spec = quandle.dihedral_spectrum(args.n, vectors=False)
+            spec = quandle.dihedral_spectrum(args.n)
             emit({"schema": SCHEMA, "n": args.n,
                   "eigenvalues": [cnum(v) for v in spec.eigenvalues],
                   "dimensions": spec.dimensions})

@@ -14,7 +14,7 @@ residues x_i = i - 1) in all I/O.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -151,16 +151,40 @@ def braid_on_word(table: QuandleTable, word: Word, j: int) -> Word:
 class QuandleSpectrum:
     """Spectral decomposition of a quandle braid matrix (N = 2).
 
-    Eigenvalues are roots of unity, one group per value; eigenvectors, when
-    asked for, are stored as dense complex columns over the n^2 pair basis,
-    built from the cycle decomposition with the seed coefficient real
-    positive.
+    Eigenvalues are roots of unity, one group per value, with dimensions
+    counted from the cycles of the braid on pairs.  The eigenvectors are
+    built from those cycles on first access.
     """
 
     n: int
     eigenvalues: list
     dimensions: list
-    eigenvectors: list | None   # (n^2 x dim) arrays aligned with eigenvalues, or None
+    roots: list = field(repr=False)     # the n-th root exponent of each eigenvalue
+    cycles: list = field(repr=False)    # the cycles of the braid on pairs (_cycles)
+
+    @cached_property
+    def eigenvectors(self) -> list:
+        """(n^2 x dim) dense complex arrays over the pair basis, aligned
+        with eigenvalues: a cycle of length L contributes (1/sqrt(L))
+        sum_t lambda^{-t} r^t (seed) for each L-th root lambda, so the seed
+        coefficient is real positive."""
+        n = self.n
+        by_value: dict[int, list[np.ndarray]] = {}
+        for cyc in self.cycles:
+            L = len(cyc)
+            for j in range(L):
+                lam = np.exp(2j * np.pi * j / L)
+                v = np.zeros(n * n, dtype=complex)
+                for t, (a, b) in enumerate(cyc):
+                    v[a * n + b] += lam ** (-t) / np.sqrt(L)
+                by_value.setdefault(_root_exponent(n, L, j), []).append(v)
+        return [np.column_stack(by_value[root]) for root in self.roots]
+
+
+def _root_exponent(n: int, L: int, j: int) -> int:
+    """The n-th root exponent of the eigenvalue exp(2 pi i j / L) of a cycle
+    of length L."""
+    return (j * (n // L)) % n
 
 
 def _cycles(items, step) -> list[list]:
@@ -181,43 +205,26 @@ def _cycles(items, step) -> list[list]:
     return cycles
 
 
-def dihedral_spectrum(n: int, vectors: bool = True) -> QuandleSpectrum:
+def dihedral_spectrum(n: int) -> QuandleSpectrum:
     """Eigenvalues and eigenspaces of the dihedral braid solution, n odd.
 
     Every eigenvalue is an n-th root of unity.  A cycle of length L of the
-    braid on pairs contributes one eigenvector for each L-th root lambda,
-    the n-th root with exponent j n/L, so the dimensions are counted from
-    the cycle lengths alone.  With vectors, the eigenvectors are generated
-    cycle by cycle: (1/sqrt(L)) sum_t lambda^{-t} r^t (seed); without, none
-    is built and eigenvectors is None.  For prime n every off-diagonal
-    cycle has full length n and the eigenspace dimensions are (n-1, ...,
-    n-1) with 2n-1 at eigenvalue 1; for composite odd n shorter cycles occur
-    and the non-unit eigenspaces shrink.
+    braid on pairs contributes one eigenvector for each L-th root, so the
+    dimensions are counted from the cycle lengths alone; the eigenvectors
+    are built only when QuandleSpectrum.eigenvectors is read.  For prime n
+    every off-diagonal cycle has full length n and the eigenspace
+    dimensions are (n-1, ..., n-1) with 2n-1 at eigenvalue 1; for composite
+    odd n shorter cycles occur and the non-unit eigenspaces shrink.
     """
     if n < 3 or n % 2 == 0:
         raise ValidationError("the dihedral spectrum statement covers odd n >= 3")
     braid = braid_solution(dihedral(n))
     pairs = [(a, b) for a in range(n) for b in range(n)]
     cycles = _cycles(pairs, lambda pair: braid.pair_map(*pair))
-    # the n-th root exponent of the eigenvalue exp(2 pi i j / L) of a cycle of length L
-    exponents = [[(j * (n // len(cyc))) % n for j in range(len(cyc))] for cyc in cycles]
-    dims = Counter(root for roots in exponents for root in roots)
-    order = sorted(dims, key=lambda r: (r == 0, r))
-    eigenvalues = [np.exp(2j * np.pi * root / n) for root in order]
-    eigenvectors = None
-    if vectors:
-        index = {(a, b): a * n + b for a, b in pairs}
-        by_value: dict[int, list[np.ndarray]] = {}
-        for cyc, roots in zip(cycles, exponents):
-            L = len(cyc)
-            for j, root in enumerate(roots):
-                lam = np.exp(2j * np.pi * j / L)
-                v = np.zeros(n * n, dtype=complex)
-                for t, pair in enumerate(cyc):
-                    v[index[pair]] += lam ** (-t) / np.sqrt(L)
-                by_value.setdefault(root, []).append(v)
-        eigenvectors = [np.column_stack(by_value[root]) for root in order]
-    return QuandleSpectrum(n, eigenvalues, [dims[root] for root in order], eigenvectors)
+    dims = Counter(_root_exponent(n, len(cyc), j) for cyc in cycles for j in range(len(cyc)))
+    roots = sorted(dims, key=lambda r: (r == 0, r))
+    return QuandleSpectrum(n, [np.exp(2j * np.pi * root / n) for root in roots],
+                           [dims[root] for root in roots], roots, cycles)
 
 
 def quandle_group_rep(table: QuandleTable, a: int) -> np.ndarray:

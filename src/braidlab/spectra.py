@@ -21,6 +21,9 @@ from .errors import ValidationError, check_dense_dim
 from .qalgebra import check_label, dicke_labels, q_number
 
 CLUSTER_RTOL = 1e-8
+# the kernel step of classify_sectors cuts a block's values into runs at
+# KERNEL_RTOL * max(1, max |eigenvalue|), wider than the clusters
+KERNEL_RTOL = 1e-6
 EIG_RESIDUAL_TOL = 1e-9
 HW_TOL = 1e-8
 RESIDUAL_CHUNK = 128
@@ -366,9 +369,9 @@ class SectorReport:
 class _Rung(NamedTuple):
     """n=2 weight block m with F_1 on it: the block as diagonalize solved
     it, e the E_1 map from block m-1 (F_1 = e.T), the runs of its values at
-    diagonalize's tolerance, fv = F_1 V for its eigenvectors V with the
-    column norms of fv, and w = [N-2m]_q, by which F_1 E_1 exceeds E_1 F_1
-    on the block."""
+    KERNEL_RTOL (see _highest_weight), fv = F_1 V for its eigenvectors V
+    with the column norms of fv, and w = [N-2m]_q, by which F_1 E_1 exceeds
+    E_1 F_1 on the block."""
     block: WeightBlock
     e: np.ndarray
     runs: list
@@ -384,7 +387,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
     kernel of F_1 on weight block k <= N/2, which _highest_weight takes
     run by run from the eigenvectors diagonalize kept (decomposition.blocks,
-    runs at decomposition.tol).  No H is rebuilt: E_1 from block m to m+1
+    runs at KERNEL_RTOL).  No H is rebuilt: E_1 from block m to m+1
     (coproduct_block) is built once per block from ranked words, F_1 from
     block m to m-1 is the transpose of the previous E_1 map, which it equals
     exactly in this basis, and F_1 V is formed once per block m <= N/2.  The
@@ -408,6 +411,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         raise ValidationError("sector classification is defined for the n=2 slice")
     N, q = decomposition.N, decomposition.q
     chain = OpenChain(2, N, q)
+    kernel_tol = decomposition.tol * (KERNEL_RTOL / CLUSTER_RTOL)
     blocks = [decomposition.blocks[N - m, m] for m in range(N + 1)]
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
     # open ladders, one column each: current rung, eigenvalue, sector
@@ -419,7 +423,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         e_up = coproduct_block(chain, "E", 1, block.basis, blocks[m + 1].basis if m < N else [])
         if m <= N // 2:
             fv = e_down.T @ block.vectors
-            rung = _Rung(block, e_down, _runs(block.values, decomposition.tol), fv,
+            rung = _Rung(block, e_down, _runs(block.values, kernel_tol), fv,
                          np.linalg.norm(fv, axis=0), q_number(N - 2 * m, q))
             hw_values, hw = _highest_weight(rung, below)
             hw_res = np.zeros((4, len(hw_values)))
@@ -488,6 +492,13 @@ def _highest_weight(rung: _Rung, below: _Rung | None) -> tuple[np.ndarray, np.nd
 
     F_1 commutes with H, so ker F_1 is spanned by pieces of eigenspaces:
     per run of the block's values, the kernel of F_1 on the run's columns.
+    The runs are cut at KERNEL_RTOL * max(1, max |eigenvalue|), a hundred
+    times the clustering tolerance: eigh mixes the columns of two
+    eigenvalues a gap g apart by about rounding * |H| / g, which for g near
+    the clustering tolerance is the size of the cut below and could put a
+    column on the wrong side of it.  Across runs the mixing is then at most
+    about rounding / KERNEL_RTOL (2e-10 of a column, under the cut), and
+    inside a run the SVD of F_1 finds the kernel in any basis of its span.
     A one-column run is kept when its column norm is at most HW_TOL * s; a
     longer run keeps the right singular vectors of its columns of F_1 V with
     singular values at most HW_TOL * s, and H compressed onto them (the

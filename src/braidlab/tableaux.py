@@ -70,11 +70,7 @@ def partitions_of(N: int, max_rows: int | None = None) -> list[Partition]:
 
 def hook_lengths(shape: Partition) -> list[list[int]]:
     shape = check_partition(shape)
-    # cols[j], the length of column j: exactly rows 0..i reach columns shape[i+1]..shape[i]-1
-    cols = [0] * shape[0]
-    for i, row in enumerate(shape):
-        below = shape[i + 1] if i + 1 < len(shape) else 0
-        cols[below:row] = [i + 1] * (row - below)
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
     return [[(row - j) + (cols[j] - i) - 1 for j in range(row)]
             for i, row in enumerate(shape)]
 
@@ -168,13 +164,13 @@ def ordered_sequence_count(n: int, N: int) -> int:
     return comb(n + N - 1, N)
 
 
-def schur_weyl_check(n: int, N: int, table: list[dict] | None = None) -> bool:
-    """True iff sum over partitions (rows <= n) of syt_dim * ssyt_dim is
-    n^N; table, if given, is dimension_table(n, N), summed as it stands."""
+def schur_weyl_check(n: int, N: int, table: list[dict]) -> bool:
+    """True iff the sum of syt_dim * ssyt_dim over table, which is
+    dimension_table(n, N) (every partition of N with at most n rows), is
+    n^N."""
     if n < 1 or N < 1:
         raise ValidationError("n and N must be >= 1")
-    rows = dimension_table(n, N) if table is None else table
-    return sum(r["syt_dim"] * r["ssyt_dim"] for r in rows) == n ** N
+    return sum(r["syt_dim"] * r["ssyt_dim"] for r in table) == n ** N
 
 
 def dimension_table(n: int, N: int) -> list[dict]:

@@ -237,7 +237,7 @@ def test_criterion_8_tableaux():
                 assert tableaux.syt_dim(shape) == count_syt_bruteforce(shape)
         for n in range(1, 5):
             for N in range(1, 8):
-                assert tableaux.schur_weyl_check(n, N)
+                assert tableaux.schur_weyl_check(n, N, tableaux.dimension_table(n, N))
         assert tableaux.ssyt_dim((2, 1), 3) == 8
 
 

@@ -142,15 +142,17 @@ def test_dihedral_spectrum_matches_dense_oracle():
         assert sorted(map(key, ours)) == sorted(map(key, np.round(dense, 10)))
 
 
-def test_dihedral_spectrum_without_vectors_matches_the_vector_path():
-    # dimensions from cycle lengths alone equal the column counts of the
-    # eigenvectors built cycle by cycle, value for value
+def test_dihedral_spectrum_builds_vectors_on_first_access():
+    # the dimensions counted from cycle lengths equal the column counts of
+    # the eigenvectors built cycle by cycle, value for value, and no vector
+    # exists before eigenvectors is read
     for n in range(3, 22, 2):
-        bare = quandle.dihedral_spectrum(n, vectors=False)
-        full = quandle.dihedral_spectrum(n)
-        assert bare.eigenvectors is None
-        assert bare.eigenvalues == full.eigenvalues, n
-        assert bare.dimensions == full.dimensions == [v.shape[1] for v in full.eigenvectors], n
+        spec = quandle.dihedral_spectrum(n)
+        assert "eigenvectors" not in vars(spec), n
+        r = quandle.braid_solution(quandle.dihedral(n)).matrix
+        assert spec.dimensions == [v.shape[1] for v in spec.eigenvectors], n
+        for lam, cols in zip(spec.eigenvalues, spec.eigenvectors):
+            assert np.abs(r @ cols - lam * cols).max() < 1e-12, n
 
 
 def test_dihedral_spectrum_composite_odd_differs_from_prime_pattern():

@@ -601,6 +601,20 @@ def test_kernel_per_run_matches_the_svd_oracle(monkeypatch, q):
         assert fast.ok and slow.ok, N
 
 
+def test_kernel_next_to_a_crossing_matches_the_svd_oracle(monkeypatch):
+    # at q = sqrt(3) an N = 6 eigenvalue of sector 1 crosses one of sector 2
+    # in block 2; at these q the two are a little more than the clustering
+    # tolerance apart, and eigh mixes their columns by about the size of the
+    # kernel cut (one-column runs at the clustering tolerance counted 8
+    # sector-2 ladders here, not 9)
+    for q in (1.7320506495688772, 1.7320509703188771, 1.732051002318877):
+        fast_deco, fast, slow_deco, slow = _sectors_both_ways(monkeypatch, 6, q)
+        assert fast.m_observed == slow.m_observed == fast.m_predicted, q
+        assert [c.sector for c in fast_deco.clusters] == [c.sector for c in slow_deco.clusters], q
+        assert fast.warnings == slow.warnings, q
+        assert fast.ok == slow.ok, q
+
+
 def _failing(warnings):
     """(sector, residual name) for each residual a warning names, and the
     clash warnings as they stand."""

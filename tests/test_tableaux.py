@@ -122,15 +122,15 @@ def test_kostka_rejects_size_mismatch():
 
 
 def test_schur_weyl_examples():
-    assert tableaux.schur_weyl_check(2, 3)   # 1*4 + 2*2 = 8
-    assert tableaux.schur_weyl_check(1, 5)
-    assert tableaux.schur_weyl_check(3, 2)   # 1*6 + 1*3 = 9
+    assert tableaux.schur_weyl_check(2, 3, tableaux.dimension_table(2, 3))   # 1*4 + 2*2 = 8
+    assert tableaux.schur_weyl_check(1, 5, tableaux.dimension_table(1, 5))
+    assert tableaux.schur_weyl_check(3, 2, tableaux.dimension_table(3, 2))   # 1*6 + 1*3 = 9
 
 
 def test_schur_weyl_full_range():
     for n in range(1, 5):
         for N in range(1, 8):
-            assert tableaux.schur_weyl_check(n, N), (n, N)
+            assert tableaux.schur_weyl_check(n, N, tableaux.dimension_table(n, N)), (n, N)
 
 
 def test_invalid_partitions_rejected():

@@ -36,7 +36,7 @@ def main() -> int:
     ap.add_argument("--q", type=float, default=1.5)
     args = ap.parse_args()
 
-    deco = spectra.diagonalize(spectra.OpenChain(2, args.N, args.q))
+    deco = spectra.diagonalize(spectra.OpenChain(2, args.N, args.q), vectors=True)
     rep = spectra.classify_sectors(deco)
     print(f"open chain n=2, N={args.N}, q={args.q}")
     print(f"{'k':>3} {'m_k':>5} {'d_k':>5} {'eigenvalues':<{VALUES_WIDTH}} "

@@ -138,7 +138,7 @@ def cmd_crystal(args) -> None:
 
 def _spectrum_rows(args):
     chain = spectra.OpenChain(args.n, args.N, args.q)
-    deco = spectra.diagonalize(chain)
+    deco = spectra.diagonalize(chain, vectors=args.n == 2)
     if args.n == 2:
         spectra.classify_sectors(deco)
     rows = []
@@ -174,6 +174,11 @@ def cmd_verify(args) -> None:
         payload["sector_counts"] = {str(k): v for k, v in
                                     sorted(report.sector_report.m_observed.items())}
         payload["warnings"] = report.sector_report.warnings
+    if report.irreps:
+        payload["irreps"] = [{"partition": list(lam), "syt_dim": len(irrep.values),
+                              "ssyt_dim": irrep.multiplicity,
+                              "kostka_residual": fnum(irrep.residual)}
+                             for lam, irrep in report.irreps.items()]
     emit(payload)
     print("PASS" if report.ok else "FAIL", file=sys.stderr)
 

@@ -15,12 +15,13 @@ z = -1 the q-antisymmetrizer.
 
 from collections import Counter
 from itertools import permutations
-from math import factorial, isfinite, prod
+from math import isfinite
 
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError, check_sparse_words
 from .states import TensorState, Word
+from .tableaux import multinomial
 
 BraidWord = tuple[int, ...]
 
@@ -92,7 +93,7 @@ def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
 
 def _rearrangements(word: Word) -> int:
     """Distinct rearrangements of a word: the multinomial of its letter counts."""
-    return factorial(len(word)) // prod(map(factorial, Counter(word).values()))
+    return multinomial(Counter(word).values())
 
 
 def q_symmetrize(state: TensorState, q: float) -> TensorState:

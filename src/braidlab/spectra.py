@@ -2,23 +2,30 @@
 
 H preserves the multiset of letters of a word, so it block-diagonalizes over
 weight blocks (fixed letter content) before any dense solve; the full n^N
-space is only ever assembled by the test oracles.  For n = 2 the weight-k
-block is the binomial(N, k)-dimensional space of words with k high letters,
-and the sector structure is classified: a sector-k eigenvalue has a highest
-weight vector killed by F_1 in block k and carries an E_1-ladder of
-N - 2k + 1 states with closed-form F_1 E_1 coefficients
-kappa_m = [N-k-m]_q [m-k+1]_q.
+space is only ever assembled by the test oracles.  By q-Schur-Weyl duality
+(Jimbo 1986) the spectrum on V_n^(x)N is that of the irreducible Hecke
+modules rho_lambda, lambda a partition of N with at most n rows, each
+ssyt_dim(lambda, n) times, and weight block mu holds spec rho_lambda(H)
+K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
+form (sector_hamiltonian).  For n = 2 the weight-k block is the
+binomial(N, k)-dimensional space of words with k high letters, and the
+sector structure is classified: a sector-k eigenvalue has a highest weight
+vector killed by F_1 in block k and carries an E_1-ladder of N - 2k + 1
+states with closed-form F_1 E_1 coefficients kappa_m = [N-k-m]_q [m-k+1]_q.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, isfinite
+from math import exp, expm1, factorial, isfinite, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, check_dense_dim
+from .errors import SizeGuardError, ValidationError, check_dense_dim, max_dense_dim
 from .qalgebra import check_label, dicke_labels, q_number
+from .tableaux import (check_partition, kostka, multinomial, partitions_of, ssyt_dim,
+                       standard_tableaux, syt_dim)
 
 CLUSTER_RTOL = 1e-8
 # the kernel step of classify_sectors cuts a block's values into runs at
@@ -27,6 +34,8 @@ KERNEL_RTOL = 1e-6
 EIG_RESIDUAL_TOL = 1e-9
 HW_TOL = 1e-8
 RESIDUAL_CHUNK = 128
+# where every weight block is held at once, sum_mu d_mu^2 <= this * max_dense_dim()^2
+HELD_BLOCKS_MULTIPLE = 3
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,8 @@ class OpenChain:
 class EigenCluster:
     value: float
     multiplicity: int
-    # per contributing weight block: (content, weight_basis words, eigenvector columns)
+    # per contributing weight block, when diagonalize kept vectors: (content,
+    # weight_basis words, eigenvector columns); empty on the values-only path
     blocks: list = field(default_factory=list)
     sector: int | None = None
     hw_residual: float | None = None
@@ -60,14 +70,23 @@ class WeightBlock(NamedTuple):
     vectors: np.ndarray     # (d, d) oriented, checked eigenvectors, one column per value
 
 
+class Irrep(NamedTuple):
+    """One irreducible Hecke module rho_lambda as the values-only diagonalize
+    checked it."""
+    values: np.ndarray      # spec rho_lambda(H), increasing: f^lambda values
+    multiplicity: int       # ssyt_dim(lambda, n), its number of copies in V_n^(x)N
+    residual: float         # worst Kostka-identity residual at its values over the solved blocks
+
+
 @dataclass
 class SpectralDecomposition:
     n: int
     N: int
     q: float
     clusters: list
-    blocks: dict            # content -> WeightBlock
+    blocks: dict            # content -> WeightBlock (vectors=True), else empty
     tol: float              # the clustering tolerance CLUSTER_RTOL * max(1, max |eigenvalue|)
+    irreps: dict = field(default_factory=dict)   # shape -> Irrep (values-only), else empty
 
     @property
     def eigenvalues(self) -> list[float]:
@@ -212,11 +231,38 @@ def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.n
     return m
 
 
-def _check_guard(chain: OpenChain) -> None:
-    """The dense guard on the largest block solved: the middle weight block
-    binomial(N, N//2) for n = 2, the whole n^N space otherwise."""
+def _orbit_size(n: int, shape) -> int:
+    """Number of distinct permutations of the content shape + (0, ...) of
+    length n: the weight blocks that S_n (which preserves every Kostka
+    number K_{lambda mu}) carries onto one another."""
+    return multinomial([n - len(shape), *Counter(shape).values()])
+
+
+def _check_guard(chain: OpenChain, hold_all: bool) -> None:
+    """One dense guard for every n: the largest weight block, the
+    multinomial of the most even content, must be at most max_dense_dim().
+    That bounds every dense solve, one block at a time.  Where every block is
+    held at once (hold_all: diagonalize(vectors=True), one d x d eigenvector
+    matrix per block, and symmetry_residual, one d x d H per block), their
+    entries, sum over contents mu of d_mu^2 at 8 bytes each, must also be at
+    most HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2: 384 MiB at the
+    default 4096.  That admits every n = 2 size the guard admitted when it
+    bounded binomial(N, N//2) (n = 2, N = 14 holds binomial(28, 14), 2.39
+    times 4096^2, 306 MiB), and refuses n = 11, N = 6 (about 4,790 MiB)."""
     n, N = chain.n, chain.N
-    check_dense_dim(comb(N, N // 2) if n == 2 else n ** N, f"open chain n={n}, N={N}")
+    base, extra = divmod(N, min(n, N))
+    check_dense_dim(multinomial([base + 1] * extra + [base] * (min(n, N) - extra)),
+                    f"open chain n={n}, N={N}: largest weight block")
+    if not hold_all:
+        return
+    limit = max_dense_dim()
+    entries = sum(_orbit_size(n, lam) * multinomial(lam) ** 2
+                  for lam in partitions_of(N, max_rows=n))
+    if entries > HELD_BLOCKS_MULTIPLE * limit ** 2:
+        raise SizeGuardError(
+            f"open chain n={n}, N={N}: all weight blocks at once hold {entries} entries "
+            f"({entries * 8 / 2 ** 20:.0f} MiB), past the guard {HELD_BLOCKS_MULTIPLE} x "
+            f"{limit}^2 (set BRAIDLAB_MAX_DIM to raise it)")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -259,8 +305,67 @@ def _w0_positions(n: int, N: int, basis, partner) -> np.ndarray:
     return lookup((n - words[:, ::-1]) @ powers)
 
 
-def diagonalize(chain: OpenChain) -> SpectralDecomposition:
-    """Full decomposition via weight blocks, with eigenvalue clustering.
+def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecomposition:
+    """Full spectrum via weight blocks, with eigenvalue clustering.
+
+    Values only (the default): H commutes with every letter permutation of
+    S_n acting on contents, and block mu has spectrum the union over lambda
+    of K_{lambda mu} copies of spec rho_lambda(H), with K independent of
+    the order of mu.  So only the dominant contents (weakly decreasing,
+    one per partition of N with at most n rows) are built, each with one
+    eigvalsh, and each counts for its orbit of contents (_orbit_size).  No
+    eigenvector is formed, so instead of an eigenpair check every solved
+    block's sorted values must equal the sorted union of K_{lambda mu}
+    (tableaux.kostka) copies of the seminormal spectra (sector_hamiltonian)
+    elementwise, within EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or it is a
+    ValidationError (_dominant_spectra); the spectra, ssyt_dim(lambda, n)
+    and each lambda's worst residual are kept as irreps.
+
+    vectors=True: every weight block is solved with its eigenvectors
+    (_eigen_blocks: one eigh per w0 mirror pair, each block's eigenpairs
+    checked against its own H) and kept as a WeightBlock in blocks, and each
+    cluster holds its eigenvector columns, for classify_sectors.
+
+    Eigenvalues are grouped by one rule (_runs) at tol = CLUSTER_RTOL *
+    max(1, max |eigenvalue|): a run of sorted values whose neighbours differ
+    by at most tol.  Within a block the runs of the sorted values are
+    merged to their mean; across blocks the runs of those means, sorted
+    once, are the clusters, valued at the mean of their means and in
+    increasing order.  Exact cross-block degeneracies are the tableau
+    multiplicities.  A within-block run is a run of columns and is stored as
+    a view of the block's eigenvector matrix, not a copy.  The guard
+    (_check_guard) bounds the largest block, and with vectors also the
+    entries of all blocks at once.
+    """
+    _check_guard(chain, hold_all=vectors)
+    if vectors:
+        blocks, irreps = _eigen_blocks(chain), {}
+        solved = [(content, b.values, 1, b) for content, b in blocks.items()]
+    else:
+        values, irreps = _dominant_spectra(chain)
+        blocks = {}
+        solved = [(mu, vals, _orbit_size(chain.n, mu), None) for mu, vals in values.items()]
+    tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(s[1]).max()) for s in solved))
+
+    flat = []                   # (value, multiplicity, block pieces)
+    for content, vals, orbit, block in solved:
+        for lo, hi in _runs(vals, tol):
+            value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
+            pieces = [] if block is None else [(content, block.basis, block.vectors[:, lo:hi])]
+            flat.append((value, (hi - lo) * orbit, pieces))
+    values = np.array([f[0] for f in flat])
+    order = np.argsort(values)
+    clusters = []
+    for lo, hi in _runs(values[order], tol):
+        entries = [flat[i] for i in order[lo:hi]]
+        value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
+        clusters.append(EigenCluster(value, sum(e[1] for e in entries),
+                                     [p for e in entries for p in e[2]]))
+    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, blocks, tol, irreps)
+
+
+def _eigen_blocks(chain: OpenChain) -> dict:
+    """content -> WeightBlock for every weight block, eigenvectors checked.
 
     H commutes with the longest Weyl element w0 (reverse a word, send each
     letter a to n + 1 - a), which maps weight block mu onto block
@@ -272,21 +377,9 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check), so each run
     verifies the w0 symmetry it uses.  Eigenvector sign convention: first
     component above 1e-12 in magnitude positive.
-    Eigenvalues are grouped by one rule (_runs) at tol = CLUSTER_RTOL *
-    max(1, max |eigenvalue|): a run of sorted values whose neighbours differ
-    by at most tol.  Within a block the runs of eigh's sorted values are
-    merged to their mean; across blocks the runs of those means, sorted
-    once, are the clusters, valued at the mean of their means and in
-    increasing order.  Exact cross-block degeneracies are the tableau
-    multiplicities.  A within-block run is a run of columns and is stored as
-    a view of the block's eigenvector matrix, not a copy.  Every block's
-    words, site arrays, values and vectors are kept as a WeightBlock, and
-    the tolerance as tol, for classify_sectors.
     """
-    _check_guard(chain)
     n, N = chain.n, chain.N
     per_block = {}
-    max_abs = 1.0
     for content in dicke_labels(n, N):
         basis = weight_basis(n, N, content)
         block = _block_sites(chain, basis)
@@ -298,24 +391,110 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
             vals, vecs = np.linalg.eigh(_dense(block))
         _orient_and_check(block, vals, vecs)
         per_block[content] = WeightBlock(basis, block, vals, vecs)
-        max_abs = max(max_abs, float(np.abs(vals).max()))
-    tol = CLUSTER_RTOL * max_abs
+    return per_block
 
-    flat = []
-    for content, (basis, _, vals, vecs) in per_block.items():
-        for lo, hi in _runs(vals, tol):
-            value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
-            flat.append((value, content, basis, vecs[:, lo:hi]))
-    values = np.array([f[0] for f in flat])
-    order = np.argsort(values)
-    clusters = []
-    for lo, hi in _runs(values[order], tol):
-        entries = [flat[i] for i in order[lo:hi]]
-        value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
-        mult = sum(e[3].shape[1] for e in entries)
-        clusters.append(EigenCluster(value, mult,
-                                     [(e[1], e[2], e[3]) for e in entries]))
-    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, per_block, tol)
+
+def _dominant_spectra(chain: OpenChain) -> tuple[dict, dict]:
+    """mu -> eigvalsh values of the dominant weight block mu + (0, ...), for
+    each partition mu of N with at most n rows, and shape -> Irrep, with
+    the Kostka identity checked on every solved block.
+
+    Trailing zeros of a content leave its words and H unchanged, so block mu
+    is built over the alphabet 1..len(mu).  Its sorted values must equal the
+    sorted union of K_{lambda mu} copies of spec rho_lambda(H) over the
+    shapes lambda, elementwise within EIG_RESIDUAL_TOL * max(1,
+    |eigenvalue|); each residual counts towards the lambda whose value it is
+    compared with."""
+    n, N, q = chain.n, chain.N, chain.q
+    shapes = partitions_of(N, max_rows=n)
+    shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
+    worst = np.zeros(len(shapes))
+    values = {}
+    for mu in shapes:
+        letters = OpenChain(len(mu), N, q)
+        vals = np.linalg.eigvalsh(_dense(_block_sites(letters, weight_basis(len(mu), N, mu))))
+        copies = [kostka(lam, mu) for lam in shapes]
+        want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
+        if len(want) != len(vals):
+            raise ValidationError(f"weight block {mu}: {len(vals)} values, but the "
+                                  f"Kostka numbers give {len(want)}")
+        order = np.argsort(want, kind="stable")
+        resid = np.abs(vals - want[order])
+        bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))))
+        if bad.size:
+            raise ValidationError(f"weight block {mu}: Kostka identity residual "
+                                  f"{float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
+        owner = np.repeat(np.arange(len(shapes)),
+                          [k * len(s) for s, k in zip(shape_values, copies)])
+        np.maximum.at(worst, owner[order], resid)
+        values[mu] = vals
+    irreps = {lam: Irrep(s, ssyt_dim(lam, n), float(w))
+              for lam, s, w in zip(shapes, shape_values, worst)}
+    return values, irreps
+
+
+def sector_hamiltonian(shape, q: float) -> np.ndarray:
+    """rho_lambda(H) = sum_i r_i on the irreducible Hecke module of a shape
+    lambda, in Young's seminormal form (Hoefsmit 1974; Ram 1997) over its
+    standard tableaux (tableaux.standard_tableaux), as a dense symmetric
+    f^lambda x f^lambda matrix.
+
+    With d = c(i+1) - c(i), the content (column - row) of entry i+1 minus
+    that of entry i in tableau S, r_i has the diagonal entry q^(d-1) / [d]_q
+    at S, and when |d| > 1 (i and i+1 in neither one row nor one column, so
+    that s_i S, the tableau with the two swapped, is standard) the entry
+    sqrt(1 - [d]_q^-2) / q between S and s_i S: each 2 x 2 block has trace
+    1 - q^-2 and determinant -q^-2, the eigenvalues 1 and -q^-2 of r.
+    Built from arrays over all tableaux at once: the tableaux are Yamanouchi
+    words in lexicographic order, so s_i S is found from its key like a
+    swapped word of a weight block (_rank, _block_sites), and each entry is
+    a Python float from a table over the d that occur (_seminormal_entries,
+    accurate near q = 1 and bounded where q^(N-1) is not).  f^lambda
+    (syt_dim) past max_dense_dim() is a SizeGuardError.
+    """
+    shape = check_partition(shape)
+    if not isfinite(q) or q <= 0:
+        raise ValidationError("q must be positive and finite")
+    check_dense_dim(syt_dim(shape), f"seminormal form of shape {shape}")
+    N, R = sum(shape), len(shape)
+    rows = standard_tableaux(shape)
+    in_row = rows[:, :, None] == np.arange(R)
+    content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - 1 - rows
+    d = np.diff(content, axis=1)
+    lo = int(d.min(initial=0))
+    steps = range(lo, int(d.max(initial=0)) + 1)       # d is never 0
+    t = log(q)
+    diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
+    m = np.zeros((len(rows), len(rows)))
+    m[np.arange(len(rows)), np.arange(len(rows))] = diag[d - lo].sum(axis=1)
+    words, powers, keys, lookup = _rank(R, N, rows + 1)
+    for i in range(N - 1):
+        cols = np.flatnonzero(np.abs(d[:, i]) > 1)
+        x, y = words[cols, i], words[cols, i + 1]
+        m[lookup(keys[cols] + (y - x) * (powers[i] - powers[i + 1])), cols] = off[d[cols, i] - lo]
+    return m
+
+
+def _seminormal_entries(d: int, t: float) -> tuple[float, float]:
+    """(q^(d-1) / [d]_q, sqrt(1 - [d]_q^-2) / q) at q = e^t for d != 0.
+
+    (q^d - q^-d) / (q - q^-1) loses about eps / |q - 1| relative near q = 1,
+    the same for every entry of one d, and q^(d-1) overflows long before the
+    entries do.  With e = |d|, a = |t| and the ratio
+    g = expm1(-2a) / expm1(-2ea) in (0, 1] (1/e at a = 0), both are free of
+    that cancellation and overflow: [d]_q^-1 = sign(d) e^(-(e-1)a) g, and
+    q^(d-1) / [d]_q = sign(d) e^x g with x = 2(d-1) min(t, 0) for d > 0,
+    x = 2dt for d < 0 < t and x = -2t for d < 0, t <= 0 (of order q^-2, the
+    size of the eigenvalue -q^-2 of r).
+    """
+    e, a = abs(d), abs(t)
+    g = expm1(-2.0 * a) / expm1(-2.0 * e * a) if a else 1.0 / e
+    if d > 0:
+        x = 2.0 * (d - 1) * min(t, 0.0)
+    else:
+        x = 2.0 * d * t if t > 0 else -2.0 * t
+    inv = exp(-(e - 1) * a) * g
+    return (g * exp(x) if d > 0 else -g * exp(x)), sqrt((1.0 - inv) * (1.0 + inv)) * exp(-t)
 
 
 def sector_matrix(N: int, q: float, k: int) -> np.ndarray:
@@ -409,6 +588,9 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     """
     if decomposition.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
+    if not decomposition.blocks:
+        raise ValidationError("sector classification needs the eigenvectors of "
+                              "diagonalize(chain, vectors=True)")
     N, q = decomposition.N, decomposition.q
     chain = OpenChain(2, N, q)
     kernel_tol = decomposition.tol * (KERNEL_RTOL / CLUSTER_RTOL)
@@ -565,23 +747,27 @@ class DecompositionReport:
     expected_total: int
     mismatches: list
     sector_report: SectorReport | None = None
+    irreps: dict = field(default_factory=dict)   # shape -> Irrep, for n != 2
 
 
 def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     """Cross-check the diagonalized multiplicities against tableau predictions.
 
-    For n=2: each sector k must contribute m_k eigenvalues of multiplicity
-    N - 2k + 1, and their total must be 2^N.  The sectors come from
-    classify_sectors on the one decomposition diagonalize returns: the
+    The total dimension is matched against n^N and against the Schur-Weyl
+    sum of f^lambda ssyt_dim(lambda, n), from the hook and hook-content
+    formulas of tableaux.  For n=2: each sector k must contribute m_k
+    eigenvalues of multiplicity N - 2k + 1, and their total must be 2^N.
+    The sectors come from classify_sectors on the one decomposition
+    diagonalize(vectors=True) returns, whose eigenpairs it checked: the
     highest weight vectors are its kept eigenvectors, taken run by run in
     the kernel of F_1, so no block of H is built or solved twice.  For
-    general n only the total dimension is matched against the Schur-Weyl
-    sum, from the hook and hook-content formulas of tableaux (the
-    lambda-resolved matching is a gl_2 statement).
+    every other n the values-only diagonalize checks the Kostka identity on
+    every dominant weight block against the seminormal spectra, and the
+    report carries, per lambda, the spectrum of rho_lambda(H) (f^lambda
+    values), ssyt_dim(lambda, n) and the worst residual (irreps).
     """
-    from .tableaux import partitions_of, ssyt_dim, syt_dim
     chain = OpenChain(n, N, q)
-    deco = diagonalize(chain)
+    deco = diagonalize(chain, vectors=n == 2)
     mismatches = []
     expected_total = sum(syt_dim(lam) * ssyt_dim(lam, n)
                          for lam in partitions_of(N, max_rows=n))
@@ -615,7 +801,8 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
             mismatches.append({"what": "sector_bookkeeping", "expected": 2 ** N,
                                "got": bookkeeping})
     ok = not mismatches and (sector_report.ok if sector_report else True)
-    return DecompositionReport(n, N, q, ok, total, n ** N, mismatches, sector_report)
+    return DecompositionReport(n, N, q, ok, total, n ** N, mismatches, sector_report,
+                               deco.irreps)
 
 
 def symmetry_residual(n: int, N: int, q: float) -> float:
@@ -627,11 +814,12 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     H_mu comes from block_matrix, and each y from block mu to the block nu
     it maps into comes from coproduct_block, so the residual is the worst
     column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each basis word
-    v of block mu.  The sweep holds every H block at once, as diagonalize
-    holds every eigenvector block, under the same size guard (_check_guard).
+    v of block mu.  The sweep holds every H block at once, as
+    diagonalize(vectors=True) holds every eigenvector block, under the same
+    size guard (_check_guard with hold_all).
     """
     chain = OpenChain(n, N, q)
-    _check_guard(chain)
+    _check_guard(chain, hold_all=True)
     # (kind, j, letter it removes, letter it adds); diagonal ones move none
     ops = []
     for j in range(1, n):

@@ -1,15 +1,19 @@
-"""Partitions and Young tableau dimension counting.
+"""Partitions, standard tableaux and Young tableau dimension counting.
 
 Standard-tableau dimensions come from the hook length formula and
 semistandard ones from the hook-content formula, both in exact integer
 arithmetic; Kostka numbers come from backtracking enumeration, so every
 number is traceable to first principles.  These counts predict the
-eigenspace dimensions and multiplicities of the invariant open chain.
+eigenspace dimensions and multiplicities of the invariant open chain, and
+the standard tableaux themselves index its seminormal form
+(spectra.sector_hamiltonian).
 """
 
 from math import comb, factorial
 
-from .errors import SizeGuardError, ValidationError
+import numpy as np
+
+from .errors import SizeGuardError, ValidationError, check_sparse_words
 
 Partition = tuple[int, ...]
 # partitions_of enumerates one partition at a time; this bounds the list
@@ -89,6 +93,28 @@ def syt_dim(shape: Partition) -> int:
     return quotient
 
 
+def standard_tableaux(shape: Partition) -> np.ndarray:
+    """The standard Young tableaux of a shape as an (f, N) int64 array of
+    Yamanouchi words: entry k + 1 of a tableau sits in row word[k] (rows
+    counted from 0).  The words are in lexicographic order, built one entry
+    at a time from rows (cells filled per row, word so far): each prefix is
+    followed by the rows that can take the next entry (not full, and
+    shorter than the row above), in increasing order.  More than
+    MAX_SPARSE_WORDS tableaux (syt_dim) is a SizeGuardError."""
+    shape = check_partition(shape)
+    check_sparse_words(syt_dim(shape), f"standard tableaux of shape {shape}")
+    R, N = len(shape), sum(shape)
+    rows = np.zeros((1, R + N), dtype=np.int64)
+    for k in range(R, R + N):
+        filled = rows[:, :R]
+        above = np.hstack([np.full((len(rows), 1), N), filled[:, :-1]])
+        prefix, row = np.nonzero((filled < shape) & (filled < above))
+        rows = rows[prefix]
+        rows[np.arange(len(prefix)), row] += 1
+        rows[:, k] = row
+    return rows[:, R:]
+
+
 def _ssyt_count(shape: Partition, content: tuple[int, ...]) -> int:
     """Backtracking count of semistandard fillings in which entry i appears
     exactly content[i-1] times.
@@ -156,6 +182,16 @@ def kostka(shape: Partition, content) -> int:
     if sum(shape) != sum(content):
         raise ValidationError(f"|shape|={sum(shape)} and |content|={sum(content)} differ")
     return _ssyt_count(shape, content)
+
+
+def multinomial(parts) -> int:
+    """(sum of parts)! / prod(part!): the number of words with these letter
+    counts, as a product of binomials."""
+    out, total = 1, 0
+    for p in parts:
+        total += p
+        out *= comb(total, p)
+    return out
 
 
 def ordered_sequence_count(n: int, N: int) -> int:

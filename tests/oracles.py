@@ -11,16 +11,19 @@ blocks to these paths bit for bit.  Likewise sector_warnings_pairwise and
 annotate_pairwise are the pairwise tolerance scans that
 spectra.classify_sectors replaced by one sorted pass, and
 highest_weight_svd is the kernel of F_1 from a full SVD that it replaced by
-the kernel per run of diagonalize's eigenvectors.
+the kernel per run of diagonalize's eigenvectors, and seminormal_loop builds
+the seminormal form one tableau and one generator at a time, where
+spectra.sector_hamiltonian works on arrays over all tableaux.
 """
 
 from itertools import permutations, product
+from math import sqrt
 
 import numpy as np
 
 from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
-from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH
+from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, q_number
 from braidlab.spectra import CLUSTER_RTOL, HW_TOL, LADDER_RESIDUALS, OpenChain
 from braidlab.states import TensorState, all_words
 
@@ -88,6 +91,37 @@ def count_syt_bruteforce(shape):
                 break
         count += ok
     return count
+
+
+def seminormal_loop(shape, q):
+    """rho_lambda(H) in Young's seminormal form, one tableau and one i at a
+    time.  The standard tableaux come from filtering all placements of
+    1..N (as in count_syt_bruteforce) and are sorted by their Yamanouchi
+    words (the row of each entry); r_i adds q^(d-1)/[d]_q at S and, when
+    |d| > 1, sqrt(1 - [d]_q^-2)/q between S and s_i S, with d the content of
+    i+1 minus that of i.  Returns (words, matrix)."""
+    N = sum(shape)
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    where = {}
+    for perm in permutations(range(1, N + 1)):
+        grid = dict(zip(cells, perm))
+        if all(grid.get((i, j + 1), N + 1) > v and grid.get((i + 1, j), N + 1) > v
+               for (i, j), v in grid.items()):
+            at = {v: cell for cell, v in grid.items()}
+            where[tuple(at[k][0] for k in range(1, N + 1))] = at
+    words = sorted(where)
+    index = {word: t for t, word in enumerate(words)}
+    m = np.zeros((len(words), len(words)))
+    for word, t in index.items():
+        at = where[word]
+        for i in range(1, N):
+            d = (at[i + 1][1] - at[i + 1][0]) - (at[i][1] - at[i][0])
+            m[t, t] += q ** (d - 1) / q_number(d, q)
+            if abs(d) > 1:
+                swapped = list(word)
+                swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
+                m[index[tuple(swapped)], t] = sqrt(1.0 - q_number(d, q) ** -2) / q
+    return words, m
 
 
 def count_ssyt_bruteforce(shape, n, content=None):

@@ -73,6 +73,35 @@ def test_verify_pass(capsys):
     assert "PASS" in err
 
 
+def test_verify_reports_each_shape_for_n3(capsys):
+    code, out, err = run(capsys, "verify", "--n", "3", "--N", "6", "--q", "1.5")
+    assert code == 0 and "PASS" in err
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["mismatches"] == []
+    rows = payload["irreps"]
+    assert [row["partition"] for row in rows] == [
+        [6], [5, 1], [4, 2], [4, 1, 1], [3, 3], [3, 2, 1], [2, 2, 2]]
+    assert [(row["syt_dim"], row["ssyt_dim"]) for row in rows] == [
+        (1, 28), (5, 35), (9, 27), (10, 10), (5, 10), (16, 8), (5, 1)]
+    assert sum(row["syt_dim"] * row["ssyt_dim"] for row in rows) == 3 ** 6
+    assert max(row["kostka_residual"] for row in rows) <= 1e-9
+    assert "sector_counts" not in payload
+
+
+def test_verify_n3_N9_runs_under_the_default_guard(capsys):
+    # largest weight block 9!/(3!3!3!) = 1680; n^N = 19683 was refused before
+    code, out, _ = run(capsys, "verify", "--n", "3", "--N", "9", "--q", "1.5")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["total_dimension"] == 3 ** 9
+    assert len(payload["irreps"]) == 12
+
+
+def test_verify_n2_reports_sectors_not_shapes(capsys):
+    code, out, _ = run(capsys, "verify", "--n", "2", "--N", "6", "--q", "1.5")
+    assert code == 0 and "irreps" not in json.loads(out)
+
+
 def test_tableaux_payload(capsys):
     code, out, _ = run(capsys, "tableaux", "--n", "3", "--N", "3")
     payload = json.loads(out)

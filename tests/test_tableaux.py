@@ -1,10 +1,12 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from braidlab import tableaux
+from braidlab.qalgebra import dicke_labels
 from braidlab.errors import SizeGuardError, ValidationError
 
 from oracles import count_ssyt_bruteforce, count_syt_bruteforce
@@ -146,3 +148,44 @@ def test_dimension_table_contents():
     rows = tableaux.dimension_table(3, 3)
     assert {tuple(r["partition"]): (r["syt_dim"], r["ssyt_dim"]) for r in rows} == {
         (3,): (1, 10), (2, 1): (2, 8), (1, 1, 1): (1, 1)}
+
+
+def test_standard_tableaux_are_the_lattice_words_of_each_shape():
+    # one Yamanouchi word per standard tableau: every prefix has at least as
+    # many entries in each row as in the row below, the words end on the
+    # shape, they are distinct and in lexicographic order, and there are
+    # syt_dim of them
+    for N in range(1, 9):
+        for lam in tableaux.partitions_of(N):
+            words = tableaux.standard_tableaux(lam)
+            assert words.shape == (tableaux.syt_dim(lam), N), lam
+            filled = np.cumsum(words[:, :, None] == np.arange(len(lam)), axis=1)
+            assert (np.diff(filled, axis=2) <= 0).all(), lam
+            assert (filled[:, -1] == lam).all(), lam
+            assert sorted(map(tuple, words.tolist())) == list(map(tuple, words.tolist())), lam
+            assert len(set(map(tuple, words.tolist()))) == len(words), lam
+
+
+def test_standard_tableaux_enumeration_bound(monkeypatch):
+    monkeypatch.setattr("braidlab.errors.MAX_SPARSE_WORDS", 15)
+    with pytest.raises(SizeGuardError):
+        tableaux.standard_tableaux((3, 2, 1))    # 16 tableaux
+    assert len(tableaux.standard_tableaux((3, 3))) == 5
+
+
+def test_kostka_numbers_do_not_depend_on_the_order_of_the_content():
+    for n in range(1, 5):
+        for N in range(1, 7):
+            shapes = tableaux.partitions_of(N, max_rows=n)
+            for mu in dicke_labels(n, N):
+                dominant = tuple(sorted(mu, reverse=True))
+                for lam in shapes:
+                    assert tableaux.kostka(lam, mu) == tableaux.kostka(lam, dominant), (lam, mu)
+
+
+def test_multinomial_counts_the_words_of_a_content():
+    for n in range(1, 4):
+        for N in range(0, 7):
+            for content in dicke_labels(n, N):
+                word = [a for a, m in enumerate(content) for _ in range(m)]
+                assert tableaux.multinomial(content) == len(set(permutations(word))), content

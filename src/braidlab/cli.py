@@ -145,7 +145,10 @@ def _spectrum_rows(args):
     for c in deco.clusters:
         if args.sector is not None and c.sector != args.sector:
             continue
-        rows.append({"value": fnum(c.value), "multiplicity": c.multiplicity,
+        # a value within the clustering tolerance of 0 is 0 up to the solver's
+        # rounding, whose digits would differ from one LAPACK routine to another
+        value = 0.0 if abs(c.value) <= deco.tol else fnum(c.value)
+        rows.append({"value": value, "multiplicity": c.multiplicity,
                      "sector": c.sector,
                      "hw_residual": fnum(c.hw_residual) if c.hw_residual is not None else None})
     return rows

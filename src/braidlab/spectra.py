@@ -233,8 +233,8 @@ def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.n
 
 def _orbit_size(n: int, shape) -> int:
     """Number of distinct permutations of the content shape + (0, ...) of
-    length n: the weight blocks that S_n (which preserves every Kostka
-    number K_{lambda mu}) carries onto one another."""
+    length n: the contents that S_n permutes among one another, all with the
+    same Kostka numbers K_{lambda mu} and so the same spectrum."""
     return multinomial([n - len(shape), *Counter(shape).values()])
 
 
@@ -308,18 +308,21 @@ def _w0_positions(n: int, N: int, basis, partner) -> np.ndarray:
 def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecomposition:
     """Full spectrum via weight blocks, with eigenvalue clustering.
 
-    Values only (the default): H commutes with every letter permutation of
-    S_n acting on contents, and block mu has spectrum the union over lambda
-    of K_{lambda mu} copies of spec rho_lambda(H), with K independent of
-    the order of mu.  So only the dominant contents (weakly decreasing,
-    one per partition of N with at most n rows) are built, each with one
-    eigvalsh, and each counts for its orbit of contents (_orbit_size).  No
-    eigenvector is formed, so instead of an eigenpair check every solved
-    block's sorted values must equal the sorted union of K_{lambda mu}
-    (tableaux.kostka) copies of the seminormal spectra (sector_hamiltonian)
-    elementwise, within EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or it is a
-    ValidationError (_dominant_spectra); the spectra, ssyt_dim(lambda, n)
-    and each lambda's worst residual are kept as irreps.
+    Values only (the default): block mu has spectrum the union over lambda
+    of K_{lambda mu} copies of spec rho_lambda(H), and K does not depend on
+    the order of mu, so every content in the S_n orbit of mu has the same
+    spectrum (H itself need not commute with a letter permutation: at n = 3,
+    N = 5 swapping letters 2 and 3 carries block (2, 2, 1) onto (2, 1, 2)
+    without commuting with H).  So one content per orbit is solved, for each
+    partition of N with at most n rows, and counts for its orbit
+    (_orbit_size): one that reads the same reversed where there is one, split
+    by w0 into two halves each with one eigvalsh, else the dominant one with
+    one eigvalsh (_dominant_spectra).  No eigenvector is formed, so instead
+    of an eigenpair check every solved block's sorted values must equal the
+    sorted union of K_{lambda mu} (tableaux.kostka) copies of the seminormal
+    spectra (sector_hamiltonian) elementwise, within EIG_RESIDUAL_TOL *
+    max(1, |eigenvalue|), or it is a ValidationError; the spectra,
+    ssyt_dim(lambda, n) and each lambda's worst residual are kept as irreps.
 
     vectors=True: every weight block is solved with its eigenvectors
     (_eigen_blocks: one eigh per w0 mirror pair, each block's eigenpairs
@@ -395,24 +398,36 @@ def _eigen_blocks(chain: OpenChain) -> dict:
 
 
 def _dominant_spectra(chain: OpenChain) -> tuple[dict, dict]:
-    """mu -> eigvalsh values of the dominant weight block mu + (0, ...), for
-    each partition mu of N with at most n rows, and shape -> Irrep, with
-    the Kostka identity checked on every solved block.
+    """mu -> sorted values of the weight block mu + (0, ...), for each
+    partition mu of N with at most n rows, and shape -> Irrep, with the
+    Kostka identity checked on every solved block.
 
-    Trailing zeros of a content leave its words and H unchanged, so block mu
-    is built over the alphabet 1..len(mu).  Its sorted values must equal the
-    sorted union of K_{lambda mu} copies of spec rho_lambda(H) over the
-    shapes lambda, elementwise within EIG_RESIDUAL_TOL * max(1,
-    |eigenvalue|); each residual counts towards the lambda whose value it is
-    compared with."""
+    Zero parts of a content leave its words and H unchanged up to the names
+    of the letters, so block mu is built over the alphabet 1..len(mu).  When
+    at most one part value of mu has odd multiplicity, the block solved is
+    that of a permutation of mu that reads the same reversed (_palindrome):
+    it is as wide as block mu and, K_{lambda mu} not depending on the order
+    of mu, has its spectrum.  w0 maps it onto itself, and its values come
+    from one eigvalsh per w0 parity half, the symmetry checked first
+    (_self_mirrored_values).  Any other mu gets one eigvalsh of its dense
+    block.  The sorted values must equal the sorted union of K_{lambda mu}
+    copies of spec rho_lambda(H) over the shapes lambda, elementwise within
+    EIG_RESIDUAL_TOL * max(1, |eigenvalue|); each residual counts towards the
+    lambda whose value it is compared with."""
     n, N, q = chain.n, chain.N, chain.q
     shapes = partitions_of(N, max_rows=n)
     shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
     worst = np.zeros(len(shapes))
     values = {}
     for mu in shapes:
+        palindrome = _palindrome(mu)
         letters = OpenChain(len(mu), N, q)
-        vals = np.linalg.eigvalsh(_dense(_block_sites(letters, weight_basis(len(mu), N, mu))))
+        basis = weight_basis(len(mu), N, palindrome or mu)
+        block = _block_sites(letters, basis)
+        if palindrome is None:
+            vals = np.linalg.eigvalsh(_dense(block))
+        else:
+            vals = _self_mirrored_values(block, _w0_positions(len(mu), N, basis, basis), mu)
         copies = [kostka(lam, mu) for lam in shapes]
         want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
         if len(want) != len(vals):
@@ -431,6 +446,52 @@ def _dominant_spectra(chain: OpenChain) -> tuple[dict, dict]:
     irreps = {lam: Irrep(s, ssyt_dim(lam, n), float(w))
               for lam, s, w in zip(shapes, shape_values, worst)}
     return values, irreps
+
+
+def _palindrome(mu: tuple) -> tuple | None:
+    """A permutation of the content mu that reads the same reversed, so that
+    w0 maps its weight block onto itself, or None when more than one part
+    value of mu has odd multiplicity: half of each value's copies in order,
+    the odd one out, then the half reversed ((4, 1, 1) gives (1, 4, 1))."""
+    counts = Counter(mu)
+    odd = [v for v, k in counts.items() if k % 2]
+    if len(odd) > 1:
+        return None
+    half = [v for v, k in counts.items() for _ in range(k // 2)]
+    return (*half, *odd, *half[::-1])
+
+
+def _self_mirrored_values(block: tuple, w0: np.ndarray, mu) -> np.ndarray:
+    """Sorted eigenvalues of a weight block that w0 maps onto itself, from
+    one eigvalsh per non-empty w0 parity half.
+
+    w0 (the position of each word's w0 image, _w0_positions) fixes the words
+    F and swaps each word of I with one of J = w0(I).  With A = _dense(block)
+    and w0 commuting with A, the basis (e_I + e_J)/sqrt2, e_F,
+    (e_I - e_J)/sqrt2 splits A into the even half [[A_II + A_IJ,
+    sqrt2 A_IF], [sqrt2 A_FI, A_FF]] and the odd half A_II - A_IJ.  Before
+    the coupling between the halves is dropped, A_II - A_JJ, A_IJ - A_JI and
+    A_IF - A_JF must be within EIG_RESIDUAL_TOL * max(1, max |A|), or it is
+    a ValidationError naming mu: each run verifies the symmetry it uses.
+    """
+    positions = np.arange(len(w0))
+    pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
+    k = len(pairs)
+    order = np.concatenate([pairs, w0[pairs], fixed])
+    a = _dense(block)[np.ix_(order, order)]             # rows and columns I, J, F
+    ii, ij = a[:k, :k], a[:k, k:2 * k]
+    diag, _, off = block
+    coupling = max(float(np.abs(x - y).max(initial=0.0)) for x, y in [
+        (ii, a[k:2 * k, k:2 * k]), (ij, a[k:2 * k, :k]), (a[:k, 2 * k:], a[k:2 * k, 2 * k:])])
+    if not coupling <= EIG_RESIDUAL_TOL * max(1.0, float(np.abs(diag).max()), abs(off)):
+        raise ValidationError(f"weight block {mu}: w0 symmetry residual {coupling} "
+                              f"exceeds {EIG_RESIDUAL_TOL}")
+    odd = ii - ij
+    even = a[k:, k:]                                    # rows and columns J, F, overwritten
+    np.add(ii, ij, out=even[:k, :k])
+    even[:k, k:] *= sqrt(2.0)
+    even[k:, :k] *= sqrt(2.0)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in (even, odd) if len(h)]))
 
 
 def sector_hamiltonian(shape, q: float) -> np.ndarray:
@@ -754,8 +815,8 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     """Cross-check the diagonalized multiplicities against tableau predictions.
 
     The total dimension is matched against n^N and against the Schur-Weyl
-    sum of f^lambda ssyt_dim(lambda, n), from the hook and hook-content
-    formulas of tableaux.  For n=2: each sector k must contribute m_k
+    sum of f^lambda ssyt_dim(lambda, n), from the closed dimension formulas
+    of tableaux.  For n=2: each sector k must contribute m_k
     eigenvalues of multiplicity N - 2k + 1, and their total must be 2^N.
     The sectors come from classify_sectors on the one decomposition
     diagonalize(vectors=True) returns, whose eigenpairs it checked: the

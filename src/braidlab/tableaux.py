@@ -1,15 +1,15 @@
 """Partitions, standard tableaux and Young tableau dimension counting.
 
-Standard-tableau dimensions come from the hook length formula and
-semistandard ones from the hook-content formula, both in exact integer
-arithmetic; Kostka numbers come from backtracking enumeration, so every
-number is traceable to first principles.  These counts predict the
-eigenspace dimensions and multiplicities of the invariant open chain, and
-the standard tableaux themselves index its seminormal form
-(spectra.sector_hamiltonian).
+Standard-tableau dimensions come from the Frobenius form of the hook
+length formula and semistandard ones from Weyl's dimension formula, both
+closed products in exact integer arithmetic; Kostka numbers come from
+backtracking enumeration, so every number is traceable to first
+principles.  These counts predict the eigenspace dimensions and
+multiplicities of the invariant open chain, and the standard tableaux
+themselves index its seminormal form (spectra.sector_hamiltonian).
 """
 
-from math import comb, factorial
+from math import comb, perm
 
 import numpy as np
 
@@ -72,24 +72,24 @@ def partitions_of(N: int, max_rows: int | None = None) -> list[Partition]:
     return out
 
 
-def hook_lengths(shape: Partition) -> list[list[int]]:
-    shape = check_partition(shape)
-    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
-    return [[(row - j) + (cols[j] - i) - 1 for j in range(row)]
-            for i, row in enumerate(shape)]
-
-
 def syt_dim(shape: Partition) -> int:
-    """Number of standard Young tableaux of the given shape (hook length formula)."""
+    """Number of standard Young tableaux of the given shape: with the
+    shifted parts l_i = lambda_i + len(lambda) - i (i = 1..len(lambda)),
+    N! prod_{i<k} (l_i - l_k) / prod_i l_i!, the Frobenius form of the hook
+    length formula, in exact integers.  N! / prod l_i! is taken as
+    multinomial(l) / perm(sum l, sum l - N), binomials in place of
+    factorials of N."""
     shape = check_partition(shape)
-    N = sum(shape)
-    denom = 1
-    for row in hook_lengths(shape):
-        for h in row:
-            denom *= h
-    quotient, rem = divmod(factorial(N), denom)
+    R = len(shape)
+    shifted = [part + R - i for i, part in enumerate(shape, 1)]
+    numer = multinomial(shifted)
+    for i, upper in enumerate(shifted):
+        for lower in shifted[i + 1:]:
+            numer *= upper - lower
+    denom = perm(sum(shifted), R * (R - 1) // 2)
+    quotient, rem = divmod(numer, denom)
     if rem:
-        raise ValidationError(f"hook product {denom} does not divide {N}!")
+        raise ValidationError(f"{denom} does not divide {numer}")
     return quotient
 
 
@@ -155,21 +155,29 @@ def ssyt_dim(shape: Partition, n: int) -> int:
     """Number of semistandard Young tableaux of the given shape with entries
     in [1, n]; the dimension of the corresponding irreducible gl_n module.
 
-    The hook-content formula: the product over the cells u = (i, j) of
-    (n + j - i) / h(u), in exact integers; a shape with more than n rows has
-    the factor n + 0 - n = 0 in its first column.
+    Weyl's dimension formula: with lambda padded by zeros to n parts, the
+    product over 1 <= i < j <= n of (lambda_i - lambda_j + j - i) / (j - i),
+    in exact integers; 0 for a shape with more than n rows.  The factors of
+    row i with the zero parts j > len(lambda) make the binomial ratio
+    C(lambda_i + n - i, lambda_i) / C(lambda_i + len(lambda) - i, lambda_i),
+    so the cost does not grow with n.
     """
     if n < 1:
         raise ValidationError("alphabet size n must be >= 1")
     shape = check_partition(shape)
+    R = len(shape)
+    if R > n:
+        return 0
     numer = denom = 1
-    for i, row in enumerate(hook_lengths(shape)):
-        for j, h in enumerate(row):
-            numer *= n + j - i
-            denom *= h
+    for i, part in enumerate(shape, 1):
+        numer *= comb(part + n - i, part)
+        denom *= comb(part + R - i, part)
+        for j in range(i + 1, R + 1):
+            numer *= part - shape[j - 1] + j - i
+            denom *= j - i
     quotient, rem = divmod(numer, denom)
     if rem:
-        raise ValidationError(f"hook product {denom} does not divide {numer}")
+        raise ValidationError(f"{denom} does not divide {numer}")
     return quotient
 
 

@@ -11,13 +11,16 @@ blocks to these paths bit for bit.  Likewise sector_warnings_pairwise and
 annotate_pairwise are the pairwise tolerance scans that
 spectra.classify_sectors replaced by one sorted pass, and
 highest_weight_svd is the kernel of F_1 from a full SVD that it replaced by
-the kernel per run of diagonalize's eigenvectors, and seminormal_loop builds
+the kernel per run of diagonalize's eigenvectors, seminormal_loop builds
 the seminormal form one tableau and one generator at a time, where
-spectra.sector_hamiltonian works on arrays over all tableaux.
+spectra.sector_hamiltonian works on arrays over all tableaux, and
+hook_length_product and hook_content_product are the cell-by-cell hook
+formulas that tableaux.syt_dim and tableaux.ssyt_dim replaced by closed
+products over rows.
 """
 
 from itertools import permutations, product
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
@@ -144,6 +147,33 @@ def count_ssyt_bruteforce(shape, n, content=None):
                 v <= len(content) for v in filling)
         count += ok
     return count
+
+
+def hook_length_product(shape):
+    """syt_dim by the hook length formula, N! / prod h(u), one cell at a time."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    denom = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            denom *= (row - j) + (cols[j] - i) - 1
+    quotient, rem = divmod(factorial(sum(shape)), denom)
+    assert rem == 0
+    return quotient
+
+
+def hook_content_product(shape, n):
+    """ssyt_dim by the hook-content formula, prod (n + j - i) / h(u) over the
+    cells u = (i, j), one cell at a time; a shape with more than n rows has
+    the factor n + 0 - n = 0 in its first column."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    numer = denom = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            numer *= n + j - i
+            denom *= (row - j) + (cols[j] - i) - 1
+    quotient, rem = divmod(numer, denom)
+    assert rem == 0
+    return quotient
 
 
 def multiset_permutations(word):

@@ -37,6 +37,30 @@ def test_spectrum_csv(capsys):
     assert len(lines) == 3
 
 
+def test_spectrum_prints_rounding_noise_zeros_as_zero(capsys):
+    # the zero eigenvalue of n=3 N=5 at q=1 (multiplicity 12) leaves the
+    # solver as noise of order 1e-17 whose digits depend on the LAPACK routine
+    code, out, _ = run(capsys, "spectrum", "--n", "3", "--N", "5", "--q", "1.0")
+    assert code == 0
+    assert {"value": 0.0, "multiplicity": 12, "sector": None,
+            "hw_residual": None} in json.loads(out)["eigenvalues"]
+    assert '"value": 0.0,' in out
+    code, out, _ = run(capsys, "spectrum", "--n", "3", "--N", "5", "--q", "1.0",
+                       "--format", "csv")
+    assert code == 0 and "0,12,," in out.splitlines()
+    for n in (3, 4):
+        for N in range(1, 7):
+            for fmt in ("json", "csv"):
+                code, out, _ = run(capsys, "spectrum", "--n", str(n), "--N", str(N),
+                                   "--q", "1.0", "--format", fmt)
+                assert code == 0 and "-0," not in out and "-0.0," not in out, (n, N, fmt)
+                if fmt == "json":
+                    values = [r["value"] for r in json.loads(out)["eigenvalues"]]
+                else:
+                    values = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+                assert not any(0 < abs(v) < 1e-12 for v in values), (n, N, fmt)
+
+
 def test_spectrum_sector_filter(capsys):
     code, out, _ = run(capsys, "spectrum", "--n", "2", "--N", "4", "--q", "1.5",
                        "--sector", "1")

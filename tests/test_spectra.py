@@ -1133,17 +1133,76 @@ def test_values_only_clusters_match_the_vectors_path(q):
 
 
 def test_values_only_path_solves_one_block_per_dominant_content(monkeypatch):
-    # no eigh, and one eigvalsh per partition of N with at most n rows (the
-    # dominant blocks) plus one per seminormal matrix of the same shapes
+    # no eigh, and one eigvalsh per seminormal matrix (f^lambda wide) for each
+    # partition lambda of N with at most n rows, plus per dominant block mu
+    # one of the whole block, or one per non-empty w0 parity half where a
+    # permutation of mu reads the same reversed (|pairs| + |fixed|, |pairs|)
     real = np.linalg.eigvalsh
     widths = []
     monkeypatch.setattr(spectra.np.linalg, "eigh", None)
     monkeypatch.setattr(spectra.np.linalg, "eigvalsh", lambda m: widths.append(len(m)) or real(m))
     spectra.diagonalize(spectra.OpenChain(3, 6, Q))
     shapes = tableaux.partitions_of(6, max_rows=3)
+    blocks = {(6,): [1], (5, 1): [6], (4, 2): [15], (4, 1, 1): [18, 12], (3, 3): [14, 6],
+              (3, 2, 1): [60], (2, 2, 2): [51, 39]}
+    assert list(blocks) == shapes
     assert sorted(widths) == sorted([tableaux.syt_dim(lam) for lam in shapes]
-                                    + [factorial(6) // prod(factorial(m) for m in lam)
-                                       for lam in shapes])
+                                    + [w for ws in blocks.values() for w in ws])
+
+
+def _w0_counts(n, N, content):
+    """(|pairs|, |fixed|) of w0 on the words of a content, by brute force."""
+    words = set(multiset_permutations([a for a, m in enumerate(content, 1) for _ in range(m)]))
+    fixed = sum(tuple(n + 1 - a for a in reversed(w)) == w for w in words)
+    return (len(words) - fixed) // 2, fixed
+
+
+def test_w0_parity_halves_have_the_spectrum_of_the_whole_block(monkeypatch):
+    real = np.linalg.eigvalsh
+    for n in range(1, 5):
+        for N in range(1, 8):
+            for content in qalgebra.dicke_labels(n, N):
+                if content != content[::-1]:
+                    continue
+                pairs, fixed = _w0_counts(n, N, content)
+                basis = spectra.weight_basis(n, N, content)
+                w0 = spectra._w0_positions(n, N, basis, basis)
+                for q in QS_SEMINORMAL:
+                    block = spectra._block_sites(spectra.OpenChain(n, N, q), basis)
+                    want = real(spectra._dense(block))
+                    widths = []
+                    monkeypatch.setattr(spectra.np.linalg, "eigvalsh",
+                                        lambda m: widths.append(len(m)) or real(m))
+                    got = spectra._self_mirrored_values(block, w0, content)
+                    monkeypatch.undo()
+                    assert np.abs(got - want).max() <= 1e-12, (content, q)
+                    assert widths == [w for w in (pairs + fixed, pairs) if w], (content, q)
+
+
+@pytest.mark.parametrize("where", ["II", "IJ", "IF"])
+def test_values_only_path_checks_the_w0_symmetry_it_splits_by(monkeypatch, where):
+    # a symmetric perturbation of block (2, 2, 2) that w0 does not share
+    # couples the two halves, seen by A_II - A_JJ (a pair word's diagonal),
+    # A_IJ - A_JI (a pair word and another's partner) or A_IF - A_JF (a pair
+    # word and a fixed word)
+    real = spectra._dense
+    basis = spectra.weight_basis(3, 6, (2, 2, 2))
+    w0 = spectra._w0_positions(3, 6, basis, basis)
+    pairs = np.flatnonzero(w0 > np.arange(len(w0)))
+    fixed = np.flatnonzero(w0 == np.arange(len(w0)))
+    i, j = {"II": (pairs[0], pairs[0]), "IJ": (pairs[0], w0[pairs[1]]),
+            "IF": (pairs[0], fixed[0])}[where]
+
+    def perturbed(block):
+        m = real(block)
+        if len(m) == 90:
+            m[i, j] += 1e-6
+            m[j, i] = m[i, j]
+        return m
+
+    monkeypatch.setattr(spectra, "_dense", perturbed)
+    with pytest.raises(ValidationError, match=r"weight block \(2, 2, 2\): w0 symmetry residual"):
+        spectra.diagonalize(spectra.OpenChain(3, 6, Q))
 
 
 def test_values_only_check_catches_a_perturbed_block(monkeypatch):

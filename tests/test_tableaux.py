@@ -9,7 +9,8 @@ from braidlab import tableaux
 from braidlab.qalgebra import dicke_labels
 from braidlab.errors import SizeGuardError, ValidationError
 
-from oracles import count_ssyt_bruteforce, count_syt_bruteforce
+from oracles import (count_ssyt_bruteforce, count_syt_bruteforce, hook_content_product,
+                     hook_length_product)
 
 
 def test_partitions_of_examples():
@@ -54,6 +55,30 @@ def test_ssyt_dim_matches_bruteforce():
             for shape in tableaux.partitions_of(N):
                 assert tableaux.ssyt_dim(shape, n) == count_ssyt_bruteforce(shape, n), \
                     (shape, n)
+
+
+def test_closed_form_dimensions_match_the_hook_products():
+    for N in range(1, 13):
+        for shape in tableaux.partitions_of(N):
+            assert tableaux.syt_dim(shape) == hook_length_product(shape), shape
+            for n in range(1, 8):
+                assert tableaux.ssyt_dim(shape, n) == hook_content_product(shape, n), (shape, n)
+
+
+def test_closed_form_dimensions_at_large_sizes():
+    # two-row shapes (N - k, k): f = C(N, k) - C(N, k - 1), and the gl_2
+    # module has dimension N - 2k + 1
+    N = 3000
+    for k in (0, 1, 700, 1500):
+        shape = (N - k, k) if k else (N,)
+        assert tableaux.syt_dim(shape) == comb(N, k) - (comb(N, k - 1) if k else 0), k
+        assert tableaux.ssyt_dim(shape, 2) == N - 2 * k + 1, k
+    # the rows past the shape cost nothing more at a huge alphabet
+    n = 10 ** 12
+    assert tableaux.ssyt_dim((1,), n) == n
+    assert tableaux.ssyt_dim((3,), n) == comb(n + 2, 3)
+    assert tableaux.ssyt_dim((2, 1), n) == n * (n * n - 1) // 3
+    assert tableaux.ssyt_dim((1, 1, 1), n) == comb(n, 3)
 
 
 def _contents(N, n):

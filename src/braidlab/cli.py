@@ -2,8 +2,9 @@
 
 Subcommands: automaton, tableaux, shuffle, dicke, crystal, spectrum, verify,
 quandle.  JSON, CSV, or DOT goes to stdout and diagnostics to stderr; output
-is deterministic for fixed inputs (floats at 12 significant digits, complex
-values as {re, im} pairs, stable key order).  Exit codes: 0 success,
+is deterministic for fixed inputs (floats at 12 significant digits, a
+residual of rounding noise as its decade bound, complex values as {re, im}
+pairs, stable key order).  Exit codes: 0 success,
 2 validation error (overflowing q or z included), 1 guard rejection.
 """
 
@@ -28,6 +29,13 @@ def fnum(x) -> float:
     if not math.isfinite(x):
         raise OverflowError(f"non-finite value {x} in the output")
     return float(f"{x:.12g}")
+
+
+def decade(x) -> float:
+    """The decade bound 10^ceil(log10 x) of a nonnegative x, 0.0 for 0: for
+    a residual of rounding noise, whose digits change with the solver."""
+    x = float(x)
+    return 0.0 if x == 0 else fnum(10.0 ** math.ceil(math.log10(x)))
 
 
 def cnum(z) -> dict:
@@ -180,7 +188,7 @@ def cmd_verify(args) -> None:
     if report.irreps:
         payload["irreps"] = [{"partition": list(lam), "syt_dim": len(irrep.values),
                               "ssyt_dim": irrep.multiplicity,
-                              "kostka_residual": fnum(irrep.residual)}
+                              "kostka_residual": decade(irrep.residual)}
                              for lam, irrep in report.irreps.items()]
     emit(payload)
     print("PASS" if report.ok else "FAIL", file=sys.stderr)

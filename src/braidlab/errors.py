@@ -1,9 +1,12 @@
-"""Shared exceptions, the dense-size guard and the sparse-state bound."""
+"""Shared exceptions, the dense-size guard, the held-entries rule and the
+sparse-state bound."""
 
 import os
 
 DEFAULT_MAX_DIM = 4096
 MAX_SPARSE_WORDS = 10 ** 6
+# dense matrices held at once: their entries <= this * max_dense_dim()^2
+HELD_BLOCKS_MULTIPLE = 3
 
 
 class BraidlabError(Exception):
@@ -37,6 +40,18 @@ def check_dense_dim(dim: int, context: str) -> None:
     if dim > limit:
         raise SizeGuardError(f"{context}: dimension {dim} exceeds guard {limit} "
                              f"(set BRAIDLAB_MAX_DIM to raise it)")
+
+
+def check_held_entries(entries: int, context: str) -> None:
+    """Refuse dense matrices held at once whose entries, summed, pass
+    HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2: 384 MiB of float64 at
+    the default 4096.  check_dense_dim bounds each matrix's order; this
+    bounds their number as well, and is checked before any is allocated."""
+    limit = max_dense_dim()
+    if entries > HELD_BLOCKS_MULTIPLE * limit ** 2:
+        raise SizeGuardError(
+            f"{context} hold {entries} entries ({entries * 8 / 2 ** 20:.0f} MiB), past the "
+            f"guard {HELD_BLOCKS_MULTIPLE} x {limit}^2 (set BRAIDLAB_MAX_DIM to raise it)")
 
 
 def check_sparse_words(count: int, context: str) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import automata
 from .automata import SCHEMA
-from .errors import SizeGuardError, ValidationError, check_dense_dim
+from .errors import SizeGuardError, ValidationError, check_dense_dim, check_held_entries
 from .states import Word, all_words
 
 ORBIT_GUARD = 10 ** 5
@@ -297,9 +297,13 @@ def orbit_automaton(table: QuandleTable, N: int) -> OrbitGraph:
 
 
 def orbit_to_automaton(graph: OrbitGraph, table: QuandleTable) -> automata.Automaton:
-    """Word-level automaton of the braid generators, for DOT export."""
+    """Word-level automaton of the braid generators, for DOT export: N - 1
+    dense n^N x n^N transition matrices, held to the dense guard and the
+    held-entries rule before any is built."""
     n, N = graph.n, graph.N
     check_dense_dim(n ** N, "orbit automaton")
+    check_held_entries((N - 1) * n ** (2 * N),
+                       f"orbit automaton: {N - 1} dense {n ** N} x {n ** N} transition matrices")
     words = all_words(n, N)
     index = {w: i for i, w in enumerate(words)}
     letters = [f"s{j}" for j in range(1, N)]

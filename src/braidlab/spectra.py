@@ -7,7 +7,17 @@ space is only ever assembled by the test oracles.  By q-Schur-Weyl duality
 modules rho_lambda, lambda a partition of N with at most n rows, each
 ssyt_dim(lambda, n) times, and weight block mu holds spec rho_lambda(H)
 K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
-form (sector_hamiltonian).  For n = 2 the weight-k block is the
+form (sector_hamiltonian).
+
+Every weight-block operator comes from one ranked-word builder, run once per
+decomposition: weight_blocks lays the blocks of a list of contents end to
+end, _rank keys all their words block-major, and _sites_by_block (H),
+_w0_positions (the w0 images) and _coproduct_maps (E_j, F_j, q^{H_j},
+q^{eps_j}) take N - 1 or one vectorized steps over every block and hand each
+block its slice.  block_matrix, coproduct_block and sector_matrix are the
+one-content calls of the same code.
+
+For n = 2 the weight-k block is the
 binomial(N, k)-dimensional space of words with k high letters, and the
 sector structure is classified: a sector-k eigenvalue has a highest weight
 vector killed by F_1 in block k and carries an E_1-ladder of N - 2k + 1
@@ -18,11 +28,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import exp, expm1, factorial, isfinite, log, sqrt
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import SizeGuardError, ValidationError, check_dense_dim, max_dense_dim
+from .errors import (HELD_BLOCKS_MULTIPLE, ValidationError, check_dense_dim,
+                     check_held_entries)
 from .qalgebra import check_label, dicke_labels, q_number
 from .tableaux import (check_partition, kostka, multinomial, partitions_of, ssyt_dim,
                        standard_tableaux, syt_dim)
@@ -34,8 +45,6 @@ KERNEL_RTOL = 1e-6
 EIG_RESIDUAL_TOL = 1e-9
 HW_TOL = 1e-8
 RESIDUAL_CHUNK = 128
-# where every weight block is held at once, sum_mu d_mu^2 <= this * max_dense_dim()^2
-HELD_BLOCKS_MULTIPLE = 3
 
 
 @dataclass(frozen=True)
@@ -64,8 +73,8 @@ class EigenCluster:
 
 class WeightBlock(NamedTuple):
     """One weight block as diagonalize solved it."""
-    basis: np.ndarray       # (d, N) lexicographic words (weight_basis)
-    sites: tuple            # H on the block as site arrays (_block_sites)
+    basis: np.ndarray       # (d, N) lexicographic words, a slice of weight_blocks' array
+    sites: tuple            # H on the block as site arrays (_sites_by_block)
     values: np.ndarray      # eigh's eigenvalues, increasing
     vectors: np.ndarray     # (d, d) oriented, checked eigenvectors, one column per value
 
@@ -100,40 +109,82 @@ class SpectralDecomposition:
         return sum(self.multiplicities)
 
 
-def weight_basis(n: int, N: int, content: tuple[int, ...]) -> np.ndarray:
-    """The (d, N) int64 array of the words with the given letter content in
-    lexicographic order, built one position at a time from rows (letter
-    counts left, word so far): each prefix row is followed by the letters it
-    still has, in order.  A non-composition content is a ValidationError."""
-    rows = np.zeros((1, n + N), dtype=np.int64)
-    rows[0, :n] = check_label(n, N, content)
+def weight_blocks(n: int, N: int, contents) -> tuple[np.ndarray, np.ndarray]:
+    """The weight blocks of a list of contents in one pass: a (D, N) int64
+    word array, block after block in the order of contents and each block's
+    words in lexicographic order, and the int64 bounds of the blocks, block
+    i being words[bounds[i]:bounds[i + 1]].
+
+    Built one position at a time from rows (letter counts left, word so far),
+    one starting row per content: each prefix row is followed by the letters
+    it still has, in order, so a row never leaves its block and the blocks
+    stay in the order of their starting rows.  A non-composition content is
+    a ValidationError."""
+    starts = [check_label(n, N, content) for content in contents]
+    rows = np.zeros((len(starts), n + N), dtype=np.int64)
+    rows[:, :n] = np.array(starts, dtype=np.int64).reshape(len(starts), n)
+    origin = np.arange(len(starts))
     for k in range(n, n + N):
         prefix, letters = np.nonzero(rows[:, :n])
-        rows = rows[prefix]
+        rows, origin = rows[prefix], origin[prefix]
         rows[np.arange(len(prefix)), letters] -= 1
         rows[:, k] = letters + 1
-    return rows[:, n:]
+    bounds = np.zeros(len(starts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(origin, minlength=len(starts)), out=bounds[1:])
+    return rows[:, n:], bounds
 
 
-def _rank(n: int, N: int, basis) -> tuple:
-    """Letters, base-n keys and a key -> position lookup for a weight block
-    given as its lexicographic word array (weight_basis), whose increasing
-    keys the lookup searches directly; words out of order, or a key outside
-    the basis (not a whole weight block), are a ValidationError."""
-    words = np.asarray(basis, dtype=np.int64)
+def weight_basis(n: int, N: int, content: tuple[int, ...]) -> np.ndarray:
+    """The (d, N) int64 array of the words with the given letter content in
+    lexicographic order: the one-content call of weight_blocks."""
+    return weight_blocks(n, N, [content])[0]
+
+
+class _Ranked(NamedTuple):
+    """Weight blocks laid end to end, ranked by _rank."""
+    words: np.ndarray       # (D, N) letters, int64 (object past int64 keys)
+    powers: np.ndarray      # n^(N-1-j) per position j
+    block: np.ndarray       # block index of each word
+    keys: np.ndarray        # block * stride + base-n key of the word, increasing
+    stride: int             # n^N: a key plus (t - b) * stride names the word in block t
+    lookup: Callable        # wanted keys -> positions in words
+
+
+def _word_array(n: int, N: int, words) -> np.ndarray:
+    """words as a (d, N) int64 array, each letter checked to lie in [1, n]."""
+    words = np.asarray(words, dtype=np.int64)
     if words.shape == (0,):
         words = words.reshape(0, N)
     if words.shape[1:] != (N,) or not ((words >= 1) & (words <= n)).all():
         raise ValidationError(f"basis words must lie in [1,{n}]^{N}")
-    # base-n keys overflow int64 beyond n^N = 2^63; Python integers do not
-    key_type = np.int64 if n ** N <= np.iinfo(np.int64).max else object
+    return words
+
+
+def _rank(n: int, N: int, words, bounds=None) -> _Ranked:
+    """Letters, keys and a key -> position lookup for weight blocks laid end
+    to end (weight_blocks; bounds None for one block).
+
+    The keys are block-major, block index * n^N + the word's base-n key, so
+    with each block in lexicographic order they increase over the whole
+    array and one searchsorted finds any word of any block: a swapped word,
+    a w0 image or an E_j/F_j image, its block named by the multiple of n^N
+    added.  Words out of order within a block, or a wanted key outside the
+    array (not a whole weight block), are a ValidationError.
+    """
+    words = _word_array(n, N, words)
+    sizes = np.diff([0, len(words)] if bounds is None else bounds)
+    stride = n ** N
+    # the sentinel past the last block; keys overflow int64 beyond 2^63,
+    # Python integers do not
+    top = len(sizes) * stride
+    key_type = np.int64 if top <= np.iinfo(np.int64).max else object
     words = words.astype(key_type, copy=False)
     powers = np.array([n ** (N - 1 - j) for j in range(N)], dtype=key_type)
-    keys = (words - 1) @ powers
+    block = np.repeat(np.arange(len(sizes)).astype(key_type), sizes)
+    keys = (words - 1) @ powers + block * stride
     if (np.diff(keys) <= 0).any():
         raise ValidationError("basis words must be distinct and in lexicographic order")
-    # the sentinel n^N lies past every word's key, so each position is in range
-    sorted_keys = np.append(keys, np.array([n ** N], dtype=key_type))
+    sorted_keys = np.append(keys, np.array([top], dtype=key_type))
 
     def lookup(wanted):
         pos = np.searchsorted(sorted_keys, wanted)
@@ -141,29 +192,45 @@ def _rank(n: int, N: int, basis) -> tuple:
             raise ValidationError("basis is not a whole weight block")
         return pos
 
-    return words, powers, keys, lookup
+    return _Ranked(words, powers, block, keys, stride, lookup)
+
+
+def _sites_by_block(chain: OpenChain, words, bounds) -> list:
+    """H on every weight block of words (blocks end to end, bounds), as one
+    site-array triple (diag, sites, 1/q) per block, from one ranking (_rank)
+    and N - 1 vectorized steps.
+
+    Per site j, over all words at once, r_j adds 1 to diag for an equal pair
+    and 1 - q^-2 for a decreasing pair (summed over j in increasing order),
+    and 1/q at (rows, cols): cols are the words whose letters at j, j+1
+    differ, rows the swapped words, which stay in their block.  Each block
+    gets its slice of diag and of every site's arrays, in positions within
+    the block.  No (row, col) occurs twice.
+    """
+    N, q, bounds = chain.N, chain.q, np.asarray(bounds)
+    ranked = _rank(chain.n, N, words, bounds)
+    w, powers, keys = ranked.words, ranked.powers, ranked.keys
+    first = np.repeat(bounds[:-1], np.diff(bounds))     # each word's block start
+    diag = np.zeros(len(w))
+    c = 1.0 - q ** -2
+    steps = []
+    for j in range(N - 1):
+        x, y = w[:, j], w[:, j + 1]
+        diag += np.where(x == y, 1.0, np.where(x > y, c, 0.0))
+        cols = np.flatnonzero(x != y)
+        rows = ranked.lookup(keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1]))
+        steps.append((rows - first[rows], cols - first[cols], np.searchsorted(cols, bounds)))
+    per_block = []
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        sites = [(rows[a[b]:a[b + 1]], cols[a[b]:a[b + 1]]) for rows, cols, a in steps]
+        per_block.append((diag[lo:hi], sites, 1.0 / q))
+    return per_block
 
 
 def _block_sites(chain: OpenChain, basis) -> tuple:
-    """H on one weight block as site arrays (diag, sites, 1/q), from ranked
-    words (_rank).  Per site j, over all words at once, r_j adds 1 to diag
-    for an equal pair and 1 - q^-2 for a decreasing pair (summed over j in
-    increasing order), and 1/q at (rows, cols): cols are the words whose
-    letters at j, j+1 differ, rows the swapped words.  No (row, col) occurs
-    twice.
-    """
-    N, q = chain.N, chain.q
-    words, powers, keys, lookup = _rank(chain.n, N, basis)
-    diag = np.zeros(len(words))
-    c = 1.0 - q ** -2
-    sites = []
-    for j in range(N - 1):
-        x, y = words[:, j], words[:, j + 1]
-        diag += np.where(x == y, 1.0, np.where(x > y, c, 0.0))
-        cols = np.flatnonzero(x != y)
-        sites.append((lookup(keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1])),
-                      cols))
-    return diag, sites, 1.0 / q
+    """H on one weight block as site arrays (diag, sites, 1/q): the
+    one-content call of _sites_by_block."""
+    return _sites_by_block(chain, basis, np.array([0, len(basis)]))[0]
 
 
 def _dense(block: tuple) -> np.ndarray:
@@ -197,38 +264,71 @@ def block_matrix(chain: OpenChain, basis) -> np.ndarray:
     return _dense(_block_sites(chain, basis))
 
 
-def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
-    """Matrix of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
-    from span(source) into span(target), two lexicographic word arrays
-    (weight_basis); target must hold every image word.
+def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -> Iterator:
+    """Matrices of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
+    from block s into block t for each (s, t) in pairs, over the blocks of
+    words laid end to end (bounds), from one ranking (_rank); block t must
+    hold every image word of block s, or it is a ValidationError when the
+    call returns.  The terms are found and checked at once; each dense
+    matrix is built when the iterator reaches its pair, so a sweep that
+    keeps one or two at a time holds no more than that.
 
-    Built from ranked words like block_matrix: the E_j or F_j term at site k
+    Every term of every source block at once: the E_j or F_j term at site k
     moves the key by +-n^(N-1-k), with q to half of (j count - j+1 count)
-    right of k minus left of k, from one cumulative sum.  Every power of q
-    (diagonal kinds too, per word) is a Python float from a table over the
-    exponents that occur: the block equals the sparse operator bit for bit.
+    right of k minus left of k, from one cumulative sum, and the key moves
+    from block s to block t by (t - s) n^N.  Every power of q (diagonal kinds
+    too, per word) is a Python float from a table over the exponents that
+    occur: each matrix equals the sparse operator bit for bit.
     """
     n, N, q = chain.n, chain.N, chain.q
     if kind not in ("E", "F", "qH", "qEps") or not 1 <= j <= (n if kind == "qEps" else n - 1):
         raise ValidationError(f"no coproduct operator {kind}_{j} for n={n}")
-    words, powers, keys, _ = _rank(n, N, source)
-    target_words, _, _, lookup = _rank(n, N, target)
-    step = (words == j).astype(np.int64) - (words == j + 1)
+    bounds = np.asarray(bounds)
+    ranked = _rank(n, N, words, bounds)
+    sources = [s for s, _ in pairs]
+    take = np.concatenate([np.arange(bounds[s], bounds[s + 1]) for s in sources]
+                          + [np.zeros(0, dtype=np.int64)])
+    # the source words end to end, and each one's key in its target block
+    src = ranked.words[take]
+    moved = np.repeat(np.array([t - s for s, t in pairs], dtype=np.int64),
+                      bounds[1:][sources] - bounds[:-1][sources])
+    keys = ranked.keys[take] + moved.astype(src.dtype) * ranked.stride
+    step = (src == j).astype(np.int64) - (src == j + 1)
     # every term at once: source columns, image keys, twice the exponent of q
     if kind == "qH" or kind == "qEps":
-        counts = (words == j).sum(axis=1) if kind == "qEps" else step.sum(axis=1)
-        cols, image, exps = np.arange(len(words)), keys, 2 * counts
+        counts = (src == j).sum(axis=1) if kind == "qEps" else step.sum(axis=1)
+        cols, image, exps = np.arange(len(src)), keys, 2 * counts
     else:
         left = np.cumsum(step, axis=1) - step                      # count left of k
         twice = step.sum(axis=1, keepdims=True) - step - 2 * left  # right minus left
         letter, shift = (j, 1) if kind == "E" else (j + 1, -1)
-        cols, sites = np.nonzero(words == letter)                  # (word, site k) pairs
-        image, exps = keys[cols] + shift * powers[sites], twice[cols, sites]
+        cols, sites = np.nonzero(src == letter)                    # (word, site k) pairs
+        image, exps = keys[cols] + shift * ranked.powers[sites], twice[cols, sites]
     lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
     table = np.array([q ** (0.5 * e) for e in range(lo, hi + 1)])
-    m = np.zeros((len(target_words), len(words)))
-    m[lookup(image), cols] = table[exps - lo]
-    return m
+    rows, entries = ranked.lookup(image), table[exps - lo]
+    # hand each pair its matrix: the terms of source p are cols[cut[p]:cut[p + 1]]
+    starts = np.cumsum([0] + [bounds[s + 1] - bounds[s] for s in sources])
+    cut = np.searchsorted(cols, starts)
+
+    def dense(p, s, t):
+        a, b = cut[p], cut[p + 1]
+        m = np.zeros((bounds[t + 1] - bounds[t], bounds[s + 1] - bounds[s]))
+        m[rows[a:b] - bounds[t], cols[a:b] - starts[p]] = entries[a:b]
+        return m
+
+    return (dense(p, s, t) for p, (s, t) in enumerate(pairs))
+
+
+def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
+    """Matrix of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
+    from span(source) into span(target), two lexicographic word arrays
+    (weight_basis); target must hold every image word.  The one-content call
+    of _coproduct_maps, source and target ranked as two blocks."""
+    source, target = (_word_array(chain.n, chain.N, ws) for ws in (source, target))
+    words = np.concatenate([source, target])
+    return next(_coproduct_maps(chain, kind, j, words, np.array([0, len(source), len(words)]),
+                                [(0, 1)]))
 
 
 def _orbit_size(n: int, shape) -> int:
@@ -253,24 +353,17 @@ def _check_guard(chain: OpenChain, hold_all: bool) -> None:
     base, extra = divmod(N, min(n, N))
     check_dense_dim(multinomial([base + 1] * extra + [base] * (min(n, N) - extra)),
                     f"open chain n={n}, N={N}: largest weight block")
-    if not hold_all:
-        return
-    limit = max_dense_dim()
-    entries = sum(_orbit_size(n, lam) * multinomial(lam) ** 2
-                  for lam in partitions_of(N, max_rows=n))
-    if entries > HELD_BLOCKS_MULTIPLE * limit ** 2:
-        raise SizeGuardError(
-            f"open chain n={n}, N={N}: all weight blocks at once hold {entries} entries "
-            f"({entries * 8 / 2 ** 20:.0f} MiB), past the guard {HELD_BLOCKS_MULTIPLE} x "
-            f"{limit}^2 (set BRAIDLAB_MAX_DIM to raise it)")
+    if hold_all:
+        check_held_entries(sum(_orbit_size(n, lam) * multinomial(lam) ** 2
+                               for lam in partitions_of(N, max_rows=n)),
+                           f"open chain n={n}, N={N}: all weight blocks at once")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Half-open (lo, hi) bounds of the runs of sorted values whose
     neighbours differ by at most tol: each gap above tol starts a new run."""
-    cuts = (np.flatnonzero(np.diff(values) > tol) + 1).tolist()
-    bounds = [0, *cuts, len(values)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    bounds = np.append(_run_starts(values, tol), len(values)).tolist()
+    return list(zip(bounds, bounds[1:]))
 
 
 def _orient_and_check(block: tuple, vals: np.ndarray, vecs: np.ndarray) -> None:
@@ -296,13 +389,21 @@ def _orient_and_check(block: tuple, vals: np.ndarray, vecs: np.ndarray) -> None:
                 f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
 
 
-def _w0_positions(n: int, N: int, basis, partner) -> np.ndarray:
+def _w0_positions(n: int, N: int, basis, partner, bounds=None) -> np.ndarray:
     """Position in partner, the block of the reversed content, of the w0
     image of each word of basis: the word reversed, each letter a sent to
-    n + 1 - a."""
-    words, powers, _, _ = _rank(n, N, basis)
-    _, _, _, lookup = _rank(n, N, partner)
-    return lookup((n - words[:, ::-1]) @ powers)
+    n + 1 - a.  With bounds, basis and partner are blocks laid end to end
+    (mirror blocks have equal sizes, so one bounds serves both), block i of
+    partner the mirror of block i of basis, and each position is within its
+    partner block; both are ranked once, as one array (_rank)."""
+    basis, partner = _word_array(n, N, basis), _word_array(n, N, partner)
+    bounds = np.array([0, len(basis)] if bounds is None else bounds)
+    count, size = len(bounds) - 1, bounds[-1]
+    ranked = _rank(n, N, np.concatenate([basis, partner]),
+                   np.concatenate([bounds, size + bounds[1:]]))
+    words = ranked.words[:size]
+    image = (n - words[:, ::-1]) @ ranked.powers + (ranked.block[:size] + count) * ranked.stride
+    return ranked.lookup(image) - size - np.repeat(bounds[:-1], np.diff(bounds))
 
 
 def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecomposition:
@@ -329,71 +430,119 @@ def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecompositio
     checked against its own H) and kept as a WeightBlock in blocks, and each
     cluster holds its eigenvector columns, for classify_sectors.
 
-    Eigenvalues are grouped by one rule (_runs) at tol = CLUSTER_RTOL *
-    max(1, max |eigenvalue|): a run of sorted values whose neighbours differ
-    by at most tol.  Within a block the runs of the sorted values are
+    Eigenvalues are grouped by one rule (_run_starts) at tol = CLUSTER_RTOL
+    * max(1, max |eigenvalue|): a run of sorted values whose neighbours
+    differ by at most tol.  Within a block the runs of the sorted values are
     merged to their mean; across blocks the runs of those means, sorted
     once, are the clusters, valued at the mean of their means and in
-    increasing order.  Exact cross-block degeneracies are the tableau
-    multiplicities.  A within-block run is a run of columns and is stored as
-    a view of the block's eigenvector matrix, not a copy.  The guard
+    increasing order.  Each pass is a few array operations over every block
+    at once: run starts from one diff (a block's first value always starts
+    a run), means as np.mean of each run takes them (_run_means) and
+    multiplicities from one np.add.reduceat.  Exact cross-block degeneracies
+    are the tableau multiplicities.  A within-block run is a run of columns
+    and is stored as a view of the block's eigenvector matrix, not a copy.  The guard
     (_check_guard) bounds the largest block, and with vectors also the
     entries of all blocks at once.
     """
     _check_guard(chain, hold_all=vectors)
     if vectors:
         blocks, irreps = _eigen_blocks(chain), {}
-        solved = [(content, b.values, 1, b) for content, b in blocks.items()]
+        per_block, orbits = [b.values for b in blocks.values()], [1] * len(blocks)
     else:
         values, irreps = _dominant_spectra(chain)
         blocks = {}
-        solved = [(mu, vals, _orbit_size(chain.n, mu), None) for mu, vals in values.items()]
-    tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(s[1]).max()) for s in solved))
+        per_block, orbits = list(values.values()), [_orbit_size(chain.n, mu) for mu in values]
+    vals = np.concatenate(per_block)
+    tol = CLUSTER_RTOL * max(1.0, float(np.abs(vals).max()))
 
-    flat = []                   # (value, multiplicity, block pieces)
-    for content, vals, orbit, block in solved:
-        for lo, hi in _runs(vals, tol):
-            value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
-            pieces = [] if block is None else [(content, block.basis, block.vectors[:, lo:hi])]
-            flat.append((value, (hi - lo) * orbit, pieces))
-    values = np.array([f[0] for f in flat])
-    order = np.argsort(values)
-    clusters = []
-    for lo, hi in _runs(values[order], tol):
-        entries = [flat[i] for i in order[lo:hi]]
-        value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
-        clusters.append(EigenCluster(value, sum(e[1] for e in entries),
-                                     [p for e in entries for p in e[2]]))
+    # within blocks: a run also starts at each block's first value
+    first = np.cumsum([0] + [len(v) for v in per_block[:-1]])
+    cut = np.zeros(len(vals), dtype=bool)
+    cut[_run_starts(vals, tol)] = cut[first] = True
+    starts = np.flatnonzero(cut)
+    lengths = np.diff(np.append(starts, len(vals)))
+    owner = np.searchsorted(first, starts, side="right") - 1
+    run_values = _run_means(vals, starts, lengths)
+    # Python integers: an orbit of a content of large n passes int64
+    counts = lengths.astype(object) * np.array(orbits, dtype=object)[owner]
+    # across blocks: the runs of the sorted run values
+    order = np.argsort(run_values)
+    ordered = run_values[order]
+    cuts = _run_starts(ordered, tol)
+    cluster_values = _run_means(ordered, cuts, np.diff(np.append(cuts, len(ordered))))
+    multiplicities = np.add.reduceat(counts[order], cuts)
+    if vectors:
+        solved, pieces = list(blocks.items()), []
+        for b, lo, size in zip(owner.tolist(), (starts - first[owner]).tolist(), lengths.tolist()):
+            content, block = solved[b]
+            pieces.append((content, block.basis, block.vectors[:, lo:lo + size]))
+    bounds, order = np.append(cuts, len(ordered)).tolist(), order.tolist()
+    clusters = [EigenCluster(value, count, [pieces[i] for i in order[a:b]] if vectors else [])
+                for value, count, a, b in zip(cluster_values.tolist(), multiplicities.tolist(),
+                                              bounds, bounds[1:])]
     return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, blocks, tol, irreps)
+
+
+def _run_starts(values: np.ndarray, tol: float) -> np.ndarray:
+    """Start of each run of sorted values whose neighbours differ by at most
+    tol: each gap above tol starts a new run."""
+    cut = np.ones(len(values), dtype=bool)
+    cut[1:] = np.diff(values) > tol
+    return np.flatnonzero(cut)
+
+
+def _run_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Mean of each run values[s:s + l], bit for bit as np.mean of the run
+    alone takes it: the runs of one length are gathered as the rows of one
+    array and averaged along its rows, each row reduced as the run alone."""
+    means = values[starts]
+    for length in set(lengths[lengths > 1].tolist()):
+        pick = np.flatnonzero(lengths == length)
+        means[pick] = values[starts[pick, None] + np.arange(length)].mean(axis=1)
+    return means
 
 
 def _eigen_blocks(chain: OpenChain) -> dict:
     """content -> WeightBlock for every weight block, eigenvectors checked.
 
-    H commutes with the longest Weyl element w0 (reverse a word, send each
-    letter a to n + 1 - a), which maps weight block mu onto block
-    reversed(mu).  The first block of each such pair gets one dense eigh of
-    block_matrix; its mirror takes the same values, and as vectors the
-    partner's rows at the w0 images of its words (_w0_positions), with no
-    dense matrix built.  Palindromic contents are solved directly.  Every
-    block, mirrored ones included, is checked against its own H within
+    Every block's words and H come from one pass of the builder
+    (weight_blocks, _sites_by_block), and the w0 images of every mirrored
+    block from one _w0_positions call.  H commutes with the longest Weyl
+    element w0 (reverse a word, send each letter a to n + 1 - a), which maps
+    weight block mu onto block reversed(mu).  The first block of each such
+    pair gets one dense eigh of its site arrays; its mirror takes the same
+    values, and as vectors the partner's rows at the w0 images of its words,
+    with no dense matrix built.  Palindromic contents are solved directly.
+    Every block, mirrored ones included, is checked against its own H within
     EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check), so each run
     verifies the w0 symmetry it uses.  Eigenvector sign convention: first
     component above 1e-12 in magnitude positive.
     """
     n, N = chain.n, chain.N
+    contents = dicke_labels(n, N)
+    words, bounds = weight_blocks(n, N, contents)
+    sites = _sites_by_block(chain, words, bounds)
+    index = {content: b for b, content in enumerate(contents)}
+    mirrored = [(b, index[content[::-1]]) for b, content in enumerate(contents)
+                if index[content[::-1]] < b]
+
+    def end_to_end(blocks):
+        return np.concatenate([words[bounds[b]:bounds[b + 1]] for b in blocks] + [words[:0]])
+
+    # every mirrored block's w0 images in its partner, from one ranking
+    ends = np.cumsum([0] + [bounds[b + 1] - bounds[b] for b, _ in mirrored])
+    positions = _w0_positions(n, N, end_to_end(b for b, _ in mirrored),
+                              end_to_end(p for _, p in mirrored), ends)
+    moved = {b: positions[lo:hi] for (b, _), lo, hi in zip(mirrored, ends, ends[1:])}
     per_block = {}
-    for content in dicke_labels(n, N):
-        basis = weight_basis(n, N, content)
-        block = _block_sites(chain, basis)
-        if content[::-1] in per_block:
+    for b, content in enumerate(contents):
+        if b in moved:
             partner = per_block[content[::-1]]
-            vals = partner.values
-            vecs = partner.vectors[_w0_positions(n, N, basis, partner.basis)]
+            vals, vecs = partner.values, partner.vectors[moved[b]]
         else:
-            vals, vecs = np.linalg.eigh(_dense(block))
-        _orient_and_check(block, vals, vecs)
-        per_block[content] = WeightBlock(basis, block, vals, vecs)
+            vals, vecs = np.linalg.eigh(_dense(sites[b]))
+        _orient_and_check(sites[b], vals, vecs)
+        per_block[content] = WeightBlock(words[bounds[b]:bounds[b + 1]], sites[b], vals, vecs)
     return per_block
 
 
@@ -528,11 +677,13 @@ def sector_hamiltonian(shape, q: float) -> np.ndarray:
     diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
     m = np.zeros((len(rows), len(rows)))
     m[np.arange(len(rows)), np.arange(len(rows))] = diag[d - lo].sum(axis=1)
-    words, powers, keys, lookup = _rank(R, N, rows + 1)
+    ranked = _rank(R, N, rows + 1)
+    words, powers = ranked.words, ranked.powers
     for i in range(N - 1):
         cols = np.flatnonzero(np.abs(d[:, i]) > 1)
         x, y = words[cols, i], words[cols, i + 1]
-        m[lookup(keys[cols] + (y - x) * (powers[i] - powers[i + 1])), cols] = off[d[cols, i] - lo]
+        m[ranked.lookup(ranked.keys[cols] + (y - x) * (powers[i] - powers[i + 1])),
+          cols] = off[d[cols, i] - lo]
     return m
 
 
@@ -627,8 +778,8 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
     kernel of F_1 on weight block k <= N/2, which _highest_weight takes
     run by run from the eigenvectors diagonalize kept (decomposition.blocks,
-    runs at KERNEL_RTOL).  No H is rebuilt: E_1 from block m to m+1
-    (coproduct_block) is built once per block from ranked words, F_1 from
+    runs at KERNEL_RTOL).  No H is rebuilt: E_1 from every block m to m+1
+    comes from one _coproduct_maps call over all blocks, F_1 from
     block m to m-1 is the transpose of the previous E_1 map, which it equals
     exactly in this basis, and F_1 V is formed once per block m <= N/2.  The
     open ladders are one column array, sectors increasing, advanced once per
@@ -656,14 +807,18 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     chain = OpenChain(2, N, q)
     kernel_tol = decomposition.tol * (KERNEL_RTOL / CLUSTER_RTOL)
     blocks = [decomposition.blocks[N - m, m] for m in range(N + 1)]
+    # E_1 from every block m into m + 1 from one ranking, block N into an
+    # empty block N + 1; each map is built as the sweep reaches it
+    bounds = np.cumsum([0] + [len(block.basis) for block in blocks] + [0])
+    e_maps = _coproduct_maps(chain, "E", 1, np.concatenate([block.basis for block in blocks]),
+                             bounds, [(m, m + 1) for m in range(N + 1)])
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
     # E_1 into block 0 comes from the empty block below it
     e_down, below = np.zeros((1, 0)), None
-    for m, block in enumerate(blocks):
-        e_up = coproduct_block(chain, "E", 1, block.basis, blocks[m + 1].basis if m < N else [])
+    for m, (block, e_up) in enumerate(zip(blocks, e_maps)):
         if m <= N // 2:
             fv = e_down.T @ block.vectors
             rung = _Rung(block, e_down, _runs(block.values, kernel_tol), fv,
@@ -871,11 +1026,13 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     q^{H_j} and q^{eps_j}; zero in exact arithmetic by the invariance of the
     chain.
 
-    One sweep over the weight blocks, each operator built from ranked words:
-    H_mu comes from block_matrix, and each y from block mu to the block nu
-    it maps into comes from coproduct_block, so the residual is the worst
-    column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each basis word
-    v of block mu.  The sweep holds every H block at once, as
+    Every weight block is built once, from one pass of the ranked-word
+    builder: H_mu as the dense scatter of its site arrays (_sites_by_block,
+    as block_matrix), and per operator kind one _coproduct_maps call gives y
+    from every block mu into the block nu it maps into, so the number of
+    rankings depends on n and not on the number of blocks.  The residual is
+    the worst column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each
+    basis word v of block mu.  The sweep holds every H block at once, as
     diagonalize(vectors=True) holds every eigenvector block, under the same
     size guard (_check_guard with hold_all).
     """
@@ -886,18 +1043,21 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     for j in range(1, n):
         ops += [("E", j, j, j + 1), ("F", j, j + 1, j), ("qH", j, None, None)]
     ops += [("qEps", j, None, None) for j in range(1, n + 1)]
-    bases = {content: weight_basis(n, N, content) for content in dicke_labels(n, N)}
-    blocks = {content: (basis, block_matrix(chain, basis)) for content, basis in bases.items()}
+    contents = dicke_labels(n, N)
+    index = {content: b for b, content in enumerate(contents)}
+    words, bounds = weight_blocks(n, N, contents)
+    h = [_dense(sites) for sites in _sites_by_block(chain, words, bounds)]
     worst = 0.0
-    for content, (basis, h) in blocks.items():
-        for kind, j, removed, added in ops:
+    for kind, j, removed, added in ops:
+        pairs = []
+        for b, content in enumerate(contents):
             target = list(content)
             if removed is not None:
                 target[removed - 1] -= 1
                 target[added - 1] += 1
                 if target[removed - 1] < 0:
                     continue            # y kills the whole block
-            target_basis, target_h = blocks[tuple(target)]
-            y = coproduct_block(chain, kind, j, basis, target_basis)
-            worst = max(worst, float(np.linalg.norm(target_h @ y - y @ h, axis=0).max()))
+            pairs.append((b, index[tuple(target)]))
+        for (s, t), y in zip(pairs, _coproduct_maps(chain, kind, j, words, bounds, pairs)):
+            worst = max(worst, float(np.linalg.norm(h[t] @ y - y @ h[s], axis=0).max()))
     return worst

@@ -16,7 +16,10 @@ the seminormal form one tableau and one generator at a time, where
 spectra.sector_hamiltonian works on arrays over all tableaux, and
 hook_length_product and hook_content_product are the cell-by-cell hook
 formulas that tableaux.syt_dim and tableaux.ssyt_dim replaced by closed
-products over rows.
+products over rows, raising_per_label applies one whole E-string per
+label, where qalgebra.generate_basis_by_raising grows the strings as a tree,
+and clusters_per_run is the per-run loop that spectra.diagonalize replaced
+by array operations over all blocks.
 """
 
 from itertools import permutations, product
@@ -26,7 +29,7 @@ import numpy as np
 
 from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
-from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, q_number
+from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
 from braidlab.spectra import CLUSTER_RTOL, HW_TOL, LADDER_RESIDUALS, OpenChain
 from braidlab.states import TensorState, all_words
 
@@ -229,6 +232,19 @@ def block_map(op, n: int, source, target) -> np.ndarray:
     return m
 
 
+def raising_per_label(n, N, q):
+    """label -> the unnormalized state E_{n-1}^(k_n) ... E_1^(k_2 + ... + k_n)
+    x_1^N, one whole E-string per label."""
+    out = {}
+    for label in dicke_labels(n, N):
+        state = TensorState.basis(n, (1,) * N)
+        for j in range(1, n):
+            for _ in range(sum(label[j:])):
+                state = apply_E(state, j, q)
+        out[label] = state
+    return out
+
+
 def symmetry_residual_per_word(n, N, q):
     """Max norm of [H, y] v over the coproduct operators y and the basis
     words v, applying H and y to one sparse state at a time; the slow path
@@ -304,3 +320,28 @@ def highest_weight_svd(h, f):
     kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
     vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
     return vals, kernel @ rot
+
+
+def clusters_per_run(values, orbits, tol):
+    """diagonalize's clusters from its blocks' sorted values (one array per
+    block, counted orbits[i] times) as (value, multiplicity, [(block, lo,
+    hi)]), one run at a time: within a block, each gap above tol starts a
+    run, valued at np.mean of its values; across blocks, the runs of the
+    sorted run values, valued at np.mean of theirs, with each run's block
+    and column bounds in argsort order."""
+    def runs(v):
+        cuts = [0] + [i + 1 for i in range(len(v) - 1) if v[i + 1] - v[i] > tol] + [len(v)]
+        return list(zip(cuts, cuts[1:]))
+
+    flat = []
+    for b, (vals, orbit) in enumerate(zip(values, orbits)):
+        for lo, hi in runs(vals):
+            value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
+            flat.append((value, (hi - lo) * orbit, (b, lo, hi)))
+    order = np.argsort(np.array([f[0] for f in flat]))
+    clusters = []
+    for lo, hi in runs(np.array([f[0] for f in flat])[order]):
+        entries = [flat[i] for i in order[lo:hi]]
+        value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
+        clusters.append((value, sum(e[1] for e in entries), [e[2] for e in entries]))
+    return clusters

@@ -1,11 +1,12 @@
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidlab import cli
+from braidlab import cli, errors, spectra
 
 
 def run(capsys, *argv):
@@ -110,6 +111,24 @@ def test_verify_reports_each_shape_for_n3(capsys):
     assert sum(row["syt_dim"] * row["ssyt_dim"] for row in rows) == 3 ** 6
     assert max(row["kostka_residual"] for row in rows) <= 1e-9
     assert "sector_counts" not in payload
+
+
+def test_verify_prints_each_kostka_residual_as_its_decade(capsys):
+    # the residual is rounding noise whose digits change with the solver, so
+    # it is printed as its decade bound 10^ceil(log10 r), 0.0 for r = 0; the
+    # gate reads the unrounded value
+    for n, N, q in [(3, 5, 1.5), (3, 6, 0.7), (4, 5, 2.0), (4, 4, 1.0)]:
+        code, out, _ = run(capsys, "verify", "--n", str(n), "--N", str(N), "--q", str(q))
+        assert code == 0
+        printed = [row["kostka_residual"] for row in json.loads(out)["irreps"]]
+        report = spectra.verify_decomposition(n, N, q)
+        residuals = [irrep.residual for irrep in report.irreps.values()]
+        assert printed == [0.0 if r == 0 else 10.0 ** math.ceil(math.log10(r))
+                           for r in residuals], (n, N, q)
+        for r, p in zip(residuals, printed):
+            assert p == r == 0 or r <= p < 10 * r
+    assert [cli.decade(x) for x in (0, 1e-13, 1.28e-13, 9.9e-14, 3.3e-16)] == [
+        0.0, 1e-13, 1e-12, 1e-13, 1e-15]
 
 
 def test_verify_n3_N9_runs_under_the_default_guard(capsys):
@@ -437,6 +456,38 @@ def test_crystal_guard_exit_code(capsys, monkeypatch):
     assert code == 1 and out == ""
     code, out, _ = run(capsys, "crystal", "--n", "2", "--N", "4")
     assert code == 0 and out.startswith("digraph")
+
+
+def test_dense_automata_fall_under_the_held_entries_rule(capsys, monkeypatch):
+    # one rule for every set of dense matrices held at once: entries <=
+    # HELD_BLOCKS_MULTIPLE * limit^2, checked before anything is built.  At
+    # limit 25 the crystal of n = 4, N = 3 has 20 states (under the dense
+    # guard) but 6 * 20^2 = 2400 > 3 * 25^2 entries; N = 2 has 6 * 10^2
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "25")
+    code, out, err = run(capsys, "crystal", "--n", "4", "--N", "3")
+    assert code == 1 and out == "" and "2400 entries" in err and "guard" in err
+    code, out, _ = run(capsys, "crystal", "--n", "4", "--N", "2")
+    assert code == 0 and out.startswith("digraph")
+    # at limit 243 the orbit automaton of n = 3, N = 5 has 243 states but
+    # 4 * 243^2 entries; N = 4 holds 3 * 81^2
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "243")
+    code, out, err = run(capsys, "quandle", "orbits", "--n", "3", "--N", "5", "--dot")
+    assert code == 1 and out == "" and "236196 entries" in err
+    code, out, _ = run(capsys, "quandle", "orbits", "--n", "3", "--N", "4", "--dot")
+    assert code == 0 and out.startswith("digraph")
+
+
+def test_held_entries_rule_at_the_default_limit(monkeypatch):
+    # crystal --n 90 --N 2: 4095 states, under the dense guard, but 178
+    # matrices (about 22 GiB); quandle orbits --n 2 --N 12 --dot: 11 matrices
+    # of 4096^2 (1.4 GiB).  crystal --n 3 --N 60 (1891 states, 4 matrices)
+    # and the orbit automata of n = 3, N <= 7 stay admitted
+    monkeypatch.delenv("BRAIDLAB_MAX_DIM", raising=False)
+    for entries in (178 * 4095 ** 2, 11 * 4096 ** 2):
+        with pytest.raises(errors.SizeGuardError, match="guard"):
+            errors.check_held_entries(entries, "dense automaton")
+    for entries in [4 * 1891 ** 2] + [(N - 1) * 3 ** (2 * N) for N in range(1, 8)]:
+        errors.check_held_entries(entries, "dense automaton")
 
 
 SPECIAL = ["nan", "inf", "foo", "a,b", "", "1e100", "1e-200", "1e30"]

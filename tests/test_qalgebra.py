@@ -7,7 +7,7 @@ from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator, bracket, bracket_factorial
 from braidlab.states import TensorState, all_words
 
-from oracles import inversion_count, multiset_permutations
+from oracles import inversion_count, multiset_permutations, raising_per_label
 
 
 def test_q_number_values():
@@ -188,6 +188,32 @@ def test_generate_basis_by_raising_agrees_with_q_dicke():
         assert len(basis) == tableaux.ssyt_dim((N,), n)
         for label, state in basis.items():
             assert state.sub(qalgebra.q_dicke(n, N, label, q)).norm() < 1e-12
+
+
+def test_raising_tree_gives_every_string_bit_for_bit(monkeypatch):
+    # the E-strings grown as a tree: each state equals its own string's
+    # state normalized, amplitude for amplitude with ==, and each E_j step
+    # runs once per distinct prefix of the strings
+    steps = []
+    real = qalgebra.apply_E
+    monkeypatch.setattr(qalgebra, "apply_E", lambda s, j, q: steps.append(j) or real(s, j, q))
+    for n in range(1, 5):
+        for N in range(1, 6):
+            for q in (0.7, 1.3):
+                steps.clear()
+                basis = qalgebra.generate_basis_by_raising(n, N, q)
+                strings = raising_per_label(n, N, q)
+                assert list(basis) == list(strings)
+                for label, state in strings.items():
+                    want = state.normalized().amps
+                    assert basis[label].amps == want and list(basis[label].amps) == list(want)
+                prefixes = {tuple(sum(label[j:]) for j in range(1, k + 1))[:-1] + (p,)
+                            for label in strings for k in range(1, n)
+                            for p in range(1, sum(label[k:]) + 1)}
+                assert len(steps) == len(prefixes), (n, N)
+    steps.clear()
+    qalgebra.generate_basis_by_raising(3, 7, 1.3)
+    assert len(steps) == 35
 
 
 def test_generate_basis_counts():

@@ -1,5 +1,6 @@
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,28 @@ def test_word_sum_commutators_exact_q1_verdicts():
         "exact q=1 group algebra: all length sums commute",
         "exact q=1 group algebra: all length sums commute",
         "exact q=1 group algebra: noncommuting pairs [(1, 2), (1, 4), (2, 5), (4, 5)]"]
+
+
+def test_cli_diff_finds_no_difference_between_a_checkout_and_itself():
+    lines = run_script("cli_diff.py", str(ROOT), str(ROOT), "--n", "2,3", "--N", "1-3",
+                       "--q", "0.7,1.5").splitlines()
+    assert lines == ["0 of 36 runs differ"]
+
+
+def test_cli_diff_prints_the_lines_that_differ(tmp_path):
+    # a copy whose verify says PASSED on stderr: every verify run differs in
+    # that line alone, the spectrum runs not at all, and the exit code is 1
+    shutil.copytree(ROOT / "src" / "braidlab", tmp_path / "src" / "braidlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "braidlab" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"PASS" if report.ok') == 1
+    cli.write_text(text.replace('"PASS" if report.ok', '"PASSED" if report.ok'))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_diff.py"), str(ROOT),
+                           str(tmp_path), "--n", "2", "--N", "2,3", "--q", "1.5"],
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout.splitlines() == [
+        "verify --n 2 --N 2 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
+        "verify --n 2 --N 3 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
+        "2 of 6 runs differ"]

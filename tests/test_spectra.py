@@ -9,9 +9,10 @@ from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
-from oracles import (annotate_pairwise, block_map, dense_hamiltonian, hamiltonian_apply,
-                     highest_weight_svd, multiset_permutations, sector_warnings_pairwise,
-                     seminormal_loop, state_to_dense, symmetry_residual_per_word)
+from oracles import (annotate_pairwise, block_map, clusters_per_run, dense_hamiltonian,
+                     hamiltonian_apply, highest_weight_svd, multiset_permutations,
+                     sector_warnings_pairwise, seminormal_loop, state_to_dense,
+                     symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -341,6 +342,93 @@ def test_coproduct_block_matches_sparse_path():
         target = {(69, 1): lower, (68, 2): upper, (70, 0): [(1,) * 70]}[image]
         assert np.array_equal(spectra.coproduct_block(chain, kind, j, lower, target),
                               block_map(op, 2, lower, target)), (kind, j)
+
+
+def _same_sites(a, b):
+    """Two site-array triples (diag, sites, off) equal bit for bit."""
+    return (np.array_equal(a[0], b[0]) and a[2] == b[2] and len(a[1]) == len(b[1])
+            and all(np.array_equal(x, y) for s, t in zip(a[1], b[1]) for x, y in zip(s, t)))
+
+
+@pytest.mark.parametrize("q", (0.7, 1.0, 1.5, 2.0))
+def test_one_pass_builder_matches_one_content_calls_and_the_sparse_path(q):
+    # one all-contents call of each stage against the one-content calls and
+    # against brute force, bit for bit: the words, H's site arrays, the w0
+    # positions (every block into its mirror) and every E_j, F_j, q^{H_j},
+    # q^{eps_j} map, which also equals the sparse operator word by word
+    for n in range(1, 5):
+        for N in range(1, 8):
+            chain = spectra.OpenChain(n, N, q)
+            contents = qalgebra.dicke_labels(n, N)
+            index = {c: b for b, c in enumerate(contents)}
+            words, bounds = spectra.weight_blocks(n, N, contents)
+            blocks = [words[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+            sites = spectra._sites_by_block(chain, words, bounds)
+            mirror = [index[c[::-1]] for c in contents]
+            w0 = spectra._w0_positions(n, N, words, np.concatenate([blocks[m] for m in mirror]),
+                                       bounds)
+            for b, content in enumerate(contents):
+                basis = spectra.weight_basis(n, N, content)
+                assert blocks[b].dtype == basis.dtype and np.array_equal(blocks[b], basis)
+                assert _same_sites(sites[b], spectra._block_sites(chain, basis)), (n, N, content)
+                partner = blocks[mirror[b]]
+                position = {w: i for i, w in enumerate(map(tuple, partner.tolist()))}
+                got = w0[bounds[b]:bounds[b + 1]]
+                assert np.array_equal(got, spectra._w0_positions(n, N, basis, partner))
+                assert got.tolist() == [position[tuple(n + 1 - a for a in reversed(w))]
+                                        for w in basis.tolist()], (n, N, content)
+            cases = {}              # (kind, j) -> (sparse operator, [(source, target)])
+            for b, content in enumerate(contents):
+                for kind, j, op, image in _coproduct_cases(n, q, content):
+                    pairs = cases.setdefault((kind, j), (op, []))[1]
+                    if image is not None:
+                        pairs.append((b, index[image]))
+            for (kind, j), (op, pairs) in cases.items():
+                maps = list(spectra._coproduct_maps(chain, kind, j, words, bounds, pairs))
+                assert len(maps) == len(pairs)
+                for (s, t), m in zip(pairs, maps):
+                    assert np.array_equal(
+                        m, spectra.coproduct_block(chain, kind, j, blocks[s], blocks[t]))
+                    assert np.array_equal(m, block_map(op, n, blocks[s], blocks[t])), (
+                        n, N, contents[s], kind, j)
+
+
+def test_one_pass_builder_past_int64_keys():
+    # 3 * 2^70 block-major keys do not fit in int64: three blocks of N = 70
+    # from one call each, against the one-content calls and the sparse path
+    chain = spectra.OpenChain(2, 70, Q)
+    contents = [(70, 0), (69, 1), (68, 2)]
+    words, bounds = spectra.weight_blocks(2, 70, contents)
+    blocks = [words[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    for b, sites in enumerate(spectra._sites_by_block(chain, words, bounds)):
+        assert _same_sites(sites, spectra._block_sites(chain, blocks[b]))
+    for kind, op in [("E", lambda s: qalgebra.apply_E(s, 1, Q)),
+                     ("F", lambda s: qalgebra.apply_F(s, 1, Q))]:
+        pairs = [(0, 1), (1, 2)] if kind == "E" else [(1, 0), (2, 1)]
+        for (s, t), m in zip(pairs, spectra._coproduct_maps(chain, kind, 1, words, bounds, pairs)):
+            assert np.array_equal(m, block_map(op, 2, blocks[s], blocks[t])), (kind, s)
+
+
+def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
+    # verify_decomposition(2, N, q) ranks its words a fixed number of times
+    # (the one-pass builder: H, the w0 images and E_1 of every block), and
+    # symmetry_residual once for H and once per operator kind
+    real = spectra._rank
+    calls = []
+    monkeypatch.setattr(spectra, "_rank", lambda *args: calls.append(args) or real(*args))
+    counts = []
+    for N in (5, 9, 12):
+        calls.clear()
+        assert spectra.verify_decomposition(2, N, Q).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+    for n in (2, 3):
+        counts = []
+        for N in (4, 5, 6):
+            calls.clear()
+            spectra.symmetry_residual(n, N, Q)
+            counts.append(len(calls))
+        assert counts == [1 + 3 * (n - 1) + n] * 3, (n, counts)
 
 
 def test_coproduct_block_rejects_a_target_that_is_not_the_image_block():
@@ -921,15 +1009,15 @@ def test_symmetry_residual_matches_per_word_sweep():
 def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
     # one off-diagonal entry of the (2, 2) block of H is changed: H no longer
     # commutes with E_1 and F_1, and the sweep must say so
-    real = spectra.block_matrix
+    real = spectra._dense
 
-    def perturbed(chain, basis):
-        m = real(chain, basis)
-        if sorted(basis[0].tolist()) == [1, 1, 2, 2]:
+    def perturbed(block):
+        m = real(block)
+        if len(m) == 6:             # block (2, 2), the only one 6 words wide at N = 4
             m[0, 1] += 0.1
         return m
 
-    monkeypatch.setattr(spectra, "block_matrix", perturbed)
+    monkeypatch.setattr(spectra, "_dense", perturbed)
     assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
 
 
@@ -937,15 +1025,17 @@ def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
 def test_symmetry_residual_sweeps_every_operator_kind(monkeypatch, name):
     # each operator, followed by a weight that varies within a weight block,
     # no longer commutes with H; the sweep must build it to see that
-    real = spectra.coproduct_block
+    real = spectra._coproduct_maps
 
-    def weighted(chain, kind, j, source, target):
-        m = real(chain, kind, j, source, target)
+    def weighted(chain, kind, j, words, bounds, pairs):
+        maps = real(chain, kind, j, words, bounds, pairs)
         if kind == name.removeprefix("apply_"):
-            m = m * np.array([float(w[0]) for w in target]).reshape(-1, 1)
-        return m
+            targets = [words[bounds[t]:bounds[t + 1]] for _, t in pairs]
+            maps = [m * np.array([float(w[0]) for w in target]).reshape(-1, 1)
+                    for m, target in zip(maps, targets)]
+        return maps
 
-    monkeypatch.setattr(spectra, "coproduct_block", weighted)
+    monkeypatch.setattr(spectra, "_coproduct_maps", weighted)
     assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
 
 
@@ -1217,6 +1307,33 @@ def test_values_only_check_catches_a_perturbed_block(monkeypatch):
     monkeypatch.setattr(spectra, "_dense", shifted)
     with pytest.raises(ValidationError, match=r"weight block \(2, 2, 2\): Kostka identity"):
         spectra.diagonalize(spectra.OpenChain(3, 6, Q))
+
+
+def test_array_grouping_matches_the_per_run_loop():
+    # diagonalize's two grouping passes, as array operations over every
+    # block, give the per-run loop's clusters bit for bit: values (means as
+    # np.mean takes them), multiplicities, and with vectors each run's
+    # columns of its block in the same order
+    for n, N, vectors in [(2, 10, True), (2, 12, False), (3, 6, True), (3, 7, False),
+                          (4, 5, True), (4, 6, False)]:
+        for q in (0.7, 1.0, 1.5):
+            chain = spectra.OpenChain(n, N, q)
+            deco = spectra.diagonalize(chain, vectors=vectors)
+            if vectors:
+                contents = list(deco.blocks)
+                values, orbits = [b.values for b in deco.blocks.values()], [1] * len(contents)
+            else:
+                spectra_of, _ = spectra._dominant_spectra(chain)
+                values, orbits = list(spectra_of.values()), [spectra._orbit_size(n, mu)
+                                                            for mu in spectra_of]
+            want = clusters_per_run(values, orbits, deco.tol)
+            assert [(c.value, c.multiplicity) for c in deco.clusters] == [
+                (value, count) for value, count, _ in want], (n, N, q, vectors)
+            if vectors:
+                for cluster, (_, _, runs) in zip(deco.clusters, want):
+                    assert [p[0] for p in cluster.blocks] == [contents[b] for b, _, _ in runs]
+                    assert all(np.array_equal(p[2], deco.blocks[contents[b]].vectors[:, lo:hi])
+                               for p, (b, lo, hi) in zip(cluster.blocks, runs))
 
 
 def test_classify_sectors_needs_the_vectors():

@@ -3,12 +3,13 @@
 Subcommands: automaton, tableaux, shuffle, dicke, crystal, spectrum, verify,
 quandle.  JSON, CSV, or DOT goes to stdout and diagnostics to stderr; output
 is deterministic for fixed inputs (floats at 12 significant digits, a
-residual of rounding noise as its decade bound, complex values as {re, im}
-pairs, stable key order).  Exit codes: 0 success,
+residual of rounding noise, kostka_residual and hw_residual, as its decade
+bound, complex values as {re, im} pairs, stable key order).  Exit codes: 0 success,
 2 validation error (overflowing q or z included), 1 guard rejection.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,7 +34,9 @@ def fnum(x) -> float:
 
 def decade(x) -> float:
     """The decade bound 10^ceil(log10 x) of a nonnegative x, 0.0 for 0: for
-    a residual of rounding noise, whose digits change with the solver."""
+    a residual of rounding noise, whose digits change with the solver.  A
+    NaN or an infinity is an OverflowError, as in fnum."""
+    fnum(x)
     x = float(x)
     return 0.0 if x == 0 else fnum(10.0 ** math.ceil(math.log10(x)))
 
@@ -158,7 +161,7 @@ def _spectrum_rows(args):
         value = 0.0 if abs(c.value) <= deco.tol else fnum(c.value)
         rows.append({"value": value, "multiplicity": c.multiplicity,
                      "sector": c.sector,
-                     "hw_residual": fnum(c.hw_residual) if c.hw_residual is not None else None})
+                     "hw_residual": decade(c.hw_residual) if c.hw_residual is not None else None})
     return rows
 
 
@@ -300,9 +303,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built once per process: parse_args keeps
+    no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             args.fn(args)

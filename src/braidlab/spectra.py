@@ -7,21 +7,22 @@ space is only ever assembled by the test oracles.  By q-Schur-Weyl duality
 modules rho_lambda, lambda a partition of N with at most n rows, each
 ssyt_dim(lambda, n) times, and weight block mu holds spec rho_lambda(H)
 K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
-form (sector_hamiltonian).
+form (sector_hamiltonian).  So diagonalize solves one block per partition
+mu, with or without eigenvectors (_dominant_blocks).
 
 Every weight-block operator comes from one ranked-word builder, run once per
 decomposition: weight_blocks lays the blocks of a list of contents end to
 end, _rank keys all their words block-major, and _sites_by_block (H),
-_w0_positions (the w0 images) and _coproduct_maps (E_j, F_j, q^{H_j},
-q^{eps_j}) take N - 1 or one vectorized steps over every block and hand each
-block its slice.  block_matrix, coproduct_block and sector_matrix are the
-one-content calls of the same code.
+_w0_positions (the w0 images in self-mirrored blocks) and _coproduct_maps
+(E_j, F_j, q^{H_j}, q^{eps_j}) take N - 1 or one vectorized steps over
+every block and hand each block its slice.  block_matrix, coproduct_block
+and sector_matrix are the one-content calls of the same code.
 
-For n = 2 the weight-k block is the
-binomial(N, k)-dimensional space of words with k high letters, and the
-sector structure is classified: a sector-k eigenvalue has a highest weight
-vector killed by F_1 in block k and carries an E_1-ladder of N - 2k + 1
-states with closed-form F_1 E_1 coefficients kappa_m = [N-k-m]_q [m-k+1]_q.
+For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
+words with k high letters, and the sector structure is classified: a
+sector-k eigenvalue has a highest weight vector killed by F_1 in block k
+and carries an E_1-ladder of N - 2k + 1 states with closed-form F_1 E_1
+coefficients kappa_m = [N-k-m]_q [m-k+1]_q.
 """
 
 from collections import Counter
@@ -64,8 +65,9 @@ class OpenChain:
 class EigenCluster:
     value: float
     multiplicity: int
-    # per contributing weight block, when diagonalize kept vectors: (content,
-    # weight_basis words, eigenvector columns); empty on the values-only path
+    # pieces of the solved blocks only, when diagonalize kept vectors:
+    # (content, weight_basis words, eigenvector columns) per solved block
+    # holding the value; empty on the values-only path.  Only tests read it
     blocks: list = field(default_factory=list)
     sector: int | None = None
     hw_residual: float | None = None
@@ -75,8 +77,8 @@ class WeightBlock(NamedTuple):
     """One weight block as diagonalize solved it."""
     basis: np.ndarray       # (d, N) lexicographic words, a slice of weight_blocks' array
     sites: tuple            # H on the block as site arrays (_sites_by_block)
-    values: np.ndarray      # eigh's eigenvalues, increasing
-    vectors: np.ndarray     # (d, d) oriented, checked eigenvectors, one column per value
+    values: np.ndarray      # its eigenvalues, increasing
+    vectors: np.ndarray | None  # (d, d) checked eigenvectors by column, None values-only
 
 
 class Irrep(NamedTuple):
@@ -93,7 +95,7 @@ class SpectralDecomposition:
     N: int
     q: float
     clusters: list
-    blocks: dict            # content -> WeightBlock (vectors=True), else empty
+    blocks: dict            # solved content -> WeightBlock (vectors=True), else empty
     tol: float              # the clustering tolerance CLUSTER_RTOL * max(1, max |eigenvalue|)
     irreps: dict = field(default_factory=dict)   # shape -> Irrep (values-only), else empty
 
@@ -338,25 +340,23 @@ def _orbit_size(n: int, shape) -> int:
     return multinomial([n - len(shape), *Counter(shape).values()])
 
 
-def _check_guard(chain: OpenChain, hold_all: bool) -> None:
+def _check_guard(chain: OpenChain, held: str | None) -> None:
     """One dense guard for every n: the largest weight block, the
     multinomial of the most even content, must be at most max_dense_dim().
-    That bounds every dense solve, one block at a time.  Where every block is
-    held at once (hold_all: diagonalize(vectors=True), one d x d eigenvector
-    matrix per block, and symmetry_residual, one d x d H per block), their
-    entries, sum over contents mu of d_mu^2 at 8 bytes each, must also be at
-    most HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2: 384 MiB at the
-    default 4096.  That admits every n = 2 size the guard admitted when it
-    bounded binomial(N, N//2) (n = 2, N = 14 holds binomial(28, 14), 2.39
-    times 4096^2, 306 MiB), and refuses n = 11, N = 6 (about 4,790 MiB)."""
+    The blocks a caller holds at once, held "dominant" (one d x d eigenvector
+    matrix per partition mu, diagonalize(vectors=True)) or "all" (H on every
+    block, symmetry_residual), must also hold at most HELD_BLOCKS_MULTIPLE =
+    3 times max_dense_dim()^2 entries: 384 MiB at the default 4096.  So
+    n = 2, N = 14 holds 25,947,612 entries with vectors, and n = 11, N = 6
+    holds 708,062, where symmetry_residual is refused (about 4,787 MiB)."""
     n, N = chain.n, chain.N
     base, extra = divmod(N, min(n, N))
     check_dense_dim(multinomial([base + 1] * extra + [base] * (min(n, N) - extra)),
                     f"open chain n={n}, N={N}: largest weight block")
-    if hold_all:
-        check_held_entries(sum(_orbit_size(n, lam) * multinomial(lam) ** 2
-                               for lam in partitions_of(N, max_rows=n)),
-                           f"open chain n={n}, N={N}: all weight blocks at once")
+    if held is not None:
+        check_held_entries(sum((1 if held == "dominant" else _orbit_size(n, mu))
+                               * multinomial(mu) ** 2 for mu in partitions_of(N, max_rows=n)),
+                           f"open chain n={n}, N={N}: {held} weight blocks at once")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -389,46 +389,28 @@ def _orient_and_check(block: tuple, vals: np.ndarray, vecs: np.ndarray) -> None:
                 f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
 
 
-def _w0_positions(n: int, N: int, basis, partner, bounds=None) -> np.ndarray:
-    """Position in partner, the block of the reversed content, of the w0
-    image of each word of basis: the word reversed, each letter a sent to
-    n + 1 - a.  With bounds, basis and partner are blocks laid end to end
-    (mirror blocks have equal sizes, so one bounds serves both), block i of
-    partner the mirror of block i of basis, and each position is within its
-    partner block; both are ranked once, as one array (_rank)."""
-    basis, partner = _word_array(n, N, basis), _word_array(n, N, partner)
-    bounds = np.array([0, len(basis)] if bounds is None else bounds)
-    count, size = len(bounds) - 1, bounds[-1]
-    ranked = _rank(n, N, np.concatenate([basis, partner]),
-                   np.concatenate([bounds, size + bounds[1:]]))
-    words = ranked.words[:size]
-    image = (n - words[:, ::-1]) @ ranked.powers + (ranked.block[:size] + count) * ranked.stride
-    return ranked.lookup(image) - size - np.repeat(bounds[:-1], np.diff(bounds))
+def _w0_positions(n: int, N: int, words, bounds, letters) -> np.ndarray:
+    """Position within its block of the w0 image of each word, for weight
+    blocks laid end to end (bounds) that w0 maps onto themselves, block i
+    over the alphabet 1..letters[i]: the word reversed, each letter a sent
+    to letters[i] + 1 - a.  The blocks are ranked once, as one array
+    (_rank); an image outside its block is a ValidationError."""
+    bounds = np.asarray(bounds)
+    ranked, sizes = _rank(n, N, words, bounds), np.diff(bounds)
+    flip = np.repeat(np.asarray(letters, dtype=ranked.words.dtype), sizes)[:, None]
+    image = (flip - ranked.words[:, ::-1]) @ ranked.powers + ranked.block * ranked.stride
+    return ranked.lookup(image) - np.repeat(bounds[:-1], sizes)
 
 
 def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecomposition:
     """Full spectrum via weight blocks, with eigenvalue clustering.
 
-    Values only (the default): block mu has spectrum the union over lambda
-    of K_{lambda mu} copies of spec rho_lambda(H), and K does not depend on
-    the order of mu, so every content in the S_n orbit of mu has the same
-    spectrum (H itself need not commute with a letter permutation: at n = 3,
-    N = 5 swapping letters 2 and 3 carries block (2, 2, 1) onto (2, 1, 2)
-    without commuting with H).  So one content per orbit is solved, for each
-    partition of N with at most n rows, and counts for its orbit
-    (_orbit_size): one that reads the same reversed where there is one, split
-    by w0 into two halves each with one eigvalsh, else the dominant one with
-    one eigvalsh (_dominant_spectra).  No eigenvector is formed, so instead
-    of an eigenpair check every solved block's sorted values must equal the
-    sorted union of K_{lambda mu} (tableaux.kostka) copies of the seminormal
-    spectra (sector_hamiltonian) elementwise, within EIG_RESIDUAL_TOL *
-    max(1, |eigenvalue|), or it is a ValidationError; the spectra,
-    ssyt_dim(lambda, n) and each lambda's worst residual are kept as irreps.
-
-    vectors=True: every weight block is solved with its eigenvectors
-    (_eigen_blocks: one eigh per w0 mirror pair, each block's eigenpairs
-    checked against its own H) and kept as a WeightBlock in blocks, and each
-    cluster holds its eigenvector columns, for classify_sectors.
+    One weight block is solved per partition mu of N with at most n rows
+    (_dominant_blocks), and counts for every content in its S_n orbit
+    (_orbit_size).  Values only (the default), the seminormal spectra that
+    checked them are kept as irreps.  vectors=True keeps the solved blocks,
+    eigenvectors checked, as WeightBlocks in blocks (for n = 2 the blocks
+    m <= N/2 that classify_sectors reads), and each cluster its columns.
 
     Eigenvalues are grouped by one rule (_run_starts) at tol = CLUSTER_RTOL
     * max(1, max |eigenvalue|): a run of sorted values whose neighbours
@@ -440,18 +422,14 @@ def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecompositio
     a run), means as np.mean of each run takes them (_run_means) and
     multiplicities from one np.add.reduceat.  Exact cross-block degeneracies
     are the tableau multiplicities.  A within-block run is a run of columns
-    and is stored as a view of the block's eigenvector matrix, not a copy.  The guard
-    (_check_guard) bounds the largest block, and with vectors also the
-    entries of all blocks at once.
+    and is stored as a view of the block's eigenvector matrix, not a copy.
+    The guard (_check_guard) bounds the largest block, and with vectors also
+    the entries of the solved blocks at once.
     """
-    _check_guard(chain, hold_all=vectors)
-    if vectors:
-        blocks, irreps = _eigen_blocks(chain), {}
-        per_block, orbits = [b.values for b in blocks.values()], [1] * len(blocks)
-    else:
-        values, irreps = _dominant_spectra(chain)
-        blocks = {}
-        per_block, orbits = list(values.values()), [_orbit_size(chain.n, mu) for mu in values]
+    _check_guard(chain, "dominant" if vectors else None)
+    solved, irreps = _dominant_blocks(chain, vectors)
+    per_block = [block.values for block in solved.values()]
+    orbits = [_orbit_size(chain.n, content) for content in solved]
     vals = np.concatenate(per_block)
     tol = CLUSTER_RTOL * max(1.0, float(np.abs(vals).max()))
 
@@ -472,15 +450,16 @@ def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecompositio
     cluster_values = _run_means(ordered, cuts, np.diff(np.append(cuts, len(ordered))))
     multiplicities = np.add.reduceat(counts[order], cuts)
     if vectors:
-        solved, pieces = list(blocks.items()), []
+        blocks, pieces = list(solved.items()), []
         for b, lo, size in zip(owner.tolist(), (starts - first[owner]).tolist(), lengths.tolist()):
-            content, block = solved[b]
+            content, block = blocks[b]
             pieces.append((content, block.basis, block.vectors[:, lo:lo + size]))
     bounds, order = np.append(cuts, len(ordered)).tolist(), order.tolist()
     clusters = [EigenCluster(value, count, [pieces[i] for i in order[a:b]] if vectors else [])
                 for value, count, a, b in zip(cluster_values.tolist(), multiplicities.tolist(),
                                               bounds, bounds[1:])]
-    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, blocks, tol, irreps)
+    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters,
+                                 solved if vectors else {}, tol, irreps)
 
 
 def _run_starts(values: np.ndarray, tol: float) -> np.ndarray:
@@ -502,99 +481,70 @@ def _run_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return means
 
 
-def _eigen_blocks(chain: OpenChain) -> dict:
-    """content -> WeightBlock for every weight block, eigenvectors checked.
+def _dominant_blocks(chain: OpenChain, vectors: bool) -> tuple[dict, dict]:
+    """content -> WeightBlock, one per partition mu of N with at most n
+    rows, and shape -> Irrep (values only, else empty).
 
-    Every block's words and H come from one pass of the builder
-    (weight_blocks, _sites_by_block), and the w0 images of every mirrored
-    block from one _w0_positions call.  H commutes with the longest Weyl
-    element w0 (reverse a word, send each letter a to n + 1 - a), which maps
-    weight block mu onto block reversed(mu).  The first block of each such
-    pair gets one dense eigh of its site arrays; its mirror takes the same
-    values, and as vectors the partner's rows at the w0 images of its words,
-    with no dense matrix built.  Palindromic contents are solved directly.
-    Every block, mirrored ones included, is checked against its own H within
-    EIG_RESIDUAL_TOL, in column chunks (see _orient_and_check), so each run
-    verifies the w0 symmetry it uses.  Eigenvector sign convention: first
-    component above 1e-12 in magnitude positive.
+    Block mu has spectrum the union over lambda of K_{lambda mu} copies of
+    spec rho_lambda(H), and K does not depend on the order of mu, so every
+    content in the S_n orbit of mu has that spectrum (H itself need not
+    commute with a letter permutation: at n = 3, N = 5 swapping letters 2
+    and 3 carries block (2, 2, 1) onto (2, 1, 2) without commuting with H).
+    The content solved is mu's palindrome (_palindrome) where one exists,
+    else mu, padded with zeros to n parts, all from one builder pass (the
+    site arrays do not depend on the alphabet).  w0 over a palindrome's
+    alphabet 1..len(mu) maps its block onto itself, its images from one
+    _w0_positions call for all of them, and _solve_block splits it.
+
+    Each solved block gets one check of what it keeps: with vectors its
+    eigenpairs (_orient_and_check, which also fixes the signs); values only
+    the Kostka identity, its sorted values equal to the sorted union of
+    K_{lambda mu} (tableaux.kostka) copies of the seminormal spectra within
+    EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or it is a ValidationError.
+    Each residual counts towards the lambda it is compared with.
     """
-    n, N = chain.n, chain.N
-    contents = dicke_labels(n, N)
-    words, bounds = weight_blocks(n, N, contents)
-    sites = _sites_by_block(chain, words, bounds)
-    index = {content: b for b, content in enumerate(contents)}
-    mirrored = [(b, index[content[::-1]]) for b, content in enumerate(contents)
-                if index[content[::-1]] < b]
-
-    def end_to_end(blocks):
-        return np.concatenate([words[bounds[b]:bounds[b + 1]] for b in blocks] + [words[:0]])
-
-    # every mirrored block's w0 images in its partner, from one ranking
-    ends = np.cumsum([0] + [bounds[b + 1] - bounds[b] for b, _ in mirrored])
-    positions = _w0_positions(n, N, end_to_end(b for b, _ in mirrored),
-                              end_to_end(p for _, p in mirrored), ends)
-    moved = {b: positions[lo:hi] for (b, _), lo, hi in zip(mirrored, ends, ends[1:])}
-    per_block = {}
-    for b, content in enumerate(contents):
-        if b in moved:
-            partner = per_block[content[::-1]]
-            vals, vecs = partner.values, partner.vectors[moved[b]]
-        else:
-            vals, vecs = np.linalg.eigh(_dense(sites[b]))
-        _orient_and_check(sites[b], vals, vecs)
-        per_block[content] = WeightBlock(words[bounds[b]:bounds[b + 1]], sites[b], vals, vecs)
-    return per_block
-
-
-def _dominant_spectra(chain: OpenChain) -> tuple[dict, dict]:
-    """mu -> sorted values of the weight block mu + (0, ...), for each
-    partition mu of N with at most n rows, and shape -> Irrep, with the
-    Kostka identity checked on every solved block.
-
-    Zero parts of a content leave its words and H unchanged up to the names
-    of the letters, so block mu is built over the alphabet 1..len(mu).  When
-    at most one part value of mu has odd multiplicity, the block solved is
-    that of a permutation of mu that reads the same reversed (_palindrome):
-    it is as wide as block mu and, K_{lambda mu} not depending on the order
-    of mu, has its spectrum.  w0 maps it onto itself, and its values come
-    from one eigvalsh per w0 parity half, the symmetry checked first
-    (_self_mirrored_values).  Any other mu gets one eigvalsh of its dense
-    block.  The sorted values must equal the sorted union of K_{lambda mu}
-    copies of spec rho_lambda(H) over the shapes lambda, elementwise within
-    EIG_RESIDUAL_TOL * max(1, |eigenvalue|); each residual counts towards the
-    lambda whose value it is compared with."""
     n, N, q = chain.n, chain.N, chain.q
     shapes = partitions_of(N, max_rows=n)
-    shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
-    worst = np.zeros(len(shapes))
-    values = {}
-    for mu in shapes:
-        palindrome = _palindrome(mu)
-        letters = OpenChain(len(mu), N, q)
-        basis = weight_basis(len(mu), N, palindrome or mu)
-        block = _block_sites(letters, basis)
-        if palindrome is None:
-            vals = np.linalg.eigvalsh(_dense(block))
+    solved = [_palindrome(mu) or mu for mu in shapes]
+    contents = [(*c, *[0] * (n - len(c))) for c in solved]
+    words, bounds = weight_blocks(n, N, contents)
+    sites = _sites_by_block(chain, words, bounds)
+    mirrored = [b for b, c in enumerate(solved) if c == c[::-1]]     # (N,) always is
+    ends = np.cumsum([0] + [bounds[b + 1] - bounds[b] for b in mirrored])
+    w0 = _w0_positions(n, N, np.concatenate([words[bounds[b]:bounds[b + 1]] for b in mirrored]),
+                       ends, [len(solved[b]) for b in mirrored])
+    images = {b: w0[lo:hi] for b, lo, hi in zip(mirrored, ends, ends[1:])}
+    if not vectors:
+        shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
+        worst = np.zeros(len(shapes))
+    blocks = {}
+    # the widest block first, while no other block's eigenvectors are held
+    for b in sorted(range(len(shapes)), key=lambda b: bounds[b] - bounds[b + 1]):
+        mu = shapes[b]
+        vals, vecs = _solve_block(sites[b], images.get(b), mu, vectors)
+        if vectors:
+            _orient_and_check(sites[b], vals, vecs)
         else:
-            vals = _self_mirrored_values(block, _w0_positions(len(mu), N, basis, basis), mu)
-        copies = [kostka(lam, mu) for lam in shapes]
-        want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
-        if len(want) != len(vals):
-            raise ValidationError(f"weight block {mu}: {len(vals)} values, but the "
-                                  f"Kostka numbers give {len(want)}")
-        order = np.argsort(want, kind="stable")
-        resid = np.abs(vals - want[order])
-        bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))))
-        if bad.size:
-            raise ValidationError(f"weight block {mu}: Kostka identity residual "
-                                  f"{float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
-        owner = np.repeat(np.arange(len(shapes)),
-                          [k * len(s) for s, k in zip(shape_values, copies)])
-        np.maximum.at(worst, owner[order], resid)
-        values[mu] = vals
-    irreps = {lam: Irrep(s, ssyt_dim(lam, n), float(w))
-              for lam, s, w in zip(shapes, shape_values, worst)}
-    return values, irreps
+            copies = [kostka(lam, mu) for lam in shapes]
+            want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
+            if len(want) != len(vals):
+                raise ValidationError(f"weight block {mu}: {len(vals)} values, but the "
+                                      f"Kostka numbers give {len(want)}")
+            order = np.argsort(want, kind="stable")
+            resid = np.abs(vals - want[order])
+            bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))))
+            if bad.size:
+                raise ValidationError(f"weight block {mu}: Kostka identity residual "
+                                      f"{float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
+            owner = np.repeat(np.arange(len(shapes)),
+                              [k * len(s) for s, k in zip(shape_values, copies)])
+            np.maximum.at(worst, owner[order], resid)
+        blocks[b] = WeightBlock(words[bounds[b]:bounds[b + 1]], sites[b], vals, vecs)
+    blocks = {content: blocks[b] for b, content in enumerate(contents)}
+    if vectors:
+        return blocks, {}
+    return blocks, {lam: Irrep(s, ssyt_dim(lam, n), float(w))
+                    for lam, s, w in zip(shapes, shape_values, worst)}
 
 
 def _palindrome(mu: tuple) -> tuple | None:
@@ -610,23 +560,49 @@ def _palindrome(mu: tuple) -> tuple | None:
     return (*half, *odd, *half[::-1])
 
 
-def _self_mirrored_values(block: tuple, w0: np.ndarray, mu) -> np.ndarray:
-    """Sorted eigenvalues of a weight block that w0 maps onto itself, from
-    one eigvalsh per non-empty w0 parity half.
+def _solve_block(block: tuple, w0: np.ndarray | None, mu, vectors: bool) -> tuple:
+    """Increasing eigenvalues of a weight block's site arrays, with their
+    eigenvectors as d x d columns (vectors) or None: one eigh or eigvalsh of
+    the dense block, or per non-empty w0 parity half (_parity_halves) when
+    w0, each word's image position (_w0_positions), is given.  An
+    eigenvector (u_I, u_F) of the even half is u_I/sqrt2 on I and J and u_F
+    on F, one u of the odd half u/sqrt2 on I and -u/sqrt2 on J."""
+    if w0 is None:
+        if vectors:
+            return np.linalg.eigh(_dense(block))
+        return np.linalg.eigvalsh(_dense(block)), None
+    halves, pairs, partners, fixed = _parity_halves(block, w0, mu)
+    if not vectors:
+        return np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in halves])), None
+    solved = [np.linalg.eigh(h) for h in halves]
+    del halves                  # the d x d dense block goes before the vectors are laid out
+    vals = np.concatenate([v for v, _ in solved])
+    rank = np.argsort(vals, kind="stable")
+    column = np.empty_like(rank)
+    column[rank] = np.arange(len(rank))
+    k, scale = len(pairs), sqrt(0.5)
+    vecs = np.zeros((len(w0), len(w0)))
+    even, odd = np.split(column, [k + len(fixed)])     # the columns of each half's values
+    for (_, u), cols, sign in zip(solved, (even, odd), (1.0, -1.0)):
+        vecs[pairs[:, None], cols] = u[:k] * scale
+        vecs[partners[:, None], cols] = u[:k] * (sign * scale)
+    vecs[fixed[:, None], even] = solved[0][1][k:]
+    return vals[rank], vecs
 
-    w0 (the position of each word's w0 image, _w0_positions) fixes the words
-    F and swaps each word of I with one of J = w0(I).  With A = _dense(block)
-    and w0 commuting with A, the basis (e_I + e_J)/sqrt2, e_F,
-    (e_I - e_J)/sqrt2 splits A into the even half [[A_II + A_IJ,
-    sqrt2 A_IF], [sqrt2 A_FI, A_FF]] and the odd half A_II - A_IJ.  Before
-    the coupling between the halves is dropped, A_II - A_JJ, A_IJ - A_JI and
-    A_IF - A_JF must be within EIG_RESIDUAL_TOL * max(1, max |A|), or it is
-    a ValidationError naming mu: each run verifies the symmetry it uses.
-    """
+
+def _parity_halves(block: tuple, w0: np.ndarray, mu) -> tuple:
+    """The non-empty w0 parity halves, (even, odd) or (even,), of a block
+    that w0 maps onto itself, and the positions of the words I, J = w0(I)
+    and F that w0 swaps and fixes.  With A = _dense(block) commuting with
+    w0, the basis (e_I + e_J)/sqrt2, e_F, (e_I - e_J)/sqrt2 splits A into
+    [[A_II + A_IJ, sqrt2 A_IF], [sqrt2 A_FI, A_FF]] and A_II - A_IJ.  Before
+    the coupling is dropped, A_II - A_JJ, A_IJ - A_JI and A_IF - A_JF must
+    be within EIG_RESIDUAL_TOL * max(1, max |A|), or it is a ValidationError
+    naming mu: each run verifies the symmetry it uses."""
     positions = np.arange(len(w0))
     pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
-    k = len(pairs)
-    order = np.concatenate([pairs, w0[pairs], fixed])
+    partners, k = w0[pairs], len(pairs)
+    order = np.concatenate([pairs, partners, fixed])
     a = _dense(block)[np.ix_(order, order)]             # rows and columns I, J, F
     ii, ij = a[:k, :k], a[:k, k:2 * k]
     diag, _, off = block
@@ -640,7 +616,7 @@ def _self_mirrored_values(block: tuple, w0: np.ndarray, mu) -> np.ndarray:
     np.add(ii, ij, out=even[:k, :k])
     even[:k, k:] *= sqrt(2.0)
     even[k:, :k] *= sqrt(2.0)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in (even, odd) if len(h)]))
+    return (even, odd) if k else (even,), pairs, partners, fixed
 
 
 def sector_hamiltonian(shape, q: float) -> np.ndarray:
@@ -777,8 +753,11 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
     kernel of F_1 on weight block k <= N/2, which _highest_weight takes
-    run by run from the eigenvectors diagonalize kept (decomposition.blocks,
-    runs at KERNEL_RTOL).  No H is rebuilt: E_1 from every block m to m+1
+    run by run from the eigenvectors diagonalize kept: the blocks m <= N/2
+    are its dominant blocks, decomposition.blocks[N - m, m] (runs at
+    KERNEL_RTOL).  The blocks m > N/2 need only their words and H's site
+    arrays, from one pass of the builder (weight_blocks, _sites_by_block),
+    so no dense H block is built twice.  E_1 from every block m to m+1
     comes from one _coproduct_maps call over all blocks, F_1 from
     block m to m-1 is the transpose of the previous E_1 map, which it equals
     exactly in this basis, and F_1 V is formed once per block m <= N/2.  The
@@ -806,20 +785,24 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     N, q = decomposition.N, decomposition.q
     chain = OpenChain(2, N, q)
     kernel_tol = decomposition.tol * (KERNEL_RTOL / CLUSTER_RTOL)
-    blocks = [decomposition.blocks[N - m, m] for m in range(N + 1)]
+    lower = [decomposition.blocks[N - m, m] for m in range(N // 2 + 1)]
+    words, bounds = weight_blocks(2, N, [(N - m, m) for m in range(N // 2 + 1, N + 1)])
+    bases = [block.basis for block in lower] + np.split(words, bounds[1:-1])
+    sites = [block.sites for block in lower] + _sites_by_block(chain, words, bounds)
     # E_1 from every block m into m + 1 from one ranking, block N into an
     # empty block N + 1; each map is built as the sweep reaches it
-    bounds = np.cumsum([0] + [len(block.basis) for block in blocks] + [0])
-    e_maps = _coproduct_maps(chain, "E", 1, np.concatenate([block.basis for block in blocks]),
-                             bounds, [(m, m + 1) for m in range(N + 1)])
+    e_maps = _coproduct_maps(chain, "E", 1, np.concatenate(bases),
+                             np.cumsum([0] + [len(basis) for basis in bases] + [0]),
+                             [(m, m + 1) for m in range(N + 1)])
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
     # E_1 into block 0 comes from the empty block below it
     e_down, below = np.zeros((1, 0)), None
-    for m, (block, e_up) in enumerate(zip(blocks, e_maps)):
+    for m, (block_sites, e_up) in enumerate(zip(sites, e_maps)):
         if m <= N // 2:
+            block = lower[m]
             fv = e_down.T @ block.vectors
             rung = _Rung(block, e_down, _runs(block.values, kernel_tol), fv,
                          np.linalg.norm(fv, axis=0), q_number(N - 2 * m, q))
@@ -831,7 +814,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
             res = np.hstack([res, hw_res])
             below = rung
         norms = np.linalg.norm(b, axis=0)
-        res[3] = np.maximum(res[3], np.linalg.norm(_block_apply(block.sites, b) - b * values,
+        res[3] = np.maximum(res[3], np.linalg.norm(_block_apply(block_sites, b) - b * values,
                                                    axis=0) / norms)
         up = e_up @ b
         top = int(np.searchsorted(sector, N - m))    # sector N - m ends here
@@ -974,9 +957,11 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     of tableaux.  For n=2: each sector k must contribute m_k
     eigenvalues of multiplicity N - 2k + 1, and their total must be 2^N.
     The sectors come from classify_sectors on the one decomposition
-    diagonalize(vectors=True) returns, whose eigenpairs it checked: the
-    highest weight vectors are its kept eigenvectors, taken run by run in
-    the kernel of F_1, so no block of H is built or solved twice.  For
+    diagonalize(vectors=True) returns, whose eigenpairs it checked on the
+    dominant blocks m <= N/2: the highest weight vectors are their kept
+    eigenvectors, taken run by run in the kernel of F_1, and the blocks
+    above the middle are only built as site arrays for the ladders, so no
+    block of H is built or solved twice.  For
     every other n the values-only diagonalize checks the Kostka identity on
     every dominant weight block against the seminormal spectra, and the
     report carries, per lambda, the spectrum of rho_lambda(H) (f^lambda
@@ -1032,12 +1017,13 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     from every block mu into the block nu it maps into, so the number of
     rankings depends on n and not on the number of blocks.  The residual is
     the worst column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each
-    basis word v of block mu.  The sweep holds every H block at once, as
-    diagonalize(vectors=True) holds every eigenvector block, under the same
-    size guard (_check_guard with hold_all).
+    basis word v of block mu.  The sweep holds every H block at once, so
+    the size guard counts the entries of all of them (_check_guard with
+    held "all"), where diagonalize(vectors=True) counts only the dominant
+    blocks it solves.
     """
     chain = OpenChain(n, N, q)
-    _check_guard(chain, hold_all=True)
+    _check_guard(chain, "all")
     # (kind, j, letter it removes, letter it adds); diagonal ones move none
     ops = []
     for j in range(1, n):

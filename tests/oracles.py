@@ -18,8 +18,12 @@ hook_length_product and hook_content_product are the cell-by-cell hook
 formulas that tableaux.syt_dim and tableaux.ssyt_dim replaced by closed
 products over rows, raising_per_label applies one whole E-string per
 label, where qalgebra.generate_basis_by_raising grows the strings as a tree,
-and clusters_per_run is the per-run loop that spectra.diagonalize replaced
-by array operations over all blocks.
+clusters_per_run is the per-run loop that spectra.diagonalize replaced
+by array operations over all blocks, and eigen_blocks is the per-content
+eigen solve that diagonalize replaced by one solve per partition, split by
+w0 where w0 maps the block onto itself: one eigh of spectra.block_matrix
+for every weight block, with no w0 symmetry and no orbit counting, so the
+reference shares no mechanism with the paths it checks.
 """
 
 from itertools import permutations, product
@@ -30,7 +34,8 @@ import numpy as np
 from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
-from braidlab.spectra import CLUSTER_RTOL, HW_TOL, LADDER_RESIDUALS, OpenChain
+from braidlab.spectra import (CLUSTER_RTOL, EIG_RESIDUAL_TOL, HW_TOL, LADDER_RESIDUALS,
+                              OpenChain, block_matrix, weight_basis)
 from braidlab.states import TensorState, all_words
 
 
@@ -345,3 +350,34 @@ def clusters_per_run(values, orbits, tol):
         value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
         clusters.append((value, sum(e[1] for e in entries), [e[2] for e in entries]))
     return clusters
+
+
+def eigen_blocks(chain):
+    """content -> (words, increasing eigenvalues, eigenvectors) for every
+    weight block, from one eigh of the dense block per content.  Each
+    eigenvector is oriented (its first component above 1e-12 in magnitude
+    positive) and its eigenpair checked against the dense block within
+    EIG_RESIDUAL_TOL * max(1, |value|)."""
+    out = {}
+    for content in dicke_labels(chain.n, chain.N):
+        words = weight_basis(chain.n, chain.N, content)
+        h = block_matrix(chain, words)
+        vals, vecs = np.linalg.eigh(h)
+        for v in vecs.T:
+            if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] < 0:
+                v *= -1.0
+        resid = np.abs(h @ vecs - vecs * vals).max(axis=0, initial=0.0)
+        assert (resid <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))).all(), content
+        out[content] = (words, vals, vecs)
+    return out
+
+
+def reference_clusters(blocks):
+    """(values, multiplicities, tol) of the clusters of the eigenvalues of
+    blocks (eigen_blocks), each block counted once, grouped by
+    clusters_per_run at diagonalize's tolerance CLUSTER_RTOL * max(1,
+    max |eigenvalue|)."""
+    values = [vals for _, vals, _ in blocks.values()]
+    tol = CLUSTER_RTOL * max(1.0, float(np.abs(np.concatenate(values)).max()))
+    clusters = clusters_per_run(values, [1] * len(values), tol)
+    return [c[0] for c in clusters], [c[1] for c in clusters], tol

@@ -131,6 +131,42 @@ def test_verify_prints_each_kostka_residual_as_its_decade(capsys):
         0.0, 1e-13, 1e-12, 1e-13, 1e-15]
 
 
+def test_spectrum_prints_each_hw_residual_as_its_decade(capsys):
+    # |F_1 b| / |b| is rounding noise (1e-16 to 1e-14) whose digits change
+    # with the solver: JSON and CSV print 0.0 or a power of ten
+    for N in range(1, 11):
+        for q in ("0.7", "1.5"):
+            argv = ["spectrum", "--n", "2", "--N", str(N), "--q", q]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            printed = [row["hw_residual"] for row in json.loads(out)["eigenvalues"]]
+            code, out, _ = run(capsys, *argv, "--format", "csv")
+            assert code == 0
+            printed += [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+            assert printed, (N, q)
+            for hw in printed:
+                assert hw == 0.0 or hw == float(f"1e{round(math.log10(hw))}"), (N, q, hw)
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # main calls with different subcommands share one parser, which still
+    # exits 2 on a bad flag, as argparse does
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        assert run(capsys, "tableaux", "--n", "2", "--N", "3")[0] == 0
+        assert run(capsys, "verify", "--n", "2", "--N", "3")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "2", "--N", "3", "--bogus", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_verify_n3_N9_runs_under_the_default_guard(capsys):
     # largest weight block 9!/(3!3!3!) = 1680; n^N = 19683 was refused before
     code, out, _ = run(capsys, "verify", "--n", "3", "--N", "9", "--q", "1.5")

@@ -10,9 +10,9 @@ from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
 from oracles import (annotate_pairwise, block_map, clusters_per_run, dense_hamiltonian,
-                     hamiltonian_apply, highest_weight_svd, multiset_permutations,
-                     sector_warnings_pairwise, seminormal_loop, state_to_dense,
-                     symmetry_residual_per_word)
+                     eigen_blocks, hamiltonian_apply, highest_weight_svd,
+                     multiset_permutations, reference_clusters, sector_warnings_pairwise,
+                     seminormal_loop, state_to_dense, symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -155,7 +155,7 @@ def test_eigenvector_first_component_positive():
 
 def test_eigenpair_check_covers_every_chunk(monkeypatch):
     # a corrupted eigenvector at column 200 lies past the first
-    # RESIDUAL_CHUNK = 128 columns of the 252- and 210-wide N=10 blocks
+    # RESIDUAL_CHUNK = 128 columns of the 210-wide N=10 block (6, 4)
     real_eigh = np.linalg.eigh
 
     def corrupt_eigh(m):
@@ -170,8 +170,10 @@ def test_eigenpair_check_covers_every_chunk(monkeypatch):
         spectra.diagonalize(spectra.OpenChain(2, 10, Q), vectors=True)
 
 
-def test_one_eigh_per_mirror_pair(monkeypatch):
-    # w0 pairs block mu with block reversed(mu); only the first is solved
+def test_one_eigh_per_parity_half_of_each_solved_block(monkeypatch):
+    # with vectors, one eigh per partition mu of N with at most n rows, or one
+    # per non-empty w0 parity half where a permutation of mu reads the same
+    # reversed: n = 2, N = 12 splits (6, 6) of its 7 blocks, N = 13 none
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -180,15 +182,15 @@ def test_one_eigh_per_mirror_pair(monkeypatch):
         return real_eigh(m)
 
     monkeypatch.setattr(spectra.np.linalg, "eigh", counting_eigh)
-    for n, N, expected in [(2, 12, 7), (2, 13, 7)]:
+    for n, N, expected in [(2, 12, 8), (2, 13, 7)]:
         calls.clear()
         spectra.diagonalize(spectra.OpenChain(n, N, Q), vectors=True)
         assert len(calls) == expected, (n, N)
     calls.clear()
-    spectra.diagonalize(spectra.OpenChain(3, 5, Q), vectors=True)
-    contents = qalgebra.dicke_labels(3, 5)
-    pairs = {frozenset((c, c[::-1])) for c in contents}
-    assert len(calls) == len(pairs) < len(contents)
+    spectra.diagonalize(spectra.OpenChain(3, 6, Q), vectors=True)
+    widths = {(6,): [1], (5, 1): [6], (4, 2): [15], (4, 1, 1): [18, 12], (3, 3): [14, 6],
+              (3, 2, 1): [60], (2, 2, 2): [51, 39]}
+    assert sorted(calls) == sorted(w for ws in widths.values() for w in ws)
 
 
 def _block_vectors(deco):
@@ -201,32 +203,56 @@ def _block_vectors(deco):
     return {c: (words, np.hstack(vs)) for c, (words, vs) in pieces.items()}
 
 
-def test_mirrored_blocks_are_w0_permutations_of_their_partners():
+def _w0_alphabet(content):
+    """L such that w0 over the letters 1..L (reverse a word, send a to
+    L + 1 - a) maps the block of content onto itself: every letter when
+    content reads the same reversed, else its nonzero prefix when that does
+    and the rest is zero; None when there is no such L."""
+    if content == content[::-1]:
+        return len(content)
+    last = max(i + 1 for i, c in enumerate(content) if c)
+    prefix = content[:last]
+    return last if prefix == prefix[::-1] else None
+
+
+def _w0_images(words, letters):
+    """Position of the w0 image over 1..letters of each word, by brute force."""
+    position = {w: i for i, w in enumerate(map(tuple, words.tolist()))}
+    return [position[tuple(letters + 1 - a for a in reversed(w))] for w in words.tolist()]
+
+
+def test_self_mirrored_block_columns_are_w0_even_or_odd():
+    # every kept column of a solved block that w0 maps onto itself is
+    # w0-even or w0-odd, and the block's columns are orthonormal
     for n, N in [(2, 12), (3, 6), (4, 5)]:
         for q in (0.3, 0.7, 1.5, 3.0):
             deco = spectra.diagonalize(spectra.OpenChain(n, N, q), vectors=True)
-            blocks = _block_vectors(deco)
-            seen = set()
-            for content in qalgebra.dicke_labels(n, N):
-                mirrored = content[::-1] in seen    # a palindrome is not seen yet
-                seen.add(content)
-                if not mirrored:
+            split = 0
+            for content, (words, vecs) in _block_vectors(deco).items():
+                letters = _w0_alphabet(content)
+                if letters is None:
                     continue
-                words, vecs = blocks[content]
-                partner_words, partner_vecs = blocks[content[::-1]]
-                index = {tuple(w): i for i, w in enumerate(partner_words.tolist())}
-                perm = [index[tuple(n + 1 - a for a in reversed(w))] for w in words.tolist()]
-                moved = partner_vecs[perm]
-                same = np.all(vecs == moved, axis=0) | np.all(vecs == -moved, axis=0)
-                assert same.all(), (n, N, q, content)
+                moved = vecs[_w0_images(words, letters)]
+                even = np.abs(moved - vecs).max(axis=0) <= 1e-12
+                odd = np.abs(moved + vecs).max(axis=0) <= 1e-12
+                assert (even | odd).all(), (n, N, q, content)
+                split += odd.any()
                 gram = vecs.T @ vecs
                 assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12, (n, N, q, content)
+            assert split, (n, N, q)
 
 
-def test_mirrored_block_with_a_wrong_permutation_fails_the_check(monkeypatch):
+def test_vectors_path_with_a_wrong_w0_fails_the_check(monkeypatch):
+    # the w0 images rolled by one word within each block are no symmetry of
+    # H: the coupling check before the split refuses them
     real = spectra._w0_positions
-    monkeypatch.setattr(spectra, "_w0_positions", lambda *args: np.roll(real(*args), 1))
-    with pytest.raises(ValidationError, match="eigenpair residual"):
+
+    def rolled(n, N, words, bounds, letters):
+        w0 = real(n, N, words, bounds, letters)
+        return np.concatenate([np.roll(w0[lo:hi], 1) for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    monkeypatch.setattr(spectra, "_w0_positions", rolled)
+    with pytest.raises(ValidationError, match="w0 symmetry residual"):
         spectra.diagonalize(spectra.OpenChain(2, 6, Q), vectors=True)
 
 
@@ -354,8 +380,9 @@ def _same_sites(a, b):
 def test_one_pass_builder_matches_one_content_calls_and_the_sparse_path(q):
     # one all-contents call of each stage against the one-content calls and
     # against brute force, bit for bit: the words, H's site arrays, the w0
-    # positions (every block into its mirror) and every E_j, F_j, q^{H_j},
-    # q^{eps_j} map, which also equals the sparse operator word by word
+    # positions (every block that w0 maps onto itself, over its alphabet)
+    # and every E_j, F_j, q^{H_j}, q^{eps_j} map, which also equals the
+    # sparse operator word by word
     for n in range(1, 5):
         for N in range(1, 8):
             chain = spectra.OpenChain(n, N, q)
@@ -364,19 +391,20 @@ def test_one_pass_builder_matches_one_content_calls_and_the_sparse_path(q):
             words, bounds = spectra.weight_blocks(n, N, contents)
             blocks = [words[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
             sites = spectra._sites_by_block(chain, words, bounds)
-            mirror = [index[c[::-1]] for c in contents]
-            w0 = spectra._w0_positions(n, N, words, np.concatenate([blocks[m] for m in mirror]),
-                                       bounds)
+            mirrored = [b for b, c in enumerate(contents) if _w0_alphabet(c)]
+            letters = [_w0_alphabet(contents[b]) for b in mirrored]
+            ends = np.cumsum([0] + [len(blocks[b]) for b in mirrored])
+            w0 = spectra._w0_positions(n, N, np.concatenate([blocks[b] for b in mirrored]), ends,
+                                       letters)
             for b, content in enumerate(contents):
                 basis = spectra.weight_basis(n, N, content)
                 assert blocks[b].dtype == basis.dtype and np.array_equal(blocks[b], basis)
                 assert _same_sites(sites[b], spectra._block_sites(chain, basis)), (n, N, content)
-                partner = blocks[mirror[b]]
-                position = {w: i for i, w in enumerate(map(tuple, partner.tolist()))}
-                got = w0[bounds[b]:bounds[b + 1]]
-                assert np.array_equal(got, spectra._w0_positions(n, N, basis, partner))
-                assert got.tolist() == [position[tuple(n + 1 - a for a in reversed(w))]
-                                        for w in basis.tolist()], (n, N, content)
+            for b, k, lo, hi in zip(mirrored, letters, ends, ends[1:]):
+                got = w0[lo:hi]
+                assert np.array_equal(got, spectra._w0_positions(n, N, blocks[b],
+                                                                 [0, hi - lo], [k]))
+                assert got.tolist() == _w0_images(blocks[b], k), (n, N, contents[b])
             cases = {}              # (kind, j) -> (sparse operator, [(source, target)])
             for b, content in enumerate(contents):
                 for kind, j, op, image in _coproduct_cases(n, q, content):
@@ -411,7 +439,8 @@ def test_one_pass_builder_past_int64_keys():
 
 def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
     # verify_decomposition(2, N, q) ranks its words a fixed number of times
-    # (the one-pass builder: H, the w0 images and E_1 of every block), and
+    # (the one-pass builder: H and the w0 images of the dominant blocks, H
+    # of the blocks above the middle and E_1 of every block), and
     # symmetry_residual once for H and once per operator kind
     real = spectra._rank
     calls = []
@@ -1064,54 +1093,64 @@ def _block_sizes(n, N):
 
 def test_guard_is_the_largest_solved_block(monkeypatch):
     # one rule for every n: refused when the largest weight block passes the
-    # limit, and where every block is held at once also when the entries of
-    # all blocks, sum d^2, pass HELD_BLOCKS_MULTIPLE times limit^2; every
-    # n = 2 size admitted by the former middle-block rule (binomial(N, N//2)
-    # <= limit) stays admitted, vectors included
+    # limit, and where blocks are held at once also when their entries, sum
+    # d^2 over the blocks held (one per partition of N with at most n rows,
+    # or every block), pass HELD_BLOCKS_MULTIPLE times limit^2; every n = 2
+    # size admitted by the former middle-block rule (binomial(N, N//2) <=
+    # limit) stays admitted, every block held included
     for limit in (5, 20, 100, 4096):
         monkeypatch.setenv("BRAIDLAB_MAX_DIM", str(limit))
         for n in range(1, 6):
             for N in range(1, 16):
                 sizes = _block_sizes(n, N)
+                dominant = [factorial(N) // prod(factorial(m) for m in mu)
+                            for mu in tableaux.partitions_of(N, max_rows=n)]
                 too_wide = max(sizes) > limit
-                too_many = sum(d * d for d in sizes) > spectra.HELD_BLOCKS_MULTIPLE * limit ** 2
-                for hold_all, refused in ((False, too_wide), (True, too_wide or too_many)):
+                bound = spectra.HELD_BLOCKS_MULTIPLE * limit ** 2
+                too_many = sum(d * d for d in sizes) > bound
+                too_many_dominant = sum(d * d for d in dominant) > bound
+                for held, refused in ((None, too_wide), ("dominant", too_wide or too_many_dominant),
+                                      ("all", too_wide or too_many)):
                     try:
-                        spectra._check_guard(spectra.OpenChain(n, N, Q), hold_all)
+                        spectra._check_guard(spectra.OpenChain(n, N, Q), held)
                     except SizeGuardError:
-                        assert refused, (limit, n, N, hold_all)
+                        assert refused, (limit, n, N, held)
                     else:
-                        assert not refused, (limit, n, N, hold_all)
+                        assert not refused, (limit, n, N, held)
                 if n == 2 and comb(N, N // 2) <= limit:
                     assert not too_wide and not too_many, (limit, N)
 
 
 def test_guard_env_override(monkeypatch):
     # n = 3, N = 5: largest block 5!/(2!2!1!) = 30, all blocks hold
-    # sum d^2 = 4653 entries, between 3 * 30^2 and 3 * 40^2
+    # sum d^2 = 4653 entries, between 3 * 30^2 and 3 * 40^2; the 5 dominant
+    # blocks that diagonalize solves hold 1426
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "29")
     with pytest.raises(SizeGuardError):
         spectra.diagonalize(spectra.OpenChain(3, 5, Q))
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "30")
     spectra.diagonalize(spectra.OpenChain(3, 5, Q))
-    with pytest.raises(SizeGuardError, match="4653 entries"):
-        spectra.diagonalize(spectra.OpenChain(3, 5, Q), vectors=True)
-    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "40")
     spectra.diagonalize(spectra.OpenChain(3, 5, Q), vectors=True)
+    with pytest.raises(SizeGuardError, match="4653 entries"):
+        spectra.symmetry_residual(3, 5, Q)
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "40")
+    spectra.symmetry_residual(3, 5, Q)
 
 
 def test_guard_refuses_holding_every_block_past_memory():
     # n = 11, N = 6: the largest block is 6! = 720, but all 8008 blocks hold
-    # 627,433,521 entries (about 4,787 MiB): refused wherever they are held
-    # at once, while the values-only path solves 11 dominant blocks
+    # 627,433,521 entries (about 4,787 MiB): refused where they are held at
+    # once, while diagonalize solves the 11 dominant blocks, whose
+    # eigenvectors hold 708,062 entries
     chain = spectra.OpenChain(11, 6, Q)
-    with pytest.raises(SizeGuardError, match="4787 MiB"):
-        spectra.diagonalize(chain, vectors=True)
     with pytest.raises(SizeGuardError, match="4787 MiB"):
         spectra.symmetry_residual(11, 6, Q)
     deco = spectra.diagonalize(chain)
     assert deco.total_dimension() == 11 ** 6
     assert sum(len(irrep.values) * irrep.multiplicity for irrep in deco.irreps.values()) == 11 ** 6
+    deco = spectra.diagonalize(chain, vectors=True)
+    assert deco.total_dimension() == 11 ** 6
+    assert sum(block.vectors.size for block in deco.blocks.values()) == 708062
 
 
 def test_deterministic_output():
@@ -1131,12 +1170,10 @@ def test_open_chain_validation():
 
 
 QS_SEMINORMAL = (0.7, 1.0, 1.5, 2.0)
+SIZES_REFERENCE = ([(n, N) for n in range(1, 5) for N in range(1, 7)]
+                   + [(2, N) for N in range(7, 11)])
 SIZES_SEMINORMAL = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 7)] + [
     (4, N) for N in range(1, 6)]
-
-
-def _spectrum(deco):
-    return np.repeat([c.value for c in deco.clusters], [c.multiplicity for c in deco.clusters])
 
 
 def test_seminormal_spectra_times_ssyt_dim_are_the_spectrum():
@@ -1144,7 +1181,9 @@ def test_seminormal_spectra_times_ssyt_dim_are_the_spectrum():
     # copies of spec rho_lambda(H), here against every eigenpair-checked block
     for n, N in SIZES_SEMINORMAL:
         for q in QS_SEMINORMAL:
-            want = _spectrum(spectra.diagonalize(spectra.OpenChain(n, N, q), vectors=True))
+            chain = spectra.OpenChain(n, N, q)
+            values, multiplicities, _ = reference_clusters(eigen_blocks(chain))
+            want = np.repeat(values, multiplicities)
             got = np.sort(np.concatenate([
                 np.repeat(np.linalg.eigvalsh(spectra.sector_hamiltonian(lam, q)),
                           tableaux.ssyt_dim(lam, n))
@@ -1180,11 +1219,13 @@ def test_seminormal_entries_match_a_60_digit_evaluation(q):
 
 @pytest.mark.parametrize("q", [1 + 1e-8, 1 - 1e-8, 1 + 1e-7, 1 - 1e-7])
 def test_values_only_path_next_to_q_one_matches_the_vectors_path(q):
+    # the reference is one eigh per weight block (oracles.eigen_blocks)
     for n, N in [(3, 6), (4, 5)]:
         chain = spectra.OpenChain(n, N, q)
-        fast, slow = spectra.diagonalize(chain), spectra.diagonalize(chain, vectors=True)
-        assert fast.multiplicities == slow.multiplicities, (n, N)
-        assert np.abs(np.subtract(fast.eigenvalues, slow.eigenvalues)).max() < 1e-12, (n, N)
+        fast = spectra.diagonalize(chain)
+        values, multiplicities, _ = reference_clusters(eigen_blocks(chain))
+        assert fast.multiplicities == multiplicities, (n, N)
+        assert np.abs(np.subtract(fast.eigenvalues, values)).max() < 1e-12, (n, N)
 
 
 def test_sector_hamiltonian_stays_finite_at_large_and_small_q():
@@ -1205,21 +1246,42 @@ def test_sector_hamiltonian_guard(monkeypatch):
 
 @pytest.mark.parametrize("q", QS_SEMINORMAL)
 def test_values_only_clusters_match_the_vectors_path(q):
-    sizes = [(n, N) for n in range(1, 5) for N in range(1, 7)] + [(2, N) for N in range(7, 11)]
-    for n, N in sizes:
+    # the reference is one eigh per weight block (oracles.eigen_blocks)
+    for n, N in SIZES_REFERENCE:
         chain = spectra.OpenChain(n, N, q)
-        fast, slow = spectra.diagonalize(chain), spectra.diagonalize(chain, vectors=True)
-        assert fast.multiplicities == slow.multiplicities, (n, N)
-        assert np.abs(np.subtract(fast.eigenvalues, slow.eigenvalues)).max() < 1e-12, (n, N)
-        assert fast.tol == pytest.approx(slow.tol, rel=1e-12), (n, N)
+        fast = spectra.diagonalize(chain)
+        values, multiplicities, tol = reference_clusters(eigen_blocks(chain))
+        assert fast.multiplicities == multiplicities, (n, N)
+        assert np.abs(np.subtract(fast.eigenvalues, values)).max() < 1e-12, (n, N)
+        assert fast.tol == pytest.approx(tol, rel=1e-12), (n, N)
         assert fast.blocks == {} and all(c.blocks == [] for c in fast.clusters)
-        assert slow.irreps == {}
         shapes = tableaux.partitions_of(N, max_rows=n)
         assert list(fast.irreps) == shapes, (n, N)
         for lam, irrep in fast.irreps.items():
             assert len(irrep.values) == tableaux.syt_dim(lam)
             assert irrep.multiplicity == tableaux.ssyt_dim(lam, n)
             assert irrep.residual <= spectra.EIG_RESIDUAL_TOL * max(1.0, N - 1)
+
+
+@pytest.mark.parametrize("q", QS_SEMINORMAL)
+def test_vectors_path_clusters_match_the_per_content_reference(q):
+    # one eigh per dominant block or parity half, each counted for its S_n
+    # orbit, against one eigh per weight block (oracles.eigen_blocks); each
+    # cluster's columns of a solved block span the reference's eigenspace
+    for n, N in SIZES_REFERENCE:
+        chain = spectra.OpenChain(n, N, q)
+        deco, reference = spectra.diagonalize(chain, vectors=True), eigen_blocks(chain)
+        values, multiplicities, tol = reference_clusters(reference)
+        assert deco.multiplicities == multiplicities, (n, N)
+        assert np.abs(np.subtract(deco.eigenvalues, values)).max() < 1e-12, (n, N)
+        assert deco.tol == pytest.approx(tol, rel=1e-12), (n, N)
+        assert deco.irreps == {}
+        for cluster in deco.clusters:
+            for content, words, vecs in cluster.blocks:
+                want_words, want_values, want = reference[content]
+                assert np.array_equal(words, want_words), (n, N, content)
+                want = want[:, np.abs(want_values - cluster.value) <= tol]
+                assert np.abs(vecs @ vecs.T - want @ want.T).max() < 1e-9, (n, N, content)
 
 
 def test_values_only_path_solves_one_block_per_dominant_content(monkeypatch):
@@ -1256,14 +1318,14 @@ def test_w0_parity_halves_have_the_spectrum_of_the_whole_block(monkeypatch):
                     continue
                 pairs, fixed = _w0_counts(n, N, content)
                 basis = spectra.weight_basis(n, N, content)
-                w0 = spectra._w0_positions(n, N, basis, basis)
+                w0 = spectra._w0_positions(n, N, basis, [0, len(basis)], [n])
                 for q in QS_SEMINORMAL:
                     block = spectra._block_sites(spectra.OpenChain(n, N, q), basis)
                     want = real(spectra._dense(block))
                     widths = []
                     monkeypatch.setattr(spectra.np.linalg, "eigvalsh",
                                         lambda m: widths.append(len(m)) or real(m))
-                    got = spectra._self_mirrored_values(block, w0, content)
+                    got, _ = spectra._solve_block(block, w0, content, False)
                     monkeypatch.undo()
                     assert np.abs(got - want).max() <= 1e-12, (content, q)
                     assert widths == [w for w in (pairs + fixed, pairs) if w], (content, q)
@@ -1277,7 +1339,7 @@ def test_values_only_path_checks_the_w0_symmetry_it_splits_by(monkeypatch, where
     # word and a fixed word)
     real = spectra._dense
     basis = spectra.weight_basis(3, 6, (2, 2, 2))
-    w0 = spectra._w0_positions(3, 6, basis, basis)
+    w0 = spectra._w0_positions(3, 6, basis, [0, len(basis)], [3])
     pairs = np.flatnonzero(w0 > np.arange(len(w0)))
     fixed = np.flatnonzero(w0 == np.arange(len(w0)))
     i, j = {"II": (pairs[0], pairs[0]), "IJ": (pairs[0], w0[pairs[1]]),
@@ -1319,13 +1381,10 @@ def test_array_grouping_matches_the_per_run_loop():
         for q in (0.7, 1.0, 1.5):
             chain = spectra.OpenChain(n, N, q)
             deco = spectra.diagonalize(chain, vectors=vectors)
-            if vectors:
-                contents = list(deco.blocks)
-                values, orbits = [b.values for b in deco.blocks.values()], [1] * len(contents)
-            else:
-                spectra_of, _ = spectra._dominant_spectra(chain)
-                values, orbits = list(spectra_of.values()), [spectra._orbit_size(n, mu)
-                                                            for mu in spectra_of]
+            solved = deco.blocks if vectors else spectra._dominant_blocks(chain, False)[0]
+            contents = list(solved)
+            values = [b.values for b in solved.values()]
+            orbits = [spectra._orbit_size(n, content) for content in contents]
             want = clusters_per_run(values, orbits, deco.tol)
             assert [(c.value, c.multiplicity) for c in deco.clusters] == [
                 (value, count) for value, count, _ in want], (n, N, q, vectors)

@@ -5,7 +5,9 @@
 
 OLD and NEW are directories that hold src/braidlab (a clone or an exported
 commit).  For every n, N and q of the grid the script runs `verify`,
-`spectrum` and `spectrum --format csv`; each checkout is imported in its own
+`spectrum`, `spectrum --format csv`, `dicke` at the most even composition of
+N into n parts (larger parts first) and `crystal --labels canonical`, so
+that the q-integers those print are compared too; each checkout is imported in its own
 Python subprocess, which runs every case in process through
 braidlab.cli.main and returns its exit code, stdout and stderr.  BLAS runs
 one thread in both unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
@@ -23,7 +25,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMANDS = (["verify"], ["spectrum"], ["spectrum", "--format", "csv"])
+COMMANDS = (["verify"], ["spectrum"], ["spectrum", "--format", "csv"], ["dicke"],
+            ["crystal", "--labels", "canonical"])
 
 # run in the subprocess: argv lists on stdin, [code, stdout, stderr] per run on stdout
 CHILD = r"""
@@ -52,6 +55,13 @@ def int_list(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         out += list(range(int(lo), int(hi or lo) + 1))
     return out
+
+
+def most_even(n: int, N: int) -> str:
+    """The most even composition of N into n parts, larger parts first, as
+    a --label value: "3,2" for n = 2, N = 5."""
+    base, extra = divmod(N, n)
+    return ",".join(map(str, [base + 1] * extra + [base] * (n - extra)))
 
 
 def fail(message: str):
@@ -95,6 +105,7 @@ def main(argv=None) -> int:
     p.add_argument("--q", default="0.3,0.7,0.8,1.0,1.5,2.0,3.0", help="comma-separated q values")
     args = p.parse_args(argv)
     cases = [command + ["--n", str(n), "--N", str(N), "--q", q]
+             + (["--label", most_even(n, N)] if command == ["dicke"] else [])
              for n in args.n for N in args.N for q in args.q.split(",") for command in COMMANDS]
     old, new = run_checkout(args.old, cases), run_checkout(args.new, cases)
     differing = 0

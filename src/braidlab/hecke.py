@@ -15,7 +15,7 @@ z = -1 the q-antisymmetrizer.
 
 from collections import Counter
 from itertools import permutations
-from math import isfinite
+from math import fsum, isfinite
 
 import numpy as np
 
@@ -105,10 +105,10 @@ def q_antisymmetrize(state: TensorState, q: float) -> TensorState:
 
 
 def bracket(m: int, z) -> float:
-    """[[m]] at zeta = z^(1/2), evaluated as (z^m - 1)/(z - 1) to stay real."""
-    if abs(z - 1.0) < 1e-12:
-        return float(m)
-    return (z ** m - 1.0) / (z - 1.0)
+    """[[m]] at zeta = z^(1/2), (z^m - 1)/(z - 1) as the sum 1 + z + ... +
+    z^(m-1), correctly rounded (math.fsum): real, and free of the quotient's
+    loss of about eps/|z - 1| relative near z = 1."""
+    return fsum(z ** i for i in range(m))
 
 
 def bracket_factorial(m: int, z) -> float:

@@ -18,7 +18,7 @@ and E/F degenerate to the combinatorial crystal moves.
 """
 
 from itertools import combinations
-from math import comb, isfinite
+from math import comb, fsum, isfinite
 
 import numpy as np
 
@@ -27,18 +27,16 @@ from .errors import ValidationError, check_dense_dim, check_held_entries, check_
 from .hecke import bracket_factorial, q_symmetrize
 from .states import TensorState, Word
 
-Q_ONE_EPS = 1e-9
-
 DickeLabel = tuple[int, ...]
 
 
 def q_number(k: int, q: float) -> float:
-    """[k]_q = (q^k - q^-k)/(q - q^-1), with the q -> 1 limit taken branchwise."""
-    if abs(q - 1.0) < Q_ONE_EPS or abs(q + 1.0) < Q_ONE_EPS:
-        # limit value; at q = -1 the limit is k * (-1)^(k+1), only reachable
-        # through the expert negative-q path
-        return float(k) if q > 0 else float(k) * (-1.0) ** (k + 1)
-    return (q ** k - q ** -k) / (q - 1.0 / q)
+    """[k]_q = (q^k - q^-k)/(q - q^-1) as the sum q^(k-1) + q^(k-3) + ...
+    + q^(1-k), correctly rounded (math.fsum), and [-k]_q = -[k]_q: free of
+    the quotient's loss of about eps/|q - 1| relative near q = 1."""
+    if k < 0:
+        return -q_number(-k, q)
+    return fsum(q ** (k - 1 - 2 * i) for i in range(k))
 
 
 def q_factorial(k: int, q: float) -> float:

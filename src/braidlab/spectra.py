@@ -22,13 +22,14 @@ For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
 words with k high letters, and the sector structure is classified: a
 sector-k eigenvalue has a highest weight vector killed by F_1 in block k
 and carries an E_1-ladder of N - 2k + 1 states with closed-form F_1 E_1
-coefficients kappa_m = [N-k-m]_q [m-k+1]_q.
+coefficients kappa_m = [N-k-m]_q [m-k+1]_q, checked on every rung; below
+the middle they also invert F_1 E_1 for the projection onto ker F_1.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import exp, expm1, factorial, isfinite, log, sqrt
+from math import comb, exp, expm1, factorial, isfinite, log, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -343,20 +344,29 @@ def _orbit_size(n: int, shape) -> int:
 def _check_guard(chain: OpenChain, held: str | None) -> None:
     """One dense guard for every n: the largest weight block, the
     multinomial of the most even content, must be at most max_dense_dim().
-    The blocks a caller holds at once, held "dominant" (one d x d eigenvector
-    matrix per partition mu, diagonalize(vectors=True)) or "all" (H on every
-    block, symmetry_residual), must also hold at most HELD_BLOCKS_MULTIPLE =
-    3 times max_dense_dim()^2 entries: 384 MiB at the default 4096.  So
-    n = 2, N = 14 holds 25,947,612 entries with vectors, and n = 11, N = 6
-    holds 708,062, where symmetry_residual is refused (about 4,787 MiB)."""
+    What a caller holds at once, held "dominant" (one d x d eigenvector
+    matrix per partition mu), "sectors" (n = 2: those, and the classify_sectors
+    sweep at its widest rung m, the E_1 maps into and out of block m, F_1 V
+    for m <= N/2, the d_m x d_m ladder array and its E_1 image) or "all" (H on
+    every block, symmetry_residual), must also hold at most
+    HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2 entries: 384 MiB at the
+    default 4096.  So "sectors" admits n = 2, N = 13 (18,451,252 entries) and
+    refuses N = 14 (78,951,420), and n = 11, N = 6 holds 708,062 with vectors,
+    where symmetry_residual is refused (about 4,787 MiB)."""
     n, N = chain.n, chain.N
     base, extra = divmod(N, min(n, N))
     check_dense_dim(multinomial([base + 1] * extra + [base] * (min(n, N) - extra)),
                     f"open chain n={n}, N={N}: largest weight block")
     if held is not None:
-        check_held_entries(sum((1 if held == "dominant" else _orbit_size(n, mu))
-                               * multinomial(mu) ** 2 for mu in partitions_of(N, max_rows=n)),
-                           f"open chain n={n}, N={N}: {held} weight blocks at once")
+        entries = sum((_orbit_size(n, mu) if held == "all" else 1) * multinomial(mu) ** 2
+                      for mu in partitions_of(N, max_rows=n))
+        what = f"{held} weight blocks"
+        if held == "sectors":
+            d = [comb(N, m) for m in range(N + 1)] + [0]       # d[-1] = d[N + 1] = 0
+            entries += max(d[m] * (d[m - 1] + d[m] + 2 * d[m + 1] + (d[m - 1] if 2 * m <= N else 0))
+                           for m in range(N + 1))
+            what = "dominant weight blocks and the sector sweep"
+        check_held_entries(entries, f"open chain n={n}, N={N}: {what} at once")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -424,9 +434,10 @@ def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecompositio
     are the tableau multiplicities.  A within-block run is a run of columns
     and is stored as a view of the block's eigenvector matrix, not a copy.
     The guard (_check_guard) bounds the largest block, and with vectors also
-    the entries of the solved blocks at once.
+    the entries of the solved blocks at once, at n = 2 (kept for
+    classify_sectors) with those of its sweep, before any block is solved.
     """
-    _check_guard(chain, "dominant" if vectors else None)
+    _check_guard(chain, None if not vectors else "sectors" if chain.n == 2 else "dominant")
     solved, irreps = _dominant_blocks(chain, vectors)
     per_block = [block.values for block in solved.values()]
     orbits = [_orbit_size(chain.n, content) for content in solved]
@@ -733,20 +744,6 @@ class SectorReport:
     ok: bool
 
 
-class _Rung(NamedTuple):
-    """n=2 weight block m with F_1 on it: the block as diagonalize solved
-    it, e the E_1 map from block m-1 (F_1 = e.T), the runs of its values at
-    KERNEL_RTOL (see _highest_weight), fv = F_1 V for its eigenvectors V
-    with the column norms of fv, and w = [N-2m]_q, by which F_1 E_1 exceeds
-    E_1 F_1 on the block."""
-    block: WeightBlock
-    e: np.ndarray
-    runs: list
-    fv: np.ndarray
-    norms: np.ndarray
-    w: float
-
-
 def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     """Assign n=2 eigenvalues to sectors and verify every sector ladder, in
     one sweep over the weight blocks m = 0..N.
@@ -758,15 +755,17 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     KERNEL_RTOL).  The blocks m > N/2 need only their words and H's site
     arrays, from one pass of the builder (weight_blocks, _sites_by_block),
     so no dense H block is built twice.  E_1 from every block m to m+1
-    comes from one _coproduct_maps call over all blocks, F_1 from
+    comes from one _coproduct_maps call over all blocks, and F_1 from
     block m to m-1 is the transpose of the previous E_1 map, which it equals
-    exactly in this basis, and F_1 V is formed once per block m <= N/2.  The
-    open ladders are one column array, sectors increasing, advanced once per
-    block: H from the block's site arrays (_block_apply) and E_1 by one
-    dense product, checking |H B - B Lambda|, the closed-form coefficient
-    |E_1^T E_1 B - kappa B| with kappa = [N-k-m]_q [m-k+1]_q, and at the
-    top rung m = N-k the termination |E_1 B|, each relative to the rung's
-    column norms.  The hw residual is |F_1 b| / |b| for each highest
+    exactly in this basis.  The open ladders are one column array, sectors
+    increasing, advanced once per block: H from the block's site arrays
+    (_block_apply) and E_1 by one dense product, checking |H B - B Lambda|,
+    the closed-form coefficient |E_1^T E_1 B - kappa B| with kappa =
+    [N-k-m]_q [m-k+1]_q, and at the top rung m = N-k the termination
+    |E_1 B|, each relative to the rung's column norms.  The array at rung
+    m-1 < N/2 and its kappa are held until block m's highest weight vectors
+    are projected through them (_highest_weight).  The hw residual is
+    |F_1 b| / |b| for each highest
     weight vector b.  A sector whose worst hw, kappa, termination or eigen
     residual exceeds HW_TOL, or is NaN, gets a warning.  Sector labels come from
     one sorted pass over every cluster and ladder value, cut into runs at
@@ -798,21 +797,19 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
-    # E_1 into block 0 comes from the empty block below it
-    e_down, below = np.zeros((1, 0)), None
+    # E_1 into block 0 comes from the empty block below it, which holds no
+    # ladder; below is the ladder array at rung m - 1 and its kappa
+    e_down, below = np.zeros((1, 0)), (np.zeros((0, 0)), np.zeros(0))
     for m, (block_sites, e_up) in enumerate(zip(sites, e_maps)):
         if m <= N // 2:
             block = lower[m]
-            fv = e_down.T @ block.vectors
-            rung = _Rung(block, e_down, _runs(block.values, kernel_tol), fv,
-                         np.linalg.norm(fv, axis=0), q_number(N - 2 * m, q))
-            hw_values, hw = _highest_weight(rung, below)
+            hw_values, hw = _highest_weight(block, e_down, _runs(block.values, kernel_tol), *below)
+            below = None
             hw_res = np.zeros((4, len(hw_values)))
             hw_res[0] = np.linalg.norm(e_down.T @ hw, axis=0) / np.linalg.norm(hw, axis=0)
             b, values = np.hstack([b, hw]), np.concatenate([values, hw_values])
             sector = np.concatenate([sector, np.full(len(hw_values), m)])
             res = np.hstack([res, hw_res])
-            below = rung
         norms = np.linalg.norm(b, axis=0)
         res[3] = np.maximum(res[3], np.linalg.norm(_block_apply(block_sites, b) - b * values,
                                                    axis=0) / norms)
@@ -827,6 +824,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         if top < len(sector):
             sectors[N - m] = [SectorLadder(v, *r, 2 * m - N + 1)
                               for v, r in zip(values[top:].tolist(), res[:, top:].T.tolist())]
+        below = (b, kappa) if m < N // 2 else None      # top = len(sector) below the middle
         b, values, sector, res = up[:, :top], values[:top], sector[:top], res[:, :top]
         e_down = e_up
 
@@ -867,9 +865,12 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
 
 
-def _highest_weight(rung: _Rung, below: _Rung | None) -> tuple[np.ndarray, np.ndarray]:
+def _highest_weight(block: WeightBlock, e: np.ndarray, runs: list, ladders: np.ndarray,
+                    kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of H on the kernel of F_1 in one weight
-    block m, from the block's eigenpairs (rung.block) and F_1 V (rung.fv).
+    block m, from the block's eigenpairs, e the E_1 map from block m-1 (F_1
+    = e.T), the runs of the block's values, and the ladders open at rung
+    m-1 with their kappa (_ladder_inverse).
 
     F_1 commutes with H, so ker F_1 is spanned by pieces of eigenspaces:
     per run of the block's values, the kernel of F_1 on the run's columns.
@@ -893,15 +894,14 @@ def _highest_weight(rung: _Rung, below: _Rung | None) -> tuple[np.ndarray, np.nd
 
     Eigenvectors of the whole block carry components of the size of
     rounding over the eigenvalue gap outside ker F_1, which the ladder
-    amplifies.  Two steps of b <- b - E_1 (E_1^T E_1)^-1 F_1 b, with E_1 =
-    rung.e, project them out.  E_1^T E_1 on block m-1 is F_1 E_1 = E_1 F_1
-    + [N-2m+2]_q, so in the eigenvectors V of block m-1 it is (F_1 V)^T
-    (F_1 V) + [N-2m+2]_q (below.fv and below.w), block-diagonal over runs:
-    its inverse is one division per column of a one-column run and one
-    small solve per longer run.  Block 0 (below is None) has F_1 = 0.
+    amplifies.  Two steps of b <- b - E_1 (F_1 E_1)^-1 F_1 b project them
+    out, with (F_1 E_1)^-1 on block m-1 from the ladders below
+    (_ladder_inverse).  Block 0 has no ladders below and F_1 = 0 on it.
     """
-    vals, vecs, fv, norms = rung.block.values, rung.block.vectors, rung.fv, rung.norms
-    multi = [(lo, hi, *np.linalg.svd(fv[:, lo:hi])[1:]) for lo, hi in rung.runs if hi - lo > 1]
+    vals, vecs = block.values, block.vectors
+    fv = e.T @ vecs
+    norms = np.linalg.norm(fv, axis=0)
+    multi = [(lo, hi, *np.linalg.svd(fv[:, lo:hi])[1:]) for lo, hi in runs if hi - lo > 1]
     cut = HW_TOL * max([norms.max(initial=0.0)] + [sv.max(initial=0.0) for *_, sv, _ in multi])
     keep = norms <= cut
     for lo, hi, _, _ in multi:
@@ -916,24 +916,19 @@ def _highest_weight(rung: _Rung, below: _Rung | None) -> tuple[np.ndarray, np.nd
         hw.append(vecs[:, lo:hi] @ (w @ rot))
     order = np.argsort(np.concatenate(starts), kind="stable")     # runs in increasing order
     b = np.hstack(hw)[:, order]
-    if below is not None:
-        for _ in range(2):
-            b -= rung.e @ _solve_f1e1(below, rung.e.T @ b)
+    for _ in range(2):
+        b -= e @ _ladder_inverse(ladders, kappa, e.T @ b)
     return np.concatenate(hw_values)[order], b
 
 
-def _solve_f1e1(rung: _Rung, y: np.ndarray) -> np.ndarray:
-    """(F_1 E_1)^-1 y on the rung's block, from its eigenvectors V:
-    V G^-1 V^T y with G = (F_1 V)^T (F_1 V) + [N-2m]_q block-diagonal over
-    the runs (see _highest_weight)."""
-    vecs, fv = rung.block.vectors, rung.fv
-    c = vecs.T @ y
-    x = c / (rung.norms ** 2 + rung.w)[:, None]
-    for lo, hi in rung.runs:
-        if hi - lo > 1:
-            g = fv[:, lo:hi].T @ fv[:, lo:hi] + rung.w * np.eye(hi - lo)
-            x[lo:hi] = np.linalg.solve(g, c[lo:hi])
-    return vecs @ x
+def _ladder_inverse(ladders: np.ndarray, kappa: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(F_1 E_1)^-1 y on weight block m < N/2 as B diag(1/(|b_i|^2
+    kappa_i)) B^T y, B the ladders open at rung m (every sector k <= m: d_m
+    columns when the counts are right) and kappa_i = [N-k-m]_q [m-k+1]_q:
+    they are orthogonal eigenvectors of the symmetric F_1 E_1 = E_1^T E_1.
+    A missing or extra column shows in the hw residuals of block m+1."""
+    weights = np.einsum("ij,ij->j", ladders, ladders) * kappa
+    return ladders @ ((ladders.T @ y) / weights[:, None])
 
 
 @dataclass

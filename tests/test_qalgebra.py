@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +34,25 @@ def test_bracket_numbers():
     assert bracket(2, 1.0 * 1.0) == 2.0
     assert bracket_factorial(0, 1.3 * 1.3) == 1.0
     assert bracket_factorial(3, 1.0 * 1.0) == 6.0
+
+
+@pytest.mark.parametrize("q", [0.3, 0.7, 1.0 - 1e-8, 1.000000003, 1.00000001, 1.0 + 1e-12,
+                               1.3, 3.0])
+def test_q_integers_near_q_one_match_exact_sums(q):
+    # (q^k - q^-k)/(q - q^-1) loses about eps/|q - 1| relative, 2e-8 at
+    # q = 1 + 1e-8; the finite sums are correct to rounding at every q,
+    # against 50-digit sums of the same binary q
+    with localcontext() as ctx:
+        ctx.prec = 50
+        Q, Z = Decimal(q), Decimal(q) * Decimal(q)
+        for k in range(1, 21):
+            want = sum(Q ** (k - 1 - 2 * i) for i in range(k))
+            assert abs(Decimal(qalgebra.q_number(k, q)) - want) <= Decimal(4e-16) * want, (q, k)
+            assert qalgebra.q_number(-k, q) == -qalgebra.q_number(k, q)
+            want = sum(Z ** i for i in range(k))
+            assert abs(Decimal(bracket(k, q * q)) - want) <= Decimal(2e-15) * want, (q, k)
+    # q = -1, reachable only through the expert negative-q path: k (-1)^(k+1)
+    assert [qalgebra.q_number(k, -1.0) for k in range(1, 6)] == [1.0, -2.0, 3.0, -4.0, 5.0]
 
 
 def test_apply_E_reference_state_pattern():

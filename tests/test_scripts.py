@@ -47,12 +47,12 @@ def test_word_sum_commutators_exact_q1_verdicts():
 def test_cli_diff_finds_no_difference_between_a_checkout_and_itself():
     lines = run_script("cli_diff.py", str(ROOT), str(ROOT), "--n", "2,3", "--N", "1-3",
                        "--q", "0.7,1.5").splitlines()
-    assert lines == ["0 of 36 runs differ"]
+    assert lines == ["0 of 60 runs differ"]
 
 
 def test_cli_diff_prints_the_lines_that_differ(tmp_path):
     # a copy whose verify says PASSED on stderr: every verify run differs in
-    # that line alone, the spectrum runs not at all, and the exit code is 1
+    # that line alone, the other runs not at all, and the exit code is 1
     shutil.copytree(ROOT / "src" / "braidlab", tmp_path / "src" / "braidlab",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "braidlab" / "cli.py"
@@ -66,4 +66,4 @@ def test_cli_diff_prints_the_lines_that_differ(tmp_path):
     assert done.stdout.splitlines() == [
         "verify --n 2 --N 2 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
         "verify --n 2 --N 3 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
-        "2 of 6 runs differ"]
+        "2 of 10 runs differ"]

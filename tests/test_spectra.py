@@ -680,7 +680,9 @@ def test_complementary_sector_spectra_match():
 
 
 def test_ladder_termination():
-    for N, q in [(6, 1.3), (7, 2.0), (8, 1.5), (11, 0.7)]:
+    # q within 1e-8 of 1 is as good as any: the closed-form kappa has no
+    # cancellation there (its q-integers are finite sums)
+    for N, q in [(6, 1.3), (7, 2.0), (8, 1.5), (11, 0.7), (8, 1.00000001), (8, 1.000000003)]:
         deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
         rep = spectra.classify_sectors(deco)
         for k, lads in rep.sectors.items():
@@ -699,8 +701,8 @@ def _sectors_both_ways(monkeypatch, N, q):
     fast_deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
     fast = spectra.classify_sectors(fast_deco)
     with monkeypatch.context() as patch:
-        patch.setattr(spectra, "_highest_weight", lambda rung, below: highest_weight_svd(
-            spectra._dense(rung.block.sites), rung.e.T))
+        patch.setattr(spectra, "_highest_weight", lambda block, e, *below: highest_weight_svd(
+            spectra._dense(block.sites), e.T))
         slow_deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
         slow = spectra.classify_sectors(slow_deco)
     return fast_deco, fast, slow_deco, slow
@@ -771,7 +773,7 @@ def test_highest_weight_vectors_do_not_leak_out_of_the_kernel():
 def test_longer_runs_take_the_kernel_from_their_own_svd():
     # merging a block's values into one run, or into runs of two, sends the
     # kernel through the per-run SVD and compressed eigh of longer runs;
-    # without the projection (no block below) the kernel of F_1 and the
+    # without the projection (no ladders below) the kernel of F_1 and the
     # values of H on it still match the full-SVD oracle
     for N, q in [(6, 1.3), (7, 0.8), (8, 2.0)]:
         chain = spectra.OpenChain(2, N, q)
@@ -781,39 +783,41 @@ def test_longer_runs_take_the_kernel_from_their_own_svd():
             d = len(block.values)
             e = spectra.coproduct_block(chain, "E", 1, spectra.weight_basis(2, N, (N - m + 1, m - 1)),
                                         block.basis)
-            fv = e.T @ block.vectors
             want_vals, want = highest_weight_svd(spectra._dense(block.sites), e.T)
             for runs in ([(0, d)], [(lo, min(lo + 2, d)) for lo in range(0, d, 2)]):
-                rung = spectra._Rung(block, e, runs, fv, np.linalg.norm(fv, axis=0),
-                                     qalgebra.q_number(N - 2 * m, q))
-                vals, b = spectra._highest_weight(rung, None)
+                vals, b = spectra._highest_weight(block, e, runs, np.zeros((e.shape[1], 0)),
+                                                  np.zeros(0))
                 assert vals.shape == want_vals.shape, (N, m, runs)
                 assert np.abs(vals - want_vals).max(initial=0.0) < 1e-9, (N, m)
                 assert np.abs(b @ b.T - want @ want.T).max() < 1e-8, (N, m)
 
 
 def test_f1e1_inverse_from_eigenvectors():
-    # on block m, F_1 E_1 = E_1 F_1 + [N-2m]_q: its inverse from the block's
-    # eigenvectors and F_1 V, with the block's own runs or with runs of two
-    # (small solves), equals a dense solve with E_1^T E_1
+    # on block m < N/2 the ladders of every sector k <= m, raised from the
+    # full-SVD highest weight vectors of block k, are eigenvectors of
+    # F_1 E_1 with the closed-form kappa = [N-k-m]_q [m-k+1]_q; the inverse
+    # they give equals a dense solve with E_1^T E_1
     for N, q, m in [(6, 1.0, 2), (8, 1.5, 3), (9, 0.7, 4), (7, 2.0, 1)]:
         chain = spectra.OpenChain(2, N, q)
-        deco = spectra.diagonalize(chain, vectors=True)
-        block = deco.blocks[N - m, m]
-        d = len(block.values)
-        below = spectra.weight_basis(2, N, (N - m + 1, m - 1))
+        ladders, sector, below = np.zeros((1, 0)), [], None
+        for k in range(m + 1):
+            basis = spectra.weight_basis(2, N, (N - k, k))
+            if below is None:
+                f = np.zeros((1, 1))            # F_1 kills the one word of block 0
+            else:
+                ladders = spectra.coproduct_block(chain, "E", 1, below, basis) @ ladders
+                f = spectra.coproduct_block(chain, "F", 1, basis, below)
+            _, hw = highest_weight_svd(spectra.block_matrix(chain, basis), f)
+            ladders, sector = np.hstack([ladders, hw]), sector + [k] * hw.shape[1]
+            below = basis
+        kappa = [qalgebra.q_number(N - k - m, q) * qalgebra.q_number(m - k + 1, q) for k in sector]
         above = spectra.weight_basis(2, N, (N - m - 1, m + 1))
-        e_in = spectra.coproduct_block(chain, "E", 1, below, block.basis)
-        e_out = spectra.coproduct_block(chain, "E", 1, block.basis, above)
-        fv = e_in.T @ block.vectors
-        y = np.random.default_rng(N).standard_normal((d, 3))
+        e_out = spectra.coproduct_block(chain, "E", 1, below, above)
+        assert ladders.shape == (comb(N, m), comb(N, m)), (N, m)
+        y = np.random.default_rng(N).standard_normal((len(below), 3))
         want = np.linalg.solve(e_out.T @ e_out, y)
-        for runs in (spectra._runs(block.values, deco.tol),
-                     [(lo, min(lo + 2, d)) for lo in range(0, d, 2)]):
-            rung = spectra._Rung(block, e_in, runs, fv, np.linalg.norm(fv, axis=0),
-                                 qalgebra.q_number(N - 2 * m, q))
-            got = spectra._solve_f1e1(rung, y)
-            assert np.abs(got - want).max() < 1e-10 * np.abs(want).max(), (N, m)
+        got = spectra._ladder_inverse(ladders, np.array(kappa), y)
+        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max(), (N, m)
 
 
 def test_f1_block_map_is_e1_transpose():
@@ -841,9 +845,9 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
     # so every residual of its ladder must be far from zero
     N, q = 6, 1.3
 
-    def one_basis_column(rung, below):
-        d = len(rung.block.values)
-        if rung.e.shape[1] != 1:     # only block 1 maps onto the one-word block 0
+    def one_basis_column(block, e, *below):
+        d = len(block.values)
+        if e.shape[1] != 1:     # only block 1 maps onto the one-word block 0
             return np.zeros(0), np.zeros((d, 0))
         return np.array([1.0]), np.eye(d)[:, :1]
 
@@ -881,10 +885,10 @@ def test_ladder_residuals_above_tolerance_fail_the_report(monkeypatch):
     N, q = 12, 0.3
     real = spectra._highest_weight
 
-    def leak(rung, below):
-        vals, b = real(rung, below)
-        if len(rung.block.values) == comb(N, 3):
-            u = rung.e @ np.ones(rung.e.shape[1])
+    def leak(block, e, *below):
+        vals, b = real(block, e, *below)
+        if len(block.values) == comb(N, 3):
+            u = e @ np.ones(e.shape[1])
             b = b + 1e-8 * np.outer(u / np.linalg.norm(u), np.linalg.norm(b, axis=0))
         return vals, b
 
@@ -919,9 +923,9 @@ def test_cross_sector_degeneracy_warning(monkeypatch):
     real = spectra._highest_weight
     displaced = []
 
-    def clash(rung, below):
-        vals, vecs = real(rung, below)
-        if len(rung.block.values) == N:      # block 1, the only N-dimensional block
+    def clash(block, e, *below):
+        vals, vecs = real(block, e, *below)
+        if len(block.values) == N:      # block 1, the only N-dimensional block
             displaced.append(vals[0])
             vals = np.concatenate([[N - 1.0], vals[1:]])
         return vals, vecs
@@ -1000,9 +1004,9 @@ def test_sector_clashes_match_the_pairwise_scans(monkeypatch, moved):
     real = spectra._highest_weight
     sizes = {comb(N, k): k for k in moved}     # blocks 0..N/2 differ in size
 
-    def clash(rung, below):
-        vals, vecs = real(rung, below)
-        k = sizes.get(len(rung.block.values))
+    def clash(block, e, *below):
+        vals, vecs = real(block, e, *below)
+        k = sizes.get(len(block.values))
         if k is not None:
             vals = vals.copy()
             vals[:moved[k]] = N - 1.0
@@ -1135,6 +1139,29 @@ def test_guard_env_override(monkeypatch):
         spectra.symmetry_residual(3, 5, Q)
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "40")
     spectra.symmetry_residual(3, 5, Q)
+
+
+def test_guard_counts_the_sector_sweep(monkeypatch):
+    # n = 2, N = 8 at limit 80: the eigenvectors of blocks 0..4 hold 8885
+    # entries, under 3 * 80^2 = 19200, but the sweep at rung 4 adds the two
+    # E_1 maps, F_1 V and the E_1 image of the ladders (70 x 56 each) and
+    # the open-ladder array (70 x 70): 29465 in all, refused before any
+    # block is solved.  At the default limit N = 14 is refused the same way
+    # (78,951,420 entries) and N = 13 admitted (test_diagonalize_guard)
+    def unsolved(*args):
+        raise AssertionError("a block was solved")
+
+    monkeypatch.setattr(spectra, "_dominant_blocks", unsolved)
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "80")
+    spectra._check_guard(spectra.OpenChain(2, 8, Q), "dominant")
+    with pytest.raises(SizeGuardError, match="29465 entries"):
+        spectra.verify_decomposition(2, 8, Q)
+    monkeypatch.delenv("BRAIDLAB_MAX_DIM")
+    with pytest.raises(SizeGuardError, match="78951420 entries"):
+        spectra.verify_decomposition(2, 14, Q)
+    monkeypatch.undo()
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "100")       # 3 * 100^2 = 30000
+    assert spectra.verify_decomposition(2, 8, Q).ok
 
 
 def test_guard_refuses_holding_every_block_past_memory():

@@ -4,8 +4,9 @@
 For each sector k: the predicted eigenvalue count m_k, the ladder length
 d_k, the observed highest-weight eigenvalues, and the worst of each ladder
 residual over the sector: highest weight (|F_1 v|), closed-form kappa
-coefficient, termination (|E_1 v| at the top rung) and eigenvalue
-persistence.  Totals are checked against 2^N.
+coefficient (|F_1 E_1 v - kappa v| / kappa, relative), termination
+(|E_1 v| at the top rung) and eigenvalue persistence, each per |v|.
+Totals are checked against 2^N.  Exits 1 when the report fails.
 """
 
 import argparse

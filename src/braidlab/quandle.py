@@ -21,7 +21,8 @@ import numpy as np
 
 from . import automata
 from .automata import SCHEMA
-from .errors import SizeGuardError, ValidationError, check_dense_dim, check_held_entries
+from .errors import (SizeGuardError, ValidationError, check_dense_dim, check_held_entries,
+                     check_sparse_words)
 from .states import Word, all_words
 
 ORBIT_GUARD = 10 ** 5
@@ -61,6 +62,7 @@ def dihedral(n: int) -> QuandleTable:
     """The dihedral quandle on Z_n: i > j = 2i - j mod n."""
     if n < 2:
         raise ValidationError("dihedral quandle needs n >= 2")
+    check_sparse_words(n * n, f"quandle table n={n}, n^2 entries")
     return QuandleTable(n, tuple(tuple((2 * i - j) % n for j in range(n))
                                  for i in range(n)))
 
@@ -246,9 +248,9 @@ def centralizer_residual(table: QuandleTable, N: int) -> int:
     Both sides are compositions of permutations of the word set, so the
     check is exact; the result is 0 whenever the centralizer property holds.
     """
-    _require_rack(table)
     n = table.n
     _check_orbit_size(n, N)
+    _require_rack(table)
     inv = _inverse_rows(table)
     words = all_words(n, N)
 
@@ -282,11 +284,11 @@ class OrbitGraph:
 
 def orbit_automaton(table: QuandleTable, N: int) -> OrbitGraph:
     """Cycle decomposition of every generator r_j acting on words."""
-    _require_rack(table)
     n = table.n
     if N < 1:
         raise ValidationError("N must be >= 1")
     _check_orbit_size(n, N)
+    _require_rack(table)
     words = all_words(n, N)
     cycles = {}
     order = 1
@@ -341,5 +343,6 @@ def table_from_json(text: str) -> QuandleTable:
         raise ValidationError("bad quandle table JSON: n and the op entries must be integers")
     if len(flat) != n * n:
         raise ValidationError(f"op must hold {n * n} row-major entries, got {len(flat)}")
+    check_sparse_words(n * n, f"quandle table n={n}, n^2 entries")
     rows = tuple(tuple(flat[i * n + j] - 1 for j in range(n)) for i in range(n))
     return QuandleTable(n, rows)

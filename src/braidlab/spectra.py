@@ -22,8 +22,9 @@ For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
 words with k high letters, and the sector structure is classified: a
 sector-k eigenvalue has a highest weight vector killed by F_1 in block k
 and carries an E_1-ladder of N - 2k + 1 states with closed-form F_1 E_1
-coefficients kappa_m = [N-k-m]_q [m-k+1]_q, checked on every rung; below
-the middle they also invert F_1 E_1 for the projection onto ker F_1.
+coefficients kappa_m = [N-k-m]_q [m-k+1]_q, checked on every rung.  Every
+rung clears each ladder of the lower sectors' ladders, which is also the
+projection of new highest weight vectors onto ker F_1.
 """
 
 from collections import Counter
@@ -722,10 +723,10 @@ def sector_dimension(N: int, k: int) -> int:
 @dataclass
 class SectorLadder:
     eigenvalue: float
-    hw_residual: float
-    kappa_residual: float
-    termination_residual: float
-    eigen_residual: float
+    hw_residual: float              # |F_1 b| / |b| at the highest weight rung
+    kappa_residual: float           # worst |F_1 E_1 b - kappa b| / (kappa |b|), relative
+    termination_residual: float     # |E_1 b| / |b| at the top rung
+    eigen_residual: float           # worst |H b - lambda b| / |b|
     length: int
 
 
@@ -758,17 +759,17 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     comes from one _coproduct_maps call over all blocks, and F_1 from
     block m to m-1 is the transpose of the previous E_1 map, which it equals
     exactly in this basis.  The open ladders are one column array, sectors
-    increasing, advanced once per block: H from the block's site arrays
-    (_block_apply) and E_1 by one dense product, checking |H B - B Lambda|,
-    the closed-form coefficient |E_1^T E_1 B - kappa B| with kappa =
-    [N-k-m]_q [m-k+1]_q, and at the top rung m = N-k the termination
-    |E_1 B|, each relative to the rung's column norms.  The array at rung
-    m-1 < N/2 and its kappa are held until block m's highest weight vectors
-    are projected through them (_highest_weight).  The hw residual is
-    |F_1 b| / |b| for each highest
-    weight vector b.  A sector whose worst hw, kappa, termination or eigen
-    residual exceeds HW_TOL, or is NaN, gets a warning.  Sector labels come from
-    one sorted pass over every cluster and ladder value, cut into runs at
+    increasing, advanced once per block and cleared of the lower sectors on
+    every rung once block m's highest weight vectors join (_clear_lower_sectors).
+    H from the block's site arrays (_block_apply, RESIDUAL_CHUNK columns at a
+    time) and E_1 by one dense product check |H B - B Lambda|, the closed-form
+    coefficient |E_1^T E_1 B - kappa B| / kappa with kappa = [N-k-m]_q
+    [m-k+1]_q (up to about 1e8), and at the top rung m = N-k the
+    termination |E_1 B|, each relative to the rung's column norms, and the
+    hw residual |F_1 b| / |b| of each new highest weight vector b.  A
+    sector whose worst hw, kappa, termination or eigen residual exceeds
+    HW_TOL, or is NaN, gets a warning.  Sector labels come from one sorted
+    pass over every cluster and ladder value, cut into runs at
     CLUSTER_RTOL * max(1, max |cluster value|) (_runs, as in diagonalize):
     a cluster takes the lowest sector in its run and the hw_residual of
     that sector's first ladder there.  A run holding ladders of two sectors
@@ -797,34 +798,33 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
-    # E_1 into block 0 comes from the empty block below it, which holds no
-    # ladder; below is the ladder array at rung m - 1 and its kappa
-    e_down, below = np.zeros((1, 0)), (np.zeros((0, 0)), np.zeros(0))
+    e_down = np.zeros((1, 0))   # E_1 into block 0, from the empty block below it
     for m, (block_sites, e_up) in enumerate(zip(sites, e_maps)):
+        fresh = len(sector)     # block m's highest weight vectors, if any, start here
         if m <= N // 2:
             block = lower[m]
-            hw_values, hw = _highest_weight(block, e_down, _runs(block.values, kernel_tol), *below)
-            below = None
-            hw_res = np.zeros((4, len(hw_values)))
-            hw_res[0] = np.linalg.norm(e_down.T @ hw, axis=0) / np.linalg.norm(hw, axis=0)
+            hw_values, hw = _highest_weight(block, e_down, _runs(block.values, kernel_tol))
             b, values = np.hstack([b, hw]), np.concatenate([values, hw_values])
             sector = np.concatenate([sector, np.full(len(hw_values), m)])
-            res = np.hstack([res, hw_res])
+            res = np.hstack([res, np.zeros((4, len(hw_values)))])
+        _clear_lower_sectors(b, sector)
         norms = np.linalg.norm(b, axis=0)
-        res[3] = np.maximum(res[3], np.linalg.norm(_block_apply(block_sites, b) - b * values,
-                                                   axis=0) / norms)
+        res[0, fresh:] = np.linalg.norm(e_down.T @ b[:, fresh:], axis=0) / norms[fresh:]
+        for lo in range(0, len(sector), RESIDUAL_CHUNK):     # d x RESIDUAL_CHUNK temporaries
+            c = slice(lo, lo + RESIDUAL_CHUNK)
+            res[3, c] = np.maximum(res[3, c], np.linalg.norm(
+                _block_apply(block_sites, b[:, c]) - b[:, c] * values[c], axis=0) / norms[c])
         up = e_up @ b
         top = int(np.searchsorted(sector, N - m))    # sector N - m ends here
         ks, counts = np.unique(sector[:top], return_counts=True)
         kappa = np.repeat([q_number(N - k - m, q) * q_number(m - k + 1, q) for k in ks.tolist()],
                           counts)
         res[1, :top] = np.maximum(res[1, :top], np.linalg.norm(
-            e_up.T @ up[:, :top] - kappa * b[:, :top], axis=0) / norms[:top])
+            e_up.T @ up[:, :top] - kappa * b[:, :top], axis=0) / (kappa * norms[:top]))
         res[2, top:] = np.linalg.norm(up[:, top:], axis=0) / norms[top:]
         if top < len(sector):
             sectors[N - m] = [SectorLadder(v, *r, 2 * m - N + 1)
                               for v, r in zip(values[top:].tolist(), res[:, top:].T.tolist())]
-        below = (b, kappa) if m < N // 2 else None      # top = len(sector) below the middle
         b, values, sector, res = up[:, :top], values[:top], sector[:top], res[:, :top]
         e_down = e_up
 
@@ -865,12 +865,11 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
 
 
-def _highest_weight(block: WeightBlock, e: np.ndarray, runs: list, ladders: np.ndarray,
-                    kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _highest_weight(block: WeightBlock, e: np.ndarray,
+                    runs: list) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of H on the kernel of F_1 in one weight
     block m, from the block's eigenpairs, e the E_1 map from block m-1 (F_1
-    = e.T), the runs of the block's values, and the ladders open at rung
-    m-1 with their kappa (_ladder_inverse).
+    = e.T) and the runs of the block's values.
 
     F_1 commutes with H, so ker F_1 is spanned by pieces of eigenspaces:
     per run of the block's values, the kernel of F_1 on the run's columns.
@@ -890,13 +889,8 @@ def _highest_weight(block: WeightBlock, e: np.ndarray, runs: list, ladders: np.n
     runs): F_1 maps distinct eigenspaces of H into mutually orthogonal ones,
     so the singular values of F_1 V, which are those of F_1, are the runs'.
     Counting the rank against HW_TOL * s keeps the sector counts
-    measurements.
-
-    Eigenvectors of the whole block carry components of the size of
-    rounding over the eigenvalue gap outside ker F_1, which the ladder
-    amplifies.  Two steps of b <- b - E_1 (F_1 E_1)^-1 F_1 b project them
-    out, with (F_1 E_1)^-1 on block m-1 from the ladders below
-    (_ladder_inverse).  Block 0 has no ladders below and F_1 = 0 on it.
+    measurements.  The vectors keep components of rounding over the gap
+    outside ker F_1, which the sweep removes (_clear_lower_sectors).
     """
     vals, vecs = block.values, block.vectors
     fv = e.T @ vecs
@@ -915,20 +909,22 @@ def _highest_weight(block: WeightBlock, e: np.ndarray, runs: list, ladders: np.n
         hw_values.append(run_vals)
         hw.append(vecs[:, lo:hi] @ (w @ rot))
     order = np.argsort(np.concatenate(starts), kind="stable")     # runs in increasing order
-    b = np.hstack(hw)[:, order]
-    for _ in range(2):
-        b -= e @ _ladder_inverse(ladders, kappa, e.T @ b)
-    return np.concatenate(hw_values)[order], b
+    return np.concatenate(hw_values)[order], np.hstack(hw)[:, order]
 
 
-def _ladder_inverse(ladders: np.ndarray, kappa: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(F_1 E_1)^-1 y on weight block m < N/2 as B diag(1/(|b_i|^2
-    kappa_i)) B^T y, B the ladders open at rung m (every sector k <= m: d_m
-    columns when the counts are right) and kappa_i = [N-k-m]_q [m-k+1]_q:
-    they are orthogonal eigenvectors of the symmetric F_1 E_1 = E_1^T E_1.
-    A missing or extra column shows in the hw residuals of block m+1."""
-    weights = np.einsum("ij,ij->j", ladders, ladders) * kappa
-    return ladders @ ((ladders.T @ y) / weights[:, None])
+def _clear_lower_sectors(b: np.ndarray, sector: np.ndarray) -> None:
+    """Subtract in place from each sector's columns of the open-ladder array
+    b (sector: each column's, increasing) their components along every lower
+    sector's columns, sectors in increasing order, with weights 1/|b_j|^2
+    (taken once; clearing moves them at second order): ladders of distinct
+    sectors are eigenvectors of F_1 E_1 = E_1^T E_1 with distinct kappa.
+    Uncleared, rounding along a lower ladder grows by about sqrt(kappa_lower
+    / kappa_k) per rung (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
+    At rung m <= N/2 the lower columns span (ker F_1)^perp = range(E_1)."""
+    weights = np.einsum("ij,ij->j", b, b)[:, None]
+    cuts = (np.flatnonzero(np.diff(sector)) + 1).tolist() + [len(sector)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        b[:, lo:hi] -= b[:, :lo] @ ((b[:, :lo].T @ b[:, lo:hi]) / weights[:lo])
 
 
 @dataclass

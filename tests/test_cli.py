@@ -481,6 +481,12 @@ def test_orbit_dot_guard_exit_code(capsys, monkeypatch):
     assert "guard" in err
 
 
+def test_quandle_table_guard_exit_code(capsys):
+    # 3001^2 entries pass the 10^6 bound: exit 1 before the table is built
+    code, out, err = run(capsys, "quandle", "dihedral", "--n", "3001")
+    assert code == 1 and out == "" and "9006001" in err
+
+
 def test_crystal_guard_exit_code(capsys, monkeypatch):
     # C(92, 2) = 4186 states: four dense 4186 x 4186 matrices, refused up front
     code, out, err = run(capsys, "crystal", "--n", "3", "--N", "90")

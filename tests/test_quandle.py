@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import numpy as np
@@ -220,6 +221,35 @@ def test_orbit_automaton_trivial_quandle_is_flip():
 def test_orbit_automaton_guard():
     with pytest.raises(SizeGuardError):
         quandle.orbit_automaton(quandle.dihedral(11), 5)
+
+
+def test_table_guard_runs_before_any_row_is_built(monkeypatch):
+    # a table's n^2 entries are held to the sparse-state bound of 10^6, so
+    # n = 1000 is the largest; n = 3001 would build 9e6 entries (about
+    # 1.4 GB).  The constructor is never reached past the bound
+    def never(*args):
+        raise AssertionError("a table was built past the guard")
+
+    text = json.dumps({"n": 1001, "op": [1] * 1001 ** 2})
+    monkeypatch.setattr(quandle, "QuandleTable", never)
+    with pytest.raises(SizeGuardError, match="1002001"):
+        quandle.dihedral(1001)
+    with pytest.raises(SizeGuardError, match="1002001"):
+        quandle.table_from_json(text)
+
+
+def test_orbit_guard_runs_before_the_rack_check(monkeypatch):
+    # the rack check (validate) is O(n^3): at n = 400 it takes seconds, and
+    # N = 2 (160,000 words) is past the orbit guard anyway
+    def never(table):
+        raise AssertionError("validate ran before the orbit guard")
+
+    table = quandle.dihedral(400)
+    monkeypatch.setattr(quandle, "validate", never)
+    with pytest.raises(SizeGuardError):
+        quandle.orbit_automaton(table, 2)
+    with pytest.raises(SizeGuardError):
+        quandle.centralizer_residual(table, 2)
 
 
 def test_orbit_dot_export():

@@ -27,6 +27,13 @@ def test_sector_survey_residual_columns_line_up():
         assert [m.end() for m in re.finditer(r"\S+", row)][-4:] == ends, row
 
 
+def test_sector_survey_passes_far_from_q_one():
+    # at N = 12, q = 0.3 kappa reaches about 7e5; every ladder residual
+    # stays at rounding and the survey exits 0 (run_script checks it)
+    out = run_script("sector_survey.py", "--N", "12", "--q", "0.3")
+    assert "warnings:" not in out
+
+
 def test_distinctness_scan_reports_the_smallest_gap():
     # every weight block of N <= 6 at the default q values, through sector_matrix
     lines = run_script("distinctness_scan.py", "--max-N", "6").splitlines()

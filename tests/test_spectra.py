@@ -751,7 +751,8 @@ def _failing(warnings):
 
 @pytest.mark.parametrize("q", [0.3, 3.0])
 def test_kernel_per_run_adds_no_warning_where_rounding_fails_the_gate(monkeypatch, q):
-    # at these q the N = 10 and 11 ladders already miss HW_TOL from rounding
+    # at these q, unless every rung clears the lower sectors
+    # (_clear_lower_sectors), the N = 10 and 11 ladders miss HW_TOL from rounding
     for N in range(1, 12):
         fast_deco, fast, slow_deco, slow = _sectors_both_ways(monkeypatch, N, q)
         assert fast.m_observed == slow.m_observed == fast.m_predicted, N
@@ -773,8 +774,8 @@ def test_highest_weight_vectors_do_not_leak_out_of_the_kernel():
 def test_longer_runs_take_the_kernel_from_their_own_svd():
     # merging a block's values into one run, or into runs of two, sends the
     # kernel through the per-run SVD and compressed eigh of longer runs;
-    # without the projection (no ladders below) the kernel of F_1 and the
-    # values of H on it still match the full-SVD oracle
+    # before the sweep projects them (_clear_lower_sectors) the kernel of
+    # F_1 and the values of H on it still match the full-SVD oracle
     for N, q in [(6, 1.3), (7, 0.8), (8, 2.0)]:
         chain = spectra.OpenChain(2, N, q)
         deco = spectra.diagonalize(chain, vectors=True)
@@ -785,8 +786,7 @@ def test_longer_runs_take_the_kernel_from_their_own_svd():
                                         block.basis)
             want_vals, want = highest_weight_svd(spectra._dense(block.sites), e.T)
             for runs in ([(0, d)], [(lo, min(lo + 2, d)) for lo in range(0, d, 2)]):
-                vals, b = spectra._highest_weight(block, e, runs, np.zeros((e.shape[1], 0)),
-                                                  np.zeros(0))
+                vals, b = spectra._highest_weight(block, e, runs)
                 assert vals.shape == want_vals.shape, (N, m, runs)
                 assert np.abs(vals - want_vals).max(initial=0.0) < 1e-9, (N, m)
                 assert np.abs(b @ b.T - want @ want.T).max() < 1e-8, (N, m)
@@ -795,8 +795,11 @@ def test_longer_runs_take_the_kernel_from_their_own_svd():
 def test_f1e1_inverse_from_eigenvectors():
     # on block m < N/2 the ladders of every sector k <= m, raised from the
     # full-SVD highest weight vectors of block k, are eigenvectors of
-    # F_1 E_1 with the closed-form kappa = [N-k-m]_q [m-k+1]_q; the inverse
-    # they give equals a dense solve with E_1^T E_1
+    # F_1 E_1 with distinct kappa = [N-k-m]_q [m-k+1]_q; raised into block
+    # m + 1 they span range(E_1), so clearing fresh columns y of sector m + 1
+    # against them with diagonal weights equals the projection
+    # y - E_1 (E_1^T E_1)^-1 E_1^T y of a dense solve, relative to |y|: at
+    # (9, 0.7, 4) E_1 maps onto block 5 and the projection is zero
     for N, q, m in [(6, 1.0, 2), (8, 1.5, 3), (9, 0.7, 4), (7, 2.0, 1)]:
         chain = spectra.OpenChain(2, N, q)
         ladders, sector, below = np.zeros((1, 0)), [], None
@@ -810,14 +813,14 @@ def test_f1e1_inverse_from_eigenvectors():
             _, hw = highest_weight_svd(spectra.block_matrix(chain, basis), f)
             ladders, sector = np.hstack([ladders, hw]), sector + [k] * hw.shape[1]
             below = basis
-        kappa = [qalgebra.q_number(N - k - m, q) * qalgebra.q_number(m - k + 1, q) for k in sector]
         above = spectra.weight_basis(2, N, (N - m - 1, m + 1))
         e_out = spectra.coproduct_block(chain, "E", 1, below, above)
         assert ladders.shape == (comb(N, m), comb(N, m)), (N, m)
-        y = np.random.default_rng(N).standard_normal((len(below), 3))
-        want = np.linalg.solve(e_out.T @ e_out, y)
-        got = spectra._ladder_inverse(ladders, np.array(kappa), y)
-        assert np.abs(got - want).max() < 1e-10 * np.abs(want).max(), (N, m)
+        y = np.random.default_rng(N).standard_normal((len(above), 3))
+        want = y - e_out @ np.linalg.solve(e_out.T @ e_out, e_out.T @ y)
+        b = np.hstack([e_out @ ladders, y])
+        spectra._clear_lower_sectors(b, np.array(sector + [m + 1] * 3))
+        assert np.abs(b[:, -3:] - want).max() < 1e-10 * np.abs(y).max(), (N, m)
 
 
 def test_f1_block_map_is_e1_transpose():
@@ -867,7 +870,7 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
     for m in range(1, N - 1):
         up = qalgebra.apply_E(b, 1, q)
         c = qalgebra.q_number(N - 1 - m, q) * qalgebra.q_number(m, q)
-        kappa = max(kappa, qalgebra.apply_F(up, 1, q).sub(b.scale(c)).norm() / b.norm())
+        kappa = max(kappa, qalgebra.apply_F(up, 1, q).sub(b.scale(c)).norm() / (c * b.norm()))
         eigen = max(eigen, hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
         b = up
     eigen = max(eigen, hamiltonian_apply(chain, b).sub(b).norm() / b.norm())
@@ -876,29 +879,40 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
 
 
 def test_ladder_residuals_above_tolerance_fail_the_report(monkeypatch):
-    # at q = 0.3 the N = 12 ladders of sectors 1, 2 and 4 miss HW_TOL from
-    # rounding alone, although every sector count is right.  Each sector-3
-    # highest weight vector gets a deliberate leak of 1e-8 of its norm along
-    # E_1 u, u in block 2: out of ker F_1, so F_1 E_1 scales it by the other
-    # sectors' kappa, and the kappa residual exceeds 1e-4 by construction
-    # (about 7), not by how rounding falls
+    # on rung 3, after the lower sectors are cleared, each sector-3 highest
+    # weight vector gets a deliberate leak of 1e-8 of its norm along the
+    # sector-0 ladder: out of ker F_1, so F_1 E_1 scales it by kappa_0 =
+    # [9]_q [4]_q, not kappa_3 = [6]_q, and the relative kappa residual is
+    # 1e-8 (kappa_0 - kappa_3) / kappa_3 = 1.5e-5 at q = 0.3, 1500 times
+    # HW_TOL by construction, not by how rounding falls
     N, q = 12, 0.3
-    real = spectra._highest_weight
+    real = spectra._clear_lower_sectors
+    rungs = []
 
-    def leak(block, e, *below):
-        vals, b = real(block, e, *below)
-        if len(block.values) == comb(N, 3):
-            u = e @ np.ones(e.shape[1])
-            b = b + 1e-8 * np.outer(u / np.linalg.norm(u), np.linalg.norm(b, axis=0))
-        return vals, b
+    def leak(b, sector):
+        real(b, sector)
+        rungs.append(len(rungs))
+        if rungs[-1] == 3:
+            u = b[:, np.flatnonzero(sector == 0)[0]]
+            fresh = sector == 3
+            b[:, fresh] += 1e-8 * np.outer(u / np.linalg.norm(u),
+                                           np.linalg.norm(b[:, fresh], axis=0))
 
-    monkeypatch.setattr(spectra, "_highest_weight", leak)
+    monkeypatch.setattr(spectra, "_clear_lower_sectors", leak)
     rep = spectra.classify_sectors(spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True))
     assert rep.m_observed == rep.m_predicted
-    assert max(lad.kappa_residual for lad in rep.sectors[3]) > 1e-4
-    assert [w.split(" ladder")[0] for w in rep.warnings] == [
-        "sector 1", "sector 2", "sector 3", "sector 4"]
+    assert max(lad.kappa_residual for lad in rep.sectors[3]) > 1e3 * spectra.HW_TOL
+    assert [w.split(" ladder")[0] for w in rep.warnings] == ["sector 3"]
     assert rep.ok is False
+
+
+@pytest.mark.parametrize("q", [0.2, 0.3, 3.0, 5.0])
+def test_far_from_q_one_every_ladder_passes(q):
+    # kappa reaches about 1e8 at N = 12 and these q: ladders cleared of the
+    # lower sectors on every rung (uncleared, rounding along them grows by
+    # about sqrt(kappa_lower / kappa_k) per rung), and the kappa residual
+    # taken relative to kappa, leave every residual at rounding
+    assert spectra.verify_decomposition(2, 12, q).ok
 
 
 def test_nan_ladder_residual_fails_the_gate():

@@ -7,7 +7,11 @@ OLD and NEW are directories that hold src/braidlab (a clone or an exported
 commit).  For every n, N and q of the grid the script runs `verify`,
 `spectrum`, `spectrum --format csv`, `dicke` at the most even composition of
 N into n parts (larger parts first) and `crystal --labels canonical`, so
-that the q-integers those print are compared too; each checkout is imported in its own
+that the q-integers those print are compared too.  The automata commands
+take no --q and run once per n and N: `crystal` without labels, `quandle
+orbits` of the dihedral quandle as JSON and as DOT, and `automaton
+--example` exa01 and e1 as JSON, as DOT and running a word of length N
+(see run_word).  Each checkout is imported in its own
 Python subprocess, which runs every case in process through
 braidlab.cli.main and returns its exit code, stdout and stderr.  BLAS runs
 one thread in both unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
@@ -27,6 +31,7 @@ from pathlib import Path
 
 COMMANDS = (["verify"], ["spectrum"], ["spectrum", "--format", "csv"], ["dicke"],
             ["crystal", "--labels", "canonical"])
+EXAMPLES = ("exa01", "e1")
 
 # run in the subprocess: argv lists on stdin, [code, stdout, stderr] per run on stdout
 CHILD = r"""
@@ -62,6 +67,23 @@ def most_even(n: int, N: int) -> str:
     a --label value: "3,2" for n = 2, N = 5."""
     base, extra = divmod(N, n)
     return ",".join(map(str, [base + 1] * extra + [base] * (n - extra)))
+
+
+def run_word(n: int, N: int) -> str:
+    """The automaton word of (n, N): n - 1 letters a, then b, repeated to
+    length N ("abab" for n = 2, N = 4; "aab" for n = 3, N = 3)."""
+    return (("a" * (n - 1) + "b") * N)[:N]
+
+
+def automata_cases(n: int, N: int) -> list[list[str]]:
+    """The commands of one (n, N) that take no --q."""
+    size = ["--n", str(n), "--N", str(N)]
+    cases = [["crystal", *size], ["quandle", "orbits", *size],
+             ["quandle", "orbits", *size, "--dot"]]
+    for example in EXAMPLES:
+        cases += [["automaton", "--example", example, *extra]
+                  for extra in ([], ["--dot"], ["--run", run_word(n, N)])]
+    return cases
 
 
 def fail(message: str):
@@ -104,9 +126,13 @@ def main(argv=None) -> int:
     p.add_argument("--N", type=int_list, default=int_list("1-8"), help="chain lengths, e.g. 1-12")
     p.add_argument("--q", default="0.3,0.7,0.8,1.0,1.5,2.0,3.0", help="comma-separated q values")
     args = p.parse_args(argv)
-    cases = [command + ["--n", str(n), "--N", str(N), "--q", q]
-             + (["--label", most_even(n, N)] if command == ["dicke"] else [])
-             for n in args.n for N in args.N for q in args.q.split(",") for command in COMMANDS]
+    cases = []
+    for n in args.n:
+        for N in args.N:
+            cases += [command + ["--n", str(n), "--N", str(N), "--q", q]
+                      + (["--label", most_even(n, N)] if command == ["dicke"] else [])
+                      for q in args.q.split(",") for command in COMMANDS]
+            cases += automata_cases(n, N)
     old, new = run_checkout(args.old, cases), run_checkout(args.new, cases)
     differing = 0
     for case, a, b in zip(cases, old, new):

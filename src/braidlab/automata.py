@@ -5,10 +5,18 @@ matrices, and a word acts by multiplying its letters' matrices.  Undefined
 transitions map to the zero vector, so transition matrices may have zero
 columns.  Kinds: combinatorial (deterministic), stochastic (probabilistic),
 unitary (quantum), general.
+
+A combinatorial matrix is held as its target array, one int64 per state:
+targets[s] is the index of the state that s moves to, -1 where s has no
+transition.  Word runs, acceptance, word matrices, sink completion and DOT
+export work on those arrays, so an automaton of s states holds O(s) numbers
+per letter; the dense 0/1 matrix is built only where it is read
+(TransitionMatrix.entries, Automaton.matrix, word_matrix, to_json).  The
+other kinds hold their dense entries.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -54,15 +62,34 @@ _KIND_CHECKS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """An n x n transition matrix of finite entries, tagged with its kind."""
+    """An n x n transition matrix of finite entries, tagged with its kind.
 
-    entries: np.ndarray
+    ``TransitionMatrix(m, kind)`` checks the dense matrix m against the
+    kind's invariant.  The combinatorial kind is then held as its target
+    array alone (``targets``); ``from_targets`` builds one from that array
+    directly, and ``entries`` builds the dense float 0/1 matrix on first
+    read.
+    """
+
+    matrix: InitVar[np.ndarray | None]
     kind: str = "general"
+    targets: np.ndarray | None = None
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        m = np.asarray(self.entries)
+    def __post_init__(self, matrix):
+        if self.targets is not None:
+            if self.kind != "combinatorial" or matrix is not None:
+                raise ValidationError("targets are given alone, for the combinatorial kind")
+            t = np.asarray(self.targets)
+            if t.ndim != 1 or (t.size and not np.issubdtype(t.dtype, np.integer)):
+                raise ValidationError("targets must be a one-dimensional integer array")
+            if t.size and (t.min() < -1 or t.max() >= t.size):
+                raise ValidationError(f"targets must lie in [-1,{t.size - 1}]")
+            object.__setattr__(self, "targets", t.astype(np.int64))
+            return
+        m = np.asarray(matrix)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"transition matrix must be square, got shape {m.shape}")
         if self.kind != "combinatorial" and not np.isfinite(m).all():  # 0/1 is finite
@@ -71,11 +98,32 @@ class TransitionMatrix:
             raise ValidationError(f"unknown kind {self.kind!r}, expected one of {KINDS}")
         if not _KIND_CHECKS[self.kind](m):
             raise ValidationError(f"matrix does not satisfy the {self.kind} invariant")
-        object.__setattr__(self, "entries", m)
+        if self.kind == "combinatorial":
+            hit = m.real.any(axis=0)
+            targets = m.real.argmax(axis=0) if m.size else np.zeros(0, dtype=np.int64)
+            object.__setattr__(self, "targets", np.where(hit, targets, -1).astype(np.int64))
+        else:
+            object.__setattr__(self, "_dense", m)
+
+    @classmethod
+    def from_targets(cls, targets) -> "TransitionMatrix":
+        """The combinatorial matrix sending state s to targets[s] (0-based),
+        with no transition where targets[s] = -1."""
+        return cls(None, "combinatorial", targets)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n matrix."""
+        if self._dense is None:
+            m = np.zeros((self.n, self.n))
+            src = np.flatnonzero(self.targets >= 0)
+            m[self.targets[src], src] = 1.0
+            object.__setattr__(self, "_dense", m)
+        return self._dense
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.targets) if self.targets is not None else self._dense.shape[0]
 
 
 @dataclass(frozen=True)
@@ -119,22 +167,27 @@ class Automaton:
     def kind(self) -> str:
         return next(iter(self.transitions.values())).kind if self.transitions else "combinatorial"
 
-    def matrix(self, letter) -> np.ndarray:
+    def transition(self, letter) -> TransitionMatrix:
         try:
-            return self.transitions[letter].entries
+            return self.transitions[letter]
         except KeyError:
             raise ValidationError(f"unknown letter {letter!r}") from None
 
+    def matrix(self, letter) -> np.ndarray:
+        """The dense matrix of a letter (built on first read for the
+        combinatorial kind)."""
+        return self.transition(letter).entries
+
 
 def linearize(table, states=None, alphabet=None, start=1, accepting=()) -> Automaton:
-    """Linearize an abstract transition table into combinatorial matrices.
+    """Linearize an abstract transition table into combinatorial target arrays.
 
     ``table`` is either a mapping (state, letter) -> target or an iterable of
     (state, letter, target) triples; a repeated (state, letter) pair is
-    rejected.  Undefined transitions become zero columns.  States and letters
-    default to their order of first appearance.  ``start`` and ``accepting``
-    may be state labels; values that are not labels are taken as 1-based
-    indices.
+    rejected.  Undefined transitions become -1 targets (zero columns).
+    States and letters default to their order of first appearance.
+    ``start`` and ``accepting`` may be state labels; values that are not
+    labels are taken as 1-based indices.
     """
     if hasattr(table, "items"):
         triples = [(s, a, t) for (s, a), t in table.items()]
@@ -155,20 +208,19 @@ def linearize(table, states=None, alphabet=None, start=1, accepting=()) -> Autom
     if not alphabet:
         raise ValidationError("no letters")
     index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    mats = {a: np.zeros((n, n)) for a in alphabet}
+    targets = {a: np.full(len(states), -1, dtype=np.int64) for a in alphabet}
     for s, a, t in triples:
         if t is None:
             continue
-        if s not in index or t not in index or a not in mats:
+        if s not in index or t not in index or a not in targets:
             raise ValidationError(f"transition ({s!r}, {a!r}) -> {t!r} references "
                                   "an unknown state or letter")
-        mats[a][index[t], index[s]] = 1.0
-    transitions = {a: TransitionMatrix(m, "combinatorial") for a, m in mats.items()}
+        targets[a][index[s]] = index[t]
+    transitions = {a: TransitionMatrix.from_targets(t) for a, t in targets.items()}
     if start in index:
         start = index[start] + 1
     accepting = frozenset(index[s] + 1 if s in index else s for s in accepting)
-    return Automaton(n, tuple(alphabet), transitions, int(start), accepting,
+    return Automaton(len(states), tuple(alphabet), transitions, int(start), accepting,
                      tuple(str(s) for s in states))
 
 
@@ -178,16 +230,40 @@ def word_matrix(a: Automaton, word) -> np.ndarray:
     The first letter of the word is the leftmost factor, matching the
     convention that prefixing a letter multiplies on the left.  To evolve a
     state by reading a word left to right, use run_word, which applies the
-    reversed product.
+    reversed product.  A combinatorial automaton composes its target arrays
+    and builds the dense matrix once, at the end.
     """
+    if a.kind == "combinatorial":
+        t = np.arange(a.n_states)
+        for letter in word:
+            step = a.transition(letter).targets
+            t = np.where(step >= 0, t[step], -1)
+        return TransitionMatrix.from_targets(t).entries
     m = np.eye(a.n_states, dtype=a.matrix(a.alphabet[0]).dtype if a.alphabet else float)
     for letter in word:
         m = m @ a.matrix(letter)
     return m
 
 
+def _run_index(a: Automaton, word) -> int:
+    """0-based state a combinatorial automaton reaches by reading the word
+    from the start state, -1 once a transition is undefined; every letter
+    is looked up, so an unknown one raises even after that."""
+    s = a.start - 1
+    for letter in word:
+        t = a.transition(letter).targets
+        s = int(t[s]) if s >= 0 else -1
+    return s
+
+
 def run_word(a: Automaton, word) -> np.ndarray:
     """State vector after reading the word left to right from the start state."""
+    if a.kind == "combinatorial":
+        v = np.zeros(a.n_states)
+        s = _run_index(a, word)
+        if s >= 0:
+            v[s] = 1.0
+        return v
     v = np.zeros(a.n_states, dtype=complex if a.kind == "unitary" else float)
     v[a.start - 1] = 1.0
     for letter in word:
@@ -199,11 +275,8 @@ def dfa_accepts(a: Automaton, word) -> bool:
     """True iff the run ends on an accepting basis vector (zero never accepts)."""
     if a.kind != "combinatorial":
         raise ValidationError(f"dfa_accepts requires a combinatorial automaton, got {a.kind}")
-    v = run_word(a, word)
-    hits = np.nonzero(v)[0]
-    if hits.size == 0:
-        return False
-    return int(hits[0]) + 1 in a.accepting
+    s = _run_index(a, word)
+    return s >= 0 and s + 1 in a.accepting
 
 
 def acceptance_probability(a: Automaton, word) -> float:
@@ -250,19 +323,11 @@ def complete_with_sink(a: Automaton) -> Automaton:
     if a.kind != "combinatorial":
         raise ValidationError("sink completion is defined for combinatorial automata")
     n = a.n_states
-    has_gap = any(a.matrix(letter).sum(axis=0).min() < 1 for letter in a.alphabet)
-    if not has_gap:
+    targets = {letter: a.transition(letter).targets for letter in a.alphabet}
+    if all(t.min(initial=0) >= 0 for t in targets.values()):
         return a
-    transitions = {}
-    for letter in a.alphabet:
-        m = np.zeros((n + 1, n + 1))
-        old = a.matrix(letter)
-        m[:n, :n] = old
-        for col in range(n):
-            if old[:, col].sum() == 0:
-                m[n, col] = 1.0
-        m[n, n] = 1.0
-        transitions[letter] = TransitionMatrix(m, "combinatorial")
+    transitions = {letter: TransitionMatrix.from_targets(np.append(np.where(t >= 0, t, n), n))
+                   for letter, t in targets.items()}
     return Automaton(n + 1, a.alphabet, transitions, a.start, a.accepting,
                      a.state_labels + ("sink",))
 
@@ -270,21 +335,23 @@ def complete_with_sink(a: Automaton) -> Automaton:
 def to_dot(a: Automaton) -> str:
     """DOT digraph: edges labeled "letter;weight" (weight omitted when 1),
     start state marked, accepting states double-circled, zero transitions
-    omitted."""
+    omitted.  Edges come letter by letter, by source state, then by target."""
     lines = ["digraph automaton {", "  rankdir=LR;", '  __start [shape=none, label=""];']
     for i, label in enumerate(a.state_labels, start=1):
         shape = "doublecircle" if i in a.accepting else "circle"
         lines.append(f'  s{i} [shape={shape}, label="{label}"];')
     lines.append(f"  __start -> s{a.start};")
     for letter in a.alphabet:
-        m = a.matrix(letter)
-        for y in range(a.n_states):
-            for x in range(a.n_states):
-                w = m[x, y]
-                if w == 0:
-                    continue
-                tag = f"{letter}" if w == 1 else f"{letter};{_fmt_weight(w)}"
-                lines.append(f'  s{y + 1} -> s{x + 1} [label="{tag}"];')
+        t = a.transition(letter)
+        if t.targets is not None:
+            lines.extend(f'  s{y + 1} -> s{x + 1} [label="{letter}"];'
+                         for y, x in enumerate(t.targets.tolist()) if x >= 0)
+            continue
+        m = t.entries
+        for y, x in zip(*np.nonzero(m.T)):
+            w = m[x, y]
+            tag = f"{letter}" if w == 1 else f"{letter};{_fmt_weight(w)}"
+            lines.append(f'  s{y + 1} -> s{x + 1} [label="{tag}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

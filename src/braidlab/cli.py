@@ -217,6 +217,8 @@ def cmd_quandle(args) -> None:
             table = quandle.dihedral(args.n)
         else:
             raise ValidationError("quandle orbits needs --n or --table")
+        if args.dot:
+            quandle.check_orbit_dot(table, args.N)
         graph = quandle.orbit_automaton(table, args.N)
         if args.dot:
             sys.stdout.write(automata.to_dot(quandle.orbit_to_automaton(graph, table)))

@@ -256,9 +256,11 @@ def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "non
     """The symmetric crystal automaton on ordered words as a combinatorial
     automaton (for DOT export), one state per composition of N into n parts.
 
-    Its 2(n-1) transition matrices are dense, so before anything is built
-    the number of states s is held to the dense guard (check_dense_dim) and
-    the 2(n-1) s^2 entries to the held-entries rule (check_held_entries).
+    With labels="none" each of its 2(n-1) letters is a target array of the
+    s states; otherwise a dense s x s matrix.  Either way, before anything
+    is built, s is held to the dense guard (check_dense_dim) and the
+    2(n-1) s^2 entries of the dense view to the held-entries rule
+    (check_held_entries).
     With labels="canonical" or "rescaled" the DOT edge weights carry the
     q-coefficients of the corresponding raising/lowering action on q-Dicke
     states: canonical uses the symmetric sqrt form on both E and F; rescaled
@@ -294,11 +296,16 @@ def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "non
                     c = (q_number(lab[j - 1] + 1, q) * q_number(lab[j], q)) ** 0.5
                     weights[(index[w], f"f{j}", index[down])] = c * c if labels == "rescaled" else c
     letters = [f"e{j}" for j in range(1, n)] + [f"f{j}" for j in range(1, n)]
-    mats = {a: np.zeros((len(states), len(states))) for a in letters}
-    for s, a, t in triples:
-        mats[a][t, s] = weights.get((s, a, t), 1.0)
-    kind = "combinatorial" if labels == "none" else "general"
-    transitions = {a: automata.TransitionMatrix(m, kind) for a, m in mats.items()}
+    if labels == "none":
+        targets = {a: np.full(len(states), -1, dtype=np.int64) for a in letters}
+        for s, a, t in triples:
+            targets[a][s] = t
+        transitions = {a: automata.TransitionMatrix.from_targets(t) for a, t in targets.items()}
+    else:
+        mats = {a: np.zeros((len(states), len(states))) for a in letters}
+        for s, a, t in triples:
+            mats[a][t, s] = weights[(s, a, t)]
+        transitions = {a: automata.TransitionMatrix(m, "general") for a, m in mats.items()}
     word_names = tuple("".join(f"x{x}" for x in w) for w in states)
     return automata.Automaton(len(states), tuple(letters), transitions, 1,
                               frozenset(), word_names)

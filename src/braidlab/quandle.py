@@ -49,12 +49,15 @@ class QuandleTable:
 
 
 def validate(table: QuandleTable) -> dict:
-    """Axiom flags {shelf, rack, quandle} from exhaustive checks."""
-    n, op = table.n, table.op
-    shelf = all(op[a][op[b][c]] == op[op[a][b]][op[a][c]]
-                for a in range(n) for b in range(n) for c in range(n))
-    rack = shelf and all(sorted(row) == list(range(n)) for row in op)
-    quandle = rack and all(op[a][a] == a for a in range(n))
+    """Axiom flags {shelf, rack, quandle} from exhaustive checks.
+
+    Left self-distributivity a > (b > c) = (a > b) > (a > c) is checked one
+    a at a time, over every (b, c) at once: op[a][op] against
+    op[np.ix_(op[a], op[a])]."""
+    op = np.array(table.op, dtype=np.intp)
+    shelf = all(np.array_equal(row[op], op[np.ix_(row, row)]) for row in op)
+    rack = shelf and bool((np.sort(op, axis=1) == np.arange(table.n)).all())
+    quandle = rack and bool((np.diagonal(op) == np.arange(table.n)).all())
     return {"shelf": shelf, "rack": rack, "quandle": quandle}
 
 
@@ -83,6 +86,28 @@ def tetrahedron() -> QuandleTable:
 def _check_orbit_size(n: int, N: int) -> None:
     if n ** N > ORBIT_GUARD:
         raise SizeGuardError(f"n^N = {n**N} exceeds the orbit guard {ORBIT_GUARD}")
+
+
+def _check_orbits(table: QuandleTable, N: int) -> None:
+    """The checks of orbit_automaton, in order, before any word is built."""
+    if N < 1:
+        raise ValidationError("N must be >= 1")
+    _check_orbit_size(table.n, N)
+    _require_rack(table)
+
+
+def _check_orbit_transitions(n: int, N: int) -> None:
+    check_dense_dim(n ** N, "orbit automaton")
+    check_held_entries((N - 1) * n ** (2 * N),
+                       f"orbit automaton: {N - 1} dense {n ** N} x {n ** N} transition matrices")
+
+
+def check_orbit_dot(table: QuandleTable, N: int) -> None:
+    """The checks of orbit_automaton, then those of orbit_to_automaton, so
+    that an orbit automaton past a guard is refused before any cycle is
+    traced."""
+    _check_orbits(table, N)
+    _check_orbit_transitions(table.n, N)
 
 
 def _require_rack(table: QuandleTable) -> None:
@@ -284,39 +309,34 @@ class OrbitGraph:
 
 def orbit_automaton(table: QuandleTable, N: int) -> OrbitGraph:
     """Cycle decomposition of every generator r_j acting on words."""
-    n = table.n
-    if N < 1:
-        raise ValidationError("N must be >= 1")
-    _check_orbit_size(n, N)
-    _require_rack(table)
-    words = all_words(n, N)
+    _check_orbits(table, N)
+    words = all_words(table.n, N)
     cycles = {}
     order = 1
     for j in range(1, N):
         cycles[j] = _cycles(words, lambda w, j=j: braid_on_word(table, w, j))
         order = math.lcm(order, *map(len, cycles[j]))
-    return OrbitGraph(n, N, cycles, order)
+    return OrbitGraph(table.n, N, cycles, order)
 
 
 def orbit_to_automaton(graph: OrbitGraph, table: QuandleTable) -> automata.Automaton:
-    """Word-level automaton of the braid generators, for DOT export: N - 1
-    dense n^N x n^N transition matrices, held to the dense guard and the
-    held-entries rule before any is built."""
+    """Word-level automaton of the braid generators, for DOT export: one
+    target array of n^N word indices per generator r_j.  Its dense view of
+    N - 1 matrices n^N x n^N, built only where it is read, is held to the
+    dense guard and the held-entries rule before anything is built."""
     n, N = graph.n, graph.N
-    check_dense_dim(n ** N, "orbit automaton")
-    check_held_entries((N - 1) * n ** (2 * N),
-                       f"orbit automaton: {N - 1} dense {n ** N} x {n ** N} transition matrices")
-    words = all_words(n, N)
-    index = {w: i for i, w in enumerate(words)}
-    letters = [f"s{j}" for j in range(1, N)]
+    _check_orbit_transitions(n, N)
+    op = np.array(table.op, dtype=np.int64)
+    index = np.arange(n ** N)
     transitions = {}
     for j in range(1, N):
-        m = np.zeros((len(words), len(words)))
-        for w in words:
-            m[index[braid_on_word(table, w, j)], index[w]] = 1.0
-        transitions[f"s{j}"] = automata.TransitionMatrix(m, "combinatorial")
-    labels = tuple("".join(f"x{x}" for x in w) for w in words)
-    return automata.Automaton(len(words), tuple(letters), transitions, 1,
+        # r_j sends letters (a, b) at places j, j+1 to (b, b > a)
+        hi, lo = n ** (N - j), n ** (N - j - 1)
+        a, b = index // hi % n, index // lo % n
+        transitions[f"s{j}"] = automata.TransitionMatrix.from_targets(
+            index + (b - a) * hi + (op[b, a] - b) * lo)
+    labels = tuple("".join(f"x{x}" for x in w) for w in all_words(n, N))
+    return automata.Automaton(n ** N, tuple(transitions), transitions, 1,
                               frozenset(), labels)
 
 

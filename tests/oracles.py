@@ -23,7 +23,11 @@ by array operations over all blocks, and eigen_blocks is the per-content
 eigen solve that diagonalize replaced by one solve per partition, split by
 w0 where w0 maps the block onto itself: one eigh of spectra.block_matrix
 for every weight block, with no w0 symmetry and no orbit counting, so the
-reference shares no mechanism with the paths it checks.
+reference shares no mechanism with the paths it checks.  Two more are
+the loops that array code replaced: sink_completion_dense completes dense
+0/1 matrices, where automata.complete_with_sink extends target arrays, and
+quandle_flags_by_loops is the triple loop over (a, b, c) that
+quandle.validate replaced by one row of the table at a time.
 """
 
 from itertools import permutations, product
@@ -201,6 +205,33 @@ def chase_table(table, start, word):
         if state is None:
             return None
     return state
+
+
+def sink_completion_dense(matrices):
+    """Dense completion of 0/1 transition matrices: every zero column is
+    routed to a new last state, which loops to itself on every letter."""
+    out = {}
+    for letter, old in matrices.items():
+        n = old.shape[0]
+        m = np.zeros((n + 1, n + 1))
+        m[:n, :n] = old
+        for col in range(n):
+            if old[:, col].sum() == 0:
+                m[n, col] = 1.0
+        m[n, n] = 1.0
+        out[letter] = m
+    return out
+
+
+def quandle_flags_by_loops(table):
+    """Axiom flags {shelf, rack, quandle} of a QuandleTable by the
+    exhaustive triple loop over (a, b, c)."""
+    n, op = table.n, table.op
+    shelf = all(op[a][op[b][c]] == op[op[a][b]][op[a][c]]
+                for a in range(n) for b in range(n) for c in range(n))
+    rack = shelf and all(sorted(row) == list(range(n)) for row in op)
+    quandle = rack and all(op[a][a] == a for a in range(n))
+    return {"shelf": shelf, "rack": rack, "quandle": quandle}
 
 
 def random_stochastic(n, rng):

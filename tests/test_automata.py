@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from braidlab import automata
 from braidlab.errors import ValidationError
 
-from oracles import chase_table, random_stochastic, random_unitary
+from oracles import chase_table, random_stochastic, random_unitary, sink_completion_dense
 
 EXA01_TABLE = {("q1", "a"): "q1", ("q1", "b"): "q2",
                ("q2", "a"): "q3", ("q2", "b"): "q2",
@@ -263,3 +263,80 @@ def test_complete_with_sink():
     # already-complete automaton is returned unchanged
     b = automata.example_exa01()
     assert automata.complete_with_sink(b) is b
+
+
+@st.composite
+def partial_maps(draw):
+    """A combinatorial automaton drawn as one target array per letter (-1
+    where the transition is undefined), with its start and accepting
+    states and a word."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    letters = ["a", "b", "c"][:draw(st.integers(min_value=1, max_value=3))]
+    targets = {x: np.array(draw(st.lists(st.integers(min_value=-1, max_value=n - 1),
+                                         min_size=n, max_size=n)), dtype=np.int64)
+               for x in letters}
+    start = draw(st.integers(min_value=1, max_value=n))
+    accepting = frozenset(draw(st.lists(st.integers(min_value=1, max_value=n), unique=True)))
+    word = "".join(draw(st.lists(st.sampled_from(letters), max_size=8)))
+    return targets, start, accepting, word
+
+
+def zero_one_matrix(targets):
+    m = np.zeros((len(targets), len(targets)))
+    for s, t in enumerate(targets):
+        if t >= 0:
+            m[t, s] = 1.0
+    return m
+
+
+def general_automaton(mats, start, accepting, labels=()):
+    """The same 0/1 matrices under the general kind, which keeps them dense
+    and multiplies them."""
+    transitions = {x: automata.TransitionMatrix(m, "general") for x, m in mats.items()}
+    n = next(iter(mats.values())).shape[0]
+    return automata.Automaton(n, tuple(mats), transitions, start, accepting, labels)
+
+
+@given(partial_maps())
+@settings(max_examples=80, deadline=None)
+def test_target_arrays_match_the_dense_matrices(case):
+    targets, start, accepting, word = case
+    n = len(next(iter(targets.values())))
+    transitions = {x: automata.TransitionMatrix.from_targets(t) for x, t in targets.items()}
+    a = automata.Automaton(n, tuple(targets), transitions, start, accepting)
+    mats = {x: zero_one_matrix(t) for x, t in targets.items()}
+    dense = general_automaton(mats, start, accepting)
+    for x, m in mats.items():
+        assert np.array_equal(a.matrix(x), m)
+        assert np.array_equal(automata.TransitionMatrix(m, "combinatorial").targets, targets[x])
+
+    v = automata.run_word(dense, word)
+    assert np.array_equal(automata.run_word(a, word), v)
+    assert automata.run_word(a, word).dtype == v.dtype
+    hits = np.flatnonzero(v)
+    assert automata.dfa_accepts(a, word) == (hits.size > 0 and int(hits[0]) + 1 in accepting)
+    assert np.array_equal(automata.word_matrix(a, word), automata.word_matrix(dense, word))
+    assert automata.to_dot(a) == automata.to_dot(dense)
+
+    text = automata.to_json(a)
+    assert text == automata.to_json(dense).replace('"kind": "general"', '"kind": "combinatorial"')
+    back = automata.from_json(text)
+    assert back.kind == "combinatorial"
+    assert all(np.array_equal(back.transition(x).targets, t) for x, t in targets.items())
+
+    full = automata.complete_with_sink(a)
+    if all((t >= 0).all() for t in targets.values()):
+        assert full is a
+        return
+    completed = sink_completion_dense(mats)
+    assert full.n_states == n + 1 and full.state_labels == a.state_labels + ("sink",)
+    assert all(np.array_equal(full.matrix(x), m) for x, m in completed.items())
+    assert automata.to_dot(full) == automata.to_dot(
+        general_automaton(completed, start, accepting, full.state_labels))
+
+
+@pytest.mark.parametrize("bad", [[0, 2], [-2, 0], [[0]], [0.0, 1.0]],
+                         ids=["past-n", "below-minus-one", "two-dimensional", "float"])
+def test_from_targets_checks_its_array(bad):
+    with pytest.raises(ValidationError):
+        automata.TransitionMatrix.from_targets(bad)

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidlab import cli, errors, spectra
+from braidlab import cli, errors, quandle, spectra
 
 
 def run(capsys, *argv):
@@ -479,6 +479,26 @@ def test_orbit_dot_guard_exit_code(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "guard" in err
+
+
+def test_orbit_dot_guards_run_before_the_orbits(capsys, monkeypatch, tmp_path):
+    # n = 3, N = 8 (6561 states) passes the dense guard and n = 2, N = 12
+    # (11 matrices of 4096^2) the held-entries rule: both are refused before
+    # any cycle is traced.  A table that is not a rack is still refused as
+    # such (exit 2) ahead of the size checks, as orbit_automaton orders them
+    def never(table, N):
+        raise AssertionError("orbit_automaton ran before the orbit DOT guards")
+
+    monkeypatch.delenv("BRAIDLAB_MAX_DIM", raising=False)
+    monkeypatch.setattr(quandle, "orbit_automaton", never)
+    code, out, err = run(capsys, "quandle", "orbits", "--n", "3", "--N", "8", "--dot")
+    assert code == 1 and out == "" and "dimension 6561 exceeds guard 4096" in err
+    code, out, err = run(capsys, "quandle", "orbits", "--n", "2", "--N", "12", "--dot")
+    assert code == 1 and out == "" and "184549376 entries" in err
+    table = tmp_path / "shelf.json"
+    table.write_text(json.dumps({"n": 2, "op": [1, 1, 1, 1]}))
+    code, out, err = run(capsys, "quandle", "orbits", "--table", str(table), "--N", "13", "--dot")
+    assert code == 2 and out == "" and "not a rack" in err
 
 
 def test_quandle_table_guard_exit_code(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -297,6 +298,20 @@ def test_crystal_automaton_shape():
     assert a.kind == "combinatorial"
     labeled = qalgebra.crystal_automaton(2, 2, q=1.3, labels="canonical")
     assert labeled.kind == "general"
+
+
+def test_crystal_automaton_holds_no_dense_matrix():
+    # one dense 1891 x 1891 float64 matrix is 28.6 MB; the four target
+    # arrays of n = 3, N = 60 and the words they are built from stay under
+    # a quarter of that
+    tracemalloc.start()
+    try:
+        a = qalgebra.crystal_automaton(3, 60)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert a.n_states == 1891
+    assert peak < 1891 ** 2 * 8 / 4
 
 
 @given(st.integers(min_value=2, max_value=3), st.integers(min_value=2, max_value=4))

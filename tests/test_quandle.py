@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from braidlab import automata, quandle
 from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.states import all_words
+
+from oracles import quandle_flags_by_loops
 
 
 def conjugation_quandle_s3():
@@ -252,6 +255,30 @@ def test_orbit_guard_runs_before_the_rack_check(monkeypatch):
         quandle.centralizer_residual(table, 2)
 
 
+def test_orbit_automaton_edges_are_braid_moves():
+    cases = ((quandle.dihedral(3), 4), (quandle.tetrahedron(), 3), (conjugation_quandle_s3(), 3))
+    for t, N in cases:
+        a = quandle.orbit_to_automaton(quandle.orbit_automaton(t, N), t)
+        words = all_words(t.n, N)
+        for j in range(1, N):
+            assert [words[i] for i in a.transition(f"s{j}").targets] == [
+                quandle.braid_on_word(t, w, j) for w in words]
+
+
+def test_orbit_automaton_holds_no_dense_matrix():
+    # one dense 729 x 729 float64 matrix is 4.25 MB; the five target arrays
+    # and the labels of n = 3, N = 6 stay under a quarter of that
+    t = quandle.dihedral(3)
+    graph = quandle.orbit_automaton(t, 6)
+    tracemalloc.start()
+    try:
+        quandle.orbit_to_automaton(graph, t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 729 ** 2 * 8 / 4
+
+
 def test_orbit_dot_export():
     t = quandle.dihedral(3)
     graph = quandle.orbit_automaton(t, 2)
@@ -311,6 +338,37 @@ def test_validate_flags_are_consistent(table):
         braid = quandle.braid_solution(table)
         assert np.array_equal(braid.matrix @ quandle.inverse_solution(table),
                               np.eye(table.n ** 2, dtype=int))
+
+
+@st.composite
+def shelf_like_tables(draw):
+    """Tables of every flag pattern: random tables (mostly not shelves);
+    a > b = f(b) for an idempotent f, a shelf that is a rack only when f is
+    the identity; a > b = p(b) for a permutation p, a rack that is a
+    quandle only when p is the identity; and relabelled dihedral quandles."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["random", "idempotent", "permutation", "dihedral"]))
+    if kind == "random":
+        return draw(random_tables())
+    if kind == "idempotent":
+        image = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+        f = [x if x in image else draw(st.sampled_from(image)) for x in range(n)]
+        return quandle.QuandleTable(n, tuple(tuple(f) for _ in range(n)))
+    if kind == "permutation":
+        p = draw(st.permutations(range(n)))
+        return quandle.QuandleTable(n, tuple(tuple(p) for _ in range(n)))
+    n = max(n, 2)
+    p = draw(st.permutations(range(n)))
+    inv = [p.index(x) for x in range(n)]
+    d = quandle.dihedral(n).op
+    return quandle.QuandleTable(n, tuple(tuple(p[d[inv[a]][inv[b]]] for b in range(n))
+                                         for a in range(n)))
+
+
+@given(shelf_like_tables())
+@settings(max_examples=120, deadline=None)
+def test_validate_matches_the_triple_loop(table):
+    assert quandle.validate(table) == quandle_flags_by_loops(table)
 
 
 def test_table_json_round_trip():

@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
 """Print the full sector bookkeeping of the open chain for n=2.
 
-For each sector k: the predicted eigenvalue count m_k, the ladder length
-d_k, the observed highest-weight eigenvalues, and the worst of each ladder
-residual over the sector: highest weight (|F_1 v|), closed-form kappa
-coefficient (|F_1 E_1 v - kappa v| / kappa, relative), termination
-(|E_1 v| at the top rung) and eigenvalue persistence, each per |v|.
-Totals are checked against 2^N.  Exits 1 when the report fails.
+    python scripts/sector_survey.py --N 4-12 --q 0.1,0.15,0.2,5,7,10
+
+For each chain length N and each q (a range or list of N and a list of q,
+as in cli_diff.py) and each sector k: the predicted eigenvalue count m_k,
+the ladder length d_k, the observed highest-weight eigenvalues, and the
+worst of each ladder residual over the sector: highest weight
+(|F_1 v|), closed-form kappa coefficient (|F_1 E_1 v - kappa v| / kappa,
+relative), termination (|E_1 v| at the top rung) and eigenvalue
+persistence, each per |v|.  Totals are checked against 2^N, and each case
+ends in PASS or FAIL as its report does.  Exits 1 when any case fails.
 """
 
 import argparse
 import sys
 
 from braidlab import spectra
+from cli_diff import int_list
 
 # column header -> SectorLadder field
 RESIDUALS = {"hw_res": "hw_residual", "kappa_res": "kappa_residual",
@@ -31,34 +36,46 @@ def _values_text(values) -> str:
     return text
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--N", type=int, default=6)
-    ap.add_argument("--q", type=float, default=1.5)
-    args = ap.parse_args()
-
-    deco = spectra.diagonalize(spectra.OpenChain(2, args.N, args.q), vectors=True)
-    rep = spectra.classify_sectors(deco)
-    print(f"open chain n=2, N={args.N}, q={args.q}")
+def survey(N: int, q: float) -> bool:
+    """Print the table of one chain; True when its report passes."""
+    rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
+    print(f"open chain n=2, N={N}, q={q}")
     print(f"{'k':>3} {'m_k':>5} {'d_k':>5} {'eigenvalues':<{VALUES_WIDTH}} "
           + " ".join(f"{name:>10}" for name in RESIDUALS))
     total = 0
     for k in sorted(rep.sectors):
         lads = rep.sectors[k]
-        m_k = spectra.sector_multiplicity(args.N, k)
-        d_k = spectra.sector_dimension(args.N, k)
+        m_k = spectra.sector_multiplicity(N, k)
+        d_k = spectra.sector_dimension(N, k)
         values = _values_text([lad.eigenvalue for lad in lads])
         worst = [max((getattr(lad, field) for lad in lads), default=0.0)
                  for field in RESIDUALS.values()]
         print(f"{k:>3} {m_k:>5} {d_k:>5} {values:<{VALUES_WIDTH}} "
               + " ".join(f"{w:>10.2e}" for w in worst))
         total += m_k * d_k
-    print(f"sum m_k d_k = {total} = 2^{args.N}: {total == 2 ** args.N}")
+    print(f"sum m_k d_k = {total} = 2^{N}: {total == 2 ** N}")
     if rep.warnings:
         print("warnings:")
         for w in rep.warnings:
             print(" ", w)
-    return 0 if rep.ok else 1
+    print("PASS" if rep.ok else "FAIL")
+    return rep.ok
+
+
+def float_list(text: str) -> list[float]:
+    """"0.1,0.15,5" as a list of floats."""
+    return [float(x) for x in text.split(",")]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--N", type=int_list, default=[6], help="chain lengths, e.g. 8 or 4-12")
+    ap.add_argument("--q", type=float_list, default=[1.5], help="q values, e.g. 0.1,0.15,5")
+    args = ap.parse_args()
+    cases = [(N, q) for N in args.N for q in args.q]
+    passed = sum(survey(N, q) for N, q in cases)
+    print(f"survey: {passed} of {len(cases)} cases PASS")
+    return 0 if passed == len(cases) else 1
 
 
 if __name__ == "__main__":

@@ -149,16 +149,18 @@ def cmd_crystal(args) -> None:
 
 def _spectrum_rows(args):
     chain = spectra.OpenChain(args.n, args.N, args.q)
-    deco = spectra.diagonalize(chain, vectors=args.n == 2)
-    if args.n == 2:
-        spectra.classify_sectors(deco)
+    if args.sector is not None and (args.n != 2 or not 0 <= args.sector <= args.N // 2):
+        raise ValidationError(f"--sector takes n=2 and a sector k in 0..{args.N // 2}, "
+                              f"got n={args.n}, k={args.sector}")
+    # n = 2: the clusters of the sector sweep, each with its sector; else one per irrep run
+    solved = spectra.classify_sectors(chain) if args.n == 2 else spectra.diagonalize(chain)
     rows = []
-    for c in deco.clusters:
+    for c in solved.clusters:
         if args.sector is not None and c.sector != args.sector:
             continue
         # a value within the clustering tolerance of 0 is 0 up to the solver's
         # rounding, whose digits would differ from one LAPACK routine to another
-        value = 0.0 if abs(c.value) <= deco.tol else fnum(c.value)
+        value = 0.0 if abs(c.value) <= solved.tol else fnum(c.value)
         rows.append({"value": value, "multiplicity": c.multiplicity,
                      "sector": c.sector,
                      "hw_residual": decade(c.hw_residual) if c.hw_residual is not None else None})

@@ -8,7 +8,8 @@ modules rho_lambda, lambda a partition of N with at most n rows, each
 ssyt_dim(lambda, n) times, and weight block mu holds spec rho_lambda(H)
 K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
 form (sector_hamiltonian).  So diagonalize solves one block per partition
-mu, with or without eigenvectors (_dominant_blocks).
+mu, values only, and checks it against those spectra (_dominant_blocks);
+each of its clusters is a run of one irrep's values and keeps its lambda.
 
 Every weight-block operator comes from one ranked-word builder, run once per
 decomposition: weight_blocks lays the blocks of a list of contents end to
@@ -19,12 +20,14 @@ every block and hand each block its slice.  block_matrix, coproduct_block
 and sector_matrix are the one-content calls of the same code.
 
 For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
-words with k high letters, and the sector structure is classified: a
-sector-k eigenvalue has a highest weight vector killed by F_1 in block k
-and carries an E_1-ladder of N - 2k + 1 states with closed-form F_1 E_1
-coefficients kappa_m = [N-k-m]_q [m-k+1]_q, checked on every rung.  Every
-rung clears each ladder of the lower sectors' ladders, which is also the
-projection of new highest weight vectors onto ker F_1.
+words with k high letters, and sector k is the irrep lambda = (N - k, k),
+classified from structure: a sector-k eigenvalue has a highest weight
+vector killed by F_1 in block k and carries an E_1-ladder of N - 2k + 1
+states with closed-form F_1 E_1 coefficients kappa_m = [N-k-m]_q
+[m-k+1]_q, checked on every rung.  Every rung clears each ladder of the
+lower sectors' ladders, which is also the projection of new highest weight
+vectors onto ker F_1, and classify_sectors builds the n = 2 clusters from
+the ladders of each sector.
 """
 
 from collections import Counter
@@ -65,27 +68,28 @@ class OpenChain:
 
 @dataclass
 class EigenCluster:
+    """A run of the values of one irrep rho_lambda whose neighbours differ
+    by at most the clustering tolerance, valued at their mean: multiplicity
+    is the run's length times ssyt_dim(lambda, n), so a cluster never holds
+    two lambda.  classify_sectors also sets the n = 2 sector k, lambda =
+    (N - k, k), and the hw residual of the run's first ladder."""
     value: float
     multiplicity: int
-    # pieces of the solved blocks only, when diagonalize kept vectors:
-    # (content, weight_basis words, eigenvector columns) per solved block
-    # holding the value; empty on the values-only path.  Only tests read it
-    blocks: list = field(default_factory=list)
+    shape: tuple
     sector: int | None = None
     hw_residual: float | None = None
 
 
 class WeightBlock(NamedTuple):
-    """One weight block as diagonalize solved it."""
+    """One weight block as _dominant_blocks solved it."""
     basis: np.ndarray       # (d, N) lexicographic words, a slice of weight_blocks' array
     sites: tuple            # H on the block as site arrays (_sites_by_block)
     values: np.ndarray      # its eigenvalues, increasing
-    vectors: np.ndarray | None  # (d, d) checked eigenvectors by column, None values-only
+    vectors: np.ndarray | None  # (d, d) checked eigenvectors by column, or None
 
 
 class Irrep(NamedTuple):
-    """One irreducible Hecke module rho_lambda as the values-only diagonalize
-    checked it."""
+    """One irreducible Hecke module rho_lambda as diagonalize checked it."""
     values: np.ndarray      # spec rho_lambda(H), increasing: f^lambda values
     multiplicity: int       # ssyt_dim(lambda, n), its number of copies in V_n^(x)N
     residual: float         # worst Kostka-identity residual at its values over the solved blocks
@@ -96,10 +100,9 @@ class SpectralDecomposition:
     n: int
     N: int
     q: float
-    clusters: list
-    blocks: dict            # solved content -> WeightBlock (vectors=True), else empty
+    clusters: list          # EigenClusters, by increasing value
     tol: float              # the clustering tolerance CLUSTER_RTOL * max(1, max |eigenvalue|)
-    irreps: dict = field(default_factory=dict)   # shape -> Irrep (values-only), else empty
+    irreps: dict            # shape -> Irrep
 
     @property
     def eigenvalues(self) -> list[float]:
@@ -345,15 +348,14 @@ def _orbit_size(n: int, shape) -> int:
 def _check_guard(chain: OpenChain, held: str | None) -> None:
     """One dense guard for every n: the largest weight block, the
     multinomial of the most even content, must be at most max_dense_dim().
-    What a caller holds at once, held "dominant" (one d x d eigenvector
-    matrix per partition mu), "sectors" (n = 2: those, and the classify_sectors
-    sweep at its widest rung m, the E_1 maps into and out of block m, F_1 V
-    for m <= N/2, the d_m x d_m ladder array and its E_1 image) or "all" (H on
-    every block, symmetry_residual), must also hold at most
-    HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2 entries: 384 MiB at the
-    default 4096.  So "sectors" admits n = 2, N = 13 (18,451,252 entries) and
-    refuses N = 14 (78,951,420), and n = 11, N = 6 holds 708,062 with vectors,
-    where symmetry_residual is refused (about 4,787 MiB)."""
+    What a caller holds at once, held "sectors" (classify_sectors, n = 2: one
+    d x d eigenvector matrix per partition mu, and the sweep at its widest
+    rung m, the E_1 maps into and out of block m, F_1 V for m <= N/2, the
+    d_m x d_m ladder array and its E_1 image) or "all" (H on every block,
+    symmetry_residual), must also hold at most HELD_BLOCKS_MULTIPLE = 3 times
+    max_dense_dim()^2 entries: 384 MiB at the default 4096.  So "sectors"
+    admits n = 2, N = 13 (18,451,252 entries) and refuses N = 14
+    (78,951,420), and "all" refuses n = 11, N = 6 (about 4,787 MiB)."""
     n, N = chain.n, chain.N
     base, extra = divmod(N, min(n, N))
     check_dense_dim(multinomial([base + 1] * extra + [base] * (min(n, N) - extra)),
@@ -373,7 +375,9 @@ def _check_guard(chain: OpenChain, held: str | None) -> None:
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     """Half-open (lo, hi) bounds of the runs of sorted values whose
     neighbours differ by at most tol: each gap above tol starts a new run."""
-    bounds = np.append(_run_starts(values, tol), len(values)).tolist()
+    cut = np.ones(len(values), dtype=bool)
+    cut[1:] = np.diff(values) > tol
+    bounds = np.append(np.flatnonzero(cut), len(values)).tolist()
     return list(zip(bounds, bounds[1:]))
 
 
@@ -413,84 +417,40 @@ def _w0_positions(n: int, N: int, words, bounds, letters) -> np.ndarray:
     return ranked.lookup(image) - np.repeat(bounds[:-1], sizes)
 
 
-def diagonalize(chain: OpenChain, vectors: bool = False) -> SpectralDecomposition:
-    """Full spectrum via weight blocks, with eigenvalue clustering.
+def diagonalize(chain: OpenChain) -> SpectralDecomposition:
+    """Full spectrum via weight blocks, one cluster per run of one irrep's
+    values.
 
-    One weight block is solved per partition mu of N with at most n rows
-    (_dominant_blocks), and counts for every content in its S_n orbit
-    (_orbit_size).  Values only (the default), the seminormal spectra that
-    checked them are kept as irreps.  vectors=True keeps the solved blocks,
-    eigenvectors checked, as WeightBlocks in blocks (for n = 2 the blocks
-    m <= N/2 that classify_sectors reads), and each cluster its columns.
-
-    Eigenvalues are grouped by one rule (_run_starts) at tol = CLUSTER_RTOL
-    * max(1, max |eigenvalue|): a run of sorted values whose neighbours
-    differ by at most tol.  Within a block the runs of the sorted values are
-    merged to their mean; across blocks the runs of those means, sorted
-    once, are the clusters, valued at the mean of their means and in
-    increasing order.  Each pass is a few array operations over every block
-    at once: run starts from one diff (a block's first value always starts
-    a run), means as np.mean of each run takes them (_run_means) and
-    multiplicities from one np.add.reduceat.  Exact cross-block degeneracies
-    are the tableau multiplicities.  A within-block run is a run of columns
-    and is stored as a view of the block's eigenvector matrix, not a copy.
-    The guard (_check_guard) bounds the largest block, and with vectors also
-    the entries of the solved blocks at once, at n = 2 (kept for
-    classify_sectors) with those of its sweep, before any block is solved.
+    One weight block is solved per partition mu of N with at most n rows,
+    values only, and checked against the seminormal spectra by the Kostka
+    identity (_dominant_blocks), which ties every spectrum rho_lambda(H) to
+    every solved block; the spectra are kept as irreps.  Each cluster is a
+    run (_runs) of one irrep's values irreps[lambda].values at tol =
+    CLUSTER_RTOL * max(1, max |eigenvalue|), valued at the run's mean, with
+    multiplicity the run's length times ssyt_dim(lambda, n); the clusters
+    are sorted by value.  So a cluster never holds two lambda, and an exact
+    crossing of two irreps gives two clusters.  The guard (_check_guard)
+    bounds the largest block before any block is solved.
     """
-    _check_guard(chain, None if not vectors else "sectors" if chain.n == 2 else "dominant")
-    solved, irreps = _dominant_blocks(chain, vectors)
-    per_block = [block.values for block in solved.values()]
-    orbits = [_orbit_size(chain.n, content) for content in solved]
-    vals = np.concatenate(per_block)
-    tol = CLUSTER_RTOL * max(1.0, float(np.abs(vals).max()))
-
-    # within blocks: a run also starts at each block's first value
-    first = np.cumsum([0] + [len(v) for v in per_block[:-1]])
-    cut = np.zeros(len(vals), dtype=bool)
-    cut[_run_starts(vals, tol)] = cut[first] = True
-    starts = np.flatnonzero(cut)
-    lengths = np.diff(np.append(starts, len(vals)))
-    owner = np.searchsorted(first, starts, side="right") - 1
-    run_values = _run_means(vals, starts, lengths)
-    # Python integers: an orbit of a content of large n passes int64
-    counts = lengths.astype(object) * np.array(orbits, dtype=object)[owner]
-    # across blocks: the runs of the sorted run values
-    order = np.argsort(run_values)
-    ordered = run_values[order]
-    cuts = _run_starts(ordered, tol)
-    cluster_values = _run_means(ordered, cuts, np.diff(np.append(cuts, len(ordered))))
-    multiplicities = np.add.reduceat(counts[order], cuts)
-    if vectors:
-        blocks, pieces = list(solved.items()), []
-        for b, lo, size in zip(owner.tolist(), (starts - first[owner]).tolist(), lengths.tolist()):
-            content, block = blocks[b]
-            pieces.append((content, block.basis, block.vectors[:, lo:lo + size]))
-    bounds, order = np.append(cuts, len(ordered)).tolist(), order.tolist()
-    clusters = [EigenCluster(value, count, [pieces[i] for i in order[a:b]] if vectors else [])
-                for value, count, a, b in zip(cluster_values.tolist(), multiplicities.tolist(),
-                                              bounds, bounds[1:])]
-    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters,
-                                 solved if vectors else {}, tol, irreps)
+    _check_guard(chain, None)
+    _, irreps = _dominant_blocks(chain, False)
+    tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(irrep.values).max()) for irrep in irreps.values()))
+    clusters = [c for lam, irrep in irreps.items()
+                for c in _run_clusters(irrep.values, tol, irrep.multiplicity, lam)]
+    clusters.sort(key=lambda c: c.value)
+    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, tol, irreps)
 
 
-def _run_starts(values: np.ndarray, tol: float) -> np.ndarray:
-    """Start of each run of sorted values whose neighbours differ by at most
-    tol: each gap above tol starts a new run."""
-    cut = np.ones(len(values), dtype=bool)
-    cut[1:] = np.diff(values) > tol
-    return np.flatnonzero(cut)
-
-
-def _run_means(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Mean of each run values[s:s + l], bit for bit as np.mean of the run
-    alone takes it: the runs of one length are gathered as the rows of one
-    array and averaged along its rows, each row reduced as the run alone."""
-    means = values[starts]
-    for length in set(lengths[lengths > 1].tolist()):
-        pick = np.flatnonzero(lengths == length)
-        means[pick] = values[starts[pick, None] + np.arange(length)].mean(axis=1)
-    return means
+def _run_clusters(values: np.ndarray, tol: float, copies: int, shape: tuple,
+                  sector: int | None = None, hw: list | None = None) -> list:
+    """One EigenCluster of the irrep shape per run (_runs) of its sorted
+    values at tol, valued at the run's mean (a lone value is its own mean,
+    with no np.mean call), of multiplicity the run's length times copies,
+    with sector and, given each value's hw residual, that of its first."""
+    listed = values.tolist()
+    return [EigenCluster(listed[lo] if hi - lo == 1 else float(values[lo:hi].mean()),
+                         (hi - lo) * copies, shape, sector, None if hw is None else hw[lo])
+            for lo, hi in _runs(values, tol)]
 
 
 def _dominant_blocks(chain: OpenChain, vectors: bool) -> tuple[dict, dict]:
@@ -743,49 +703,52 @@ class SectorReport:
     m_predicted: dict            # k -> int
     warnings: list
     ok: bool
+    clusters: list               # EigenClusters of every sector, by increasing value
+    tol: float                   # the clustering tolerance, as diagonalize takes it
+    rung_residual: float         # worst |open-ladder value - block m's solved value|, m <= N/2
 
 
-def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
-    """Assign n=2 eigenvalues to sectors and verify every sector ladder, in
-    one sweep over the weight blocks m = 0..N.
+def classify_sectors(chain: OpenChain) -> SectorReport:
+    """Solve the n=2 chain sector by sector and verify every sector ladder,
+    in one sweep over the weight blocks m = 0..N.
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
     kernel of F_1 on weight block k <= N/2, which _highest_weight takes
-    run by run from the eigenvectors diagonalize kept: the blocks m <= N/2
-    are its dominant blocks, decomposition.blocks[N - m, m] (runs at
-    KERNEL_RTOL).  The blocks m > N/2 need only their words and H's site
-    arrays, from one pass of the builder (weight_blocks, _sites_by_block),
-    so no dense H block is built twice.  E_1 from every block m to m+1
-    comes from one _coproduct_maps call over all blocks, and F_1 from
-    block m to m-1 is the transpose of the previous E_1 map, which it equals
-    exactly in this basis.  The open ladders are one column array, sectors
-    increasing, advanced once per block and cleared of the lower sectors on
-    every rung once block m's highest weight vectors join (_clear_lower_sectors).
-    H from the block's site arrays (_block_apply, RESIDUAL_CHUNK columns at a
-    time) and E_1 by one dense product check |H B - B Lambda|, the closed-form
-    coefficient |E_1^T E_1 B - kappa B| / kappa with kappa = [N-k-m]_q
-    [m-k+1]_q (up to about 1e8), and at the top rung m = N-k the
-    termination |E_1 B|, each relative to the rung's column norms, and the
-    hw residual |F_1 b| / |b| of each new highest weight vector b.  A
-    sector whose worst hw, kappa, termination or eigen residual exceeds
-    HW_TOL, or is NaN, gets a warning.  Sector labels come from one sorted
-    pass over every cluster and ladder value, cut into runs at
-    CLUSTER_RTOL * max(1, max |cluster value|) (_runs, as in diagonalize):
-    a cluster takes the lowest sector in its run and the hw_residual of
-    that sector's first ladder there.  A run holding ladders of two sectors
-    is a degeneracy across sectors, warned about after that sector's
-    residual warning and never silently merged.  ok holds when the sector
-    counts match the prediction and there is no warning.
+    run by run from the eigenvectors of the dominant blocks m <= N/2,
+    (N - m, m), solved and checked by _dominant_blocks (runs at KERNEL_RTOL,
+    under the guard _check_guard "sectors").  The blocks m > N/2 need only
+    their words and H's site arrays, from one pass of the builder
+    (weight_blocks, _sites_by_block), so no dense H block is built twice.
+    E_1 from every block m to m+1 comes from one _coproduct_maps call over
+    all blocks, and F_1 from block m to m-1 is the transpose of the previous
+    E_1 map, which it equals exactly in this basis.  The open ladders are
+    one column array, sectors increasing, advanced once per block and
+    cleared of the lower sectors on every rung once block m's highest
+    weight vectors join (_clear_lower_sectors).  H from the block's site
+    arrays (_block_apply, RESIDUAL_CHUNK columns at a time) and E_1 by one
+    dense product check |H B - B Lambda|, the closed-form coefficient
+    |E_1^T E_1 B - kappa B| / kappa with kappa = [N-k-m]_q [m-k+1]_q (up to
+    about 1e8), and at the top rung m = N-k the termination |E_1 B|, each
+    relative to the rung's column norms, and the hw residual |F_1 b| / |b|
+    of each new highest weight vector b.  A sector whose worst hw, kappa,
+    termination or eigen residual exceeds HW_TOL, or is NaN, gets a warning.
+    On every rung m <= N/2 the sorted values of the open ladders must also
+    equal block m's solved eigenvalues within EIG_RESIDUAL_TOL * max(1,
+    |eigenvalue|), or the rung gets a warning; rung_residual is the worst
+    difference.  The clusters are the runs of each sector's ladder values
+    at tol = CLUSTER_RTOL * max(1, max |eigenvalue|) (_runs), each valued
+    at its mean, with multiplicity the run's ladders times N - 2k + 1 and
+    the hw residual of its first ladder.  ok holds when the sector counts
+    match the prediction and there is no warning.
     """
-    if decomposition.n != 2:
+    if chain.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
-    if not decomposition.blocks:
-        raise ValidationError("sector classification needs the eigenvectors of "
-                              "diagonalize(chain, vectors=True)")
-    N, q = decomposition.N, decomposition.q
-    chain = OpenChain(2, N, q)
-    kernel_tol = decomposition.tol * (KERNEL_RTOL / CLUSTER_RTOL)
-    lower = [decomposition.blocks[N - m, m] for m in range(N // 2 + 1)]
+    _check_guard(chain, "sectors")
+    solved, _ = _dominant_blocks(chain, True)
+    N, q = chain.N, chain.q
+    lower = [solved[N - m, m] for m in range(N // 2 + 1)]
+    tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(block.values).max()) for block in lower))
+    kernel_tol = tol * (KERNEL_RTOL / CLUSTER_RTOL)
     words, bounds = weight_blocks(2, N, [(N - m, m) for m in range(N // 2 + 1, N + 1)])
     bases = [block.basis for block in lower] + np.split(words, bounds[1:-1])
     sites = [block.sites for block in lower] + _sites_by_block(chain, words, bounds)
@@ -795,6 +758,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
                              np.cumsum([0] + [len(basis) for basis in bases] + [0]),
                              [(m, m + 1) for m in range(N + 1)])
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
+    warnings, rung_residual = [], 0.0
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
@@ -807,6 +771,16 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
             b, values = np.hstack([b, hw]), np.concatenate([values, hw_values])
             sector = np.concatenate([sector, np.full(len(hw_values), m)])
             res = np.hstack([res, np.zeros((4, len(hw_values)))])
+            if len(values) != len(block.values):
+                warnings.append(f"rung {m}: {len(values)} open ladders for the "
+                                f"{len(block.values)} eigenvalues of block {m}")
+            else:
+                miss = np.abs(np.sort(values) - block.values)
+                rung_residual = float(np.max(miss, initial=rung_residual))   # NaN stays
+                if not (miss <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(block.values))).all():
+                    warnings.append(f"rung {m}: open ladder values differ from the "
+                                    f"eigenvalues of block {m} by {miss.max():.2e}, "
+                                    f"above {EIG_RESIDUAL_TOL:g}")
         _clear_lower_sectors(b, sector)
         norms = np.linalg.norm(b, axis=0)
         res[0, fresh:] = np.linalg.norm(e_down.T @ b[:, fresh:], axis=0) / norms[fresh:]
@@ -828,23 +802,7 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         b, values, sector, res = up[:, :top], values[:top], sector[:top], res[:, :top]
         e_down = e_up
 
-    # cluster values, then ladder values tagged (k, i) for ladder i of sector k
-    clusters = decomposition.clusters
-    tags = [(k, i) for k, lads in sectors.items() for i in range(len(lads))]
-    values = np.array([c.value for c in clusters] + [sectors[k][i].eigenvalue for k, i in tags])
-    order = np.argsort(values)
-    tol = CLUSTER_RTOL * max(1.0, max((abs(c.value) for c in clusters), default=1.0))
-    clash = {}                  # (k, i) -> the lower sector of each ladder in its run
-    for lo, hi in _runs(values[order], tol):
-        run = np.sort(order[lo:hi]) - len(clusters)   # clusters < 0 (from the end), ladders >= 0
-        labelled = [tags[j] for j in run[run >= 0]]
-        for t, (k, i) in enumerate(labelled):
-            clash[k, i] = [prev_k for prev_k, _ in labelled[:t] if prev_k != k]
-        if labelled:
-            k, i = labelled[0]
-            for j in run[run < 0]:
-                clusters[j].sector, clusters[j].hw_residual = k, sectors[k][i].hw_residual
-    warnings = []
+    clusters = []
     for k, lads in sectors.items():
         failing = []
         for name in LADDER_RESIDUALS:
@@ -855,14 +813,16 @@ def classify_sectors(decomposition: SpectralDecomposition) -> SectorReport:
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "
                             + ", ".join(failing))
-        for i, lad in enumerate(lads):
-            warnings += [f"eigenvalue {lad.eigenvalue:.12g} of sector {k} degenerate with "
-                         f"sector {prev_k}; falling back to multiplicity-only matching"
-                         for prev_k in clash[k, i]]
+        # increasing: each block's highest weight values are (_highest_weight)
+        clusters += _run_clusters(np.array([lad.eigenvalue for lad in lads]), tol,
+                                  sector_dimension(N, k), (N - k, k) if k else (N,), k,
+                                  [lad.hw_residual for lad in lads])
+    clusters.sort(key=lambda c: c.value)
     m_observed = {k: len(v) for k, v in sectors.items()}
     m_predicted = {k: sector_multiplicity(N, k) for k in range(N // 2 + 1)}
     ok = m_observed == m_predicted and not warnings
-    return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok)
+    return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok, clusters, tol,
+                        rung_residual)
 
 
 def _highest_weight(block: WeightBlock, e: np.ndarray,
@@ -941,60 +901,52 @@ class DecompositionReport:
 
 
 def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
-    """Cross-check the diagonalized multiplicities against tableau predictions.
+    """Cross-check the spectrum against tableau predictions.
 
     The total dimension is matched against n^N and against the Schur-Weyl
     sum of f^lambda ssyt_dim(lambda, n), from the closed dimension formulas
-    of tableaux.  For n=2: each sector k must contribute m_k
-    eigenvalues of multiplicity N - 2k + 1, and their total must be 2^N.
-    The sectors come from classify_sectors on the one decomposition
-    diagonalize(vectors=True) returns, whose eigenpairs it checked on the
-    dominant blocks m <= N/2: the highest weight vectors are their kept
-    eigenvectors, taken run by run in the kernel of F_1, and the blocks
-    above the middle are only built as site arrays for the ladders, so no
-    block of H is built or solved twice.  For
-    every other n the values-only diagonalize checks the Kostka identity on
-    every dominant weight block against the seminormal spectra, and the
-    report carries, per lambda, the spectrum of rho_lambda(H) (f^lambda
-    values), ssyt_dim(lambda, n) and the worst residual (irreps).
+    of tableaux.  For n=2 the clusters and sectors come from one
+    classify_sectors sweep: each sector k must contribute m_k eigenvalues,
+    each ladder N - 2k + 1 states long, and their total must be 2^N; every
+    ladder is checked rung by rung, and on every rung m <= N/2 the open
+    ladders' values are compared with the eigenvalues block m solved, which
+    is the independent check of the sector values.  For every other n the
+    values-only diagonalize checks the Kostka identity on every dominant
+    weight block against the seminormal spectra, and the report carries,
+    per lambda, the spectrum of rho_lambda(H) (f^lambda values),
+    ssyt_dim(lambda, n) and the worst residual (irreps).
     """
     chain = OpenChain(n, N, q)
-    deco = diagonalize(chain, vectors=n == 2)
     mismatches = []
     expected_total = sum(syt_dim(lam) * ssyt_dim(lam, n)
                          for lam in partitions_of(N, max_rows=n))
     if expected_total != n ** N:
         mismatches.append({"what": "schur_weyl_total", "expected": n ** N,
                            "got": expected_total})
-    total = deco.total_dimension()
+    sector_report, irreps = None, {}
+    if n == 2:
+        sector_report = classify_sectors(chain)
+        clusters = sector_report.clusters
+    else:
+        deco = diagonalize(chain)
+        clusters, irreps = deco.clusters, deco.irreps
+    total = sum(c.multiplicity for c in clusters)
     if total != n ** N:
         mismatches.append({"what": "spectral_total", "expected": n ** N, "got": total})
-    sector_report = None
     if n == 2:
-        sector_report = classify_sectors(deco)
         for k in range(N // 2 + 1):
             expected_m = sector_multiplicity(N, k)
             got_m = sector_report.m_observed.get(k, 0)
             if got_m != expected_m:
                 mismatches.append({"what": f"sector_{k}_count",
                                    "expected": expected_m, "got": got_m})
-        for cluster in deco.clusters:
-            if cluster.sector is None:
-                mismatches.append({"what": "unclassified_eigenvalue",
-                                   "value": cluster.value})
-            elif cluster.multiplicity != sector_dimension(N, cluster.sector):
-                mismatches.append({"what": "cluster_multiplicity",
-                                   "value": cluster.value,
-                                   "expected": sector_dimension(N, cluster.sector),
-                                   "got": cluster.multiplicity})
         bookkeeping = sum(sector_multiplicity(N, k) * sector_dimension(N, k)
                           for k in range(N // 2 + 1))
         if bookkeeping != 2 ** N:
             mismatches.append({"what": "sector_bookkeeping", "expected": 2 ** N,
                                "got": bookkeeping})
     ok = not mismatches and (sector_report.ok if sector_report else True)
-    return DecompositionReport(n, N, q, ok, total, n ** N, mismatches, sector_report,
-                               deco.irreps)
+    return DecompositionReport(n, N, q, ok, total, n ** N, mismatches, sector_report, irreps)
 
 
 def symmetry_residual(n: int, N: int, q: float) -> float:
@@ -1010,8 +962,8 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     the worst column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each
     basis word v of block mu.  The sweep holds every H block at once, so
     the size guard counts the entries of all of them (_check_guard with
-    held "all"), where diagonalize(vectors=True) counts only the dominant
-    blocks it solves.
+    held "all"), where classify_sectors counts only the dominant blocks it
+    solves.
     """
     chain = OpenChain(n, N, q)
     _check_guard(chain, "all")

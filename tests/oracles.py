@@ -7,19 +7,18 @@ exceptions are the per-word slow paths: hamiltonian_apply, block_map and
 the symmetry sweep apply the library's sparse operators to one basis state
 at a time.  The library builds every weight block from ranked words
 (spectra.block_matrix, spectra.coproduct_block); the tests hold those
-blocks to these paths bit for bit.  Likewise sector_warnings_pairwise and
-annotate_pairwise are the pairwise tolerance scans that
-spectra.classify_sectors replaced by one sorted pass, and
-highest_weight_svd is the kernel of F_1 from a full SVD that it replaced by
-the kernel per run of diagonalize's eigenvectors, seminormal_loop builds
+blocks to these paths bit for bit.  Likewise sector_warnings_pairwise
+composes classify_sectors' residual warnings by its own scan,
+highest_weight_svd is the kernel of F_1 from a full SVD, which
+classify_sectors replaced by the kernel per run of the solved blocks'
+eigenvectors, seminormal_loop builds
 the seminormal form one tableau and one generator at a time, where
 spectra.sector_hamiltonian works on arrays over all tableaux, and
 hook_length_product and hook_content_product are the cell-by-cell hook
 formulas that tableaux.syt_dim and tableaux.ssyt_dim replaced by closed
 products over rows, raising_per_label applies one whole E-string per
 label, where qalgebra.generate_basis_by_raising grows the strings as a tree,
-clusters_per_run is the per-run loop that spectra.diagonalize replaced
-by array operations over all blocks, and eigen_blocks is the per-content
+and eigen_blocks is the per-content
 eigen solve that diagonalize replaced by one solve per partition, split by
 w0 where w0 maps the block onto itself: one eigh of spectra.block_matrix
 for every weight block, with no w0 symmetry and no orbit counting, so the
@@ -303,13 +302,10 @@ def symmetry_residual_per_word(n, N, q):
 
 
 def sector_warnings_pairwise(sectors):
-    """classify_sectors' warnings from pairwise scans: per sector, the ladder
-    residual warning, then a clash for every earlier ladder of another
-    sector within a running tolerance (CLUSTER_RTOL times the largest
-    ladder magnitude so far, at least 1)."""
+    """classify_sectors' ladder warnings, one scan per sector and residual:
+    the worst of each residual over the sector's ladders, and a warning
+    naming every one above HW_TOL."""
     warnings = []
-    seen_values: list[tuple[float, int]] = []
-    max_abs = 1.0
     for k, lads in sectors.items():
         failing = []
         for name in LADDER_RESIDUALS:
@@ -319,32 +315,7 @@ def sector_warnings_pairwise(sectors):
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "
                             + ", ".join(failing))
-        max_abs = max([max_abs] + [abs(lad.eigenvalue) for lad in lads])
-        tol = CLUSTER_RTOL * max_abs
-        for lad in lads:
-            for prev_value, prev_k in seen_values:
-                if abs(lad.eigenvalue - prev_value) <= tol and prev_k != k:
-                    warnings.append(
-                        f"eigenvalue {lad.eigenvalue:.12g} of sector {k} degenerate with "
-                        f"sector {prev_k}; falling back to multiplicity-only matching")
-            seen_values.append((lad.eigenvalue, k))
     return warnings
-
-
-def annotate_pairwise(decomposition, sectors):
-    """Label each cluster with the first sector, in order, holding a ladder
-    within CLUSTER_RTOL * max(1, max |cluster value|) of it, and with that
-    ladder's hw_residual: O(clusters x ladders) comparisons."""
-    tol = CLUSTER_RTOL * max(1.0, max((abs(c.value) for c in decomposition.clusters), default=1.0))
-    for cluster in decomposition.clusters:
-        for k, ladders in sectors.items():
-            for lad in ladders:
-                if abs(cluster.value - lad.eigenvalue) <= tol:
-                    cluster.sector = k
-                    cluster.hw_residual = lad.hw_residual
-                    break
-            if cluster.sector is not None:
-                break
 
 
 def highest_weight_svd(h, f):
@@ -356,31 +327,6 @@ def highest_weight_svd(h, f):
     kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
     vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
     return vals, kernel @ rot
-
-
-def clusters_per_run(values, orbits, tol):
-    """diagonalize's clusters from its blocks' sorted values (one array per
-    block, counted orbits[i] times) as (value, multiplicity, [(block, lo,
-    hi)]), one run at a time: within a block, each gap above tol starts a
-    run, valued at np.mean of its values; across blocks, the runs of the
-    sorted run values, valued at np.mean of theirs, with each run's block
-    and column bounds in argsort order."""
-    def runs(v):
-        cuts = [0] + [i + 1 for i in range(len(v) - 1) if v[i + 1] - v[i] > tol] + [len(v)]
-        return list(zip(cuts, cuts[1:]))
-
-    flat = []
-    for b, (vals, orbit) in enumerate(zip(values, orbits)):
-        for lo, hi in runs(vals):
-            value = float(vals[lo]) if hi - lo == 1 else float(np.mean(vals[lo:hi]))
-            flat.append((value, (hi - lo) * orbit, (b, lo, hi)))
-    order = np.argsort(np.array([f[0] for f in flat]))
-    clusters = []
-    for lo, hi in runs(np.array([f[0] for f in flat])[order]):
-        entries = [flat[i] for i in order[lo:hi]]
-        value = entries[0][0] if len(entries) == 1 else float(np.mean([e[0] for e in entries]))
-        clusters.append((value, sum(e[1] for e in entries), [e[2] for e in entries]))
-    return clusters
 
 
 def eigen_blocks(chain):
@@ -405,10 +351,12 @@ def eigen_blocks(chain):
 
 def reference_clusters(blocks):
     """(values, multiplicities, tol) of the clusters of the eigenvalues of
-    blocks (eigen_blocks), each block counted once, grouped by
-    clusters_per_run at diagonalize's tolerance CLUSTER_RTOL * max(1,
-    max |eigenvalue|)."""
-    values = [vals for _, vals, _ in blocks.values()]
-    tol = CLUSTER_RTOL * max(1.0, float(np.abs(np.concatenate(values)).max()))
-    clusters = clusters_per_run(values, [1] * len(values), tol)
-    return [c[0] for c in clusters], [c[1] for c in clusters], tol
+    blocks (eigen_blocks), each block counted once: the sorted values of
+    every block, cut wherever two neighbours differ by more than
+    diagonalize's tolerance tol = CLUSTER_RTOL * max(1, max |eigenvalue|),
+    each run valued at its mean, whatever irreps it holds."""
+    values = np.sort(np.concatenate([vals for _, vals, _ in blocks.values()]))
+    tol = CLUSTER_RTOL * max(1.0, float(np.abs(values).max()))
+    cuts = [0] + [i + 1 for i in range(len(values) - 1) if values[i + 1] - values[i] > tol]
+    runs = list(zip(cuts, cuts[1:] + [len(values)]))
+    return [float(np.mean(values[lo:hi])) for lo, hi in runs], [hi - lo for lo, hi in runs], tol

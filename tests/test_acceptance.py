@@ -161,8 +161,7 @@ def test_criterion_5_sector_bookkeeping():
     with criterion("5 sector bookkeeping N=2..10", 60):
         q = 1.5
         for N in range(2, 11):
-            deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-            rep = spectra.classify_sectors(deco)
+            rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
             assert not rep.warnings, rep.warnings
             total = 0
             for k in range(N // 2 + 1):

@@ -71,6 +71,26 @@ def test_spectrum_sector_filter(capsys):
     assert len(payload["eigenvalues"]) == 3
 
 
+def test_spectrum_prints_a_crossing_of_two_irreps_as_two_rows(capsys):
+    # at n = 3, N = 6, q = 0.7 the value -1.08163265306 is in spec rho_(3,3)
+    # once (10 copies) and in spec rho_(4,1,1) twice (10 copies each)
+    code, out, _ = run(capsys, "spectrum", "--n", "3", "--N", "6", "--q", "0.7")
+    assert code == 0
+    rows = [r for r in json.loads(out)["eigenvalues"] if r["value"] == -1.08163265306]
+    assert sorted(r["multiplicity"] for r in rows) == [10, 20]
+    assert all(r["sector"] is None for r in rows)
+
+
+@pytest.mark.parametrize("argv", [["--n", "3", "--N", "4", "--sector", "1"],
+                                  ["--n", "2", "--N", "4", "--sector", "3"],
+                                  ["--n", "2", "--N", "4", "--sector", "9"],
+                                  ["--n", "2", "--N", "4", "--sector", "-1"]])
+def test_spectrum_sector_out_of_range_exits_2(capsys, argv):
+    code, out, err = run(capsys, "spectrum", *argv)
+    assert code == 2 and out == ""
+    assert "braidlab: --sector takes n=2 and a sector k in 0.." in err
+
+
 def test_spectrum_guard_exit_code(capsys):
     code, _, err = run(capsys, "spectrum", "--n", "4", "--N", "10")
     assert code == 1

@@ -34,6 +34,30 @@ def test_sector_survey_passes_far_from_q_one():
     assert "warnings:" not in out
 
 
+def test_sector_survey_keeps_close_sectors_apart():
+    # at N = 10, q = 10 a sector-4 and a sector-5 value lie 7.6e-8 apart,
+    # inside the clustering tolerance; the case passes (exit 0)
+    lines = run_script("sector_survey.py", "--N", "10", "--q", "10").splitlines()
+    assert lines[0] == "open chain n=2, N=10, q=10.0"
+    assert lines[-2:] == ["PASS", "survey: 1 of 1 cases PASS"]
+
+
+def test_sector_survey_runs_every_case_and_fails_if_one_does():
+    # a range of N and a list of q, one table per case; q = 1e3 fails at N = 7
+    # (a kappa residual of 9.1e-8) and at N = 8 (its sector counts), so the
+    # survey exits 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_survey.py"),
+                           "--N", "7-8", "--q", "1.5,1e3"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 1
+    lines = done.stdout.splitlines()
+    assert [line for line in lines if line.startswith("open chain")] == [
+        f"open chain n=2, N={N}, q={q}" for N in (7, 8) for q in (1.5, 1000.0)]
+    assert [line for line in lines if line in ("PASS", "FAIL")] == ["PASS", "FAIL"] * 2
+    assert lines[-1] == "survey: 2 of 4 cases PASS"
+
+
 def test_distinctness_scan_reports_the_smallest_gap():
     # every weight block of N <= 6 at the default q values, through sector_matrix
     lines = run_script("distinctness_scan.py", "--max-N", "6").splitlines()

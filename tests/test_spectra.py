@@ -9,10 +9,10 @@ from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
-from oracles import (annotate_pairwise, block_map, clusters_per_run, dense_hamiltonian,
-                     eigen_blocks, hamiltonian_apply, highest_weight_svd,
-                     multiset_permutations, reference_clusters, sector_warnings_pairwise,
-                     seminormal_loop, state_to_dense, symmetry_residual_per_word)
+from oracles import (block_map, dense_hamiltonian, eigen_blocks, hamiltonian_apply,
+                     highest_weight_svd, multiset_permutations, reference_clusters,
+                     sector_warnings_pairwise, seminormal_loop, state_to_dense,
+                     symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -127,30 +127,32 @@ def test_diagonalize_matches_dense_oracle():
         assert deco.total_dimension() == n ** N
 
 
+def _solved(chain):
+    """The dominant blocks, eigenvectors checked, as classify_sectors solves them."""
+    return spectra._dominant_blocks(chain, True)[0]
+
+
 def test_eigenvector_residuals_and_orthonormality():
-    deco = spectra.diagonalize(spectra.OpenChain(2, 4, Q), vectors=True)
     chain = spectra.OpenChain(2, 4, Q)
-    for cluster in deco.clusters:
-        for content, words, vecs in cluster.blocks:
-            gram = vecs.T @ vecs
-            assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12
-            for col in range(vecs.shape[1]):
-                st = TensorState(2, 4, {tuple(w): float(c)
-                                        for w, c in zip(words.tolist(), vecs[:, col])
-                                        if c != 0.0})
-                resid = hamiltonian_apply(chain, st).sub(
-                    st.scale(cluster.value)).norm()
-                assert resid < 1e-10
+    for content, block in _solved(chain).items():
+        words, vecs = block.basis, block.vectors
+        gram = vecs.T @ vecs
+        assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12
+        for col in range(vecs.shape[1]):
+            st = TensorState(2, 4, {tuple(w): float(c)
+                                    for w, c in zip(words.tolist(), vecs[:, col])
+                                    if c != 0.0})
+            resid = hamiltonian_apply(chain, st).sub(
+                st.scale(block.values[col])).norm()
+            assert resid < 1e-10
 
 
 def test_eigenvector_first_component_positive():
     # blocks wider than RESIDUAL_CHUNK (n=2, N=10) are oriented chunk by chunk
     for n, N in [(2, 10), (3, 5), (4, 4)]:
-        deco = spectra.diagonalize(spectra.OpenChain(n, N, Q), vectors=True)
-        for cluster in deco.clusters:
-            for _, _, vecs in cluster.blocks:
-                for v in vecs.T:
-                    assert v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0, (n, N, cluster.value)
+        for content, block in _solved(spectra.OpenChain(n, N, Q)).items():
+            for v in block.vectors.T:
+                assert v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0, (n, N, content)
 
 
 def test_eigenpair_check_covers_every_chunk(monkeypatch):
@@ -167,7 +169,7 @@ def test_eigenpair_check_covers_every_chunk(monkeypatch):
     assert spectra.RESIDUAL_CHUNK <= 200
     monkeypatch.setattr(spectra.np.linalg, "eigh", corrupt_eigh)
     with pytest.raises(ValidationError, match="eigenpair residual"):
-        spectra.diagonalize(spectra.OpenChain(2, 10, Q), vectors=True)
+        _solved(spectra.OpenChain(2, 10, Q))
 
 
 def test_one_eigh_per_parity_half_of_each_solved_block(monkeypatch):
@@ -184,23 +186,13 @@ def test_one_eigh_per_parity_half_of_each_solved_block(monkeypatch):
     monkeypatch.setattr(spectra.np.linalg, "eigh", counting_eigh)
     for n, N, expected in [(2, 12, 8), (2, 13, 7)]:
         calls.clear()
-        spectra.diagonalize(spectra.OpenChain(n, N, Q), vectors=True)
+        _solved(spectra.OpenChain(n, N, Q))
         assert len(calls) == expected, (n, N)
     calls.clear()
-    spectra.diagonalize(spectra.OpenChain(3, 6, Q), vectors=True)
+    _solved(spectra.OpenChain(3, 6, Q))
     widths = {(6,): [1], (5, 1): [6], (4, 2): [15], (4, 1, 1): [18, 12], (3, 3): [14, 6],
               (3, 2, 1): [60], (2, 2, 2): [51, 39]}
     assert sorted(calls) == sorted(w for ws in widths.values() for w in ws)
-
-
-def _block_vectors(deco):
-    """content -> (words, eigenvector columns of the whole block), the
-    clusters' pieces joined in increasing eigenvalue order."""
-    pieces = {}
-    for cluster in deco.clusters:
-        for content, words, vecs in cluster.blocks:
-            pieces.setdefault(content, (words, []))[1].append(vecs)
-    return {c: (words, np.hstack(vs)) for c, (words, vs) in pieces.items()}
 
 
 def _w0_alphabet(content):
@@ -226,9 +218,9 @@ def test_self_mirrored_block_columns_are_w0_even_or_odd():
     # w0-even or w0-odd, and the block's columns are orthonormal
     for n, N in [(2, 12), (3, 6), (4, 5)]:
         for q in (0.3, 0.7, 1.5, 3.0):
-            deco = spectra.diagonalize(spectra.OpenChain(n, N, q), vectors=True)
             split = 0
-            for content, (words, vecs) in _block_vectors(deco).items():
+            for content, block in _solved(spectra.OpenChain(n, N, q)).items():
+                words, vecs = block.basis, block.vectors
                 letters = _w0_alphabet(content)
                 if letters is None:
                     continue
@@ -253,7 +245,7 @@ def test_vectors_path_with_a_wrong_w0_fails_the_check(monkeypatch):
 
     monkeypatch.setattr(spectra, "_w0_positions", rolled)
     with pytest.raises(ValidationError, match="w0 symmetry residual"):
-        spectra.diagonalize(spectra.OpenChain(2, 6, Q), vectors=True)
+        _solved(spectra.OpenChain(2, 6, Q))
 
 
 def test_site_array_product_matches_block_matrix():
@@ -275,13 +267,8 @@ def test_site_array_product_matches_block_matrix():
 def test_blocks_mutually_orthogonal_across_clusters():
     # eigenvectors of different clusters living in the same weight block are
     # orthogonal to each other, not just within their own cluster
-    deco = spectra.diagonalize(spectra.OpenChain(2, 5, Q), vectors=True)
-    by_content = {}
-    for cluster in deco.clusters:
-        for content, words, vecs in cluster.blocks:
-            by_content.setdefault(content, []).append(vecs)
-    for content, pieces in by_content.items():
-        stacked = np.hstack(pieces)
+    for content, block in _solved(spectra.OpenChain(2, 5, Q)).items():
+        stacked = block.vectors
         gram = stacked.T @ stacked
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
@@ -580,21 +567,18 @@ def test_orthogonality_sum_rule():
 
 
 def test_classify_sectors_examples():
-    deco = spectra.diagonalize(spectra.OpenChain(2, 3, Q), vectors=True)
-    rep = spectra.classify_sectors(deco)
+    rep = spectra.classify_sectors(spectra.OpenChain(2, 3, Q))
     assert rep.m_observed == {0: 1, 1: 2}
     assert all(lad.length == 3 - 2 * k + 1 for k, lads in rep.sectors.items()
                for lad in lads)
-    by_sector = {c.value: c.sector for c in deco.clusters}
+    by_sector = {c.value: c.sector for c in rep.clusters}
     assert by_sector[
         min(by_sector, key=lambda v: abs(v - 2.0))] == 0
 
-    deco = spectra.diagonalize(spectra.OpenChain(2, 2, Q), vectors=True)
-    rep = spectra.classify_sectors(deco)
+    rep = spectra.classify_sectors(spectra.OpenChain(2, 2, Q))
     assert rep.m_observed == {0: 1, 1: 1}
 
-    deco = spectra.diagonalize(spectra.OpenChain(2, 4, Q), vectors=True)
-    rep = spectra.classify_sectors(deco)
+    rep = spectra.classify_sectors(spectra.OpenChain(2, 4, Q))
     assert rep.m_observed == {0: 1, 1: 3, 2: 2}
     assert sum(spectra.sector_multiplicity(4, k) * spectra.sector_dimension(4, k)
                for k in range(3)) == 16
@@ -604,8 +588,7 @@ def test_sector_values_equal_block_spectrum_differences():
     # independent identification: the sector-k eigenvalues must be exactly
     # the eigenvalues of block k that are absent from block k-1
     for N, q in [(5, 1.3), (6, 0.8), (7, 1.5)]:
-        deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-        rep = spectra.classify_sectors(deco)
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
         prev = np.array([])
         for k in range(N // 2 + 1):
             vals = np.linalg.eigvalsh(spectra.sector_matrix(N, q, k))
@@ -621,8 +604,7 @@ def test_classification_clean_at_isotropic_point():
     # q = 1 keeps all sectors separated on this grid; classification works
     # without falling back to multiplicity-only matching
     for N in range(2, 8):
-        deco = spectra.diagonalize(spectra.OpenChain(2, N, 1.0), vectors=True)
-        rep = spectra.classify_sectors(deco)
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, 1.0))
         assert rep.ok and not rep.warnings
 
 
@@ -683,8 +665,7 @@ def test_ladder_termination():
     # q within 1e-8 of 1 is as good as any: the closed-form kappa has no
     # cancellation there (its q-integers are finite sums)
     for N, q in [(6, 1.3), (7, 2.0), (8, 1.5), (11, 0.7), (8, 1.00000001), (8, 1.000000003)]:
-        deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-        rep = spectra.classify_sectors(deco)
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
         for k, lads in rep.sectors.items():
             for lad in lads:
                 assert lad.length == N - 2 * k + 1
@@ -695,25 +676,23 @@ def test_ladder_termination():
 
 
 def _sectors_both_ways(monkeypatch, N, q):
-    """classify_sectors on the kernel per run of diagonalize's eigenvectors,
-    then on the full-SVD oracle (highest_weight_svd on the dense block and
-    F_1), each with its own decomposition."""
-    fast_deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-    fast = spectra.classify_sectors(fast_deco)
+    """classify_sectors on the kernel per run of the dominant blocks'
+    eigenvectors, then on the full-SVD oracle (highest_weight_svd on the
+    dense block and F_1), each with its own solve."""
+    fast = spectra.classify_sectors(spectra.OpenChain(2, N, q))
     with monkeypatch.context() as patch:
         patch.setattr(spectra, "_highest_weight", lambda block, e, *below: highest_weight_svd(
             spectra._dense(block.sites), e.T))
-        slow_deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-        slow = spectra.classify_sectors(slow_deco)
-    return fast_deco, fast, slow_deco, slow
+        slow = spectra.classify_sectors(spectra.OpenChain(2, N, q))
+    return fast, slow
 
 
 @pytest.mark.parametrize("q", [0.7, 0.8, 1.0, 1.5, 2.0])
 def test_kernel_per_run_matches_the_svd_oracle(monkeypatch, q):
     for N in range(1, 11):
-        fast_deco, fast, slow_deco, slow = _sectors_both_ways(monkeypatch, N, q)
+        fast, slow = _sectors_both_ways(monkeypatch, N, q)
         assert fast.m_observed == slow.m_observed == fast.m_predicted, N
-        assert [c.sector for c in fast_deco.clusters] == [c.sector for c in slow_deco.clusters], N
+        assert [c.sector for c in fast.clusters] == [c.sector for c in slow.clusters], N
         for k in slow.sectors:
             got = [lad.eigenvalue for lad in fast.sectors[k]]
             want = [lad.eigenvalue for lad in slow.sectors[k]]
@@ -729,9 +708,9 @@ def test_kernel_next_to_a_crossing_matches_the_svd_oracle(monkeypatch):
     # kernel cut (one-column runs at the clustering tolerance counted 8
     # sector-2 ladders here, not 9)
     for q in (1.7320506495688772, 1.7320509703188771, 1.732051002318877):
-        fast_deco, fast, slow_deco, slow = _sectors_both_ways(monkeypatch, 6, q)
+        fast, slow = _sectors_both_ways(monkeypatch, 6, q)
         assert fast.m_observed == slow.m_observed == fast.m_predicted, q
-        assert [c.sector for c in fast_deco.clusters] == [c.sector for c in slow_deco.clusters], q
+        assert [c.sector for c in fast.clusters] == [c.sector for c in slow.clusters], q
         assert fast.warnings == slow.warnings, q
         assert fast.ok == slow.ok, q
 
@@ -754,9 +733,9 @@ def test_kernel_per_run_adds_no_warning_where_rounding_fails_the_gate(monkeypatc
     # at these q, unless every rung clears the lower sectors
     # (_clear_lower_sectors), the N = 10 and 11 ladders miss HW_TOL from rounding
     for N in range(1, 12):
-        fast_deco, fast, slow_deco, slow = _sectors_both_ways(monkeypatch, N, q)
+        fast, slow = _sectors_both_ways(monkeypatch, N, q)
         assert fast.m_observed == slow.m_observed == fast.m_predicted, N
-        assert [c.sector for c in fast_deco.clusters] == [c.sector for c in slow_deco.clusters], N
+        assert [c.sector for c in fast.clusters] == [c.sector for c in slow.clusters], N
         assert _failing(fast.warnings) <= _failing(slow.warnings), N
         assert fast.ok or not slow.ok, N
 
@@ -765,8 +744,7 @@ def test_highest_weight_vectors_do_not_leak_out_of_the_kernel():
     # whole-block eigenvectors leave components of rounding over the gap
     # outside ker F_1 (hw residual about 1e-10 at N = 12 without the
     # projection), which the ladder amplifies
-    deco = spectra.diagonalize(spectra.OpenChain(2, 12, 1.3), vectors=True)
-    rep = spectra.classify_sectors(deco)
+    rep = spectra.classify_sectors(spectra.OpenChain(2, 12, 1.3))
     assert max(lad.hw_residual for lads in rep.sectors.values() for lad in lads) < 1e-13
     assert rep.ok
 
@@ -778,9 +756,9 @@ def test_longer_runs_take_the_kernel_from_their_own_svd():
     # F_1 and the values of H on it still match the full-SVD oracle
     for N, q in [(6, 1.3), (7, 0.8), (8, 2.0)]:
         chain = spectra.OpenChain(2, N, q)
-        deco = spectra.diagonalize(chain, vectors=True)
+        solved = _solved(chain)
         for m in range(1, N // 2 + 1):
-            block = deco.blocks[N - m, m]
+            block = solved[N - m, m]
             d = len(block.values)
             e = spectra.coproduct_block(chain, "E", 1, spectra.weight_basis(2, N, (N - m + 1, m - 1)),
                                         block.basis)
@@ -856,7 +834,7 @@ def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
 
     monkeypatch.setattr(spectra, "_highest_weight", one_basis_column)
     chain = spectra.OpenChain(2, N, q)
-    rep = spectra.classify_sectors(spectra.diagonalize(chain, vectors=True))
+    rep = spectra.classify_sectors(chain)
     assert rep.m_observed == {0: 0, 1: 1, 2: 0, 3: 0} and not rep.ok
     (lad,) = rep.sectors[1]
     assert lad.length == N - 1
@@ -899,7 +877,7 @@ def test_ladder_residuals_above_tolerance_fail_the_report(monkeypatch):
                                            np.linalg.norm(b[:, fresh], axis=0))
 
     monkeypatch.setattr(spectra, "_clear_lower_sectors", leak)
-    rep = spectra.classify_sectors(spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True))
+    rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
     assert rep.m_observed == rep.m_predicted
     assert max(lad.kappa_residual for lad in rep.sectors[3]) > 1e3 * spectra.HW_TOL
     assert [w.split(" ladder")[0] for w in rep.warnings] == ["sector 3"]
@@ -915,52 +893,67 @@ def test_far_from_q_one_every_ladder_passes(q):
     assert spectra.verify_decomposition(2, 12, q).ok
 
 
+@pytest.mark.parametrize("N, q", [(10, 10.0), (12, 0.1), (8, 100.0), (8, 0.01), (6, 0.001)])
+def test_sectors_close_in_value_keep_their_own_clusters(N, q):
+    # two sectors hold values within the clustering tolerance of each other
+    # (at N = 10, q = 10 a sector-4 and a sector-5 value 7.6e-8 apart, under
+    # 9.0e-8): each sector's clusters are runs of its own ladders, so no
+    # cluster holds both, and every check passes
+    report = spectra.verify_decomposition(2, N, q)
+    assert report.ok, (report.mismatches, report.sector_report.warnings)
+
+
+def test_clusters_of_each_shape_add_up_to_its_dimension():
+    # a cluster is a run of one irrep's values: the clusters of lambda hold
+    # f^lambda ssyt_dim(lambda, n) states, from diagonalize for every n and
+    # from the sector sweep for n = 2 (sector k is lambda = (N - k, k))
+    for n in range(1, 5):
+        for N in range(1, 8):
+            want = {lam: tableaux.syt_dim(lam) * tableaux.ssyt_dim(lam, n)
+                    for lam in tableaux.partitions_of(N, max_rows=n)}
+            for q in (0.7, 1.0, 1.5):
+                chain = spectra.OpenChain(n, N, q)
+                found = [spectra.diagonalize(chain).clusters]
+                if n == 2:
+                    found.append(spectra.classify_sectors(chain).clusters)
+                for clusters in found:
+                    held = {}
+                    for c in clusters:
+                        held[c.shape] = held.get(c.shape, 0) + c.multiplicity
+                    assert held == want, (n, N, q)
+
+
+def test_rung_check_flags_ladder_values_off_the_block(monkeypatch):
+    # one highest weight value of block 2 is moved by 1e-6 (its vector is
+    # not): from rung 2 on, the sorted open-ladder values miss the solved
+    # eigenvalues of block m by 1e-6, past EIG_RESIDUAL_TOL * max(1, |value|)
+    N, q = 6, 1.5
+    real = spectra._highest_weight
+
+    def moved(block, e, *below):
+        vals, vecs = real(block, e, *below)
+        if len(block.values) == comb(N, 2):     # blocks 0..3 differ in size
+            vals = vals.copy()
+            vals[0] += 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(spectra, "_highest_weight", moved)
+    rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
+    assert rep.m_observed == rep.m_predicted
+    assert [w.split(":")[0] for w in rep.warnings if w.startswith("rung ")] == ["rung 2", "rung 3"]
+    assert rep.rung_residual == pytest.approx(1e-6, rel=1e-6)
+    assert rep.ok is False
+    assert spectra.verify_decomposition(2, N, q).ok is False
+
+
 def test_nan_ladder_residual_fails_the_gate():
     # q = 1e100 overflows the sector-0 kappa check to NaN, which no
     # comparison with HW_TOL can pass
     with np.errstate(all="ignore"):
-        deco = spectra.diagonalize(spectra.OpenChain(2, 3, 1e100), vectors=True)
-        rep = spectra.classify_sectors(deco)
+        rep = spectra.classify_sectors(spectra.OpenChain(2, 3, 1e100))
     assert np.isnan(rep.sectors[0][0].kappa_residual)
     assert "sector 0 ladder residuals above 1e-08: kappa_residual nan" in rep.warnings
     assert rep.ok is False
-
-
-def test_cross_sector_degeneracy_warning(monkeypatch):
-    # sector 1 is made to report the sector-0 eigenvalue N - 1 = 3 in place
-    # of its lowest one: the clash is warned about, and _annotate labels the
-    # shared cluster with sector 0 (the first match) and leaves the cluster
-    # of the displaced value without a sector
-    N, q = 4, 1.5
-    clean = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-    spectra.classify_sectors(clean)
-    real = spectra._highest_weight
-    displaced = []
-
-    def clash(block, e, *below):
-        vals, vecs = real(block, e, *below)
-        if len(block.values) == N:      # block 1, the only N-dimensional block
-            displaced.append(vals[0])
-            vals = np.concatenate([[N - 1.0], vals[1:]])
-        return vals, vecs
-
-    monkeypatch.setattr(spectra, "_highest_weight", clash)
-    deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-    rep = spectra.classify_sectors(deco)
-    # the displaced value's eigenvector has eigenvalue displaced[0], not 3
-    assert rep.warnings == [f"sector 1 ladder residuals above 1e-08: eigen_residual "
-                            f"{abs(N - 1 - displaced[0]):.2e}",
-                            "eigenvalue 3 of sector 1 degenerate with sector 0; "
-                            "falling back to multiplicity-only matching"]
-    assert rep.ok is False
-    assert rep.m_observed == rep.m_predicted
-    expected = [None if abs(c.value - displaced[0]) < 1e-9 else c.sector
-                for c in clean.clusters]
-    assert expected.count(None) == 1
-    assert [c.sector for c in deco.clusters] == expected
-    top = deco.clusters[-1]
-    assert top.value == pytest.approx(N - 1) and top.sector == 0
-    assert top.hw_residual == rep.sectors[0][0].hw_residual
 
 
 def _runs_loop(values, tol):
@@ -987,56 +980,12 @@ def test_runs_match_a_plain_loop():
     assert spectra._runs(np.array([0.0, 0.25, 0.5, 1.0, 1.0]), tol) == [(0, 3), (3, 5)]
 
 
-def _labels_and_pairwise(deco, rep):
-    """The cluster labels classify_sectors gave, then those of the pairwise
-    oracle on the same clusters and ladders."""
-    got = [(c.sector, c.hw_residual) for c in deco.clusters]
-    for c in deco.clusters:
-        c.sector = c.hw_residual = None
-    annotate_pairwise(deco, rep.sectors)
-    return got, [(c.sector, c.hw_residual) for c in deco.clusters]
-
-
 @pytest.mark.parametrize("q", [0.3, 0.7, 1.0, 1.5, 2.0, 3.0])
 def test_sector_pass_matches_the_pairwise_scans(q):
     for N in range(1, 11):
-        deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-        rep = spectra.classify_sectors(deco)
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
         assert rep.warnings == sector_warnings_pairwise(rep.sectors), N
-        got, want = _labels_and_pairwise(deco, rep)
-        assert got == want, N
-        assert None not in [sector for sector, _ in got], N
-
-
-@pytest.mark.parametrize("moved", [{1: 1}, {1: 2, 2: 1}], ids=["two-sectors", "three-sectors"])
-def test_sector_clashes_match_the_pairwise_scans(monkeypatch, moved):
-    # the lowest moved[k] values of sector k are set to the sector-0 value
-    # N - 1, the last one 3e-9 relative above it (inside the relative
-    # tolerance, outside an absolute 1e-8): one run holds two or three
-    # sectors, and two ladders of sector 1 in the three-sector case
-    N, q = 6, 1.5
-    real = spectra._highest_weight
-    sizes = {comb(N, k): k for k in moved}     # blocks 0..N/2 differ in size
-
-    def clash(block, e, *below):
-        vals, vecs = real(block, e, *below)
-        k = sizes.get(len(block.values))
-        if k is not None:
-            vals = vals.copy()
-            vals[:moved[k]] = N - 1.0
-            vals[moved[k] - 1] *= 1 + 3e-9
-        return vals, vecs
-
-    monkeypatch.setattr(spectra, "_highest_weight", clash)
-    deco = spectra.diagonalize(spectra.OpenChain(2, N, q), vectors=True)
-    rep = spectra.classify_sectors(deco)
-    clashes = [w for w in rep.warnings if "degenerate" in w]
-    assert len(clashes) == {1: 1, 2: 5}[len(moved)]
-    assert rep.warnings == sector_warnings_pairwise(rep.sectors)
-    got, want = _labels_and_pairwise(deco, rep)
-    assert got == want
-    assert got[-1] == (0, rep.sectors[0][0].hw_residual)
-    assert [sector for sector, _ in got].count(None) == sum(moved.values())
+        assert None not in [c.sector for c in rep.clusters], N
 
 
 def test_symmetry_residual_values():
@@ -1100,7 +1049,8 @@ def test_diagonalize_guard():
     # allowed past the dense cap on n^N through the weight blocks: n = 2,
     # N = 13 (largest block 1716) with every eigenvector, and n = 3, N = 9
     # (largest block 1680) values only
-    spectra.diagonalize(spectra.OpenChain(2, 13, Q), vectors=True)
+    spectra._check_guard(spectra.OpenChain(2, 13, Q), "sectors")
+    _solved(spectra.OpenChain(2, 13, Q))
     spectra.diagonalize(spectra.OpenChain(3, 9, Q))
 
 
@@ -1112,8 +1062,7 @@ def _block_sizes(n, N):
 def test_guard_is_the_largest_solved_block(monkeypatch):
     # one rule for every n: refused when the largest weight block passes the
     # limit, and where blocks are held at once also when their entries, sum
-    # d^2 over the blocks held (one per partition of N with at most n rows,
-    # or every block), pass HELD_BLOCKS_MULTIPLE times limit^2; every n = 2
+    # d^2 over every block, pass HELD_BLOCKS_MULTIPLE times limit^2; every n = 2
     # size admitted by the former middle-block rule (binomial(N, N//2) <=
     # limit) stays admitted, every block held included
     for limit in (5, 20, 100, 4096):
@@ -1121,14 +1070,10 @@ def test_guard_is_the_largest_solved_block(monkeypatch):
         for n in range(1, 6):
             for N in range(1, 16):
                 sizes = _block_sizes(n, N)
-                dominant = [factorial(N) // prod(factorial(m) for m in mu)
-                            for mu in tableaux.partitions_of(N, max_rows=n)]
                 too_wide = max(sizes) > limit
                 bound = spectra.HELD_BLOCKS_MULTIPLE * limit ** 2
                 too_many = sum(d * d for d in sizes) > bound
-                too_many_dominant = sum(d * d for d in dominant) > bound
-                for held, refused in ((None, too_wide), ("dominant", too_wide or too_many_dominant),
-                                      ("all", too_wide or too_many)):
+                for held, refused in ((None, too_wide), ("all", too_wide or too_many)):
                     try:
                         spectra._check_guard(spectra.OpenChain(n, N, Q), held)
                     except SizeGuardError:
@@ -1148,7 +1093,7 @@ def test_guard_env_override(monkeypatch):
         spectra.diagonalize(spectra.OpenChain(3, 5, Q))
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "30")
     spectra.diagonalize(spectra.OpenChain(3, 5, Q))
-    spectra.diagonalize(spectra.OpenChain(3, 5, Q), vectors=True)
+    _solved(spectra.OpenChain(3, 5, Q))
     with pytest.raises(SizeGuardError, match="4653 entries"):
         spectra.symmetry_residual(3, 5, Q)
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "40")
@@ -1167,7 +1112,8 @@ def test_guard_counts_the_sector_sweep(monkeypatch):
 
     monkeypatch.setattr(spectra, "_dominant_blocks", unsolved)
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "80")
-    spectra._check_guard(spectra.OpenChain(2, 8, Q), "dominant")
+    assert sum(comb(8, m) ** 2 for m in range(5)) == 8885
+    spectra._check_guard(spectra.OpenChain(2, 8, Q), None)
     with pytest.raises(SizeGuardError, match="29465 entries"):
         spectra.verify_decomposition(2, 8, Q)
     monkeypatch.delenv("BRAIDLAB_MAX_DIM")
@@ -1189,18 +1135,20 @@ def test_guard_refuses_holding_every_block_past_memory():
     deco = spectra.diagonalize(chain)
     assert deco.total_dimension() == 11 ** 6
     assert sum(len(irrep.values) * irrep.multiplicity for irrep in deco.irreps.values()) == 11 ** 6
-    deco = spectra.diagonalize(chain, vectors=True)
-    assert deco.total_dimension() == 11 ** 6
-    assert sum(block.vectors.size for block in deco.blocks.values()) == 708062
+    solved = _solved(chain)
+    assert sum(len(block.values) * spectra._orbit_size(11, content)
+               for content, block in solved.items()) == 11 ** 6
+    assert sum(block.vectors.size for block in solved.values()) == 708062
 
 
 def test_deterministic_output():
-    a = spectra.diagonalize(spectra.OpenChain(2, 4, Q), vectors=True)
-    b = spectra.diagonalize(spectra.OpenChain(2, 4, Q), vectors=True)
+    a = spectra.diagonalize(spectra.OpenChain(2, 4, Q))
+    b = spectra.diagonalize(spectra.OpenChain(2, 4, Q))
     assert a.eigenvalues == b.eigenvalues
-    for ca, cb in zip(a.clusters, b.clusters):
-        for (_, _, va), (_, _, vb) in zip(ca.blocks, cb.blocks):
-            assert np.array_equal(va, vb)
+    a, b = _solved(spectra.OpenChain(2, 4, Q)), _solved(spectra.OpenChain(2, 4, Q))
+    for content in a:
+        assert np.array_equal(a[content].values, b[content].values)
+        assert np.array_equal(a[content].vectors, b[content].vectors)
 
 
 def test_open_chain_validation():
@@ -1215,6 +1163,16 @@ SIZES_REFERENCE = ([(n, N) for n in range(1, 5) for N in range(1, 7)]
                    + [(2, N) for N in range(7, 11)])
 SIZES_SEMINORMAL = [(2, N) for N in range(1, 9)] + [(3, N) for N in range(1, 7)] + [
     (4, N) for N in range(1, 6)]
+
+
+def _merged(deco):
+    """(values, multiplicities) of deco's clusters with neighbours within
+    deco.tol merged, each merged run valued at the mean of its values: the
+    grouping of reference_clusters, which does not tell the irreps apart."""
+    values = np.array(deco.eigenvalues)
+    runs = spectra._runs(values, deco.tol)
+    return ([float(values[lo:hi].mean()) for lo, hi in runs],
+            [sum(deco.multiplicities[lo:hi]) for lo, hi in runs])
 
 
 def test_seminormal_spectra_times_ssyt_dim_are_the_spectrum():
@@ -1265,8 +1223,9 @@ def test_values_only_path_next_to_q_one_matches_the_vectors_path(q):
         chain = spectra.OpenChain(n, N, q)
         fast = spectra.diagonalize(chain)
         values, multiplicities, _ = reference_clusters(eigen_blocks(chain))
-        assert fast.multiplicities == multiplicities, (n, N)
-        assert np.abs(np.subtract(fast.eigenvalues, values)).max() < 1e-12, (n, N)
+        fast_values, fast_multiplicities = _merged(fast)
+        assert fast_multiplicities == multiplicities, (n, N)
+        assert np.abs(np.subtract(fast_values, values)).max() < 1e-12, (n, N)
 
 
 def test_sector_hamiltonian_stays_finite_at_large_and_small_q():
@@ -1292,10 +1251,11 @@ def test_values_only_clusters_match_the_vectors_path(q):
         chain = spectra.OpenChain(n, N, q)
         fast = spectra.diagonalize(chain)
         values, multiplicities, tol = reference_clusters(eigen_blocks(chain))
-        assert fast.multiplicities == multiplicities, (n, N)
-        assert np.abs(np.subtract(fast.eigenvalues, values)).max() < 1e-12, (n, N)
+        fast_values, fast_multiplicities = _merged(fast)
+        assert fast_multiplicities == multiplicities, (n, N)
+        assert np.abs(np.subtract(fast_values, values)).max() < 1e-12, (n, N)
         assert fast.tol == pytest.approx(tol, rel=1e-12), (n, N)
-        assert fast.blocks == {} and all(c.blocks == [] for c in fast.clusters)
+        assert all(c.shape in fast.irreps for c in fast.clusters)
         shapes = tableaux.partitions_of(N, max_rows=n)
         assert list(fast.irreps) == shapes, (n, N)
         for lam, irrep in fast.irreps.items():
@@ -1308,21 +1268,23 @@ def test_values_only_clusters_match_the_vectors_path(q):
 def test_vectors_path_clusters_match_the_per_content_reference(q):
     # one eigh per dominant block or parity half, each counted for its S_n
     # orbit, against one eigh per weight block (oracles.eigen_blocks); each
-    # cluster's columns of a solved block span the reference's eigenspace
+    # run of a solved block's columns spans the reference's eigenspace
     for n, N in SIZES_REFERENCE:
         chain = spectra.OpenChain(n, N, q)
-        deco, reference = spectra.diagonalize(chain, vectors=True), eigen_blocks(chain)
+        (solved, irreps), reference = spectra._dominant_blocks(chain, True), eigen_blocks(chain)
         values, multiplicities, tol = reference_clusters(reference)
-        assert deco.multiplicities == multiplicities, (n, N)
-        assert np.abs(np.subtract(deco.eigenvalues, values)).max() < 1e-12, (n, N)
-        assert deco.tol == pytest.approx(tol, rel=1e-12), (n, N)
-        assert deco.irreps == {}
-        for cluster in deco.clusters:
-            for content, words, vecs in cluster.blocks:
-                want_words, want_values, want = reference[content]
-                assert np.array_equal(words, want_words), (n, N, content)
-                want = want[:, np.abs(want_values - cluster.value) <= tol]
-                assert np.abs(vecs @ vecs.T - want @ want.T).max() < 1e-9, (n, N, content)
+        counted = np.sort(np.concatenate([np.repeat(block.values, spectra._orbit_size(n, content))
+                                          for content, block in solved.items()]))
+        assert len(counted) == sum(multiplicities), (n, N)
+        assert np.abs(counted - np.repeat(values, multiplicities)).max() < 1e-12, (n, N)
+        assert irreps == {}
+        for content, block in solved.items():
+            want_words, want_values, want = reference[content]
+            assert np.array_equal(block.basis, want_words), (n, N, content)
+            for lo, hi in spectra._runs(block.values, tol):
+                vecs = block.vectors[:, lo:hi]
+                w = want[:, np.abs(want_values - block.values[lo:hi].mean()) <= tol]
+                assert np.abs(vecs @ vecs.T - w @ w.T).max() < 1e-9, (n, N, content)
 
 
 def test_values_only_path_solves_one_block_per_dominant_content(monkeypatch):
@@ -1412,33 +1374,17 @@ def test_values_only_check_catches_a_perturbed_block(monkeypatch):
         spectra.diagonalize(spectra.OpenChain(3, 6, Q))
 
 
-def test_array_grouping_matches_the_per_run_loop():
-    # diagonalize's two grouping passes, as array operations over every
-    # block, give the per-run loop's clusters bit for bit: values (means as
-    # np.mean takes them), multiplicities, and with vectors each run's
-    # columns of its block in the same order
-    for n, N, vectors in [(2, 10, True), (2, 12, False), (3, 6, True), (3, 7, False),
-                          (4, 5, True), (4, 6, False)]:
-        for q in (0.7, 1.0, 1.5):
-            chain = spectra.OpenChain(n, N, q)
-            deco = spectra.diagonalize(chain, vectors=vectors)
-            solved = deco.blocks if vectors else spectra._dominant_blocks(chain, False)[0]
-            contents = list(solved)
-            values = [b.values for b in solved.values()]
-            orbits = [spectra._orbit_size(n, content) for content in contents]
-            want = clusters_per_run(values, orbits, deco.tol)
-            assert [(c.value, c.multiplicity) for c in deco.clusters] == [
-                (value, count) for value, count, _ in want], (n, N, q, vectors)
-            if vectors:
-                for cluster, (_, _, runs) in zip(deco.clusters, want):
-                    assert [p[0] for p in cluster.blocks] == [contents[b] for b, _, _ in runs]
-                    assert all(np.array_equal(p[2], deco.blocks[contents[b]].vectors[:, lo:hi])
-                               for p, (b, lo, hi) in zip(cluster.blocks, runs))
-
-
-def test_classify_sectors_needs_the_vectors():
-    with pytest.raises(ValidationError, match="vectors=True"):
-        spectra.classify_sectors(spectra.diagonalize(spectra.OpenChain(2, 4, Q)))
+def test_classify_sectors_solves_the_vectors_it_needs(monkeypatch):
+    # classify_sectors takes the chain and solves the dominant blocks with
+    # their eigenvectors itself; it is defined for n = 2 only
+    real = spectra._dominant_blocks
+    asked = []
+    monkeypatch.setattr(spectra, "_dominant_blocks",
+                        lambda chain, vectors: asked.append(vectors) or real(chain, vectors))
+    assert spectra.classify_sectors(spectra.OpenChain(2, 4, Q)).ok
+    assert asked == [True]
+    with pytest.raises(ValidationError, match="n=2"):
+        spectra.classify_sectors(spectra.OpenChain(3, 4, Q))
 
 
 def test_verify_decomposition_reports_each_shape():

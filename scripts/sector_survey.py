@@ -9,8 +9,10 @@ the ladder length d_k, the observed highest-weight eigenvalues, and the
 worst of each ladder residual over the sector: highest weight
 (|F_1 v|), closed-form kappa coefficient (|F_1 E_1 v - kappa v| / kappa,
 relative), termination (|E_1 v| at the top rung) and eigenvalue
-persistence, each per |v|.  Totals are checked against 2^N, and each case
-ends in PASS or FAIL as its report does.  Exits 1 when any case fails.
+persistence, each per |v|.  Totals are checked against 2^N, followed by
+the rank margin of E_1, min |R_ii| / max |R_ii| of its QR at the worst rung
+(compared with no threshold), and each case ends in PASS or FAIL as its
+report does.  Exits 1 when any case fails.
 """
 
 import argparse
@@ -54,6 +56,7 @@ def survey(N: int, q: float) -> bool:
               + " ".join(f"{w:>10.2e}" for w in worst))
         total += m_k * d_k
     print(f"sum m_k d_k = {total} = 2^{N}: {total == 2 ** N}")
+    print(f"rank margin of E_1: {rep.rank_margin:.2e}")
     if rep.warnings:
         print("warnings:")
         for w in rep.warnings:

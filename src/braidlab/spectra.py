@@ -8,7 +8,7 @@ modules rho_lambda, lambda a partition of N with at most n rows, each
 ssyt_dim(lambda, n) times, and weight block mu holds spec rho_lambda(H)
 K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
 form (sector_hamiltonian).  So diagonalize solves one block per partition
-mu, values only, and checks it against those spectra (_dominant_blocks);
+mu, values only (_dominant_blocks), and checks it against those spectra;
 each of its clusters is a run of one irrep's values and keeps its lambda.
 
 Every weight-block operator comes from one ranked-word builder, run once per
@@ -24,10 +24,12 @@ words with k high letters, and sector k is the irrep lambda = (N - k, k),
 classified from structure: a sector-k eigenvalue has a highest weight
 vector killed by F_1 in block k and carries an E_1-ladder of N - 2k + 1
 states with closed-form F_1 E_1 coefficients kappa_m = [N-k-m]_q
-[m-k+1]_q, checked on every rung.  Every rung clears each ladder of the
-lower sectors' ladders, which is also the projection of new highest weight
-vectors onto ker F_1, and classify_sectors builds the n = 2 clusters from
-the ladders of each sector.
+[m-k+1]_q, checked on every rung.  Below the middle F_1 = E_1^T and E_1 is
+injective, so ker F_1 = range(E_1)^perp, taken from one complete QR of E_1
+per rung with H compressed onto it (_hw_eigenpairs): no eigenvector of a
+whole block is solved.  Every rung clears each ladder of the lower
+sectors' ladders, and classify_sectors builds the n = 2 clusters from the
+ladders of each sector.
 """
 
 from collections import Counter
@@ -45,9 +47,6 @@ from .tableaux import (check_partition, kostka, multinomial, partitions_of, ssyt
                        standard_tableaux, syt_dim)
 
 CLUSTER_RTOL = 1e-8
-# the kernel step of classify_sectors cuts a block's values into runs at
-# KERNEL_RTOL * max(1, max |eigenvalue|), wider than the clusters
-KERNEL_RTOL = 1e-6
 EIG_RESIDUAL_TOL = 1e-9
 HW_TOL = 1e-8
 RESIDUAL_CHUNK = 128
@@ -81,11 +80,10 @@ class EigenCluster:
 
 
 class WeightBlock(NamedTuple):
-    """One weight block as _dominant_blocks solved it."""
+    """One weight block as _dominant_blocks solved it, values only."""
     basis: np.ndarray       # (d, N) lexicographic words, a slice of weight_blocks' array
     sites: tuple            # H on the block as site arrays (_sites_by_block)
     values: np.ndarray      # its eigenvalues, increasing
-    vectors: np.ndarray | None  # (d, d) checked eigenvectors by column, or None
 
 
 class Irrep(NamedTuple):
@@ -349,27 +347,30 @@ def _check_guard(chain: OpenChain, held: str | None) -> None:
     """One dense guard for every n: the largest weight block, the
     multinomial of the most even content, must be at most max_dense_dim().
     What a caller holds at once, held "sectors" (classify_sectors, n = 2: one
-    d x d eigenvector matrix per partition mu, and the sweep at its widest
-    rung m, the E_1 maps into and out of block m, F_1 V for m <= N/2, the
-    d_m x d_m ladder array and its E_1 image) or "all" (H on every block,
-    symmetry_residual), must also hold at most HELD_BLOCKS_MULTIPLE = 3 times
-    max_dense_dim()^2 entries: 384 MiB at the default 4096.  So "sectors"
-    admits n = 2, N = 13 (18,451,252 entries) and refuses N = 14
-    (78,951,420), and "all" refuses n = 11, N = 6 (about 4,787 MiB)."""
+    dense block at a time for its values, the widest, and the sweep at its
+    widest rung m, the E_1 maps into and out of block m, the d_m x d_m
+    ladder array and its E_1 image, and for m <= N/2 the complete QR of the
+    E_1 map into block m: Q, R and the copy of the map that numpy factors)
+    or "all" (H on every block, symmetry_residual), must also hold at most
+    HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2 entries: 384 MiB at the
+    default 4096.  So "sectors" admits n = 2, N = 13 (21,348,756 entries)
+    and refuses N = 14 (86,867,352), and "all" refuses n = 11, N = 6 (about
+    4,787 MiB)."""
     n, N = chain.n, chain.N
     base, extra = divmod(N, min(n, N))
-    check_dense_dim(multinomial([base + 1] * extra + [base] * (min(n, N) - extra)),
-                    f"open chain n={n}, N={N}: largest weight block")
-    if held is not None:
-        entries = sum((_orbit_size(n, mu) if held == "all" else 1) * multinomial(mu) ** 2
+    largest = multinomial([base + 1] * extra + [base] * (min(n, N) - extra))
+    check_dense_dim(largest, f"open chain n={n}, N={N}: largest weight block")
+    if held == "all":
+        entries = sum(_orbit_size(n, mu) * multinomial(mu) ** 2
                       for mu in partitions_of(N, max_rows=n))
-        what = f"{held} weight blocks"
-        if held == "sectors":
-            d = [comb(N, m) for m in range(N + 1)] + [0]       # d[-1] = d[N + 1] = 0
-            entries += max(d[m] * (d[m - 1] + d[m] + 2 * d[m + 1] + (d[m - 1] if 2 * m <= N else 0))
-                           for m in range(N + 1))
-            what = "dominant weight blocks and the sector sweep"
-        check_held_entries(entries, f"open chain n={n}, N={N}: {what} at once")
+        check_held_entries(entries, f"open chain n={n}, N={N}: all weight blocks at once")
+    elif held == "sectors":
+        d = [comb(N, m) for m in range(N + 1)] + [0]       # d[-1] = d[N + 1] = 0
+        entries = largest ** 2 + max(
+            d[m] * (d[m - 1] + d[m] + 2 * d[m + 1] + (2 * d[m - 1] + d[m] if 2 * m <= N else 0))
+            for m in range(N + 1))
+        check_held_entries(entries, f"open chain n={n}, N={N}: a weight block and the "
+                                    "sector sweep at once")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -379,29 +380,6 @@ def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     cut[1:] = np.diff(values) > tol
     bounds = np.append(np.flatnonzero(cut), len(values)).tolist()
     return list(zip(bounds, bounds[1:]))
-
-
-def _orient_and_check(block: tuple, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Fix the sign of each eigenvector in place and check every eigenpair
-    against the block's own H, given as its site arrays (_block_sites).
-
-    A column is negated when its first component with |v| > 1e-12 is
-    negative (the columns are unit vectors, so one always exists).  The check
-    is |H v - lambda v|_inf <= EIG_RESIDUAL_TOL * max(1, |lambda|), with H v
-    from _block_apply, taken RESIDUAL_CHUNK columns at a time so no
-    temporary outgrows d x RESIDUAL_CHUNK.
-    """
-    for lo in range(0, vecs.shape[1], RESIDUAL_CHUNK):
-        v, lam = vecs[:, lo:lo + RESIDUAL_CHUNK], vals[lo:lo + RESIDUAL_CHUNK]
-        lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
-        v *= np.where(lead < 0, -1.0, 1.0)
-        hv = _block_apply(block, v)
-        hv -= v * lam           # hv and its abs in place: two fewer d x chunk temporaries
-        resid = np.abs(hv, out=hv).max(axis=0)
-        bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)))
-        if bad.size:
-            raise ValidationError(
-                f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
 
 
 def _w0_positions(n: int, N: int, words, bounds, letters) -> np.ndarray:
@@ -422,10 +400,14 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     values.
 
     One weight block is solved per partition mu of N with at most n rows,
-    values only, and checked against the seminormal spectra by the Kostka
-    identity (_dominant_blocks), which ties every spectrum rho_lambda(H) to
-    every solved block; the spectra are kept as irreps.  Each cluster is a
-    run (_runs) of one irrep's values irreps[lambda].values at tol =
+    values only (_dominant_blocks), and checked against the seminormal
+    spectra by the Kostka identity, which ties every spectrum rho_lambda(H)
+    to every solved block: the sorted values of block mu must equal the
+    sorted union of K_{lambda mu} (tableaux.kostka) copies of the spectra
+    within EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or it is a
+    ValidationError, and each residual counts towards the lambda it is
+    compared with.  The spectra are kept as irreps.  Each cluster is a run
+    (_runs) of one irrep's values irreps[lambda].values at tol =
     CLUSTER_RTOL * max(1, max |eigenvalue|), valued at the run's mean, with
     multiplicity the run's length times ssyt_dim(lambda, n); the clusters
     are sorted by value.  So a cluster never holds two lambda, and an exact
@@ -433,12 +415,34 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     bounds the largest block before any block is solved.
     """
     _check_guard(chain, None)
-    _, irreps = _dominant_blocks(chain, False)
+    n, N, q = chain.n, chain.N, chain.q
+    shapes = partitions_of(N, max_rows=n)
+    shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
+    worst = np.zeros(len(shapes))
+    # the blocks come in the order of the partitions they are solved for
+    for mu, block in zip(shapes, _dominant_blocks(chain).values()):
+        vals = block.values
+        copies = [kostka(lam, mu) for lam in shapes]
+        want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
+        if len(want) != len(vals):
+            raise ValidationError(f"weight block {mu}: {len(vals)} values, but the "
+                                  f"Kostka numbers give {len(want)}")
+        order = np.argsort(want, kind="stable")
+        resid = np.abs(vals - want[order])
+        bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))))
+        if bad.size:
+            raise ValidationError(f"weight block {mu}: Kostka identity residual "
+                                  f"{float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
+        owner = np.repeat(np.arange(len(shapes)),
+                          [k * len(s) for s, k in zip(shape_values, copies)])
+        np.maximum.at(worst, owner[order], resid)
+    irreps = {lam: Irrep(s, ssyt_dim(lam, n), float(w))
+              for lam, s, w in zip(shapes, shape_values, worst)}
     tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(irrep.values).max()) for irrep in irreps.values()))
     clusters = [c for lam, irrep in irreps.items()
                 for c in _run_clusters(irrep.values, tol, irrep.multiplicity, lam)]
     clusters.sort(key=lambda c: c.value)
-    return SpectralDecomposition(chain.n, chain.N, chain.q, clusters, tol, irreps)
+    return SpectralDecomposition(n, N, q, clusters, tol, irreps)
 
 
 def _run_clusters(values: np.ndarray, tol: float, copies: int, shape: tuple,
@@ -453,9 +457,9 @@ def _run_clusters(values: np.ndarray, tol: float, copies: int, shape: tuple,
             for lo, hi in _runs(values, tol)]
 
 
-def _dominant_blocks(chain: OpenChain, vectors: bool) -> tuple[dict, dict]:
-    """content -> WeightBlock, one per partition mu of N with at most n
-    rows, and shape -> Irrep (values only, else empty).
+def _dominant_blocks(chain: OpenChain) -> dict:
+    """content -> WeightBlock, values only, one per partition mu of N with
+    at most n rows, in the order of partitions_of.
 
     Block mu has spectrum the union over lambda of K_{lambda mu} copies of
     spec rho_lambda(H), and K does not depend on the order of mu, so every
@@ -466,16 +470,10 @@ def _dominant_blocks(chain: OpenChain, vectors: bool) -> tuple[dict, dict]:
     else mu, padded with zeros to n parts, all from one builder pass (the
     site arrays do not depend on the alphabet).  w0 over a palindrome's
     alphabet 1..len(mu) maps its block onto itself, its images from one
-    _w0_positions call for all of them, and _solve_block splits it.
-
-    Each solved block gets one check of what it keeps: with vectors its
-    eigenpairs (_orient_and_check, which also fixes the signs); values only
-    the Kostka identity, its sorted values equal to the sorted union of
-    K_{lambda mu} (tableaux.kostka) copies of the seminormal spectra within
-    EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or it is a ValidationError.
-    Each residual counts towards the lambda it is compared with.
+    _w0_positions call for all of them, and _solve_block splits it.  One
+    dense block is held at a time.
     """
-    n, N, q = chain.n, chain.N, chain.q
+    n, N = chain.n, chain.N
     shapes = partitions_of(N, max_rows=n)
     solved = [_palindrome(mu) or mu for mu in shapes]
     contents = [(*c, *[0] * (n - len(c))) for c in solved]
@@ -486,37 +484,9 @@ def _dominant_blocks(chain: OpenChain, vectors: bool) -> tuple[dict, dict]:
     w0 = _w0_positions(n, N, np.concatenate([words[bounds[b]:bounds[b + 1]] for b in mirrored]),
                        ends, [len(solved[b]) for b in mirrored])
     images = {b: w0[lo:hi] for b, lo, hi in zip(mirrored, ends, ends[1:])}
-    if not vectors:
-        shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
-        worst = np.zeros(len(shapes))
-    blocks = {}
-    # the widest block first, while no other block's eigenvectors are held
-    for b in sorted(range(len(shapes)), key=lambda b: bounds[b] - bounds[b + 1]):
-        mu = shapes[b]
-        vals, vecs = _solve_block(sites[b], images.get(b), mu, vectors)
-        if vectors:
-            _orient_and_check(sites[b], vals, vecs)
-        else:
-            copies = [kostka(lam, mu) for lam in shapes]
-            want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
-            if len(want) != len(vals):
-                raise ValidationError(f"weight block {mu}: {len(vals)} values, but the "
-                                      f"Kostka numbers give {len(want)}")
-            order = np.argsort(want, kind="stable")
-            resid = np.abs(vals - want[order])
-            bad = np.flatnonzero(~(resid <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))))
-            if bad.size:
-                raise ValidationError(f"weight block {mu}: Kostka identity residual "
-                                      f"{float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
-            owner = np.repeat(np.arange(len(shapes)),
-                              [k * len(s) for s, k in zip(shape_values, copies)])
-            np.maximum.at(worst, owner[order], resid)
-        blocks[b] = WeightBlock(words[bounds[b]:bounds[b + 1]], sites[b], vals, vecs)
-    blocks = {content: blocks[b] for b, content in enumerate(contents)}
-    if vectors:
-        return blocks, {}
-    return blocks, {lam: Irrep(s, ssyt_dim(lam, n), float(w))
-                    for lam, s, w in zip(shapes, shape_values, worst)}
+    return {content: WeightBlock(words[bounds[b]:bounds[b + 1]], sites[b],
+                                 _solve_block(sites[b], images.get(b), mu))
+            for b, (mu, content) in enumerate(zip(shapes, contents))}
 
 
 def _palindrome(mu: tuple) -> tuple | None:
@@ -532,49 +502,28 @@ def _palindrome(mu: tuple) -> tuple | None:
     return (*half, *odd, *half[::-1])
 
 
-def _solve_block(block: tuple, w0: np.ndarray | None, mu, vectors: bool) -> tuple:
-    """Increasing eigenvalues of a weight block's site arrays, with their
-    eigenvectors as d x d columns (vectors) or None: one eigh or eigvalsh of
-    the dense block, or per non-empty w0 parity half (_parity_halves) when
-    w0, each word's image position (_w0_positions), is given.  An
-    eigenvector (u_I, u_F) of the even half is u_I/sqrt2 on I and J and u_F
-    on F, one u of the odd half u/sqrt2 on I and -u/sqrt2 on J."""
+def _solve_block(block: tuple, w0: np.ndarray | None, mu) -> np.ndarray:
+    """Increasing eigenvalues of a weight block's site arrays: one eigvalsh
+    of the dense block, or one per non-empty w0 parity half (_parity_halves)
+    when w0, each word's image position (_w0_positions), is given."""
     if w0 is None:
-        if vectors:
-            return np.linalg.eigh(_dense(block))
-        return np.linalg.eigvalsh(_dense(block)), None
-    halves, pairs, partners, fixed = _parity_halves(block, w0, mu)
-    if not vectors:
-        return np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in halves])), None
-    solved = [np.linalg.eigh(h) for h in halves]
-    del halves                  # the d x d dense block goes before the vectors are laid out
-    vals = np.concatenate([v for v, _ in solved])
-    rank = np.argsort(vals, kind="stable")
-    column = np.empty_like(rank)
-    column[rank] = np.arange(len(rank))
-    k, scale = len(pairs), sqrt(0.5)
-    vecs = np.zeros((len(w0), len(w0)))
-    even, odd = np.split(column, [k + len(fixed)])     # the columns of each half's values
-    for (_, u), cols, sign in zip(solved, (even, odd), (1.0, -1.0)):
-        vecs[pairs[:, None], cols] = u[:k] * scale
-        vecs[partners[:, None], cols] = u[:k] * (sign * scale)
-    vecs[fixed[:, None], even] = solved[0][1][k:]
-    return vals[rank], vecs
+        return np.linalg.eigvalsh(_dense(block))
+    return np.sort(np.concatenate([np.linalg.eigvalsh(h) for h in _parity_halves(block, w0, mu)]))
 
 
 def _parity_halves(block: tuple, w0: np.ndarray, mu) -> tuple:
     """The non-empty w0 parity halves, (even, odd) or (even,), of a block
-    that w0 maps onto itself, and the positions of the words I, J = w0(I)
-    and F that w0 swaps and fixes.  With A = _dense(block) commuting with
-    w0, the basis (e_I + e_J)/sqrt2, e_F, (e_I - e_J)/sqrt2 splits A into
-    [[A_II + A_IJ, sqrt2 A_IF], [sqrt2 A_FI, A_FF]] and A_II - A_IJ.  Before
-    the coupling is dropped, A_II - A_JJ, A_IJ - A_JI and A_IF - A_JF must
-    be within EIG_RESIDUAL_TOL * max(1, max |A|), or it is a ValidationError
-    naming mu: each run verifies the symmetry it uses."""
+    that w0 maps onto itself.  With I, J = w0(I) and F the positions of the
+    words that w0 swaps (I < J) and fixes, and A = _dense(block) commuting
+    with w0, the basis (e_I + e_J)/sqrt2, e_F, (e_I - e_J)/sqrt2 splits A
+    into [[A_II + A_IJ, sqrt2 A_IF], [sqrt2 A_FI, A_FF]] and A_II - A_IJ.
+    Before the coupling is dropped, A_II - A_JJ, A_IJ - A_JI and A_IF - A_JF
+    must be within EIG_RESIDUAL_TOL * max(1, max |A|), or it is a
+    ValidationError naming mu: each run verifies the symmetry it uses."""
     positions = np.arange(len(w0))
     pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
-    partners, k = w0[pairs], len(pairs)
-    order = np.concatenate([pairs, partners, fixed])
+    k = len(pairs)
+    order = np.concatenate([pairs, w0[pairs], fixed])
     a = _dense(block)[np.ix_(order, order)]             # rows and columns I, J, F
     ii, ij = a[:k, :k], a[:k, k:2 * k]
     diag, _, off = block
@@ -588,7 +537,7 @@ def _parity_halves(block: tuple, w0: np.ndarray, mu) -> tuple:
     np.add(ii, ij, out=even[:k, :k])
     even[:k, k:] *= sqrt(2.0)
     even[k:, :k] *= sqrt(2.0)
-    return (even, odd) if k else (even,), pairs, partners, fixed
+    return (even, odd) if k else (even,)
 
 
 def sector_hamiltonian(shape, q: float) -> np.ndarray:
@@ -706,6 +655,7 @@ class SectorReport:
     clusters: list               # EigenClusters of every sector, by increasing value
     tol: float                   # the clustering tolerance, as diagonalize takes it
     rung_residual: float         # worst |open-ladder value - block m's solved value|, m <= N/2
+    rank_margin: float           # worst min |R_ii| / max |R_ii| of E_1 = QR into block m <= N/2
 
 
 def classify_sectors(chain: OpenChain) -> SectorReport:
@@ -713,42 +663,43 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     in one sweep over the weight blocks m = 0..N.
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
-    kernel of F_1 on weight block k <= N/2, which _highest_weight takes
-    run by run from the eigenvectors of the dominant blocks m <= N/2,
-    (N - m, m), solved and checked by _dominant_blocks (runs at KERNEL_RTOL,
-    under the guard _check_guard "sectors").  The blocks m > N/2 need only
-    their words and H's site arrays, from one pass of the builder
-    (weight_blocks, _sites_by_block), so no dense H block is built twice.
-    E_1 from every block m to m+1 comes from one _coproduct_maps call over
-    all blocks, and F_1 from block m to m-1 is the transpose of the previous
-    E_1 map, which it equals exactly in this basis.  The open ladders are
-    one column array, sectors increasing, advanced once per block and
-    cleared of the lower sectors on every rung once block m's highest
-    weight vectors join (_clear_lower_sectors).  H from the block's site
-    arrays (_block_apply, RESIDUAL_CHUNK columns at a time) and E_1 by one
-    dense product check |H B - B Lambda|, the closed-form coefficient
-    |E_1^T E_1 B - kappa B| / kappa with kappa = [N-k-m]_q [m-k+1]_q (up to
-    about 1e8), and at the top rung m = N-k the termination |E_1 B|, each
-    relative to the rung's column norms, and the hw residual |F_1 b| / |b|
-    of each new highest weight vector b.  A sector whose worst hw, kappa,
-    termination or eigen residual exceeds HW_TOL, or is NaN, gets a warning.
-    On every rung m <= N/2 the sorted values of the open ladders must also
-    equal block m's solved eigenvalues within EIG_RESIDUAL_TOL * max(1,
-    |eigenvalue|), or the rung gets a warning; rung_residual is the worst
-    difference.  The clusters are the runs of each sector's ladder values
-    at tol = CLUSTER_RTOL * max(1, max |eigenvalue|) (_runs), each valued
-    at its mean, with multiplicity the run's ladders times N - 2k + 1 and
-    the hw residual of its first ladder.  ok holds when the sector counts
-    match the prediction and there is no warning.
+    kernel of F_1 on weight block k <= N/2, which _hw_eigenpairs takes as
+    range(E_1)^perp from one complete QR of the E_1 map into block k, with
+    H compressed onto it and one f^lambda-wide eigh; rank_margin is the
+    worst min |R_ii| / max |R_ii| of those QRs, reported and compared with
+    no tolerance.  The dominant blocks m <= N/2, (N - m, m), are solved
+    values only (_dominant_blocks, under the guard _check_guard "sectors"),
+    and the blocks m > N/2 need only their words and H's site arrays, from
+    one pass of the builder (weight_blocks, _sites_by_block), so no dense H
+    block is built twice.  E_1 from every block m to m+1 comes from one
+    _coproduct_maps call over all blocks, and F_1 from block m to m-1 is the
+    transpose of the previous E_1 map, which it equals exactly in this
+    basis.  The open ladders are one column array, sectors increasing,
+    advanced once per block and cleared of the lower sectors on every rung
+    once block m's highest weight vectors join (_clear_lower_sectors).  H
+    from the block's site arrays (_block_apply) and E_1 by one dense product
+    check |H B - B Lambda|, the closed-form coefficient |E_1^T E_1 B - kappa
+    B| / kappa with kappa = [N-k-m]_q [m-k+1]_q (up to about 1e8), and at the
+    top rung m = N-k the termination |E_1 B|, each relative to the rung's
+    column norms and RESIDUAL_CHUNK columns at a time, and the hw residual
+    |F_1 b| / |b| of each new highest weight vector b.  A sector whose worst
+    hw, kappa, termination or eigen residual exceeds HW_TOL, or is NaN, gets
+    a warning.  On every rung m <= N/2 the sorted values of the open ladders
+    must also equal block m's solved eigenvalues within EIG_RESIDUAL_TOL *
+    max(1, |eigenvalue|), or the rung gets a warning; rung_residual is the
+    worst difference.  The clusters are the runs of each sector's ladder
+    values at tol = CLUSTER_RTOL * max(1, max |eigenvalue|) (_runs), each
+    valued at its mean, with multiplicity the run's ladders times N - 2k + 1
+    and the hw residual of its first ladder.  ok holds when the sector
+    counts match the prediction and there is no warning.
     """
     if chain.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
     _check_guard(chain, "sectors")
-    solved, _ = _dominant_blocks(chain, True)
+    solved = _dominant_blocks(chain)
     N, q = chain.N, chain.q
     lower = [solved[N - m, m] for m in range(N // 2 + 1)]
     tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(block.values).max()) for block in lower))
-    kernel_tol = tol * (KERNEL_RTOL / CLUSTER_RTOL)
     words, bounds = weight_blocks(2, N, [(N - m, m) for m in range(N // 2 + 1, N + 1)])
     bases = [block.basis for block in lower] + np.split(words, bounds[1:-1])
     sites = [block.sites for block in lower] + _sites_by_block(chain, words, bounds)
@@ -758,7 +709,7 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
                              np.cumsum([0] + [len(basis) for basis in bases] + [0]),
                              [(m, m + 1) for m in range(N + 1)])
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
-    warnings, rung_residual = [], 0.0
+    warnings, rung_residual, rank_margin = [], 0.0, 1.0
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
@@ -767,7 +718,8 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
         fresh = len(sector)     # block m's highest weight vectors, if any, start here
         if m <= N // 2:
             block = lower[m]
-            hw_values, hw = _highest_weight(block, e_down, _runs(block.values, kernel_tol))
+            hw_values, hw, margin = _hw_eigenpairs(block_sites, e_down)
+            rank_margin = min(rank_margin, margin)
             b, values = np.hstack([b, hw]), np.concatenate([values, hw_values])
             sector = np.concatenate([sector, np.full(len(hw_values), m)])
             res = np.hstack([res, np.zeros((4, len(hw_values)))])
@@ -784,17 +736,18 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
         _clear_lower_sectors(b, sector)
         norms = np.linalg.norm(b, axis=0)
         res[0, fresh:] = np.linalg.norm(e_down.T @ b[:, fresh:], axis=0) / norms[fresh:]
-        for lo in range(0, len(sector), RESIDUAL_CHUNK):     # d x RESIDUAL_CHUNK temporaries
-            c = slice(lo, lo + RESIDUAL_CHUNK)
-            res[3, c] = np.maximum(res[3, c], np.linalg.norm(
-                _block_apply(block_sites, b[:, c]) - b[:, c] * values[c], axis=0) / norms[c])
         up = e_up @ b
         top = int(np.searchsorted(sector, N - m))    # sector N - m ends here
         ks, counts = np.unique(sector[:top], return_counts=True)
         kappa = np.repeat([q_number(N - k - m, q) * q_number(m - k + 1, q) for k in ks.tolist()],
                           counts)
-        res[1, :top] = np.maximum(res[1, :top], np.linalg.norm(
-            e_up.T @ up[:, :top] - kappa * b[:, :top], axis=0) / (kappa * norms[:top]))
+        # d x RESIDUAL_CHUNK temporaries; the columns g of chunk c go on past this rung
+        for lo in range(0, len(sector), RESIDUAL_CHUNK):
+            c, g = slice(lo, lo + RESIDUAL_CHUNK), slice(lo, min(lo + RESIDUAL_CHUNK, top))
+            res[3, c] = np.maximum(res[3, c], np.linalg.norm(
+                _block_apply(block_sites, b[:, c]) - b[:, c] * values[c], axis=0) / norms[c])
+            res[1, g] = np.maximum(res[1, g], np.linalg.norm(
+                e_up.T @ up[:, g] - kappa[g] * b[:, g], axis=0) / (kappa[g] * norms[g]))
         res[2, top:] = np.linalg.norm(up[:, top:], axis=0) / norms[top:]
         if top < len(sector):
             sectors[N - m] = [SectorLadder(v, *r, 2 * m - N + 1)
@@ -813,7 +766,7 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "
                             + ", ".join(failing))
-        # increasing: each block's highest weight values are (_highest_weight)
+        # increasing: each block's highest weight values are (_hw_eigenpairs)
         clusters += _run_clusters(np.array([lad.eigenvalue for lad in lads]), tol,
                                   sector_dimension(N, k), (N - k, k) if k else (N,), k,
                                   [lad.hw_residual for lad in lads])
@@ -822,54 +775,26 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     m_predicted = {k: sector_multiplicity(N, k) for k in range(N // 2 + 1)}
     ok = m_observed == m_predicted and not warnings
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok, clusters, tol,
-                        rung_residual)
+                        rung_residual, rank_margin)
 
 
-def _highest_weight(block: WeightBlock, e: np.ndarray,
-                    runs: list) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of H on the kernel of F_1 in one weight
-    block m, from the block's eigenpairs, e the E_1 map from block m-1 (F_1
-    = e.T) and the runs of the block's values.
+def _hw_eigenpairs(sites: tuple, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Increasing eigenvalues and eigenvectors of H on ker F_1 in a weight
+    block m <= N/2, from the block's site arrays and e, the E_1 map from
+    block m-1 (F_1 = e.T), and the rank margin min |R_ii| / max |R_ii| of e
+    = QR (1.0 when e has no column).
 
-    F_1 commutes with H, so ker F_1 is spanned by pieces of eigenspaces:
-    per run of the block's values, the kernel of F_1 on the run's columns.
-    The runs are cut at KERNEL_RTOL * max(1, max |eigenvalue|), a hundred
-    times the clustering tolerance: eigh mixes the columns of two
-    eigenvalues a gap g apart by about rounding * |H| / g, which for g near
-    the clustering tolerance is the size of the cut below and could put a
-    column on the wrong side of it.  Across runs the mixing is then at most
-    about rounding / KERNEL_RTOL (2e-10 of a column, under the cut), and
-    inside a run the SVD of F_1 finds the kernel in any basis of its span.
-    A one-column run is kept when its column norm is at most HW_TOL * s; a
-    longer run keeps the right singular vectors of its columns of F_1 V with
-    singular values at most HW_TOL * s, and H compressed onto them (the
-    run's values, diagonal in its columns) gets one small eigh, so every run
-    yields increasing values.  s, the largest singular value of F_1, is the
-    largest of the runs' singular values (the column norms of one-column
-    runs): F_1 maps distinct eigenspaces of H into mutually orthogonal ones,
-    so the singular values of F_1 V, which are those of F_1, are the runs'.
-    Counting the rank against HW_TOL * s keeps the sector counts
-    measurements.  The vectors keep components of rounding over the gap
-    outside ker F_1, which the sweep removes (_clear_lower_sectors).
+    Below the middle E_1 is injective, so ker F_1 = range(E_1)^perp, the
+    span of the last d_m - d_{m-1} columns W of the complete QR of e: they
+    are orthonormal and orthogonal to range(e) to rounding whatever the
+    margin, so no rank is cut at a tolerance and the margin is only
+    reported.  H compressed onto them, W^T H W, gets one f^lambda-wide eigh.
     """
-    vals, vecs = block.values, block.vectors
-    fv = e.T @ vecs
-    norms = np.linalg.norm(fv, axis=0)
-    multi = [(lo, hi, *np.linalg.svd(fv[:, lo:hi])[1:]) for lo, hi in runs if hi - lo > 1]
-    cut = HW_TOL * max([norms.max(initial=0.0)] + [sv.max(initial=0.0) for *_, sv, _ in multi])
-    keep = norms <= cut
-    for lo, hi, _, _ in multi:
-        keep[lo:hi] = False
-    cols = np.flatnonzero(keep)
-    starts, hw_values, hw = [cols], [vals[cols]], [vecs[:, cols]]
-    for lo, hi, sv, vt in multi:
-        w = vt[np.count_nonzero(sv > cut):].T
-        run_vals, rot = np.linalg.eigh((w.T * vals[lo:hi]) @ w)
-        starts.append(np.full(len(run_vals), lo))
-        hw_values.append(run_vals)
-        hw.append(vecs[:, lo:hi] @ (w @ rot))
-    order = np.argsort(np.concatenate(starts), kind="stable")     # runs in increasing order
-    return np.concatenate(hw_values)[order], np.hstack(hw)[:, order]
+    full, r = np.linalg.qr(e, mode="complete")
+    w = full[:, e.shape[1]:]
+    vals, rot = np.linalg.eigh(w.T @ _block_apply(sites, w))
+    diag = np.abs(np.diagonal(r))
+    return vals, w @ rot, float(diag.min() / diag.max()) if diag.size else 1.0
 
 
 def _clear_lower_sectors(b: np.ndarray, sector: np.ndarray) -> None:
@@ -962,8 +887,7 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     the worst column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each
     basis word v of block mu.  The sweep holds every H block at once, so
     the size guard counts the entries of all of them (_check_guard with
-    held "all"), where classify_sectors counts only the dominant blocks it
-    solves.
+    held "all"), where classify_sectors counts one block and its sweep.
     """
     chain = OpenChain(n, N, q)
     _check_guard(chain, "all")

@@ -10,8 +10,9 @@ at a time.  The library builds every weight block from ranked words
 blocks to these paths bit for bit.  Likewise sector_warnings_pairwise
 composes classify_sectors' residual warnings by its own scan,
 highest_weight_svd is the kernel of F_1 from a full SVD, which
-classify_sectors replaced by the kernel per run of the solved blocks'
-eigenvectors, seminormal_loop builds
+classify_sectors replaced by range(E_1)^perp from one QR per rung,
+dominant_eigenpairs keeps the eigenvectors of the blocks that
+spectra._dominant_blocks solves values only, seminormal_loop builds
 the seminormal form one tableau and one generator at a time, where
 spectra.sector_hamiltonian works on arrays over all tableaux, and
 hook_length_product and hook_content_product are the cell-by-cell hook
@@ -38,7 +39,9 @@ from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
 from braidlab.spectra import (CLUSTER_RTOL, EIG_RESIDUAL_TOL, HW_TOL, LADDER_RESIDUALS,
-                              OpenChain, block_matrix, weight_basis)
+                              RESIDUAL_CHUNK, OpenChain, _block_apply, _dense, _dominant_blocks,
+                              _parity_halves, _w0_positions, block_matrix, weight_basis)
+from braidlab.tableaux import partitions_of
 from braidlab.states import TensorState, all_words
 
 
@@ -327,6 +330,54 @@ def highest_weight_svd(h, f):
     kernel = vt[int(np.count_nonzero(sv > HW_TOL * sv.max(initial=0.0))):].T
     vals, rot = np.linalg.eigh(kernel.T @ h @ kernel)
     return vals, kernel @ rot
+
+
+def dominant_eigenpairs(chain):
+    """content -> (words, increasing eigenvalues, eigenvectors) of each
+    weight block that spectra._dominant_blocks solves, one per partition
+    mu: one eigh of the dense block, or one per non-empty w0 parity half
+    (spectra._parity_halves) where w0 maps the block onto itself.  With I,
+    J = w0(I) and F the words that w0 swaps (I < J) and fixes, an
+    eigenvector (u_I, u_F) of the even half is u_I/sqrt2 on I and J and u_F
+    on F, one u of the odd half u/sqrt2 on I and -u/sqrt2 on J.  Each column
+    is oriented (its first component above 1e-12 in magnitude positive) and
+    its eigenpair checked against the block's site arrays, RESIDUAL_CHUNK
+    columns at a time, within EIG_RESIDUAL_TOL * max(1, |value|), or it is a
+    ValidationError."""
+    out = {}
+    shapes = partitions_of(chain.N, max_rows=chain.n)
+    for mu, (content, block) in zip(shapes, _dominant_blocks(chain).items()):
+        words, letters = block.basis, content[:len(mu)]
+        if letters != letters[::-1]:
+            vals, vecs = np.linalg.eigh(_dense(block.sites))
+        else:
+            w0 = _w0_positions(chain.n, chain.N, words, [0, len(words)], [len(mu)])
+            positions = np.arange(len(w0))
+            pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
+            k, scale = len(pairs), sqrt(0.5)
+            solved = [np.linalg.eigh(h) for h in _parity_halves(block.sites, w0, mu)]
+            vals = np.concatenate([v for v, _ in solved])
+            rank = np.argsort(vals, kind="stable")
+            column = np.empty_like(rank)
+            column[rank] = np.arange(len(rank))
+            vecs = np.zeros((len(w0), len(w0)))
+            even, odd = np.split(column, [k + len(fixed)])     # the columns of each half's values
+            for (_, u), cols, sign in zip(solved, (even, odd), (1.0, -1.0)):
+                vecs[pairs[:, None], cols] = u[:k] * scale
+                vecs[w0[pairs][:, None], cols] = u[:k] * (sign * scale)
+            vecs[fixed[:, None], even] = solved[0][1][k:]
+            vals = vals[rank]
+        for lo in range(0, vecs.shape[1], RESIDUAL_CHUNK):
+            v, lam = vecs[:, lo:lo + RESIDUAL_CHUNK], vals[lo:lo + RESIDUAL_CHUNK]
+            lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
+            v *= np.where(lead < 0, -1.0, 1.0)
+            resid = np.abs(_block_apply(block.sites, v) - v * lam).max(axis=0)
+            bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)))
+            if bad.size:
+                raise ValidationError(
+                    f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
+        out[content] = (words, vals, vecs)
+    return out
 
 
 def eigen_blocks(chain):

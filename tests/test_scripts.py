@@ -36,9 +36,11 @@ def test_sector_survey_passes_far_from_q_one():
 
 def test_sector_survey_keeps_close_sectors_apart():
     # at N = 10, q = 10 a sector-4 and a sector-5 value lie 7.6e-8 apart,
-    # inside the clustering tolerance; the case passes (exit 0)
+    # inside the clustering tolerance; the case passes (exit 0) and prints
+    # the worst rank margin of its E_1 maps
     lines = run_script("sector_survey.py", "--N", "10", "--q", "10").splitlines()
     assert lines[0] == "open chain n=2, N=10, q=10.0"
+    assert "rank margin of E_1: 2.22e-04" in lines
     assert lines[-2:] == ["PASS", "survey: 1 of 1 cases PASS"]
 
 

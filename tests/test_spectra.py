@@ -1,3 +1,4 @@
+import tracemalloc
 from decimal import Decimal, getcontext
 from math import comb, factorial, log, prod
 
@@ -9,10 +10,10 @@ from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.hecke import bracket
 from braidlab.states import TensorState
 
-from oracles import (block_map, dense_hamiltonian, eigen_blocks, hamiltonian_apply,
-                     highest_weight_svd, multiset_permutations, reference_clusters,
-                     sector_warnings_pairwise, seminormal_loop, state_to_dense,
-                     symmetry_residual_per_word)
+from oracles import (block_map, dense_hamiltonian, dominant_eigenpairs, eigen_blocks,
+                     hamiltonian_apply, highest_weight_svd, multiset_permutations,
+                     reference_clusters, sector_warnings_pairwise, seminormal_loop,
+                     state_to_dense, symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -127,15 +128,9 @@ def test_diagonalize_matches_dense_oracle():
         assert deco.total_dimension() == n ** N
 
 
-def _solved(chain):
-    """The dominant blocks, eigenvectors checked, as classify_sectors solves them."""
-    return spectra._dominant_blocks(chain, True)[0]
-
-
 def test_eigenvector_residuals_and_orthonormality():
     chain = spectra.OpenChain(2, 4, Q)
-    for content, block in _solved(chain).items():
-        words, vecs = block.basis, block.vectors
+    for content, (words, values, vecs) in dominant_eigenpairs(chain).items():
         gram = vecs.T @ vecs
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-12
         for col in range(vecs.shape[1]):
@@ -143,15 +138,15 @@ def test_eigenvector_residuals_and_orthonormality():
                                     for w, c in zip(words.tolist(), vecs[:, col])
                                     if c != 0.0})
             resid = hamiltonian_apply(chain, st).sub(
-                st.scale(block.values[col])).norm()
+                st.scale(values[col])).norm()
             assert resid < 1e-10
 
 
 def test_eigenvector_first_component_positive():
     # blocks wider than RESIDUAL_CHUNK (n=2, N=10) are oriented chunk by chunk
     for n, N in [(2, 10), (3, 5), (4, 4)]:
-        for content, block in _solved(spectra.OpenChain(n, N, Q)).items():
-            for v in block.vectors.T:
+        for content, (_, _, vecs) in dominant_eigenpairs(spectra.OpenChain(n, N, Q)).items():
+            for v in vecs.T:
                 assert v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0, (n, N, content)
 
 
@@ -169,7 +164,7 @@ def test_eigenpair_check_covers_every_chunk(monkeypatch):
     assert spectra.RESIDUAL_CHUNK <= 200
     monkeypatch.setattr(spectra.np.linalg, "eigh", corrupt_eigh)
     with pytest.raises(ValidationError, match="eigenpair residual"):
-        _solved(spectra.OpenChain(2, 10, Q))
+        dominant_eigenpairs(spectra.OpenChain(2, 10, Q))
 
 
 def test_one_eigh_per_parity_half_of_each_solved_block(monkeypatch):
@@ -186,10 +181,10 @@ def test_one_eigh_per_parity_half_of_each_solved_block(monkeypatch):
     monkeypatch.setattr(spectra.np.linalg, "eigh", counting_eigh)
     for n, N, expected in [(2, 12, 8), (2, 13, 7)]:
         calls.clear()
-        _solved(spectra.OpenChain(n, N, Q))
+        dominant_eigenpairs(spectra.OpenChain(n, N, Q))
         assert len(calls) == expected, (n, N)
     calls.clear()
-    _solved(spectra.OpenChain(3, 6, Q))
+    dominant_eigenpairs(spectra.OpenChain(3, 6, Q))
     widths = {(6,): [1], (5, 1): [6], (4, 2): [15], (4, 1, 1): [18, 12], (3, 3): [14, 6],
               (3, 2, 1): [60], (2, 2, 2): [51, 39]}
     assert sorted(calls) == sorted(w for ws in widths.values() for w in ws)
@@ -219,8 +214,8 @@ def test_self_mirrored_block_columns_are_w0_even_or_odd():
     for n, N in [(2, 12), (3, 6), (4, 5)]:
         for q in (0.3, 0.7, 1.5, 3.0):
             split = 0
-            for content, block in _solved(spectra.OpenChain(n, N, q)).items():
-                words, vecs = block.basis, block.vectors
+            solved = dominant_eigenpairs(spectra.OpenChain(n, N, q))
+            for content, (words, _, vecs) in solved.items():
                 letters = _w0_alphabet(content)
                 if letters is None:
                     continue
@@ -245,11 +240,11 @@ def test_vectors_path_with_a_wrong_w0_fails_the_check(monkeypatch):
 
     monkeypatch.setattr(spectra, "_w0_positions", rolled)
     with pytest.raises(ValidationError, match="w0 symmetry residual"):
-        _solved(spectra.OpenChain(2, 6, Q))
+        dominant_eigenpairs(spectra.OpenChain(2, 6, Q))
 
 
 def test_site_array_product_matches_block_matrix():
-    # the H V that _orient_and_check forms, against the dense block
+    # the H V that the sweep's eigen residual forms, against the dense block
     rng = np.random.default_rng(8)
     for n, N_max in [(2, 8), (3, 6), (4, 5)]:
         for N in range(1, N_max + 1):
@@ -267,8 +262,7 @@ def test_site_array_product_matches_block_matrix():
 def test_blocks_mutually_orthogonal_across_clusters():
     # eigenvectors of different clusters living in the same weight block are
     # orthogonal to each other, not just within their own cluster
-    for content, block in _solved(spectra.OpenChain(2, 5, Q)).items():
-        stacked = block.vectors
+    for content, (_, _, stacked) in dominant_eigenpairs(spectra.OpenChain(2, 5, Q)).items():
         gram = stacked.T @ stacked
         assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10
 
@@ -676,13 +670,13 @@ def test_ladder_termination():
 
 
 def _sectors_both_ways(monkeypatch, N, q):
-    """classify_sectors on the kernel per run of the dominant blocks'
-    eigenvectors, then on the full-SVD oracle (highest_weight_svd on the
-    dense block and F_1), each with its own solve."""
+    """classify_sectors on range(E_1)^perp from one QR per rung, then on the
+    full-SVD oracle (highest_weight_svd on the dense block and F_1), each
+    with its own solve."""
     fast = spectra.classify_sectors(spectra.OpenChain(2, N, q))
     with monkeypatch.context() as patch:
-        patch.setattr(spectra, "_highest_weight", lambda block, e, *below: highest_weight_svd(
-            spectra._dense(block.sites), e.T))
+        patch.setattr(spectra, "_hw_eigenpairs", lambda sites, e: (*highest_weight_svd(
+            spectra._dense(sites), e.T), 1.0))
         slow = spectra.classify_sectors(spectra.OpenChain(2, N, q))
     return fast, slow
 
@@ -704,9 +698,9 @@ def test_kernel_per_run_matches_the_svd_oracle(monkeypatch, q):
 def test_kernel_next_to_a_crossing_matches_the_svd_oracle(monkeypatch):
     # at q = sqrt(3) an N = 6 eigenvalue of sector 1 crosses one of sector 2
     # in block 2; at these q the two are a little more than the clustering
-    # tolerance apart, and eigh mixes their columns by about the size of the
-    # kernel cut (one-column runs at the clustering tolerance counted 8
-    # sector-2 ladders here, not 9)
+    # tolerance apart, where an eigh of the whole block mixes their columns
+    # (a kernel taken from one-column runs of block 2's eigenvectors at the
+    # clustering tolerance counted 8 sector-2 ladders here, not 9)
     for q in (1.7320506495688772, 1.7320509703188771, 1.732051002318877):
         fast, slow = _sectors_both_ways(monkeypatch, 6, q)
         assert fast.m_observed == slow.m_observed == fast.m_predicted, q
@@ -741,33 +735,13 @@ def test_kernel_per_run_adds_no_warning_where_rounding_fails_the_gate(monkeypatc
 
 
 def test_highest_weight_vectors_do_not_leak_out_of_the_kernel():
-    # whole-block eigenvectors leave components of rounding over the gap
+    # whole-block eigenvectors left components of rounding over the gap
     # outside ker F_1 (hw residual about 1e-10 at N = 12 without the
-    # projection), which the ladder amplifies
+    # projection), which the ladder amplifies; the complement of range(E_1)
+    # and the clearing on every rung keep them at rounding
     rep = spectra.classify_sectors(spectra.OpenChain(2, 12, 1.3))
     assert max(lad.hw_residual for lads in rep.sectors.values() for lad in lads) < 1e-13
     assert rep.ok
-
-
-def test_longer_runs_take_the_kernel_from_their_own_svd():
-    # merging a block's values into one run, or into runs of two, sends the
-    # kernel through the per-run SVD and compressed eigh of longer runs;
-    # before the sweep projects them (_clear_lower_sectors) the kernel of
-    # F_1 and the values of H on it still match the full-SVD oracle
-    for N, q in [(6, 1.3), (7, 0.8), (8, 2.0)]:
-        chain = spectra.OpenChain(2, N, q)
-        solved = _solved(chain)
-        for m in range(1, N // 2 + 1):
-            block = solved[N - m, m]
-            d = len(block.values)
-            e = spectra.coproduct_block(chain, "E", 1, spectra.weight_basis(2, N, (N - m + 1, m - 1)),
-                                        block.basis)
-            want_vals, want = highest_weight_svd(spectra._dense(block.sites), e.T)
-            for runs in ([(0, d)], [(lo, min(lo + 2, d)) for lo in range(0, d, 2)]):
-                vals, b = spectra._highest_weight(block, e, runs)
-                assert vals.shape == want_vals.shape, (N, m, runs)
-                assert np.abs(vals - want_vals).max(initial=0.0) < 1e-9, (N, m)
-                assert np.abs(b @ b.T - want @ want.T).max() < 1e-8, (N, m)
 
 
 def test_f1e1_inverse_from_eigenvectors():
@@ -821,18 +795,50 @@ def test_f1_block_map_is_e1_transpose():
                         assert np.array_equal(f, e.T), (n, N, q, content, j)
 
 
+@pytest.mark.parametrize("q", [0.7, 1.0, 1.5, 2.0])
+def test_ladder_values_are_the_seminormal_spectra(q):
+    # the slow path for each sector k: the values of rho_(N-k, k)(H) in
+    # Young's seminormal form, one eigvalsh of a matrix that shares nothing
+    # with the sweep; q = 1 is the most degenerate case
+    for N in range(1, 11):
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
+        for k, lads in rep.sectors.items():
+            want = np.linalg.eigvalsh(spectra.sector_hamiltonian((N - k, k) if k else (N,), q))
+            got = np.sort([lad.eigenvalue for lad in lads])
+            assert got.shape == want.shape, (N, k)
+            assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))).all(), (N, k)
+
+
+def test_rank_margin_is_bounded_by_the_condition_of_e1():
+    # min |R_ii| >= sigma_min(E_1) and max |R_ii| <= sigma_max(E_1), so the
+    # reported margin of every rung lies between 1 / cond(E_1) and 1; with
+    # no E_1 column (N = 1) it is 1
+    assert spectra.classify_sectors(spectra.OpenChain(2, 1, Q)).rank_margin == 1.0
+    for N in range(2, 10):
+        for q in (0.7, 1.0, 1.5, 1e3):
+            chain = spectra.OpenChain(2, N, q)
+            inverse_cond = 1.0
+            for m in range(1, N // 2 + 1):
+                below, block = (spectra.weight_basis(2, N, (N - k, k)) for k in (m - 1, m))
+                e = spectra.coproduct_block(chain, "E", 1, below, block)
+                sv = np.linalg.svd(e, compute_uv=False)
+                inverse_cond = min(inverse_cond, sv.min() / sv.max())
+            margin = spectra.classify_sectors(chain).rank_margin
+            assert inverse_cond * (1 - 1e-9) <= margin <= 1.0, (N, q)
+
+
 def test_ladder_check_flags_a_non_highest_weight_vector(monkeypatch):
     # a basis word of block 1 is neither killed by F_1 nor an eigenvector,
     # so every residual of its ladder must be far from zero
     N, q = 6, 1.3
 
-    def one_basis_column(block, e, *below):
-        d = len(block.values)
+    def one_basis_column(sites, e):
+        d = len(sites[0])
         if e.shape[1] != 1:     # only block 1 maps onto the one-word block 0
-            return np.zeros(0), np.zeros((d, 0))
-        return np.array([1.0]), np.eye(d)[:, :1]
+            return np.zeros(0), np.zeros((d, 0)), 1.0
+        return np.array([1.0]), np.eye(d)[:, :1], 1.0
 
-    monkeypatch.setattr(spectra, "_highest_weight", one_basis_column)
+    monkeypatch.setattr(spectra, "_hw_eigenpairs", one_basis_column)
     chain = spectra.OpenChain(2, N, q)
     rep = spectra.classify_sectors(chain)
     assert rep.m_observed == {0: 0, 1: 1, 2: 0, 3: 0} and not rep.ok
@@ -903,6 +909,19 @@ def test_sectors_close_in_value_keep_their_own_clusters(N, q):
     assert report.ok, (report.mismatches, report.sector_report.warnings)
 
 
+@pytest.mark.parametrize("q", [1e3, 1e5])
+def test_far_q_sector_counts_come_from_structure(q):
+    # E_1 into block 4 of N = 8 has a rank margin of 2e-9 (q = 1e3) and
+    # 2e-15 (q = 1e5): a rank counted against HW_TOL times the largest
+    # singular value kept 42 sector-4 ladders at q = 1e3, not 14, and 48
+    # sector-3 ladders at q = 1e5, not 28.  The complement of range(E_1) has
+    # d_m - d_(m-1) columns at any margin, and every rung's open ladders
+    # match the block's values; ladder residuals above HW_TOL may remain
+    rep = spectra.classify_sectors(spectra.OpenChain(2, 8, q))
+    assert rep.m_observed == rep.m_predicted
+    assert not [w for w in rep.warnings if w.startswith("rung ")]
+
+
 def test_clusters_of_each_shape_add_up_to_its_dimension():
     # a cluster is a run of one irrep's values: the clusters of lambda hold
     # f^lambda ssyt_dim(lambda, n) states, from diagonalize for every n and
@@ -928,16 +947,16 @@ def test_rung_check_flags_ladder_values_off_the_block(monkeypatch):
     # not): from rung 2 on, the sorted open-ladder values miss the solved
     # eigenvalues of block m by 1e-6, past EIG_RESIDUAL_TOL * max(1, |value|)
     N, q = 6, 1.5
-    real = spectra._highest_weight
+    real = spectra._hw_eigenpairs
 
-    def moved(block, e, *below):
-        vals, vecs = real(block, e, *below)
-        if len(block.values) == comb(N, 2):     # blocks 0..3 differ in size
+    def moved(sites, e):
+        vals, vecs, margin = real(sites, e)
+        if len(sites[0]) == comb(N, 2):     # blocks 0..3 differ in size
             vals = vals.copy()
             vals[0] += 1e-6
-        return vals, vecs
+        return vals, vecs, margin
 
-    monkeypatch.setattr(spectra, "_highest_weight", moved)
+    monkeypatch.setattr(spectra, "_hw_eigenpairs", moved)
     rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
     assert rep.m_observed == rep.m_predicted
     assert [w.split(":")[0] for w in rep.warnings if w.startswith("rung ")] == ["rung 2", "rung 3"]
@@ -1047,10 +1066,10 @@ def test_diagonalize_guard():
     with pytest.raises(SizeGuardError):
         spectra.diagonalize(spectra.OpenChain(4, 10, Q))
     # allowed past the dense cap on n^N through the weight blocks: n = 2,
-    # N = 13 (largest block 1716) with every eigenvector, and n = 3, N = 9
+    # N = 13 (largest block 1716) with the sector sweep, and n = 3, N = 9
     # (largest block 1680) values only
     spectra._check_guard(spectra.OpenChain(2, 13, Q), "sectors")
-    _solved(spectra.OpenChain(2, 13, Q))
+    spectra._dominant_blocks(spectra.OpenChain(2, 13, Q))
     spectra.diagonalize(spectra.OpenChain(3, 9, Q))
 
 
@@ -1093,7 +1112,7 @@ def test_guard_env_override(monkeypatch):
         spectra.diagonalize(spectra.OpenChain(3, 5, Q))
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "30")
     spectra.diagonalize(spectra.OpenChain(3, 5, Q))
-    _solved(spectra.OpenChain(3, 5, Q))
+    dominant_eigenpairs(spectra.OpenChain(3, 5, Q))
     with pytest.raises(SizeGuardError, match="4653 entries"):
         spectra.symmetry_residual(3, 5, Q)
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "40")
@@ -1101,27 +1120,46 @@ def test_guard_env_override(monkeypatch):
 
 
 def test_guard_counts_the_sector_sweep(monkeypatch):
-    # n = 2, N = 8 at limit 80: the eigenvectors of blocks 0..4 hold 8885
-    # entries, under 3 * 80^2 = 19200, but the sweep at rung 4 adds the two
-    # E_1 maps, F_1 V and the E_1 image of the ladders (70 x 56 each) and
-    # the open-ladder array (70 x 70): 29465 in all, refused before any
-    # block is solved.  At the default limit N = 14 is refused the same way
-    # (78,951,420 entries) and N = 13 admitted (test_diagonalize_guard)
+    # n = 2, N = 8 at limit 80: the widest block, solved for its values,
+    # holds 4900 entries, under 3 * 80^2 = 19200, but the sweep at rung 4
+    # adds the two E_1 maps, the E_1 image of the ladders, R and the copy of
+    # E_1 that the QR factors (70 x 56 each), the open-ladder array and Q
+    # (70 x 70 each): 34300 in all, refused before any block is solved.  At
+    # the default limit N = 14 is refused the same way (86,867,352 entries)
+    # and N = 13 admitted (test_diagonalize_guard)
     def unsolved(*args):
         raise AssertionError("a block was solved")
 
     monkeypatch.setattr(spectra, "_dominant_blocks", unsolved)
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "80")
-    assert sum(comb(8, m) ** 2 for m in range(5)) == 8885
+    assert comb(8, 4) ** 2 == 4900
     spectra._check_guard(spectra.OpenChain(2, 8, Q), None)
-    with pytest.raises(SizeGuardError, match="29465 entries"):
+    with pytest.raises(SizeGuardError, match="34300 entries"):
         spectra.verify_decomposition(2, 8, Q)
     monkeypatch.delenv("BRAIDLAB_MAX_DIM")
-    with pytest.raises(SizeGuardError, match="78951420 entries"):
+    with pytest.raises(SizeGuardError, match="86867352 entries"):
         spectra.verify_decomposition(2, 14, Q)
     monkeypatch.undo()
-    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "100")       # 3 * 100^2 = 30000
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "107")       # 3 * 107^2 = 34347
     assert spectra.verify_decomposition(2, 8, Q).ok
+
+
+@pytest.mark.parametrize("limit, N", [(390, 10), (713, 11)])
+def test_sector_sweep_peak_stays_within_the_guard(monkeypatch, limit, N):
+    # at each limit N is the longest n = 2 chain the "sectors" count admits,
+    # and the memory that classify_sectors traces at its peak stays within
+    # the held-entries bound, 3 * limit^2 float64 entries
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", str(limit))
+    spectra._check_guard(spectra.OpenChain(2, N, Q), "sectors")
+    with pytest.raises(SizeGuardError):
+        spectra._check_guard(spectra.OpenChain(2, N + 1, Q), "sectors")
+    tracemalloc.start()
+    try:
+        assert spectra.classify_sectors(spectra.OpenChain(2, N, Q)).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spectra.HELD_BLOCKS_MULTIPLE * limit ** 2 * 8
 
 
 def test_guard_refuses_holding_every_block_past_memory():
@@ -1135,20 +1173,21 @@ def test_guard_refuses_holding_every_block_past_memory():
     deco = spectra.diagonalize(chain)
     assert deco.total_dimension() == 11 ** 6
     assert sum(len(irrep.values) * irrep.multiplicity for irrep in deco.irreps.values()) == 11 ** 6
-    solved = _solved(chain)
-    assert sum(len(block.values) * spectra._orbit_size(11, content)
-               for content, block in solved.items()) == 11 ** 6
-    assert sum(block.vectors.size for block in solved.values()) == 708062
+    solved = dominant_eigenpairs(chain)
+    assert sum(len(values) * spectra._orbit_size(11, content)
+               for content, (_, values, _) in solved.items()) == 11 ** 6
+    assert sum(vecs.size for _, _, vecs in solved.values()) == 708062
 
 
 def test_deterministic_output():
     a = spectra.diagonalize(spectra.OpenChain(2, 4, Q))
     b = spectra.diagonalize(spectra.OpenChain(2, 4, Q))
     assert a.eigenvalues == b.eigenvalues
-    a, b = _solved(spectra.OpenChain(2, 4, Q)), _solved(spectra.OpenChain(2, 4, Q))
+    a, b = (dominant_eigenpairs(spectra.OpenChain(2, 4, Q)),
+            dominant_eigenpairs(spectra.OpenChain(2, 4, Q)))
     for content in a:
-        assert np.array_equal(a[content].values, b[content].values)
-        assert np.array_equal(a[content].vectors, b[content].vectors)
+        assert np.array_equal(a[content][1], b[content][1])
+        assert np.array_equal(a[content][2], b[content][2])
 
 
 def test_open_chain_validation():
@@ -1271,19 +1310,18 @@ def test_vectors_path_clusters_match_the_per_content_reference(q):
     # run of a solved block's columns spans the reference's eigenspace
     for n, N in SIZES_REFERENCE:
         chain = spectra.OpenChain(n, N, q)
-        (solved, irreps), reference = spectra._dominant_blocks(chain, True), eigen_blocks(chain)
+        solved, reference = dominant_eigenpairs(chain), eigen_blocks(chain)
         values, multiplicities, tol = reference_clusters(reference)
-        counted = np.sort(np.concatenate([np.repeat(block.values, spectra._orbit_size(n, content))
-                                          for content, block in solved.items()]))
+        counted = np.sort(np.concatenate([np.repeat(vals, spectra._orbit_size(n, content))
+                                          for content, (_, vals, _) in solved.items()]))
         assert len(counted) == sum(multiplicities), (n, N)
         assert np.abs(counted - np.repeat(values, multiplicities)).max() < 1e-12, (n, N)
-        assert irreps == {}
-        for content, block in solved.items():
+        for content, (words, vals, vectors) in solved.items():
             want_words, want_values, want = reference[content]
-            assert np.array_equal(block.basis, want_words), (n, N, content)
-            for lo, hi in spectra._runs(block.values, tol):
-                vecs = block.vectors[:, lo:hi]
-                w = want[:, np.abs(want_values - block.values[lo:hi].mean()) <= tol]
+            assert np.array_equal(words, want_words), (n, N, content)
+            for lo, hi in spectra._runs(vals, tol):
+                vecs = vectors[:, lo:hi]
+                w = want[:, np.abs(want_values - vals[lo:hi].mean()) <= tol]
                 assert np.abs(vecs @ vecs.T - w @ w.T).max() < 1e-9, (n, N, content)
 
 
@@ -1328,7 +1366,7 @@ def test_w0_parity_halves_have_the_spectrum_of_the_whole_block(monkeypatch):
                     widths = []
                     monkeypatch.setattr(spectra.np.linalg, "eigvalsh",
                                         lambda m: widths.append(len(m)) or real(m))
-                    got, _ = spectra._solve_block(block, w0, content, False)
+                    got = spectra._solve_block(block, w0, content)
                     monkeypatch.undo()
                     assert np.abs(got - want).max() <= 1e-12, (content, q)
                     assert widths == [w for w in (pairs + fixed, pairs) if w], (content, q)
@@ -1375,14 +1413,15 @@ def test_values_only_check_catches_a_perturbed_block(monkeypatch):
 
 
 def test_classify_sectors_solves_the_vectors_it_needs(monkeypatch):
-    # classify_sectors takes the chain and solves the dominant blocks with
-    # their eigenvectors itself; it is defined for n = 2 only
-    real = spectra._dominant_blocks
+    # classify_sectors takes the chain and solves the highest weight vectors
+    # of blocks 0..N/2 itself, one QR of the E_1 map into each (block 0 has
+    # no block below it); it is defined for n = 2 only
+    real = spectra._hw_eigenpairs
     asked = []
-    monkeypatch.setattr(spectra, "_dominant_blocks",
-                        lambda chain, vectors: asked.append(vectors) or real(chain, vectors))
+    monkeypatch.setattr(spectra, "_hw_eigenpairs",
+                        lambda sites, e: asked.append(e.shape) or real(sites, e))
     assert spectra.classify_sectors(spectra.OpenChain(2, 4, Q)).ok
-    assert asked == [True]
+    assert asked == [(1, 0), (4, 1), (6, 4)]
     with pytest.raises(ValidationError, match="n=2"):
         spectra.classify_sectors(spectra.OpenChain(3, 4, Q))
 

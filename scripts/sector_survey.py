@@ -11,8 +11,10 @@ worst of each ladder residual over the sector: highest weight
 relative), termination (|E_1 v| at the top rung) and eigenvalue
 persistence, each per |v|.  Totals are checked against 2^N, followed by
 the rank margin of E_1, min |R_ii| / max |R_ii| of its QR at the worst rung
-(compared with no threshold), and each case ends in PASS or FAIL as its
-report does.  Exits 1 when any case fails.
+(compared with no threshold), and the rung residual, the worst difference
+on any rung up to the middle between the sorted open-ladder values and the
+seminormal spectra of the sectors that rung holds; each case ends in PASS
+or FAIL as its report does.  Exits 1 when any case fails.
 """
 
 import argparse
@@ -57,6 +59,7 @@ def survey(N: int, q: float) -> bool:
         total += m_k * d_k
     print(f"sum m_k d_k = {total} = 2^{N}: {total == 2 ** N}")
     print(f"rank margin of E_1: {rep.rank_margin:.2e}")
+    print(f"rung residual: {rep.rung_residual:.2e}")
     if rep.warnings:
         print("warnings:")
         for w in rep.warnings:

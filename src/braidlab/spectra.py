@@ -7,7 +7,7 @@ space is only ever assembled by the test oracles.  By q-Schur-Weyl duality
 modules rho_lambda, lambda a partition of N with at most n rows, each
 ssyt_dim(lambda, n) times, and weight block mu holds spec rho_lambda(H)
 K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
-form (sector_hamiltonian).  So diagonalize solves one block per partition
+form (_seminormal_forms).  So diagonalize solves one block per partition
 mu, values only (_dominant_blocks), and checks it against those spectra;
 each of its clusters is a run of one irrep's values and keeps its lambda.
 
@@ -26,10 +26,10 @@ vector killed by F_1 in block k and carries an E_1-ladder of N - 2k + 1
 states with closed-form F_1 E_1 coefficients kappa_m = [N-k-m]_q
 [m-k+1]_q, checked on every rung.  Below the middle F_1 = E_1^T and E_1 is
 injective, so ker F_1 = range(E_1)^perp, taken from one complete QR of E_1
-per rung with H compressed onto it (_hw_eigenpairs): no eigenvector of a
-whole block is solved.  Every rung clears each ladder of the lower
-sectors' ladders, and classify_sectors builds the n = 2 clusters from the
-ladders of each sector.
+per rung with H compressed onto it (_hw_eigenpairs) and no weight block
+built dense.  Every rung clears each ladder of the lower sectors' ladders
+and checks their values against the seminormal spectra; the n = 2 clusters
+come from the ladders of each sector.
 """
 
 from collections import Counter
@@ -43,8 +43,7 @@ import numpy as np
 from .errors import (HELD_BLOCKS_MULTIPLE, ValidationError, check_dense_dim,
                      check_held_entries)
 from .qalgebra import check_label, dicke_labels, q_number
-from .tableaux import (check_partition, kostka, multinomial, partitions_of, ssyt_dim,
-                       standard_tableaux, syt_dim)
+from .tableaux import kostka, multinomial, partitions_of, ssyt_dim, standard_tableaux, syt_dim
 
 CLUSTER_RTOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-9
@@ -77,13 +76,6 @@ class EigenCluster:
     shape: tuple
     sector: int | None = None
     hw_residual: float | None = None
-
-
-class WeightBlock(NamedTuple):
-    """One weight block as _dominant_blocks solved it, values only."""
-    basis: np.ndarray       # (d, N) lexicographic words, a slice of weight_blocks' array
-    sites: tuple            # H on the block as site arrays (_sites_by_block)
-    values: np.ndarray      # its eigenvalues, increasing
 
 
 class Irrep(NamedTuple):
@@ -346,16 +338,17 @@ def _orbit_size(n: int, shape) -> int:
 def _check_guard(chain: OpenChain, held: str | None) -> None:
     """One dense guard for every n: the largest weight block, the
     multinomial of the most even content, must be at most max_dense_dim().
-    What a caller holds at once, held "sectors" (classify_sectors, n = 2: one
-    dense block at a time for its values, the widest, and the sweep at its
-    widest rung m, the E_1 maps into and out of block m, the d_m x d_m
-    ladder array and its E_1 image, and for m <= N/2 the complete QR of the
-    E_1 map into block m: Q, R and the copy of the map that numpy factors)
-    or "all" (H on every block, symmetry_residual), must also hold at most
-    HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2 entries: 384 MiB at the
-    default 4096.  So "sectors" admits n = 2, N = 13 (21,348,756 entries)
-    and refuses N = 14 (86,867,352), and "all" refuses n = 11, N = 6 (about
-    4,787 MiB)."""
+    What a caller holds at once must also stay within HELD_BLOCKS_MULTIPLE
+    = 3 times max_dense_dim()^2 entries, 384 MiB at the default 4096: held
+    "all" (symmetry_residual) counts H on every block, held "sectors"
+    (classify_sectors, n = 2) the builder arrays its sweep keeps, from their
+    sizes (the words and H's site arrays, N 2^N entries each, and the E_1
+    terms of _coproduct_maps, 3 N 2^(N-1)), and its widest rung m: the E_1
+    maps into and out of block m, the d_m x d_m ladder array and its E_1
+    image, and for m <= N/2 Q, R and the copy of the E_1 map that numpy's
+    complete QR factors.  So "sectors" admits n = 2, N = 13 (18,776,836
+    entries) and refuses N = 14 (75,891,544), and "all" refuses n = 11,
+    N = 6 (about 4,787 MiB)."""
     n, N = chain.n, chain.N
     base, extra = divmod(N, min(n, N))
     largest = multinomial([base + 1] * extra + [base] * (min(n, N) - extra))
@@ -366,11 +359,10 @@ def _check_guard(chain: OpenChain, held: str | None) -> None:
         check_held_entries(entries, f"open chain n={n}, N={N}: all weight blocks at once")
     elif held == "sectors":
         d = [comb(N, m) for m in range(N + 1)] + [0]       # d[-1] = d[N + 1] = 0
-        entries = largest ** 2 + max(
+        entries = 7 * N * 2 ** (N - 1) + max(
             d[m] * (d[m - 1] + d[m] + 2 * d[m + 1] + (2 * d[m - 1] + d[m] if 2 * m <= N else 0))
             for m in range(N + 1))
-        check_held_entries(entries, f"open chain n={n}, N={N}: a weight block and the "
-                                    "sector sweep at once")
+        check_held_entries(entries, f"open chain n={n}, N={N}: the sector sweep's arrays")
 
 
 def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
@@ -406,22 +398,20 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
     sorted union of K_{lambda mu} (tableaux.kostka) copies of the spectra
     within EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or it is a
     ValidationError, and each residual counts towards the lambda it is
-    compared with.  The spectra are kept as irreps.  Each cluster is a run
-    (_runs) of one irrep's values irreps[lambda].values at tol =
-    CLUSTER_RTOL * max(1, max |eigenvalue|), valued at the run's mean, with
-    multiplicity the run's length times ssyt_dim(lambda, n); the clusters
-    are sorted by value.  So a cluster never holds two lambda, and an exact
-    crossing of two irreps gives two clusters.  The guard (_check_guard)
-    bounds the largest block before any block is solved.
+    compared with.  The spectra, with tol, come from _seminormal_spectra and
+    are kept as irreps.  Each cluster is a run (_runs) of one irrep's values
+    at tol, valued at the run's mean, with multiplicity the run's length
+    times ssyt_dim(lambda, n); the clusters are sorted by value.  So a
+    cluster never holds two lambda, and an exact crossing of two irreps
+    gives two clusters.  The guard (_check_guard) bounds the largest block
+    before any block is solved.
     """
     _check_guard(chain, None)
     n, N, q = chain.n, chain.N, chain.q
-    shapes = partitions_of(N, max_rows=n)
-    shape_values = [np.linalg.eigvalsh(sector_hamiltonian(lam, q)) for lam in shapes]
+    shapes, shape_values, tol = _seminormal_spectra(chain)
     worst = np.zeros(len(shapes))
     # the blocks come in the order of the partitions they are solved for
-    for mu, block in zip(shapes, _dominant_blocks(chain).values()):
-        vals = block.values
+    for mu, vals in zip(shapes, _dominant_blocks(chain).values()):
         copies = [kostka(lam, mu) for lam in shapes]
         want = np.concatenate([np.tile(s, k) for s, k in zip(shape_values, copies)])
         if len(want) != len(vals):
@@ -438,7 +428,6 @@ def diagonalize(chain: OpenChain) -> SpectralDecomposition:
         np.maximum.at(worst, owner[order], resid)
     irreps = {lam: Irrep(s, ssyt_dim(lam, n), float(w))
               for lam, s, w in zip(shapes, shape_values, worst)}
-    tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(irrep.values).max()) for irrep in irreps.values()))
     clusters = [c for lam, irrep in irreps.items()
                 for c in _run_clusters(irrep.values, tol, irrep.multiplicity, lam)]
     clusters.sort(key=lambda c: c.value)
@@ -458,8 +447,8 @@ def _run_clusters(values: np.ndarray, tol: float, copies: int, shape: tuple,
 
 
 def _dominant_blocks(chain: OpenChain) -> dict:
-    """content -> WeightBlock, values only, one per partition mu of N with
-    at most n rows, in the order of partitions_of.
+    """content -> its increasing eigenvalues, one block per partition mu of
+    N with at most n rows, in the order of partitions_of.
 
     Block mu has spectrum the union over lambda of K_{lambda mu} copies of
     spec rho_lambda(H), and K does not depend on the order of mu, so every
@@ -484,8 +473,7 @@ def _dominant_blocks(chain: OpenChain) -> dict:
     w0 = _w0_positions(n, N, np.concatenate([words[bounds[b]:bounds[b + 1]] for b in mirrored]),
                        ends, [len(solved[b]) for b in mirrored])
     images = {b: w0[lo:hi] for b, lo, hi in zip(mirrored, ends, ends[1:])}
-    return {content: WeightBlock(words[bounds[b]:bounds[b + 1]], sites[b],
-                                 _solve_block(sites[b], images.get(b), mu))
+    return {content: _solve_block(sites[b], images.get(b), mu)
             for b, (mu, content) in enumerate(zip(shapes, contents))}
 
 
@@ -540,11 +528,10 @@ def _parity_halves(block: tuple, w0: np.ndarray, mu) -> tuple:
     return (even, odd) if k else (even,)
 
 
-def sector_hamiltonian(shape, q: float) -> np.ndarray:
-    """rho_lambda(H) = sum_i r_i on the irreducible Hecke module of a shape
-    lambda, in Young's seminormal form (Hoefsmit 1974; Ram 1997) over its
-    standard tableaux (tableaux.standard_tableaux), as a dense symmetric
-    f^lambda x f^lambda matrix.
+def _seminormal_forms(shapes, q: float) -> list:
+    """rho_lambda(H) = sum_i r_i as a dense symmetric f^lambda x f^lambda
+    matrix for each shape lambda of a list of partitions of one N, in
+    Young's seminormal form (Hoefsmit 1974; Ram 1997).
 
     With d = c(i+1) - c(i), the content (column - row) of entry i+1 minus
     that of entry i in tableau S, r_i has the diagonal entry q^(d-1) / [d]_q
@@ -552,36 +539,53 @@ def sector_hamiltonian(shape, q: float) -> np.ndarray:
     that s_i S, the tableau with the two swapped, is standard) the entry
     sqrt(1 - [d]_q^-2) / q between S and s_i S: each 2 x 2 block has trace
     1 - q^-2 and determinant -q^-2, the eigenvalues 1 and -q^-2 of r.
-    Built from arrays over all tableaux at once: the tableaux are Yamanouchi
-    words in lexicographic order, so s_i S is found from its key like a
-    swapped word of a weight block (_rank, _block_sites), and each entry is
-    a Python float from a table over the d that occur (_seminormal_entries,
-    accurate near q = 1 and bounded where q^(N-1) is not).  f^lambda
-    (syt_dim) past max_dense_dim() is a SizeGuardError.
+    The standard tableaux of every shape, Yamanouchi words, are laid end to
+    end like weight blocks and ranked once (_rank): s_i S is found from its
+    key like a swapped word (_sites_by_block), and each shape takes its
+    slice of every step.  Each entry is a Python float from a table over the
+    d that occur (_seminormal_entries, accurate near q = 1 and bounded where
+    q^(N-1) is not).  f^lambda past max_dense_dim() is a SizeGuardError.
     """
-    shape = check_partition(shape)
     if not isfinite(q) or q <= 0:
         raise ValidationError("q must be positive and finite")
-    check_dense_dim(syt_dim(shape), f"seminormal form of shape {shape}")
-    N, R = sum(shape), len(shape)
-    rows = standard_tableaux(shape)
+    for shape in shapes:
+        check_dense_dim(syt_dim(shape), f"seminormal form of shape {tuple(shape)}")
+    per_shape = [standard_tableaux(shape) for shape in shapes]
+    rows, bounds = np.concatenate(per_shape), np.cumsum([0] + [len(t) for t in per_shape])
+    N, R = rows.shape[1], max(map(len, shapes))
     in_row = rows[:, :, None] == np.arange(R)
-    content = (np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - 1 - rows
-    d = np.diff(content, axis=1)
+    # d from column + 1 - row, the content shifted by one
+    d = np.diff((np.cumsum(in_row, axis=1) * in_row).sum(axis=2) - rows, axis=1)
     lo = int(d.min(initial=0))
     steps = range(lo, int(d.max(initial=0)) + 1)       # d is never 0
     t = log(q)
     diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
-    m = np.zeros((len(rows), len(rows)))
-    m[np.arange(len(rows)), np.arange(len(rows))] = diag[d - lo].sum(axis=1)
-    ranked = _rank(R, N, rows + 1)
+    diag = diag[d - lo].sum(axis=1)
+    forms = [np.diag(diag[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    ranked = _rank(R, N, rows + 1, bounds)
     words, powers = ranked.words, ranked.powers
     for i in range(N - 1):
         cols = np.flatnonzero(np.abs(d[:, i]) > 1)
         x, y = words[cols, i], words[cols, i + 1]
-        m[ranked.lookup(ranked.keys[cols] + (y - x) * (powers[i] - powers[i + 1])),
-          cols] = off[d[cols, i] - lo]
-    return m
+        swapped = ranked.lookup(ranked.keys[cols] + (y - x) * (powers[i] - powers[i + 1]))
+        entries, cut = off[d[cols, i] - lo], np.searchsorted(cols, bounds)
+        for m, a, b, start in zip(forms, cut[:-1], cut[1:], bounds):
+            m[swapped[a:b] - start, cols[a:b] - start] = entries[a:b]
+    return forms
+
+
+def sector_hamiltonian(shape, q: float) -> np.ndarray:
+    """rho_lambda(H) for one shape lambda: the one-shape call of _seminormal_forms."""
+    return _seminormal_forms([shape], q)[0]
+
+
+def _seminormal_spectra(chain: OpenChain) -> tuple[list, list, float]:
+    """The partitions lambda of N with at most n rows, spec rho_lambda(H) of
+    each and the clustering tolerance CLUSTER_RTOL * max(1, max |eigenvalue|)
+    over them: the one reference of diagonalize and classify_sectors."""
+    shapes = partitions_of(chain.N, max_rows=chain.n)
+    values = [np.linalg.eigvalsh(m) for m in _seminormal_forms(shapes, chain.q)]
+    return shapes, values, CLUSTER_RTOL * max(1.0, max(float(np.abs(v).max()) for v in values))
 
 
 def _seminormal_entries(d: int, t: float) -> tuple[float, float]:
@@ -654,59 +658,54 @@ class SectorReport:
     ok: bool
     clusters: list               # EigenClusters of every sector, by increasing value
     tol: float                   # the clustering tolerance, as diagonalize takes it
-    rung_residual: float         # worst |open-ladder value - block m's solved value|, m <= N/2
+    rung_residual: float         # worst |open-ladder value - seminormal value of block m|, m <= N/2
     rank_margin: float           # worst min |R_ii| / max |R_ii| of E_1 = QR into block m <= N/2
 
 
 def classify_sectors(chain: OpenChain) -> SectorReport:
     """Solve the n=2 chain sector by sector and verify every sector ladder,
-    in one sweep over the weight blocks m = 0..N.
+    in one sweep over the weight blocks m = 0..N, none of them built dense.
 
     By q-Schur-Weyl duality the sector-k eigenvectors of H are exactly the
     kernel of F_1 on weight block k <= N/2, which _hw_eigenpairs takes as
     range(E_1)^perp from one complete QR of the E_1 map into block k, with
     H compressed onto it and one f^lambda-wide eigh; rank_margin is the
-    worst min |R_ii| / max |R_ii| of those QRs, reported and compared with
-    no tolerance.  The dominant blocks m <= N/2, (N - m, m), are solved
-    values only (_dominant_blocks, under the guard _check_guard "sectors"),
-    and the blocks m > N/2 need only their words and H's site arrays, from
-    one pass of the builder (weight_blocks, _sites_by_block), so no dense H
-    block is built twice.  E_1 from every block m to m+1 comes from one
-    _coproduct_maps call over all blocks, and F_1 from block m to m-1 is the
-    transpose of the previous E_1 map, which it equals exactly in this
-    basis.  The open ladders are one column array, sectors increasing,
-    advanced once per block and cleared of the lower sectors on every rung
-    once block m's highest weight vectors join (_clear_lower_sectors).  H
-    from the block's site arrays (_block_apply) and E_1 by one dense product
-    check |H B - B Lambda|, the closed-form coefficient |E_1^T E_1 B - kappa
-    B| / kappa with kappa = [N-k-m]_q [m-k+1]_q (up to about 1e8), and at the
-    top rung m = N-k the termination |E_1 B|, each relative to the rung's
-    column norms and RESIDUAL_CHUNK columns at a time, and the hw residual
+    worst min |R_ii| / max |R_ii| of those QRs, compared with no tolerance.
+    Every block's words and H's site arrays come from one builder pass, and
+    E_1 from every block m to m+1 from one _coproduct_maps call, under the
+    guard _check_guard "sectors"; F_1 from block m to m-1 is the transpose
+    of the previous E_1 map, which it equals exactly in this basis.  The
+    open ladders are one column array, sectors increasing, advanced once
+    per block and cleared of the lower sectors on every rung once block m's
+    highest weight vectors join (_clear_lower_sectors).  H from the block's
+    site arrays (_block_apply) and E_1 by one dense product check |H B - B
+    Lambda|, the closed-form coefficient |E_1^T E_1 B - kappa B| / kappa
+    with kappa = [N-k-m]_q [m-k+1]_q (up to about 1e8), and at the top rung
+    m = N-k the termination |E_1 B|, each relative to the rung's column
+    norms and RESIDUAL_CHUNK columns at a time, and the hw residual
     |F_1 b| / |b| of each new highest weight vector b.  A sector whose worst
     hw, kappa, termination or eigen residual exceeds HW_TOL, or is NaN, gets
-    a warning.  On every rung m <= N/2 the sorted values of the open ladders
-    must also equal block m's solved eigenvalues within EIG_RESIDUAL_TOL *
-    max(1, |eigenvalue|), or the rung gets a warning; rung_residual is the
-    worst difference.  The clusters are the runs of each sector's ladder
-    values at tol = CLUSTER_RTOL * max(1, max |eigenvalue|) (_runs), each
-    valued at its mean, with multiplicity the run's ladders times N - 2k + 1
-    and the hw residual of its first ladder.  ok holds when the sector
-    counts match the prediction and there is no warning.
+    a warning.  Block m holds spec rho_(N-k,k)(H) once for each k <= m
+    (K_{(N-k,k),(N-m,m)} = 1), so on every rung m <= N/2 the sorted
+    open-ladder values must equal the sorted union of those seminormal
+    spectra (_seminormal_spectra, as in diagonalize) within
+    EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or the rung gets a warning;
+    rung_residual is the worst difference.  The clusters are the runs of
+    each sector's ladder values at diagonalize's tol (_runs), each valued at
+    its mean, with multiplicity the run's ladders times N - 2k + 1 and the
+    hw residual of its first ladder.  ok holds when the sector counts match
+    the prediction and there is no warning.
     """
     if chain.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
     _check_guard(chain, "sectors")
-    solved = _dominant_blocks(chain)
     N, q = chain.N, chain.q
-    lower = [solved[N - m, m] for m in range(N // 2 + 1)]
-    tol = CLUSTER_RTOL * max(1.0, max(float(np.abs(block.values).max()) for block in lower))
-    words, bounds = weight_blocks(2, N, [(N - m, m) for m in range(N // 2 + 1, N + 1)])
-    bases = [block.basis for block in lower] + np.split(words, bounds[1:-1])
-    sites = [block.sites for block in lower] + _sites_by_block(chain, words, bounds)
+    shapes, shape_values, tol = _seminormal_spectra(chain)     # shapes[k] = (N - k, k)
+    words, bounds = weight_blocks(2, N, [(N - m, m) for m in range(N + 1)])
+    sites = _sites_by_block(chain, words, bounds)
     # E_1 from every block m into m + 1 from one ranking, block N into an
     # empty block N + 1; each map is built as the sweep reaches it
-    e_maps = _coproduct_maps(chain, "E", 1, np.concatenate(bases),
-                             np.cumsum([0] + [len(basis) for basis in bases] + [0]),
+    e_maps = _coproduct_maps(chain, "E", 1, words, np.append(bounds, bounds[-1]),
                              [(m, m + 1) for m in range(N + 1)])
     sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
     warnings, rung_residual, rank_margin = [], 0.0, 1.0
@@ -717,19 +716,19 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     for m, (block_sites, e_up) in enumerate(zip(sites, e_maps)):
         fresh = len(sector)     # block m's highest weight vectors, if any, start here
         if m <= N // 2:
-            block = lower[m]
             hw_values, hw, margin = _hw_eigenpairs(block_sites, e_down)
             rank_margin = min(rank_margin, margin)
             b, values = np.hstack([b, hw]), np.concatenate([values, hw_values])
             sector = np.concatenate([sector, np.full(len(hw_values), m)])
             res = np.hstack([res, np.zeros((4, len(hw_values)))])
-            if len(values) != len(block.values):
+            want = np.sort(np.concatenate(shape_values[:m + 1]))
+            if len(values) != len(want):
                 warnings.append(f"rung {m}: {len(values)} open ladders for the "
-                                f"{len(block.values)} eigenvalues of block {m}")
+                                f"{len(want)} eigenvalues of block {m}")
             else:
-                miss = np.abs(np.sort(values) - block.values)
+                miss = np.abs(np.sort(values) - want)
                 rung_residual = float(np.max(miss, initial=rung_residual))   # NaN stays
-                if not (miss <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(block.values))).all():
+                if not (miss <= EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(want))).all():
                     warnings.append(f"rung {m}: open ladder values differ from the "
                                     f"eigenvalues of block {m} by {miss.max():.2e}, "
                                     f"above {EIG_RESIDUAL_TOL:g}")
@@ -768,7 +767,7 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
                             + ", ".join(failing))
         # increasing: each block's highest weight values are (_hw_eigenpairs)
         clusters += _run_clusters(np.array([lad.eigenvalue for lad in lads]), tol,
-                                  sector_dimension(N, k), (N - k, k) if k else (N,), k,
+                                  sector_dimension(N, k), shapes[k], k,
                                   [lad.hw_residual for lad in lads])
     clusters.sort(key=lambda c: c.value)
     m_observed = {k: len(v) for k, v in sectors.items()}
@@ -834,9 +833,9 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     classify_sectors sweep: each sector k must contribute m_k eigenvalues,
     each ladder N - 2k + 1 states long, and their total must be 2^N; every
     ladder is checked rung by rung, and on every rung m <= N/2 the open
-    ladders' values are compared with the eigenvalues block m solved, which
-    is the independent check of the sector values.  For every other n the
-    values-only diagonalize checks the Kostka identity on every dominant
+    ladders' values are compared with the seminormal spectra of the sectors
+    k <= m, the independent check of the sector values.  For every other n
+    the values-only diagonalize checks the Kostka identity on every dominant
     weight block against the seminormal spectra, and the report carries,
     per lambda, the spectrum of rho_lambda(H) (f^lambda values),
     ssyt_dim(lambda, n) and the worst residual (irreps).
@@ -886,8 +885,7 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     rankings depends on n and not on the number of blocks.  The residual is
     the worst column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each
     basis word v of block mu.  The sweep holds every H block at once, so
-    the size guard counts the entries of all of them (_check_guard with
-    held "all"), where classify_sectors counts one block and its sweep.
+    the size guard counts all of them (_check_guard with held "all").
     """
     chain = OpenChain(n, N, q)
     _check_guard(chain, "all")

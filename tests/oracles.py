@@ -39,8 +39,9 @@ from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
 from braidlab.spectra import (CLUSTER_RTOL, EIG_RESIDUAL_TOL, HW_TOL, LADDER_RESIDUALS,
-                              RESIDUAL_CHUNK, OpenChain, _block_apply, _dense, _dominant_blocks,
-                              _parity_halves, _w0_positions, block_matrix, weight_basis)
+                              RESIDUAL_CHUNK, OpenChain, _block_apply, _block_sites, _dense,
+                              _dominant_blocks, _parity_halves, _w0_positions, block_matrix,
+                              weight_basis)
 from braidlab.tableaux import partitions_of
 from braidlab.states import TensorState, all_words
 
@@ -335,8 +336,10 @@ def highest_weight_svd(h, f):
 def dominant_eigenpairs(chain):
     """content -> (words, increasing eigenvalues, eigenvectors) of each
     weight block that spectra._dominant_blocks solves, one per partition
-    mu: one eigh of the dense block, or one per non-empty w0 parity half
-    (spectra._parity_halves) where w0 maps the block onto itself.  With I,
+    mu, built by the one-content calls weight_basis and _block_sites (the
+    slices of the one-pass builder, bit for bit): one eigh of the dense
+    block, or one per non-empty w0 parity half (spectra._parity_halves)
+    where w0 maps the block onto itself.  With I,
     J = w0(I) and F the words that w0 swaps (I < J) and fixes, an
     eigenvector (u_I, u_F) of the even half is u_I/sqrt2 on I and J and u_F
     on F, one u of the odd half u/sqrt2 on I and -u/sqrt2 on J.  Each column
@@ -346,16 +349,17 @@ def dominant_eigenpairs(chain):
     ValidationError."""
     out = {}
     shapes = partitions_of(chain.N, max_rows=chain.n)
-    for mu, (content, block) in zip(shapes, _dominant_blocks(chain).items()):
-        words, letters = block.basis, content[:len(mu)]
+    for mu, content in zip(shapes, _dominant_blocks(chain)):
+        words, letters = weight_basis(chain.n, chain.N, content), content[:len(mu)]
+        sites = _block_sites(chain, words)
         if letters != letters[::-1]:
-            vals, vecs = np.linalg.eigh(_dense(block.sites))
+            vals, vecs = np.linalg.eigh(_dense(sites))
         else:
             w0 = _w0_positions(chain.n, chain.N, words, [0, len(words)], [len(mu)])
             positions = np.arange(len(w0))
             pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
             k, scale = len(pairs), sqrt(0.5)
-            solved = [np.linalg.eigh(h) for h in _parity_halves(block.sites, w0, mu)]
+            solved = [np.linalg.eigh(h) for h in _parity_halves(sites, w0, mu)]
             vals = np.concatenate([v for v, _ in solved])
             rank = np.argsort(vals, kind="stable")
             column = np.empty_like(rank)
@@ -371,7 +375,7 @@ def dominant_eigenpairs(chain):
             v, lam = vecs[:, lo:lo + RESIDUAL_CHUNK], vals[lo:lo + RESIDUAL_CHUNK]
             lead = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
             v *= np.where(lead < 0, -1.0, 1.0)
-            resid = np.abs(_block_apply(block.sites, v) - v * lam).max(axis=0)
+            resid = np.abs(_block_apply(sites, v) - v * lam).max(axis=0)
             bad = np.flatnonzero(resid > EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(lam)))
             if bad.size:
                 raise ValidationError(

@@ -420,9 +420,10 @@ def test_one_pass_builder_past_int64_keys():
 
 def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
     # verify_decomposition(2, N, q) ranks its words a fixed number of times
-    # (the one-pass builder: H and the w0 images of the dominant blocks, H
-    # of the blocks above the middle and E_1 of every block), and
-    # symmetry_residual once for H and once per operator kind
+    # (the one-pass builders: the seminormal forms of every shape, H and
+    # E_1 of every block), diagonalize too (the seminormal forms, H and the
+    # w0 images of the dominant blocks), and symmetry_residual once for H
+    # and once per operator kind
     real = spectra._rank
     calls = []
     monkeypatch.setattr(spectra, "_rank", lambda *args: calls.append(args) or real(*args))
@@ -430,6 +431,12 @@ def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
     for N in (5, 9, 12):
         calls.clear()
         assert spectra.verify_decomposition(2, N, Q).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
+    counts = []
+    for N in (4, 5, 6):
+        calls.clear()
+        spectra.diagonalize(spectra.OpenChain(3, N, Q))
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2], counts
     for n in (2, 3):
@@ -1120,31 +1127,36 @@ def test_guard_env_override(monkeypatch):
 
 
 def test_guard_counts_the_sector_sweep(monkeypatch):
-    # n = 2, N = 8 at limit 80: the widest block, solved for its values,
-    # holds 4900 entries, under 3 * 80^2 = 19200, but the sweep at rung 4
-    # adds the two E_1 maps, the E_1 image of the ladders, R and the copy of
-    # E_1 that the QR factors (70 x 56 each), the open-ladder array and Q
-    # (70 x 70 each): 34300 in all, refused before any block is solved.  At
-    # the default limit N = 14 is refused the same way (86,867,352 entries)
-    # and N = 13 admitted (test_diagonalize_guard)
+    # n = 2, N = 8 at limit 80: the widest block, 70 wide, passes the
+    # dense guard, but the sweep at rung 4 holds the two E_1 maps, the E_1
+    # image of the ladders, R and the copy of E_1 that the QR factors
+    # (70 x 56 each), the open-ladder array and Q (70 x 70 each), 29400
+    # entries, and all the way the words and H's site arrays (8 * 2^8
+    # each) and the E_1 terms (3 * 8 * 2^7): 36568 in all, past
+    # 3 * 80^2 = 19200, refused before anything is built or solved.  At the
+    # default limit N = 14 is refused the same way (75,891,544 entries) and
+    # N = 13 admitted (test_diagonalize_guard)
     def unsolved(*args):
-        raise AssertionError("a block was solved")
+        raise AssertionError("a block was built or solved")
 
-    monkeypatch.setattr(spectra, "_dominant_blocks", unsolved)
+    for name in ("weight_blocks", "_seminormal_spectra", "_hw_eigenpairs"):
+        monkeypatch.setattr(spectra, name, unsolved)
     monkeypatch.setenv("BRAIDLAB_MAX_DIM", "80")
-    assert comb(8, 4) ** 2 == 4900
     spectra._check_guard(spectra.OpenChain(2, 8, Q), None)
-    with pytest.raises(SizeGuardError, match="34300 entries"):
+    with pytest.raises(SizeGuardError, match="36568 entries"):
         spectra.verify_decomposition(2, 8, Q)
     monkeypatch.delenv("BRAIDLAB_MAX_DIM")
-    with pytest.raises(SizeGuardError, match="86867352 entries"):
+    with pytest.raises(SizeGuardError, match="75891544 entries"):
         spectra.verify_decomposition(2, 14, Q)
     monkeypatch.undo()
-    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "107")       # 3 * 107^2 = 34347
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "110")       # 3 * 110^2 = 36300
+    with pytest.raises(SizeGuardError, match="36568 entries"):
+        spectra.verify_decomposition(2, 8, Q)
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", "111")       # 3 * 111^2 = 36963
     assert spectra.verify_decomposition(2, 8, Q).ok
 
 
-@pytest.mark.parametrize("limit, N", [(390, 10), (713, 11)])
+@pytest.mark.parametrize("limit, N", [(378, 10), (681, 11)])
 def test_sector_sweep_peak_stays_within_the_guard(monkeypatch, limit, N):
     # at each limit N is the longest n = 2 chain the "sectors" count admits,
     # and the memory that classify_sectors traces at its peak stays within
@@ -1230,13 +1242,18 @@ def test_seminormal_spectra_times_ssyt_dim_are_the_spectrum():
 
 
 def test_sector_hamiltonian_matches_the_loop_over_tableaux():
+    # and each slice of the list builder, every shape of N ranked at once,
+    # is the one-shape call bit for bit
     for N in range(1, 8):
-        for lam in tableaux.partitions_of(N):
-            for q in QS_SEMINORMAL:
+        shapes = tableaux.partitions_of(N)
+        for q in QS_SEMINORMAL:
+            forms = spectra._seminormal_forms(shapes, q)
+            for lam, form in zip(shapes, forms, strict=True):
                 words, want = seminormal_loop(lam, q)
                 assert list(map(tuple, tableaux.standard_tableaux(lam).tolist())) == words
                 got = spectra.sector_hamiltonian(lam, q)
                 assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), (lam, q)
+                assert np.array_equal(form, got), (lam, q)
 
 
 @pytest.mark.parametrize("q", [1 + 2e-9, 1 - 1e-8, 1 + 1e-7, 0.5, 1e-40, 1e40])
@@ -1424,6 +1441,31 @@ def test_classify_sectors_solves_the_vectors_it_needs(monkeypatch):
     assert asked == [(1, 0), (4, 1), (6, 4)]
     with pytest.raises(ValidationError, match="n=2"):
         spectra.classify_sectors(spectra.OpenChain(3, 4, Q))
+
+
+def test_sector_sweep_solves_no_weight_block(monkeypatch):
+    # classify_sectors builds no dense weight block and solves none: every
+    # eigh and eigvalsh is at most max f^lambda wide (a seminormal form or
+    # H on a block's highest weight space), and its clustering tolerance is
+    # diagonalize's, from the same seminormal spectra
+    def solved(*args):
+        raise AssertionError("a dense weight block was built")
+
+    for N in range(1, 11):
+        chain = spectra.OpenChain(2, N, Q)
+        tol = spectra.diagonalize(chain).tol
+        widths = []
+        with monkeypatch.context() as m:
+            for name in ("_dense", "_dominant_blocks"):
+                m.setattr(spectra, name, solved)
+            for name in ("eigh", "eigvalsh"):
+                real = getattr(np.linalg, name)
+                m.setattr(spectra.np.linalg, name,
+                          lambda a, real=real: widths.append(len(a)) or real(a))
+            rep = spectra.classify_sectors(chain)
+        assert rep.ok and rep.tol == tol, N
+        assert widths and max(widths) <= max(map(tableaux.syt_dim,
+                                                 tableaux.partitions_of(N, max_rows=2))), N
 
 
 def test_verify_decomposition_reports_each_shape():

@@ -6,13 +6,15 @@
 OLD and NEW are directories that hold src/braidlab (a clone or an exported
 commit).  For every n, N and q of the grid the script runs `verify`,
 `spectrum`, `spectrum --format csv`, `dicke` at the most even composition of
-N into n parts (larger parts first) and `crystal --labels canonical`, so
-that the q-integers those print are compared too.  The automata commands
-take no --q and run once per n and N: `crystal` without labels, `quandle
-orbits` of the dihedral quandle as JSON and as DOT, and `automaton
---example` exa01 and e1 as JSON, as DOT and running a word of length N
-(see run_word).  Each checkout is imported in its own
-Python subprocess, which runs every case in process through
+N into n parts (larger parts first) and `crystal` with `--labels
+canonical` and `--labels rescaled`, so that the q-integers those print are
+compared too.  The automata commands take no --q and run once per n and N:
+`crystal` without labels, `quandle orbits` of the dihedral quandle as JSON
+and as DOT, and `automaton --example` exa01 and e1 as JSON, as DOT and
+running a word of length N (see run_word).  The dihedral quandle of order
+N runs once per N, whatever n: its table JSON (`quandle dihedral --n N`)
+for N >= 2 and its `--spectrum` for odd N >= 3.  Each checkout is imported
+in its own Python subprocess, which runs every case in process through
 braidlab.cli.main and returns its exit code, stdout and stderr.  BLAS runs
 one thread in both unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS is set.  Every case whose output differs is printed with its
@@ -30,7 +32,7 @@ import sys
 from pathlib import Path
 
 COMMANDS = (["verify"], ["spectrum"], ["spectrum", "--format", "csv"], ["dicke"],
-            ["crystal", "--labels", "canonical"])
+            ["crystal", "--labels", "canonical"], ["crystal", "--labels", "rescaled"])
 EXAMPLES = ("exa01", "e1")
 
 # run in the subprocess: argv lists on stdin, [code, stdout, stderr] per run on stdout
@@ -86,6 +88,13 @@ def automata_cases(n: int, N: int) -> list[list[str]]:
     return cases
 
 
+def dihedral_cases(N: int) -> list[list[str]]:
+    """The quandle dihedral commands of order N: the table for N >= 2, and
+    the spectrum too for odd N >= 3."""
+    table = ["quandle", "dihedral", "--n", str(N)]
+    return ([table] if N >= 2 else []) + ([table + ["--spectrum"]] if N >= 3 and N % 2 else [])
+
+
 def fail(message: str):
     print(f"cli_diff: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -133,6 +142,8 @@ def main(argv=None) -> int:
                       + (["--label", most_even(n, N)] if command == ["dicke"] else [])
                       for q in args.q.split(",") for command in COMMANDS]
             cases += automata_cases(n, N)
+    for N in args.N:
+        cases += dihedral_cases(N)
     old, new = run_checkout(args.old, cases), run_checkout(args.new, cases)
     differing = 0
     for case, a, b in zip(cases, old, new):

@@ -254,10 +254,14 @@ def crystal_f(j: int, word, n: int):
 
 def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "none"):
     """The symmetric crystal automaton on ordered words as a combinatorial
-    automaton (for DOT export), one state per composition of N into n parts.
+    automaton (for DOT export), one state per composition of N into n parts,
+    in the order of dicke_labels and named by its ordered word.
 
-    With labels="none" each of its 2(n-1) letters is a target array of the
-    s states; otherwise a dense s x s matrix.  Either way, before anything
+    Its moves are label arithmetic, as crystal_e and crystal_f make them on
+    ordered words: e_j moves one unit from k_j to k_{j+1}, and f_j one from
+    k_{j+1} to k_j, wherever the part they take from is positive.  With
+    labels="none" each of its 2(n-1) letters is a target array of the s
+    states; otherwise a dense s x s matrix.  Either way, before anything
     is built, s is held to the dense guard (check_dense_dim) and the
     2(n-1) s^2 entries of the dense view to the held-entries rule
     (check_held_entries).
@@ -276,36 +280,32 @@ def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "non
     check_dense_dim(size, "crystal automaton")
     check_held_entries(2 * (n - 1) * size ** 2, f"crystal automaton: {2 * (n - 1)} dense "
                                                 f"{size} x {size} transition matrices")
-    states = [ordered_word(lab) for lab in dicke_labels(n, N)]
-    index = {w: i for i, w in enumerate(states)}
-    triples = []
-    weights = {}
-    for w in states:
-        lab = tuple(w.count(a) for a in range(1, n + 1))
-        for j in range(1, n):
-            up = crystal_e(j, w, n)
-            if up is not None:
-                triples.append((index[w], f"e{j}", index[up]))
-                if labels != "none":
-                    c = (q_number(lab[j] + 1, q) * q_number(lab[j - 1], q)) ** 0.5
-                    weights[(index[w], f"e{j}", index[up])] = 1.0 if labels == "rescaled" else c
-            down = crystal_f(j, w, n)
-            if down is not None:
-                triples.append((index[w], f"f{j}", index[down]))
-                if labels != "none":
-                    c = (q_number(lab[j - 1] + 1, q) * q_number(lab[j], q)) ** 0.5
-                    weights[(index[w], f"f{j}", index[down])] = c * c if labels == "rescaled" else c
+    states = dicke_labels(n, N)
+    index = {lab: i for i, lab in enumerate(states)}
     letters = [f"e{j}" for j in range(1, n)] + [f"f{j}" for j in range(1, n)]
+    targets = {a: np.full(size, -1, dtype=np.int64) for a in letters}
+    weights = {a: np.zeros(size) for a in letters}
+    for s, lab in enumerate(states):
+        for j in range(1, n):
+            # e_j takes from part u = j-1 and gives to v = j (0-based); f_j back
+            for a, u, v in ((f"e{j}", j - 1, j), (f"f{j}", j, j - 1)):
+                if not lab[u]:
+                    continue
+                moved = list(lab)
+                moved[u] -= 1
+                moved[v] += 1
+                targets[a][s] = index[tuple(moved)]
+                if labels != "none":
+                    c = (q_number(lab[v] + 1, q) * q_number(lab[u], q)) ** 0.5
+                    weights[a][s] = c if labels == "canonical" else 1.0 if u < v else c * c
     if labels == "none":
-        targets = {a: np.full(len(states), -1, dtype=np.int64) for a in letters}
-        for s, a, t in triples:
-            targets[a][s] = t
         transitions = {a: automata.TransitionMatrix.from_targets(t) for a, t in targets.items()}
     else:
-        mats = {a: np.zeros((len(states), len(states))) for a in letters}
-        for s, a, t in triples:
-            mats[a][t, s] = weights[(s, a, t)]
-        transitions = {a: automata.TransitionMatrix(m, "general") for a, m in mats.items()}
-    word_names = tuple("".join(f"x{x}" for x in w) for w in states)
-    return automata.Automaton(len(states), tuple(letters), transitions, 1,
-                              frozenset(), word_names)
+        transitions = {}
+        for a, t in targets.items():
+            src = np.flatnonzero(t >= 0)
+            m = np.zeros((size, size))
+            m[t[src], src] = weights[a][src]
+            transitions[a] = automata.TransitionMatrix(m, "general")
+    word_names = tuple("".join(f"x{x}" * m for x, m in enumerate(lab, start=1)) for lab in states)
+    return automata.Automaton(size, tuple(letters), transitions, 1, frozenset(), word_names)

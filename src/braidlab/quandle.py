@@ -9,6 +9,12 @@ for odd prime n its eigenspaces have dimensions (n-1, ..., n-1, 2n-1).
 
 Tables are 0-indexed internally and 1-indexed (x_i labels, standing for the
 residues x_i = i - 1) in all I/O.
+
+The maps are index arrays computed from the table: the inverse rows by one
+argsort, and the 0/1 matrices of r, r^{-1} and M_a scattered from target
+arrays (_permutation_matrix).  r_j on word indices is one routine,
+_braid_targets, for pairs (QuandleBraid.matrix) and for words
+(orbit_to_automaton).  The orbit tracer (_cycles) still steps word tuples.
 """
 
 import json
@@ -30,7 +36,9 @@ ORBIT_GUARD = 10 ** 5
 
 @dataclass(frozen=True)
 class QuandleTable:
-    """Operation table op[a][b] = a > b over {0, ..., n-1}."""
+    """Operation table op[a][b] = a > b over {0, ..., n-1}, held as a tuple
+    of int rows.  The entries are checked on one object array: n x n of
+    ints (Python or numpy, not bool), each in [0, n-1]."""
 
     n: int
     op: tuple
@@ -38,14 +46,17 @@ class QuandleTable:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("table size must be >= 1")
-        op = tuple(tuple(int(v) for v in row) for row in self.op)
-        if len(op) != self.n or any(len(row) != self.n for row in op):
+        cells = np.array(self.op, dtype=object)
+        if cells.shape != (self.n, self.n):
             raise ValidationError(f"operation table must be {self.n}x{self.n}")
-        for row in op:
-            for v in row:
-                if not 0 <= v < self.n:
-                    raise ValidationError(f"table entry {v} out of range [0,{self.n - 1}]")
-        object.__setattr__(self, "op", op)
+        kinds = set(map(type, cells.flat))
+        if not all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+            raise ValidationError("table entries must be integers, got "
+                                  + ", ".join(sorted(k.__name__ for k in kinds)))
+        bad = cells[(cells < 0) | (cells >= self.n)]
+        if bad.size:
+            raise ValidationError(f"table entry {bad[0]} out of range [0,{self.n - 1}]")
+        object.__setattr__(self, "op", tuple(map(tuple, cells.astype(np.int64).tolist())))
 
 
 def validate(table: QuandleTable) -> dict:
@@ -66,21 +77,13 @@ def dihedral(n: int) -> QuandleTable:
     if n < 2:
         raise ValidationError("dihedral quandle needs n >= 2")
     check_sparse_words(n * n, f"quandle table n={n}, n^2 entries")
-    return QuandleTable(n, tuple(tuple((2 * i - j) % n for j in range(n))
-                                 for i in range(n)))
+    i = np.arange(n)
+    return QuandleTable(n, (2 * i[:, None] - i) % n)
 
 
 def tetrahedron() -> QuandleTable:
     """The tetrahedron quandle: rows act by the 3-cycles (234), (143), (124), (132)."""
-    cycles = {0: (1, 2, 3), 1: (0, 3, 2), 2: (0, 1, 3), 3: (0, 2, 1)}
-    op = []
-    for a in range(4):
-        cyc = cycles[a]
-        perm = list(range(4))
-        for i, x in enumerate(cyc):
-            perm[x] = cyc[(i + 1) % 3]
-        op.append(tuple(perm))
-    return QuandleTable(4, tuple(op))
+    return QuandleTable(4, ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3)))
 
 
 def _check_orbit_size(n: int, N: int) -> None:
@@ -116,12 +119,27 @@ def _require_rack(table: QuandleTable) -> None:
         raise ValidationError("operation table is not a rack")
 
 
-def _inverse_rows(table: QuandleTable) -> list[list[int]]:
-    inv = [[0] * table.n for _ in range(table.n)]
-    for a in range(table.n):
-        for b in range(table.n):
-            inv[a][table.op[a][b]] = b
-    return inv
+def _inverse_rows(table: QuandleTable) -> np.ndarray:
+    """inv[a][a > b] = b: each row of a rack table is a permutation."""
+    return np.argsort(table.op, axis=1)
+
+
+def _permutation_matrix(targets: np.ndarray) -> np.ndarray:
+    """The int 0/1 matrix sending basis vector s to basis vector targets[s]."""
+    m = np.zeros((len(targets), len(targets)), dtype=int)
+    m[targets, np.arange(len(targets))] = 1
+    return m
+
+
+def _braid_targets(op: np.ndarray, N: int, j: int) -> np.ndarray:
+    """The index of r_j(w) for every word w of length N, indexed base n with
+    its first letter most significant: r_j sends the letters (a, b) at
+    places j, j+1 to (b, b > a)."""
+    n = len(op)
+    index = np.arange(n ** N)
+    hi, lo = n ** (N - j), n ** (N - j - 1)
+    a, b = index // hi % n, index // lo % n
+    return index + (b - a) * hi + (op[b, a] - b) * lo
 
 
 @dataclass(frozen=True)
@@ -137,14 +155,9 @@ class QuandleBraid:
     @cached_property
     def matrix(self) -> np.ndarray:
         """Permutation matrix on V_n tensor V_n (n^2 x n^2), built on first
-        use: pair_map alone needs none."""
-        n = self.n
-        m = np.zeros((n * n, n * n), dtype=int)
-        for a in range(n):
-            for b in range(n):
-                c, d = self.pair_map(a, b)
-                m[c * n + d, a * n + b] = 1
-        return m
+        use: pair_map alone needs none.  Column a n + b holds its 1 at
+        pair_map(a, b), from the words of length 2 under r_1."""
+        return _permutation_matrix(_braid_targets(np.array(self.table.op), 2, 1))
 
 
 def braid_solution(table: QuandleTable) -> QuandleBraid:
@@ -155,15 +168,11 @@ def braid_solution(table: QuandleTable) -> QuandleBraid:
 
 
 def inverse_solution(table: QuandleTable) -> np.ndarray:
-    """Matrix of r^{-1}(a, b) = (a >^{-1} b, a)."""
+    """Matrix of r^{-1}(a, b) = (a >^{-1} b, a): column a n + b holds its 1
+    at row (a >^{-1} b) n + a."""
     _require_rack(table)
-    n = table.n
     inv = _inverse_rows(table)
-    m = np.zeros((n * n, n * n), dtype=int)
-    for a in range(n):
-        for b in range(n):
-            m[inv[a][b] * n + a, a * n + b] = 1
-    return m
+    return _permutation_matrix((inv * table.n + np.arange(table.n)[:, None]).ravel())
 
 
 def braid_on_word(table: QuandleTable, word: Word, j: int) -> Word:
@@ -256,15 +265,12 @@ def dihedral_spectrum(n: int) -> QuandleSpectrum:
 
 def quandle_group_rep(table: QuandleTable, a: int) -> np.ndarray:
     """Fundamental rack-group representation M_a = sum_b e_{b, a > b}
-    (0-indexed a); satisfies M_a M_b = M_b M_{b > a} exactly."""
+    (0-indexed a), so M_a e_c = e_{a >^{-1} c}; satisfies M_a M_b =
+    M_b M_{b > a} exactly."""
     _require_rack(table)
     if not 0 <= a < table.n:
         raise ValidationError(f"generator index {a} out of range [0,{table.n - 1}]")
-    n = table.n
-    m = np.zeros((n, n), dtype=int)
-    for b in range(n):
-        m[b, table.op[a][b]] = 1
-    return m
+    return _permutation_matrix(_inverse_rows(table)[a])
 
 
 def centralizer_residual(table: QuandleTable, N: int) -> int:
@@ -276,7 +282,7 @@ def centralizer_residual(table: QuandleTable, N: int) -> int:
     n = table.n
     _check_orbit_size(n, N)
     _require_rack(table)
-    inv = _inverse_rows(table)
+    inv = _inverse_rows(table).tolist()
     words = all_words(n, N)
 
     def delta_m(word, a):
@@ -327,14 +333,8 @@ def orbit_to_automaton(graph: OrbitGraph, table: QuandleTable) -> automata.Autom
     n, N = graph.n, graph.N
     _check_orbit_transitions(n, N)
     op = np.array(table.op, dtype=np.int64)
-    index = np.arange(n ** N)
-    transitions = {}
-    for j in range(1, N):
-        # r_j sends letters (a, b) at places j, j+1 to (b, b > a)
-        hi, lo = n ** (N - j), n ** (N - j - 1)
-        a, b = index // hi % n, index // lo % n
-        transitions[f"s{j}"] = automata.TransitionMatrix.from_targets(
-            index + (b - a) * hi + (op[b, a] - b) * lo)
+    transitions = {f"s{j}": automata.TransitionMatrix.from_targets(_braid_targets(op, N, j))
+                   for j in range(1, N)}
     labels = tuple("".join(f"x{x}" for x in w) for w in all_words(n, N))
     return automata.Automaton(n ** N, tuple(transitions), transitions, 1,
                               frozenset(), labels)

@@ -858,14 +858,12 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     if total != n ** N:
         mismatches.append({"what": "spectral_total", "expected": n ** N, "got": total})
     if n == 2:
-        for k in range(N // 2 + 1):
-            expected_m = sector_multiplicity(N, k)
-            got_m = sector_report.m_observed.get(k, 0)
-            if got_m != expected_m:
-                mismatches.append({"what": f"sector_{k}_count",
-                                   "expected": expected_m, "got": got_m})
-        bookkeeping = sum(sector_multiplicity(N, k) * sector_dimension(N, k)
-                          for k in range(N // 2 + 1))
+        observed, predicted = sector_report.m_observed, sector_report.m_predicted
+        for k, m in predicted.items():
+            if observed.get(k, 0) != m:
+                mismatches.append({"what": f"sector_{k}_count", "expected": m,
+                                   "got": observed.get(k, 0)})
+        bookkeeping = sum(m * sector_dimension(N, k) for k, m in predicted.items())
         if bookkeeping != 2 ** N:
             mismatches.append({"what": "sector_bookkeeping", "expected": 2 ** N,
                                "got": bookkeeping})

@@ -53,6 +53,15 @@ def test_validate_rejects_out_of_range():
         quandle.QuandleTable(2, ((0, 1), (2, 0)))
 
 
+@pytest.mark.parametrize("op", [((0, 1.7), (1, 0)), ((0, True), (1, 0)), ((0, 1), (1,))],
+                         ids=["float", "bool", "ragged"])
+def test_table_rejects_entries_that_are_not_integers(op):
+    # an entry is neither truncated (1.7 -> 1) nor read as an int (True -> 1),
+    # and a ragged table is a validation error, not numpy's ValueError
+    with pytest.raises(ValidationError):
+        quandle.QuandleTable(2, op)
+
+
 def test_dihedral_table_matches_paper():
     t = quandle.dihedral(3)
     assert t.op == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
@@ -85,6 +94,33 @@ def test_braid_solution_examples():
     for a in range(3):
         assert braid.pair_map(a, a) == (a, a)
     assert np.array_equal(braid.matrix @ quandle.inverse_solution(t), np.eye(9, dtype=int))
+
+
+def permutation_rack(n):
+    """a > b = sigma(b) for the n-cycle sigma: a rack, and not a quandle."""
+    return quandle.QuandleTable(n, tuple(tuple((b + 1) % n for b in range(n)) for _ in range(n)))
+
+
+def test_braid_matrices_follow_their_definitions_entry_by_entry():
+    tables = [quandle.dihedral(n) for n in range(2, 8)] + [
+        quandle.tetrahedron(), conjugation_quandle_s3(), permutation_rack(4)]
+    assert not quandle.validate(permutation_rack(4))["quandle"]
+    for t in tables:
+        n = t.n
+        braid = quandle.braid_solution(t)
+        r, r_inv = braid.matrix, quandle.inverse_solution(t)
+        for a in range(n):
+            for b in range(n):
+                # r e_(a,b) = e_pair_map(a,b); r^-1 e_(a,b) = e_(a >^-1 b, a)
+                c, d = braid.pair_map(a, b)
+                left = t.op[a].index(b)
+                for m, row in ((r, c * n + d), (r_inv, left * n + a)):
+                    assert np.flatnonzero(m[:, a * n + b]).tolist() == [row], (n, a, b)
+                    assert m[row, a * n + b] == 1, (n, a, b)
+        for a in range(n):
+            m = quandle.quandle_group_rep(t, a)
+            assert np.count_nonzero(m) == n, (n, a)
+            assert all(m[b, t.op[a][b]] == 1 for b in range(n)), (n, a)
 
 
 def test_braid_solution_requires_rack():

@@ -13,7 +13,10 @@ compared too.  The automata commands take no --q and run once per n and N:
 and as DOT, and `automaton --example` exa01 and e1 as JSON, as DOT and
 running a word of length N (see run_word).  The dihedral quandle of order
 N runs once per N, whatever n: its table JSON (`quandle dihedral --n N`)
-for N >= 2 and its `--spectrum` for odd N >= 3.  Each checkout is imported
+for N >= 2 and its `--spectrum` for odd N >= 3.  For N <= 8 the shuffle
+operator runs too: `shuffle --z q2` and `shuffle --z minus1` on the ordered
+word of that composition for every n and q, and `shuffle --reduced-words`
+once per N.  Each checkout is imported
 in its own Python subprocess, which runs every case in process through
 braidlab.cli.main and returns its exit code, stdout and stderr.  BLAS runs
 one thread in both unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
@@ -34,6 +37,7 @@ from pathlib import Path
 COMMANDS = (["verify"], ["spectrum"], ["spectrum", "--format", "csv"], ["dicke"],
             ["crystal", "--labels", "canonical"], ["crystal", "--labels", "rescaled"])
 EXAMPLES = ("exa01", "e1")
+SHUFFLE_MAX_N = 8
 
 # run in the subprocess: argv lists on stdin, [code, stdout, stderr] per run on stdout
 CHILD = r"""
@@ -69,6 +73,21 @@ def most_even(n: int, N: int) -> str:
     a --label value: "3,2" for n = 2, N = 5."""
     base, extra = divmod(N, n)
     return ",".join(map(str, [base + 1] * extra + [base] * (n - extra)))
+
+
+def ordered_word(label: str) -> str:
+    """The ordered word of a --label value: "11122" for "3,2"."""
+    return "".join(str(letter) * int(m) for letter, m in enumerate(label.split(","), start=1))
+
+
+def shuffle_cases(n: int, N: int, q: str) -> list[list[str]]:
+    """shuffle at z = q^2 and z = -1 on the ordered word of the most even
+    composition, for N <= SHUFFLE_MAX_N."""
+    if N > SHUFFLE_MAX_N:
+        return []
+    word = ordered_word(most_even(n, N))
+    return [["shuffle", "--n", str(n), "--N", str(N), "--q", q, "--z", z, "--state", word]
+            for z in ("q2", "minus1")]
 
 
 def run_word(n: int, N: int) -> str:
@@ -141,9 +160,12 @@ def main(argv=None) -> int:
             cases += [command + ["--n", str(n), "--N", str(N), "--q", q]
                       + (["--label", most_even(n, N)] if command == ["dicke"] else [])
                       for q in args.q.split(",") for command in COMMANDS]
+            cases += [case for q in args.q.split(",") for case in shuffle_cases(n, N, q)]
             cases += automata_cases(n, N)
     for N in args.N:
         cases += dihedral_cases(N)
+        if N <= SHUFFLE_MAX_N:
+            cases.append(["shuffle", "--N", str(N), "--reduced-words"])
     old, new = run_checkout(args.old, cases), run_checkout(args.new, cases)
     differing = 0
     for case, a, b in zip(cases, old, new):

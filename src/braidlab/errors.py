@@ -1,7 +1,8 @@
-"""Shared exceptions, the dense-size guard, the held-entries rule and the
-sparse-state bound."""
+"""Shared exceptions, the dense-size guard, the held-entries rule, the
+sparse-state bound and the check on q."""
 
 import os
+from math import isfinite
 
 DEFAULT_MAX_DIM = 4096
 MAX_SPARSE_WORDS = 10 ** 6
@@ -60,3 +61,10 @@ def check_sparse_words(count: int, context: str) -> None:
     if count > MAX_SPARSE_WORDS:
         raise SizeGuardError(f"{context}: {count} words exceed the sparse-state "
                              f"bound {MAX_SPARSE_WORDS}")
+
+
+def _check_q(q) -> None:
+    """Refuse q = 0 and non-finite q, where the Hecke and ladder operators
+    divide by zero or lose words and amplitudes to inf and NaN."""
+    if q == 0 or not isfinite(q):
+        raise ValidationError("q must be nonzero and finite")

@@ -11,16 +11,24 @@ sends an ordered word to the sum of all its distinct permutations, each
 weighted by z^l q^{-l} times a product of bracket factorials, where l is the
 permutation length (inversion count).  z = q^2 gives the q-symmetrizer and
 z = -1 the q-antisymmetrizer.
+
+Every operator here steps on amplitude dicts through one private generator
+step, _generator_step, and builds one state per public call: apply_generator
+wraps the step, and the shuffle operator and the word sums keep a dict
+between steps.  The word sums apply each reduced-word suffix once per summed
+state: the canonical reduced words are suffix-closed, so a memo of suffix
+images (_word_sum) applies each of the N! - 1 nonempty suffixes once, where
+one word at a time applies every letter of every word.
 """
 
 from collections import Counter
 from itertools import permutations
-from math import fsum, isfinite
+from math import fsum, isnan
 
 import numpy as np
 
-from .errors import SizeGuardError, ValidationError, check_sparse_words
-from .states import TensorState, Word
+from .errors import SizeGuardError, ValidationError, _check_q, check_sparse_words
+from .states import TensorState, Word, _add_into, all_words
 from .tableaux import multinomial
 
 BraidWord = tuple[int, ...]
@@ -32,8 +40,7 @@ def r_matrix(n: int, q: float) -> np.ndarray:
     """The rescaled braid operator on V_n tensor V_n as a dense matrix."""
     if n < 2:
         raise ValidationError("r_matrix needs n >= 2")
-    if q == 0:
-        raise ValidationError("q must be nonzero (the crystal limit is handled separately)")
+    _check_q(q)  # the crystal limit q -> 0 is handled separately
     m = np.zeros((n * n, n * n))
 
     def idx(a, b):
@@ -55,11 +62,17 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
     """Apply r at sites (i, i+1), 1 <= i <= N-1, without materializing matrices."""
     if not 1 <= i <= state.N - 1:
         raise ValidationError(f"generator index {i} out of range [1,{state.N - 1}]")
-    if q == 0:
-        raise ValidationError("q must be nonzero")
+    _check_q(q)
+    # a swap of two letters keeps every word in [1,n]^N
+    return TensorState._trusted(state.n, state.N, _generator_step(state.amps, i, q))
+
+
+def _generator_step(amps: dict, i: int, q: float) -> dict:
+    """r at sites (i, i+1) on an amplitude dict, as a new dict without exact
+    zeros; i and q are the caller's to check."""
     c = 1.0 - q ** -2
     out = {}
-    for w, amp in state.amps.items():
+    for w, amp in amps.items():
         x, y = w[i - 1], w[i]
         if x == y:
             out[w] = out.get(w, 0.0) + amp
@@ -68,27 +81,29 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
         out[sw] = out.get(sw, 0.0) + amp / q
         if x > y:
             out[w] = out.get(w, 0.0) + amp * c
-    # a swap of two letters keeps every word in [1,n]^N
-    return TensorState._trusted(state.n, state.N, {w: a for w, a in out.items() if a != 0.0})
+    if 0.0 in out.values():
+        out = {w: a for w, a in out.items() if a != 0.0}
+    return out
 
 
 def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
     """Apply the shuffle operator Y_N(z), factors S_1 first.  Its states
     hold rearrangements of the input words only; their count is bounded first."""
-    if q == 0 or not isfinite(q):
-        raise ValidationError("q must be nonzero and finite")
+    _check_q(q)
     contents = {tuple(sorted(w)) for w in state.amps}
     check_sparse_words(sum(map(_rearrangements, contents)), "shuffled state")
+    amps = state.amps
     for k in range(1, state.N):
-        acc = state
-        cur = state
+        acc = dict(amps)
+        cur = amps
         zpow = 1.0
         for t in range(1, k + 1):
-            cur = apply_generator(cur, k - t + 1, q)
+            cur = _generator_step(cur, k - t + 1, q)
             zpow = zpow * z
-            acc = acc.add(cur.scale(zpow))
-        state = acc
-    return state
+            if zpow != 0:  # z^t = 0 adds no term, so an input's zero amplitude stays
+                _add_into(acc, ((w, zpow * a) for w, a in cur.items()))
+        amps = acc
+    return TensorState._trusted(state.n, state.N, amps)
 
 
 def _rearrangements(word: Word) -> int:
@@ -165,38 +180,59 @@ def word_sum_operator(N: int, ell: int, q: float, state: TensorState) -> TensorS
         raise ValidationError(f"word length {ell} out of range [0,{lmax}]")
     if state.N != N:
         raise ValidationError(f"state has N={state.N}, expected {N}")
-    return _word_sum(reduced_words_by_length(N).get(ell, []), q, state) if ell else state
+    _check_q(q)
+    if not ell:
+        return state
+    words = reduced_words_by_length(N).get(ell, [])
+    return TensorState._trusted(state.n, N, _word_sum(words, q, {(): state.amps}))
 
 
-def _word_sum(words: list[BraidWord], q: float, state: TensorState) -> TensorState:
-    """Sum over the given braid words of each applied to state, in order."""
-    total = TensorState.zero(state.n, state.N)
+def _word_sum(words: list[BraidWord], q: float, images: dict) -> dict:
+    """Amplitudes of the sum over the given braid words, in order, of each
+    applied to one state.  images maps () to that state's amplitudes and
+    keeps the image of every suffix applied so far, so a memo kept across
+    calls applies each suffix once."""
+    total = {}
     for w in words:
-        cur = state
-        for i in reversed(w):
-            cur = apply_generator(cur, i, q).scale(q)
-        total = total.add(cur)
+        _add_into(total, _word_image(w, q, images).items())
     return total
+
+
+def _word_image(word: BraidWord, q: float, images: dict) -> dict:
+    """q r_{word[0]} applied to the image of word[1:], memoized in images."""
+    image = images.get(word)
+    if image is None:
+        rest = _word_image(word[1:], q, images)
+        image = {w: q * a for w, a in _generator_step(rest, word[0], q).items()}
+        images[word] = image
+    return image
 
 
 def conjecture_commutator_check(N: int, n: int, q: float) -> float:
     """Desk-scale check that word-length sums commute pairwise.
 
     Returns the maximum norm of [s_k, s_l] v over all basis states v and all
-    pairs of lengths; evidence, not a proof.  The words are grouped once.
+    pairs of lengths, or NaN as soon as one norm is NaN; evidence, not a
+    proof.  The words are grouped once, and every s_l of one state comes
+    from one memo of its suffix images.
     """
     if N > 4 or n > 3:
         raise ValidationError("desk-scale check limited to N <= 4, n <= 3")
-    from .states import all_words
+    _check_q(q)
     lmax = N * (N - 1) // 2
     by_length = reduced_words_by_length(N) if lmax else {}
+    lengths = range(1, lmax + 1)
     worst = 0.0
     for word in all_words(n, N):
-        v = TensorState.basis(n, word)
-        images = {ell: _word_sum(by_length[ell], q, v) for ell in range(1, lmax + 1)}
-        for k in range(1, lmax + 1):
+        # suffix memos: one of the basis state, then one of each image s_ell v
+        memo = {(): {word: 1.0}}
+        images = {ell: {(): _word_sum(by_length[ell], q, memo)} for ell in lengths}
+        for k in lengths:
             for ell in range(k + 1, lmax + 1):
-                ab = _word_sum(by_length[k], q, images[ell])
-                ba = _word_sum(by_length[ell], q, images[k])
-                worst = max(worst, ab.sub(ba).norm())
+                ab = TensorState._trusted(n, N, _word_sum(by_length[k], q, images[ell]))
+                ba = TensorState._trusted(n, N, _word_sum(by_length[ell], q, images[k]))
+                residual = ab.sub(ba).norm()
+                if isnan(residual):
+                    return residual
+                worst = max(worst, residual)
     return worst

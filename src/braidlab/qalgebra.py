@@ -23,7 +23,8 @@ from math import comb, fsum, isfinite
 import numpy as np
 
 from . import automata
-from .errors import ValidationError, check_dense_dim, check_held_entries, check_sparse_words
+from .errors import (ValidationError, _check_q, check_dense_dim, check_held_entries,
+                     check_sparse_words)
 from .hecke import bracket_factorial, q_symmetrize
 from .states import TensorState, Word
 
@@ -60,6 +61,7 @@ def _check_species_index(j: int, n: int, diagonal: bool) -> None:
 
 def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int) -> TensorState:
     out = {}
+    powers = {}  # tail exponent e -> q ** (0.5 * e)
     for w, amp in state.amps.items():
         # tail exponent at k: half of (j count - j+1 count) right of k minus
         # the same left of k, from the word total and a running count to k
@@ -70,7 +72,11 @@ def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int
             if x != source:
                 continue
             w2 = w[:k] + (target,) + w[k + 1:]
-            coeff = amp * q ** (0.5 * (total + step - 2 * left))
+            e = total + step - 2 * left
+            power = powers.get(e)
+            if power is None:
+                power = powers[e] = q ** (0.5 * e)
+            coeff = amp * power
             s = out.get(w2, 0.0) + coeff
             if s == 0.0:
                 out.pop(w2, None)
@@ -83,18 +89,21 @@ def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int
 def apply_E(state: TensorState, j: int, q: float) -> TensorState:
     """Raising operator: one letter j becomes j+1."""
     _check_species_index(j, state.n, diagonal=False)
+    _check_q(q)
     return _apply_ladder(state, j, q, source=j, target=j + 1)
 
 
 def apply_F(state: TensorState, j: int, q: float) -> TensorState:
     """Lowering operator: one letter j+1 becomes j."""
     _check_species_index(j, state.n, diagonal=False)
+    _check_q(q)
     return _apply_ladder(state, j, q, source=j + 1, target=j)
 
 
 def apply_qEps(state: TensorState, j: int, q: float) -> TensorState:
     """Diagonal operator: multiplies each word by q^(count of letter j)."""
     _check_species_index(j, state.n, diagonal=True)
+    _check_q(q)
     return TensorState._trusted(state.n, state.N,
                                 {w: a * q ** w.count(j) for w, a in state.amps.items()})
 
@@ -102,6 +111,7 @@ def apply_qEps(state: TensorState, j: int, q: float) -> TensorState:
 def apply_qH(state: TensorState, j: int, q: float) -> TensorState:
     """Diagonal operator: q^(count of j minus count of j+1) per word."""
     _check_species_index(j, state.n, diagonal=False)
+    _check_q(q)
     return TensorState._trusted(state.n, state.N,
                                 {w: a * q ** (w.count(j) - w.count(j + 1))
                                  for w, a in state.amps.items()})

@@ -12,9 +12,16 @@ and from_dense check every word.  Operators whose output words are valid by
 construction (scale, add/sub of a state of the same shape, the Hecke
 generators, the ladder and diagonal operators of qalgebra) build their
 result with TensorState._trusted, which skips the per-word check.
+
+The kernels step on amplitude dicts and build one state per public call:
+sub adds the negated amplitudes in its own loop, and the multi-step
+operators of hecke (the shuffle operator, the word sums) keep a plain dict
+between generator steps and accumulate into it with _add_into, the loop of
+add.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt
 
 import numpy as np
 
@@ -45,9 +52,7 @@ class TensorState:
         """A state whose words the caller guarantees to lie in [1,n]^N;
         no word is checked."""
         state = object.__new__(cls)
-        object.__setattr__(state, "n", n)
-        object.__setattr__(state, "N", N)
-        object.__setattr__(state, "amps", amps)
+        state.__dict__.update(n=n, N=N, amps=amps)
         return state
 
     @classmethod
@@ -63,7 +68,7 @@ class TensorState:
         return not self.amps
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(abs(a) ** 2 for a in self.amps.values())))
+        return sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
 
     def inner(self, other: "TensorState") -> complex | float:
         """<self|other> with conjugation on self."""
@@ -81,20 +86,19 @@ class TensorState:
         return TensorState._trusted(self.n, self.N, {w: c * a for w, a in self.amps.items()})
 
     def add(self, other: "TensorState") -> "TensorState":
+        return self._plus(other, other.amps.items())
+
+    def sub(self, other: "TensorState") -> "TensorState":
+        # the amplitudes of other.scale(-1.0), not built as a state
+        return self._plus(other, ((w, -1.0 * a) for w, a in other.amps.items()))
+
+    def _plus(self, other: "TensorState", terms) -> "TensorState":
         # other's words are valid for self unless its shape differs
         if other.N != self.N or other.n > self.n:
             _validate(self.n, self.N, other.amps)
         out = dict(self.amps)
-        for w, a in other.amps.items():
-            s = out.get(w, 0.0) + a
-            if s == _PRUNE:
-                out.pop(w, None)
-            else:
-                out[w] = s
+        _add_into(out, terms)
         return TensorState._trusted(self.n, self.N, out)
-
-    def sub(self, other: "TensorState") -> "TensorState":
-        return self.add(other.scale(-1.0))
 
     def normalized(self) -> "TensorState":
         nrm = self.norm()
@@ -117,6 +121,17 @@ class TensorState:
             if abs(a) > 0.0:
                 amps[index_word(idx, n, N)] = complex(a) if np.iscomplexobj(v) else float(a)
         return cls(n, N, amps)
+
+
+def _add_into(out: dict, terms) -> None:
+    """Add (word, amplitude) terms into out in place; a word whose sum is
+    exactly zero is dropped."""
+    for w, a in terms:
+        s = out.get(w, 0.0) + a
+        if s == _PRUNE:
+            out.pop(w, None)
+        else:
+            out[w] = s
 
 
 def _validate(n: int, N: int, words) -> None:

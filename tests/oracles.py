@@ -27,7 +27,15 @@ reference shares no mechanism with the paths it checks.  Two more are
 the loops that array code replaced: sink_completion_dense completes dense
 0/1 matrices, where automata.complete_with_sink extends target arrays, and
 quandle_flags_by_loops is the triple loop over (a, b, c) that
-quandle.validate replaced by one row of the table at a time.
+quandle.validate replaced by one row of the table at a time.  Last, the
+per-step path of the sparse kernels, which now step on amplitude dicts and
+build one state per public call: generator_filtering_always is the
+generator step filtering its result for zeros every time, shuffle_per_step
+and word_sum_per_word build a state at every generator step through
+apply_generator, scale and add (the word sums apply every letter of every
+word), ladder_per_term raises q to every tail exponent again, and
+sub_by_scale and norm_by_numpy are sub as add of scale(-1.0) and the norm
+through numpy.
 """
 
 from itertools import permutations, product
@@ -36,7 +44,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from braidlab.errors import ValidationError
-from braidlab.hecke import apply_generator
+from braidlab.hecke import apply_generator, reduced_words_by_length
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
 from braidlab.spectra import (CLUSTER_RTOL, EIG_RESIDUAL_TOL, HW_TOL, LADDER_RESIDUALS,
                               RESIDUAL_CHUNK, OpenChain, _block_apply, _block_sites, _dense,
@@ -415,3 +423,76 @@ def reference_clusters(blocks):
     cuts = [0] + [i + 1 for i in range(len(values) - 1) if values[i + 1] - values[i] > tol]
     runs = list(zip(cuts, cuts[1:] + [len(values)]))
     return [float(np.mean(values[lo:hi])) for lo, hi in runs], [hi - lo for lo, hi in runs], tol
+
+
+def generator_filtering_always(state, i, q):
+    """r at sites (i, i+1), word by word, its result rebuilt without exact
+    zeros whether or not one is present."""
+    c = 1.0 - q ** -2
+    out = {}
+    for w, amp in state.amps.items():
+        x, y = w[i - 1], w[i]
+        if x == y:
+            out[w] = out.get(w, 0.0) + amp
+            continue
+        sw = w[:i - 1] + (y, x) + w[i + 1:]
+        out[sw] = out.get(sw, 0.0) + amp / q
+        if x > y:
+            out[w] = out.get(w, 0.0) + amp * c
+    return TensorState(state.n, state.N, {w: a for w, a in out.items() if a != 0.0})
+
+
+def shuffle_per_step(state, z, q):
+    """Y_N(z) state, factors S_1 first, one state per generator step."""
+    for k in range(1, state.N):
+        acc = state
+        cur = state
+        zpow = 1.0
+        for t in range(1, k + 1):
+            cur = apply_generator(cur, k - t + 1, q)
+            zpow = zpow * z
+            acc = acc.add(cur.scale(zpow))
+        state = acc
+    return state
+
+
+def word_sum_per_word(N, ell, q, state):
+    """The sum of the reduced words of length ell (generators q r_i),
+    every letter of every word applied anew."""
+    if not ell:
+        return state
+    total = TensorState.zero(state.n, state.N)
+    for w in reduced_words_by_length(N)[ell]:
+        cur = state
+        for i in reversed(w):
+            cur = apply_generator(cur, i, q).scale(q)
+        total = total.add(cur)
+    return total
+
+
+def ladder_per_term(state, j, q, source, target):
+    """E_j (source j, target j+1) or F_j (source j+1, target j), q raised
+    to the tail exponent of every term."""
+    out = {}
+    for w, amp in state.amps.items():
+        total, left = w.count(j) - w.count(j + 1), 0
+        for k, x in enumerate(w):
+            step = (x == j) - (x == j + 1)
+            left += step
+            if x != source:
+                continue
+            w2 = w[:k] + (target,) + w[k + 1:]
+            s = out.get(w2, 0.0) + amp * q ** (0.5 * (total + step - 2 * left))
+            if s == 0.0:
+                out.pop(w2, None)
+            else:
+                out[w2] = s
+    return TensorState(state.n, state.N, out)
+
+
+def sub_by_scale(a, b):
+    return a.add(b.scale(-1.0))
+
+
+def norm_by_numpy(state):
+    return float(np.sqrt(sum(abs(x) ** 2 for x in state.amps.values())))

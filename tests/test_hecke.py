@@ -1,3 +1,5 @@
+from math import factorial, isnan
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,28 @@ def test_r_matrix_symmetric_and_hecke_constraint():
 def test_r_matrix_rejects_q_zero():
     with pytest.raises(ValidationError):
         hecke.r_matrix(2, 0.0)
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_operators_reject_q_zero_and_non_finite_q(q):
+    # at q = inf apply_generator dropped the swapped word of (2, 1, 2), at
+    # nan it gave NaN amplitudes, and the commutator check said 0.0, the
+    # verdict that the sums commute
+    v = TensorState.basis(2, (2, 1, 2))
+    calls = [lambda: hecke.r_matrix(2, q), lambda: hecke.apply_generator(v, 1, q),
+             lambda: hecke.shuffle_apply(v, 0.5, q), lambda: hecke.word_sum_operator(3, 1, q, v),
+             lambda: hecke.conjecture_commutator_check(4, 2, q)]
+    calls += [lambda op=op: op(v, 1, q) for op in (qalgebra.apply_E, qalgebra.apply_F,
+                                                  qalgebra.apply_qH, qalgebra.apply_qEps)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="q must be nonzero and finite"):
+            call()
+
+
+def test_commutator_check_propagates_a_nan_residual():
+    # at q = 1e100 the images of the long words overflow and some commutator
+    # is inf - inf; max(worst, nan) would have kept the finite worst
+    assert isnan(hecke.conjecture_commutator_check(4, 2, 1e100))
 
 
 def test_apply_generator_examples():
@@ -257,6 +281,34 @@ def test_commutator_check_derives_the_reduced_words_once(monkeypatch):
     assert hecke.conjecture_commutator_check(N, n, q) == slow
     assert len(calls) == 24
     assert hecke.conjecture_commutator_check(1, n, q) == 0.0
+
+
+def _suffixes(words):
+    return {w[k:] for w in words for k in range(len(w))}
+
+
+def test_word_sums_apply_each_suffix_once(monkeypatch):
+    # the canonical reduced words are suffix-closed, so every length of one
+    # state takes N! - 1 steps from one memo: one per nonempty suffix
+    N, q = 4, 0.7
+    words = hecke.reduced_words(N)
+    assert _suffixes(words) == set(words) - {()}
+    steps = []
+    real = hecke._generator_step
+    monkeypatch.setattr(hecke, "_generator_step",
+                        lambda amps, i, q: steps.append(i) or real(amps, i, q))
+    images = {(): TensorState.basis(2, (1, 2, 1, 2)).amps}
+    for ell, same_length in hecke.reduced_words_by_length(N).items():
+        hecke._word_sum(same_length, q, images)
+    assert len(steps) == factorial(N) - 1 == 23
+    # the check takes the sums of each basis state (23 steps) and of each of
+    # its images s_m v, which is summed over every length but m
+    steps.clear()
+    hecke.conjecture_commutator_check(N, 2, q)
+    lmax = N * (N - 1) // 2
+    per_state = 23 + sum(len(_suffixes([w for w in words if len(w) != m]))
+                         for m in range(1, lmax + 1))
+    assert len(steps) == 2 ** N * per_state == 2448
 
 
 def test_commutator_check_refutes_conjecture_at_four_strands():

@@ -84,9 +84,10 @@ def test_word_sum_commutators_exact_q1_verdicts():
 def test_cli_diff_finds_no_difference_between_a_checkout_and_itself():
     lines = run_script("cli_diff.py", str(ROOT), str(ROOT), "--n", "2,3", "--N", "1-3",
                        "--q", "0.7,1.5").splitlines()
-    # 6 commands per (n, N, q), 9 automata commands per (n, N) and the
-    # dihedral table of N = 2 and 3 with the spectrum of N = 3
-    assert lines == ["0 of 129 runs differ"]
+    # 8 commands per (n, N, q) with the two shuffles, 9 automata commands
+    # per (n, N), and per N the reduced words, with the dihedral table of
+    # N = 2 and 3 and the spectrum of N = 3
+    assert lines == ["0 of 156 runs differ"]
 
 
 def test_cli_diff_prints_the_lines_that_differ(tmp_path):
@@ -105,4 +106,4 @@ def test_cli_diff_prints_the_lines_that_differ(tmp_path):
     assert done.stdout.splitlines() == [
         "verify --n 2 --N 2 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
         "verify --n 2 --N 3 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
-        "2 of 33 runs differ"]
+        "2 of 39 runs differ"]

@@ -8,15 +8,16 @@ commit).  For every n, N and q of the grid the script runs `verify`,
 `spectrum`, `spectrum --format csv`, `dicke` at the most even composition of
 N into n parts (larger parts first) and `crystal` with `--labels
 canonical` and `--labels rescaled`, so that the q-integers those print are
-compared too.  The automata commands take no --q and run once per n and N:
-`crystal` without labels, `quandle orbits` of the dihedral quandle as JSON
-and as DOT, and `automaton --example` exa01 and e1 as JSON, as DOT and
-running a word of length N (see run_word).  The dihedral quandle of order
-N runs once per N, whatever n: its table JSON (`quandle dihedral --n N`)
-for N >= 2 and its `--spectrum` for odd N >= 3.  For N <= 8 the shuffle
-operator runs too: `shuffle --z q2` and `shuffle --z minus1` on the ordered
-word of that composition for every n and q, and `shuffle --reduced-words`
-once per N.  Each checkout is imported
+compared too.  The commands that take no --q run once per n and N:
+`crystal` without labels, the `tableaux` dimension table (the standard
+tableau counts that the n = 2 sector counts are), `quandle orbits` of the
+dihedral quandle as JSON and as DOT, and `automaton --example` exa01 and e1
+as JSON, as DOT and running a word of length N (see run_word).  The
+dihedral quandle of order N runs once per N, whatever n: its table JSON
+(`quandle dihedral --n N`) for N >= 2 and its `--spectrum` for odd N >= 3.
+For N <= 8 the shuffle operator runs too: `shuffle --z q2` and `shuffle
+--z minus1` on the ordered word of that composition for every n and q, and
+`shuffle --reduced-words` once per N.  Each checkout is imported
 in its own Python subprocess, which runs every case in process through
 braidlab.cli.main and returns its exit code, stdout and stderr.  BLAS runs
 one thread in both unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
@@ -99,7 +100,7 @@ def run_word(n: int, N: int) -> str:
 def automata_cases(n: int, N: int) -> list[list[str]]:
     """The commands of one (n, N) that take no --q."""
     size = ["--n", str(n), "--N", str(N)]
-    cases = [["crystal", *size], ["quandle", "orbits", *size],
+    cases = [["crystal", *size], ["tableaux", *size], ["quandle", "orbits", *size],
              ["quandle", "orbits", *size, "--dot"]]
     for example in EXAMPLES:
         cases += [["automaton", "--example", example, *extra]

@@ -14,11 +14,12 @@ z = -1 the q-antisymmetrizer.
 
 Every operator here steps on amplitude dicts through one private generator
 step, _generator_step, and builds one state per public call: apply_generator
-wraps the step, and the shuffle operator and the word sums keep a dict
-between steps.  The word sums apply each reduced-word suffix once per summed
-state: the canonical reduced words are suffix-closed, so a memo of suffix
-images (_word_sum) applies each of the N! - 1 nonempty suffixes once, where
-one word at a time applies every letter of every word.
+wraps the step, r_matrix takes each column from it, and the shuffle operator
+and the word sums keep a dict between steps.  The word sums apply each
+reduced-word suffix once per summed state: the canonical reduced words are
+suffix-closed, so a memo of suffix images (_word_sum) applies each of the
+N! - 1 nonempty suffixes once, where one word at a time applies every letter
+of every word.
 """
 
 from collections import Counter
@@ -37,24 +38,15 @@ MAX_REDUCED_N = 8
 
 
 def r_matrix(n: int, q: float) -> np.ndarray:
-    """The rescaled braid operator on V_n tensor V_n as a dense matrix."""
+    """The rescaled braid operator on V_n tensor V_n as a dense matrix, in
+    the lexicographic word basis: column w is the generator step on w."""
     if n < 2:
         raise ValidationError("r_matrix needs n >= 2")
     _check_q(q)  # the crystal limit q -> 0 is handled separately
     m = np.zeros((n * n, n * n))
-
-    def idx(a, b):
-        return (a - 1) * n + (b - 1)
-
-    c = 1.0 - q ** -2
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a == b:
-                m[idx(a, a), idx(a, a)] = 1.0
-            else:
-                m[idx(b, a), idx(a, b)] = 1.0 / q
-                if a > b:
-                    m[idx(a, b), idx(a, b)] = c
+    for col, w in enumerate(all_words(n, 2)):
+        for (a, b), amp in _generator_step({w: 1.0}, 1, q).items():
+            m[(a - 1) * n + b - 1, col] = amp
     return m
 
 

@@ -280,8 +280,7 @@ def centralizer_residual(table: QuandleTable, N: int) -> int:
     check is exact; the result is 0 whenever the centralizer property holds.
     """
     n = table.n
-    _check_orbit_size(n, N)
-    _require_rack(table)
+    _check_orbits(table, N)
     inv = _inverse_rows(table).tolist()
     words = all_words(n, N)
 

@@ -17,7 +17,10 @@ end, _rank keys all their words block-major, and _sites_by_block (H),
 _w0_positions (the w0 images in self-mirrored blocks) and _coproduct_maps
 (E_j, F_j, q^{H_j}, q^{eps_j}) take N - 1 or one vectorized steps over
 every block and hand each block its slice.  block_matrix, coproduct_block
-and sector_matrix are the one-content calls of the same code.
+and sector_matrix are the one-content calls of the same code.  One swap
+routine, _site_swaps, links each flagged word to its i, i+1 swap by key: H's
+blocks flag the words whose letters at i, i+1 differ, and the seminormal
+forms the standard tableaux whose entries i, i+1 share no row or column.
 
 For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
 words with k high letters, and sector k is the irrep lambda = (N - k, k),
@@ -29,13 +32,13 @@ injective, so ker F_1 = range(E_1)^perp, taken from one complete QR of E_1
 per rung with H compressed onto it (_hw_eigenpairs) and no weight block
 built dense.  Every rung clears each ladder of the lower sectors' ladders
 and checks their values against the seminormal spectra; the n = 2 clusters
-come from the ladders of each sector.
+come from the ladders of each sector, and sector k must hold
+f^(N-k,k) = syt_dim((N - k, k)) of them (sector_multiplicity).
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, exp, expm1, factorial, isfinite, log, sqrt
+from math import comb, exp, expm1, isfinite, log, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -157,9 +160,9 @@ def _word_array(n: int, N: int, words) -> np.ndarray:
     return words
 
 
-def _rank(n: int, N: int, words, bounds=None) -> _Ranked:
+def _rank(n: int, N: int, words, bounds) -> _Ranked:
     """Letters, keys and a key -> position lookup for weight blocks laid end
-    to end (weight_blocks; bounds None for one block).
+    to end (weight_blocks).
 
     The keys are block-major, block index * n^N + the word's base-n key, so
     with each block in lexicographic order they increase over the whole
@@ -169,7 +172,7 @@ def _rank(n: int, N: int, words, bounds=None) -> _Ranked:
     array (not a whole weight block), are a ValidationError.
     """
     words = _word_array(n, N, words)
-    sizes = np.diff([0, len(words)] if bounds is None else bounds)
+    sizes = np.diff(bounds)
     stride = n ** N
     # the sentinel past the last block; keys overflow int64 beyond 2^63,
     # Python integers do not
@@ -192,6 +195,24 @@ def _rank(n: int, N: int, words, bounds=None) -> _Ranked:
     return _Ranked(words, powers, block, keys, stride, lookup)
 
 
+def _site_swaps(ranked: _Ranked, bounds: np.ndarray, moves: np.ndarray) -> list:
+    """Per block of ranked (bounds) and per site i, the (rows, cols) that
+    link every word flagged in moves[:, i] (column) to its i, i+1 swap
+    (row), in positions within the block: one key lookup per site over
+    every block at once, each block taking its slice.  A swap outside the
+    ranked words is a ValidationError."""
+    first = np.repeat(bounds[:-1], np.diff(bounds))     # each word's block start
+    # the key of the i, i+1 swap minus the word's: (w[i+1] - w[i]) (n^(N-1-i) - n^(N-2-i))
+    shift = np.diff(ranked.words, axis=1) * -np.diff(ranked.powers)
+    steps = []
+    for i in range(moves.shape[1]):
+        cols = np.flatnonzero(moves[:, i])
+        rows = ranked.lookup(ranked.keys[cols] + shift[cols, i])
+        steps.append((rows - first[rows], cols - first[cols], np.searchsorted(cols, bounds)))
+    return [[(rows[a[b]:a[b + 1]], cols[a[b]:a[b + 1]]) for rows, cols, a in steps]
+            for b in range(len(bounds) - 1)]
+
+
 def _sites_by_block(chain: OpenChain, words, bounds) -> list:
     """H on every weight block of words (blocks end to end, bounds), as one
     site-array triple (diag, sites, 1/q) per block, from one ranking (_rank)
@@ -199,29 +220,19 @@ def _sites_by_block(chain: OpenChain, words, bounds) -> list:
 
     Per site j, over all words at once, r_j adds 1 to diag for an equal pair
     and 1 - q^-2 for a decreasing pair (summed over j in increasing order),
-    and 1/q at (rows, cols): cols are the words whose letters at j, j+1
-    differ, rows the swapped words, which stay in their block.  Each block
-    gets its slice of diag and of every site's arrays, in positions within
-    the block.  No (row, col) occurs twice.
+    and 1/q at the (rows, cols) of _site_swaps: cols are the words whose
+    letters at j, j+1 differ, rows the swapped words, which stay in their
+    block.  Each block gets its slice of diag.  No (row, col) occurs twice.
     """
     N, q, bounds = chain.N, chain.q, np.asarray(bounds)
     ranked = _rank(chain.n, N, words, bounds)
-    w, powers, keys = ranked.words, ranked.powers, ranked.keys
-    first = np.repeat(bounds[:-1], np.diff(bounds))     # each word's block start
-    diag = np.zeros(len(w))
+    x, y = ranked.words[:, :-1], ranked.words[:, 1:]
+    diag = np.zeros(len(x))
     c = 1.0 - q ** -2
-    steps = []
     for j in range(N - 1):
-        x, y = w[:, j], w[:, j + 1]
-        diag += np.where(x == y, 1.0, np.where(x > y, c, 0.0))
-        cols = np.flatnonzero(x != y)
-        rows = ranked.lookup(keys[cols] + (y[cols] - x[cols]) * (powers[j] - powers[j + 1]))
-        steps.append((rows - first[rows], cols - first[cols], np.searchsorted(cols, bounds)))
-    per_block = []
-    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        sites = [(rows[a[b]:a[b + 1]], cols[a[b]:a[b + 1]]) for rows, cols, a in steps]
-        per_block.append((diag[lo:hi], sites, 1.0 / q))
-    return per_block
+        diag += np.where(x[:, j] == y[:, j], 1.0, np.where(x[:, j] > y[:, j], c, 0.0))
+    return [(diag[lo:hi], sites, 1.0 / q)
+            for lo, hi, sites in zip(bounds[:-1], bounds[1:], _site_swaps(ranked, bounds, x != y))]
 
 
 def _block_sites(chain: OpenChain, basis) -> tuple:
@@ -541,10 +552,11 @@ def _seminormal_forms(shapes, q: float) -> list:
     1 - q^-2 and determinant -q^-2, the eigenvalues 1 and -q^-2 of r.
     The standard tableaux of every shape, Yamanouchi words, are laid end to
     end like weight blocks and ranked once (_rank): s_i S is found from its
-    key like a swapped word (_sites_by_block), and each shape takes its
-    slice of every step.  Each entry is a Python float from a table over the
-    d that occur (_seminormal_entries, accurate near q = 1 and bounded where
-    q^(N-1) is not).  f^lambda past max_dense_dim() is a SizeGuardError.
+    key like a swapped word, by the swap routine of H's blocks (_site_swaps),
+    and each shape takes its slice of every step.  Each entry is a Python
+    float from a table over the d that occur (_seminormal_entries, accurate
+    near q = 1 and bounded where q^(N-1) is not).  f^lambda past
+    max_dense_dim() is a SizeGuardError.
     """
     if not isfinite(q) or q <= 0:
         raise ValidationError("q must be positive and finite")
@@ -561,16 +573,13 @@ def _seminormal_forms(shapes, q: float) -> list:
     t = log(q)
     diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
     diag = diag[d - lo].sum(axis=1)
-    forms = [np.diag(diag[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     ranked = _rank(R, N, rows + 1, bounds)
-    words, powers = ranked.words, ranked.powers
-    for i in range(N - 1):
-        cols = np.flatnonzero(np.abs(d[:, i]) > 1)
-        x, y = words[cols, i], words[cols, i + 1]
-        swapped = ranked.lookup(ranked.keys[cols] + (y - x) * (powers[i] - powers[i + 1]))
-        entries, cut = off[d[cols, i] - lo], np.searchsorted(cols, bounds)
-        for m, a, b, start in zip(forms, cut[:-1], cut[1:], bounds):
-            m[swapped[a:b] - start, cols[a:b] - start] = entries[a:b]
+    forms = []
+    for a, b, sites in zip(bounds[:-1], bounds[1:], _site_swaps(ranked, bounds, np.abs(d) > 1)):
+        m, entries = np.diag(diag[a:b]), off[d[a:b] - lo]
+        for i, (swapped, cols) in enumerate(sites):
+            m[swapped, cols] = entries[cols, i]
+        forms.append(m)
     return forms
 
 
@@ -622,10 +631,10 @@ def sector_matrix(N: int, q: float, k: int) -> np.ndarray:
 
 
 def sector_multiplicity(N: int, k: int) -> int:
-    """m_k = N!/(k! (N-k+1)!) (N-2k+1), the number of sector-k eigenvalues."""
-    m = Fraction(factorial(N), factorial(k) * factorial(N - k + 1)) * (N - 2 * k + 1)
-    assert m.denominator == 1
-    return int(m)
+    """m_k = f^(N-k,k), the number of sector-k eigenvalues (q-Schur-Weyl
+    duality), (N,) at k = 0; a k outside [0, N/2] makes no partition, a
+    ValidationError of tableaux.syt_dim."""
+    return syt_dim((N - k, k) if k else (N,))
 
 
 def sector_dimension(N: int, k: int) -> int:
@@ -827,17 +836,20 @@ class DecompositionReport:
 def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
     """Cross-check the spectrum against tableau predictions.
 
-    The total dimension is matched against n^N and against the Schur-Weyl
-    sum of f^lambda ssyt_dim(lambda, n), from the closed dimension formulas
-    of tableaux.  For n=2 the clusters and sectors come from one
-    classify_sectors sweep: each sector k must contribute m_k eigenvalues,
-    each ladder N - 2k + 1 states long, and their total must be 2^N; every
-    ladder is checked rung by rung, and on every rung m <= N/2 the open
-    ladders' values are compared with the seminormal spectra of the sectors
-    k <= m, the independent check of the sector values.  For every other n
-    the values-only diagonalize checks the Kostka identity on every dominant
-    weight block against the seminormal spectra, and the report carries,
-    per lambda, the spectrum of rho_lambda(H) (f^lambda values),
+    The Schur-Weyl sum of f^lambda ssyt_dim(lambda, n), from the closed
+    dimension formulas of tableaux, must be n^N (schur_weyl_total), and so
+    must the total multiplicity of the clusters (spectral_total).  For n=2
+    the clusters and sectors come from one classify_sectors sweep: sector k
+    must hold m_k = f^(N-k,k) ladders (sector_k_count), each N - 2k + 1
+    states long, so the clusters' total is the observed ladders times their
+    lengths; the predicted sum of m_k (N - 2k + 1) is the Schur-Weyl sum at
+    n = 2 (ssyt_dim((N-k, k), 2) = N - 2k + 1), so it is not checked twice.
+    Every ladder is checked rung by rung, and on every rung m <= N/2 the
+    open ladders' values are compared with the seminormal spectra of the
+    sectors k <= m, the independent check of the sector values.  For every
+    other n the values-only diagonalize checks the Kostka identity on every
+    dominant weight block against the seminormal spectra, and the report
+    carries, per lambda, the spectrum of rho_lambda(H) (f^lambda values),
     ssyt_dim(lambda, n) and the worst residual (irreps).
     """
     chain = OpenChain(n, N, q)
@@ -863,10 +875,6 @@ def verify_decomposition(n: int, N: int, q: float) -> DecompositionReport:
             if observed.get(k, 0) != m:
                 mismatches.append({"what": f"sector_{k}_count", "expected": m,
                                    "got": observed.get(k, 0)})
-        bookkeeping = sum(m * sector_dimension(N, k) for k, m in predicted.items())
-        if bookkeeping != 2 ** N:
-            mismatches.append({"what": "sector_bookkeeping", "expected": 2 ** N,
-                               "got": bookkeeping})
     ok = not mismatches and (sector_report.ok if sector_report else True)
     return DecompositionReport(n, N, q, ok, total, n ** N, mismatches, sector_report, irreps)
 

@@ -68,7 +68,10 @@ class TensorState:
         return not self.amps
 
     def norm(self) -> float:
-        return sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
+        try:
+            return sqrt(sum(abs(a) ** 2 for a in self.amps.values()))
+        except OverflowError:   # a float power past 1.3e154 raises; a product gives inf
+            return sqrt(sum(abs(a) * abs(a) for a in self.amps.values()))
 
     def inner(self, other: "TensorState") -> complex | float:
         """<self|other> with conjugation on self."""

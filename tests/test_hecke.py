@@ -36,6 +36,14 @@ def test_r_matrix_symmetric_and_hecke_constraint():
             assert np.abs(resid).max() < 1e-14
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("q", [-2.5, -1.0, 0.7, 1.0, 1.37, 2.0])
+def test_r_matrix_equals_the_elementary_matrix_oracle(n, q):
+    # r_matrix reads its columns off the sparse generator step; the oracle
+    # sums Kronecker products of elementary matrices, negative q included
+    assert np.array_equal(hecke.r_matrix(n, q), dense_r(n, q))
+
+
 def test_r_matrix_rejects_q_zero():
     with pytest.raises(ValidationError):
         hecke.r_matrix(2, 0.0)

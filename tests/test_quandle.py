@@ -236,6 +236,13 @@ def test_centralizer_residual_zero():
     assert quandle.centralizer_residual(quandle.tetrahedron(), 3) == 0
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_centralizer_residual_rejects_n_below_one(N):
+    # refused before any word is built, as orbit_automaton refuses it
+    with pytest.raises(ValidationError, match="N must be >= 1"):
+        quandle.centralizer_residual(quandle.dihedral(3), N)
+
+
 def test_orbit_automaton_dihedral3():
     t = quandle.dihedral(3)
     graph = quandle.orbit_automaton(t, 2)

@@ -81,13 +81,20 @@ def test_word_sum_commutators_exact_q1_verdicts():
         "exact q=1 group algebra: noncommuting pairs [(1, 2), (1, 4), (2, 5), (4, 5)]"]
 
 
+def test_word_sum_commutators_overflow_reads_nan():
+    # at q = 1e30 the four-strand sums overflow: the norm is inf, the
+    # commutator NaN, and the script exits 0 (run_script checks it)
+    lines = run_script("word_sum_commutators.py", "--q", "1e30").splitlines()
+    assert [line.split("= ")[-1] for line in lines if line.startswith("N=4")] == ["nan"]
+
+
 def test_cli_diff_finds_no_difference_between_a_checkout_and_itself():
     lines = run_script("cli_diff.py", str(ROOT), str(ROOT), "--n", "2,3", "--N", "1-3",
                        "--q", "0.7,1.5").splitlines()
-    # 8 commands per (n, N, q) with the two shuffles, 9 automata commands
-    # per (n, N), and per N the reduced words, with the dihedral table of
+    # 8 commands per (n, N, q) with the two shuffles, 10 commands without
+    # q per (n, N), and per N the reduced words, with the dihedral table of
     # N = 2 and 3 and the spectrum of N = 3
-    assert lines == ["0 of 156 runs differ"]
+    assert lines == ["0 of 162 runs differ"]
 
 
 def test_cli_diff_prints_the_lines_that_differ(tmp_path):
@@ -106,4 +113,4 @@ def test_cli_diff_prints_the_lines_that_differ(tmp_path):
     assert done.stdout.splitlines() == [
         "verify --n 2 --N 2 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
         "verify --n 2 --N 3 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
-        "2 of 39 runs differ"]
+        "2 of 41 runs differ"]

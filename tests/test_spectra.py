@@ -616,6 +616,15 @@ def test_sector_multiplicity_closed_form():
             assert spectra.sector_multiplicity(N, k) == comb(N, k) - (comb(N, k - 1) if k else 0)
 
 
+def test_sector_multiplicity_refuses_a_sector_past_the_middle():
+    # (N - k, k) is a partition for 0 <= k <= N/2 only; past the middle
+    # there is no sector, so there is no count (not 0, not negative)
+    for N, k in [(5, 3), (4, 3), (4, 4), (4, -1)]:
+        with pytest.raises(ValidationError):
+            spectra.sector_multiplicity(N, k)
+    assert spectra.sector_multiplicity(1, 0) == 1
+
+
 def test_verify_decomposition_n2_range():
     for N in range(2, 9):
         report = spectra.verify_decomposition(2, N, 1.5)

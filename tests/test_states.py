@@ -1,3 +1,5 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,16 @@ def test_basis_and_norm():
     assert v.norm() == 1.0
     assert v.scale(2.0).norm() == 2.0
     assert TensorState.zero(2, 3).is_zero()
+
+
+def test_norm_overflows_to_inf():
+    # abs(a) ** 2 raises OverflowError past about 1.3e154; the norm is inf,
+    # and NaN where an amplitude is NaN, and finite norms keep their bits
+    assert TensorState(2, 2, {(1, 2): 1e200}).norm() == float("inf")
+    assert TensorState(2, 2, {(1, 2): 1e200, (2, 1): -1e-3}).norm() == float("inf")
+    nan = TensorState(2, 2, {(1, 2): 1e200, (2, 1): float("nan")}).norm()
+    assert nan != nan
+    assert TensorState(2, 1, {(1,): 1e150, (2,): 1e150}).norm() == sqrt(1e150 ** 2 + 1e150 ** 2)
 
 
 def test_add_cancellation_prunes():

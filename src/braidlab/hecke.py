@@ -61,8 +61,12 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
 
 def _generator_step(amps: dict, i: int, q: float) -> dict:
     """r at sites (i, i+1) on an amplitude dict, as a new dict without exact
-    zeros; i and q are the caller's to check."""
-    c = 1.0 - q ** -2
+    zeros; i and q are the caller's to check, except that a q so small that
+    q^-2 overflows (|q| below about 7.46e-155) is a ValidationError."""
+    try:
+        c = 1.0 - q ** -2
+    except OverflowError:
+        raise ValidationError(f"q = {q!r} is too small: q^-2 overflows") from None
     out = {}
     for w, amp in amps.items():
         x, y = w[i - 1], w[i]

@@ -10,6 +10,10 @@ K_{lambda mu} times; rho_lambda(H) itself comes from Young's seminormal
 form (_seminormal_forms).  So diagonalize solves one block per partition
 mu, values only (_dominant_blocks), and checks it against those spectra;
 each of its clusters is a run of one irrep's values and keeps its lambda.
+A block that w0 maps onto itself is split into its two w0 parity halves
+straight from its site arrays (_parity_halves), so a dense matrix exists in
+diagonalize only where LAPACK reads it: the halves, or a block that w0 does
+not map onto itself.
 
 Every weight-block operator comes from one ranked-word builder, run once per
 decomposition: weight_blocks lays the blocks of a list of contents end to
@@ -349,17 +353,19 @@ def _orbit_size(n: int, shape) -> int:
 def _check_guard(chain: OpenChain, held: str | None) -> None:
     """One dense guard for every n: the largest weight block, the
     multinomial of the most even content, must be at most max_dense_dim().
-    What a caller holds at once must also stay within HELD_BLOCKS_MULTIPLE
-    = 3 times max_dense_dim()^2 entries, 384 MiB at the default 4096: held
-    "all" (symmetry_residual) counts H on every block, held "sectors"
-    (classify_sectors, n = 2) the builder arrays its sweep keeps, from their
-    sizes (the words and H's site arrays, N 2^N entries each, and the E_1
-    terms of _coproduct_maps, 3 N 2^(N-1)), and its widest rung m: the E_1
-    maps into and out of block m, the d_m x d_m ladder array and its E_1
-    image, and for m <= N/2 Q, R and the copy of the E_1 map that numpy's
-    complete QR factors.  So "sectors" admits n = 2, N = 13 (18,776,836
-    entries) and refuses N = 14 (75,891,544), and "all" refuses n = 11,
-    N = 6 (about 4,787 MiB)."""
+    That is all held None (diagonalize) counts: it holds one block at a
+    time, dense or as its two w0 halves (_dominant_blocks), within
+    max_dense_dim()^2 entries.  What a caller holds at once must also stay
+    within HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2 entries, 384 MiB
+    at the default 4096: held "all" (symmetry_residual) counts H on every
+    block, held "sectors" (classify_sectors, n = 2) the builder arrays its
+    sweep keeps, from their sizes (the words and H's site arrays, N 2^N
+    entries each, and the E_1 terms of _coproduct_maps, 3 N 2^(N-1)), and
+    its widest rung m: the E_1 maps into and out of block m, the d_m x d_m
+    ladder array and its E_1 image, and for m <= N/2 Q, R and the copy of
+    the E_1 map that numpy's complete QR factors.  So "sectors" admits
+    n = 2, N = 13 (18,776,836 entries) and refuses N = 14 (75,891,544), and
+    "all" refuses n = 11, N = 6 (about 4,787 MiB)."""
     n, N = chain.n, chain.N
     base, extra = divmod(N, min(n, N))
     largest = multinomial([base + 1] * extra + [base] * (min(n, N) - extra))
@@ -470,8 +476,11 @@ def _dominant_blocks(chain: OpenChain) -> dict:
     else mu, padded with zeros to n parts, all from one builder pass (the
     site arrays do not depend on the alphabet).  w0 over a palindrome's
     alphabet 1..len(mu) maps its block onto itself, its images from one
-    _w0_positions call for all of them, and _solve_block splits it.  One
-    dense block is held at a time.
+    _w0_positions call for all of them, and _solve_block splits it from its
+    site arrays into two halves of about d^2/4 entries each, with no d x d
+    array; a block that w0 does not map onto itself is scattered dense.  So
+    at most one block's dense matrix, or one block's two halves, is held at
+    a time.
     """
     n, N = chain.n, chain.N
     shapes = partitions_of(N, max_rows=n)
@@ -512,30 +521,54 @@ def _solve_block(block: tuple, w0: np.ndarray | None, mu) -> np.ndarray:
 
 def _parity_halves(block: tuple, w0: np.ndarray, mu) -> tuple:
     """The non-empty w0 parity halves, (even, odd) or (even,), of a block
-    that w0 maps onto itself.  With I, J = w0(I) and F the positions of the
-    words that w0 swaps (I < J) and fixes, and A = _dense(block) commuting
-    with w0, the basis (e_I + e_J)/sqrt2, e_F, (e_I - e_J)/sqrt2 splits A
-    into [[A_II + A_IJ, sqrt2 A_IF], [sqrt2 A_FI, A_FF]] and A_II - A_IJ.
-    Before the coupling is dropped, A_II - A_JJ, A_IJ - A_JI and A_IF - A_JF
-    must be within EIG_RESIDUAL_TOL * max(1, max |A|), or it is a
-    ValidationError naming mu: each run verifies the symmetry it uses."""
-    positions = np.arange(len(w0))
-    pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
-    k = len(pairs)
-    order = np.concatenate([pairs, w0[pairs], fixed])
-    a = _dense(block)[np.ix_(order, order)]             # rows and columns I, J, F
-    ii, ij = a[:k, :k], a[:k, k:2 * k]
-    diag, _, off = block
-    coupling = max(float(np.abs(x - y).max(initial=0.0)) for x, y in [
-        (ii, a[k:2 * k, k:2 * k]), (ij, a[k:2 * k, :k]), (a[:k, 2 * k:], a[k:2 * k, 2 * k:])])
+    that w0 maps onto itself, scattered from its site arrays (diag, sites,
+    off) with no d x d array.  With I, J = w0(I) and F the positions of the
+    words that w0 swaps (I < J) and fixes, and A the block commuting with
+    w0, the basis (e_I + e_J)/sqrt2, e_F, (e_I - e_J)/sqrt2 splits A into
+    [[A_II + A_IJ, sqrt2 A_JF], [sqrt2 A_FJ, A_FF]] and A_II - A_IJ.  Each
+    word has a slot in its half (the t-th pair's I and J words slot t, the
+    s-th fixed word k + s), and each entry goes to the slots of its row and
+    column: the diagonal of I and F, then I rows with I columns to both
+    halves, F rows with F columns, J rows with F columns and F rows with J
+    columns times sqrt2, and last the I rows with J columns, added to the
+    even half and subtracted from the odd one; the rest are w0 mirrors of
+    these.  So the halves equal the split of the dense block bit for bit.
+
+    Before the coupling is dropped, the (row, col) pattern of the entries
+    must equal its w0 image (a missing mirror entry differs by |off|) and
+    |diag - diag[w0]| must be within EIG_RESIDUAL_TOL * max(1, max |diag|,
+    |off|), or it is a ValidationError naming mu: each run verifies the
+    symmetry it uses, by sorting the keys of the entries and of their images."""
+    diag, sites, off = block
+    d = len(w0)
+    side = np.sign(np.arange(d) - w0) + 1              # 0 for I, 1 for F, 2 for J
+    pairs, fixed = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    k, f = len(pairs), len(fixed)
+    rows, cols = np.concatenate([np.zeros((2, 0), dtype=np.int64), *sites], axis=1)
+    mirrored = np.array_equal(np.sort(rows * d + cols), np.sort(w0[rows] * d + w0[cols]))
+    coupling = float(np.abs(diag - diag[w0]).max(initial=0.0))
+    if not mirrored:
+        coupling = max(coupling, abs(off))
     if not coupling <= EIG_RESIDUAL_TOL * max(1.0, float(np.abs(diag).max()), abs(off)):
         raise ValidationError(f"weight block {mu}: w0 symmetry residual {coupling} "
                               f"exceeds {EIG_RESIDUAL_TOL}")
-    odd = ii - ij
-    even = a[k:, k:]                                    # rows and columns J, F, overwritten
-    np.add(ii, ij, out=even[:k, :k])
-    even[:k, k:] *= sqrt(2.0)
-    even[k:, :k] *= sqrt(2.0)
+    order = np.concatenate([pairs, fixed])              # the words of the even half
+    slot = np.empty(d, dtype=np.int64)
+    slot[order] = np.arange(k + f)
+    slot[w0[pairs]] = np.arange(k)
+
+    def entries(row_side, col_side):
+        hit = (side[rows] == row_side) & (side[cols] == col_side)
+        return slot[rows[hit]], slot[cols[hit]]
+
+    even, odd = np.zeros((k + f, k + f)), np.zeros((k, k))
+    np.fill_diagonal(even, diag[order])
+    np.fill_diagonal(odd, diag[pairs])
+    ii, ij = entries(0, 0), entries(0, 2)
+    even[ii] = odd[ii] = even[entries(1, 1)] = off
+    even[entries(2, 1)] = even[entries(1, 2)] = off * sqrt(2.0)
+    even[ij] += off
+    odd[ij] -= off
     return (even, odd) if k else (even,)
 
 

@@ -12,7 +12,9 @@ composes classify_sectors' residual warnings by its own scan,
 highest_weight_svd is the kernel of F_1 from a full SVD, which
 classify_sectors replaced by range(E_1)^perp from one QR per rung,
 dominant_eigenpairs keeps the eigenvectors of the blocks that
-spectra._dominant_blocks solves values only, seminormal_loop builds
+spectra._dominant_blocks solves values only, parity_halves_dense splits a
+self-mirrored block by w0 from its dense matrix, where spectra._parity_halves
+scatters the halves from the site arrays, seminormal_loop builds
 the seminormal form one tableau and one generator at a time, where
 spectra.sector_hamiltonian works on arrays over all tableaux, and
 hook_length_product and hook_content_product are the cell-by-cell hook
@@ -390,6 +392,33 @@ def dominant_eigenpairs(chain):
                     f"eigenpair residual {float(resid[bad[0]])} exceeds {EIG_RESIDUAL_TOL}")
         out[content] = (words, vals, vecs)
     return out
+
+
+def parity_halves_dense(block, w0, mu):
+    """The non-empty w0 parity halves, (even, odd) or (even,), of a block
+    that w0 maps onto itself, split from the dense block: the whole block
+    scattered (spectra._dense), gathered in the order I, J = w0(I), F, and
+    [[A_II + A_IJ, sqrt2 A_JF], [sqrt2 A_FJ, A_FF]] and A_II - A_IJ formed
+    from the gather, after A_II - A_JJ, A_IJ - A_JI and A_IF - A_JF are
+    checked within EIG_RESIDUAL_TOL * max(1, max |diag|, |off|)."""
+    positions = np.arange(len(w0))
+    pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
+    k = len(pairs)
+    order = np.concatenate([pairs, w0[pairs], fixed])
+    a = _dense(block)[np.ix_(order, order)]             # rows and columns I, J, F
+    ii, ij = a[:k, :k], a[:k, k:2 * k]
+    diag, _, off = block
+    coupling = max(float(np.abs(x - y).max(initial=0.0)) for x, y in [
+        (ii, a[k:2 * k, k:2 * k]), (ij, a[k:2 * k, :k]), (a[:k, 2 * k:], a[k:2 * k, 2 * k:])])
+    if not coupling <= EIG_RESIDUAL_TOL * max(1.0, float(np.abs(diag).max()), abs(off)):
+        raise ValidationError(f"weight block {mu}: w0 symmetry residual {coupling} "
+                              f"exceeds {EIG_RESIDUAL_TOL}")
+    odd = ii - ij
+    even = a[k:, k:]                                    # rows and columns J, F, overwritten
+    np.add(ii, ij, out=even[:k, :k])
+    even[:k, k:] *= sqrt(2.0)
+    even[k:, :k] *= sqrt(2.0)
+    return (even, odd) if k else (even,)
 
 
 def eigen_blocks(chain):

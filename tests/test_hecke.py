@@ -71,6 +71,24 @@ def test_commutator_check_propagates_a_nan_residual():
     assert isnan(hecke.conjecture_commutator_check(4, 2, 1e100))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_generator_step_refuses_q_whose_inverse_square_overflows(sign):
+    # q^-2 is finite at |q| = 7.46e-155 (about 1.797e308) and overflows at
+    # 7.45e-155, where the float power raised a bare OverflowError
+    v = TensorState.basis(2, (2, 1, 2))
+
+    def calls(q):
+        return [lambda: hecke.r_matrix(2, q), lambda: hecke.apply_generator(v, 1, q),
+                lambda: hecke.shuffle_apply(v, 0.5, q),
+                lambda: hecke.word_sum_operator(3, 1, q, v)]
+
+    for call in calls(sign * 7.46e-155):
+        call()
+    for call in calls(sign * 7.45e-155):
+        with pytest.raises(ValidationError, match="q\\^-2 overflows"):
+            call()
+
+
 def test_apply_generator_examples():
     q = 1.3
     out = hecke.apply_generator(TensorState.basis(2, (1, 2, 2)), 1, q)

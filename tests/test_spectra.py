@@ -12,8 +12,8 @@ from braidlab.states import TensorState
 
 from oracles import (block_map, dense_hamiltonian, dominant_eigenpairs, eigen_blocks,
                      hamiltonian_apply, highest_weight_svd, multiset_permutations,
-                     reference_clusters, sector_warnings_pairwise, seminormal_loop,
-                     state_to_dense, symmetry_residual_per_word)
+                     parity_halves_dense, reference_clusters, sector_warnings_pairwise,
+                     seminormal_loop, state_to_dense, symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -1398,28 +1398,57 @@ def test_w0_parity_halves_have_the_spectrum_of_the_whole_block(monkeypatch):
                     assert widths == [w for w in (pairs + fixed, pairs) if w], (content, q)
 
 
+def _block_222():
+    """The words of block (2, 2, 2) at n = 3, N = 6 (the only one 90 words
+    wide), each one's w0 image, and the positions that w0 swaps (I < J) and
+    fixes."""
+    basis = spectra.weight_basis(3, 6, (2, 2, 2))
+    w0 = spectra._w0_positions(3, 6, basis, [0, len(basis)], [3])
+    return (basis, w0, np.flatnonzero(w0 > np.arange(len(w0))),
+            np.flatnonzero(w0 == np.arange(len(w0))))
+
+
+def _perturb_block_222(monkeypatch, change):
+    """Hook change(diag, sites, off) -> site arrays onto block (2, 2, 2) of
+    every _sites_by_block call."""
+    real = spectra._sites_by_block
+
+    def perturbed(chain, words, bounds):
+        return [change(*block) if len(block[0]) == 90 else block
+                for block in real(chain, words, bounds)]
+
+    monkeypatch.setattr(spectra, "_sites_by_block", perturbed)
+
+
+def _toggle_link(sites, i, j):
+    """Site arrays with the swap entries (i, j) and (j, i) dropped where
+    they occur, or added as a site of their own where they do not."""
+    hit = [((rows == i) & (cols == j)) | ((rows == j) & (cols == i)) for rows, cols in sites]
+    if any(h.any() for h in hit):
+        return [(rows[~h], cols[~h]) for (rows, cols), h in zip(sites, hit)]
+    return sites + [(np.array([i, j]), np.array([j, i]))]
+
+
+def _perturbed_222(diag, sites, off, where):
+    """Site arrays of block (2, 2, 2) that w0 no longer maps onto
+    themselves: the diagonal of the first pair word i plus 1e-6 ("II"), or
+    the swap entries linking i to the partner of the second pair word
+    ("IJ") or to the first fixed word ("IF") toggled (_toggle_link) while
+    the entries linking their w0 images stay."""
+    _, w0, pairs, fixed = _block_222()
+    i = pairs[0]
+    if where == "II":
+        return diag + 1e-6 * (np.arange(len(diag)) == i), sites, off
+    return diag, _toggle_link(sites, i, w0[pairs[1]] if where == "IJ" else fixed[0]), off
+
+
 @pytest.mark.parametrize("where", ["II", "IJ", "IF"])
 def test_values_only_path_checks_the_w0_symmetry_it_splits_by(monkeypatch, where):
     # a symmetric perturbation of block (2, 2, 2) that w0 does not share
     # couples the two halves, seen by A_II - A_JJ (a pair word's diagonal),
     # A_IJ - A_JI (a pair word and another's partner) or A_IF - A_JF (a pair
-    # word and a fixed word)
-    real = spectra._dense
-    basis = spectra.weight_basis(3, 6, (2, 2, 2))
-    w0 = spectra._w0_positions(3, 6, basis, [0, len(basis)], [3])
-    pairs = np.flatnonzero(w0 > np.arange(len(w0)))
-    fixed = np.flatnonzero(w0 == np.arange(len(w0)))
-    i, j = {"II": (pairs[0], pairs[0]), "IJ": (pairs[0], w0[pairs[1]]),
-            "IF": (pairs[0], fixed[0])}[where]
-
-    def perturbed(block):
-        m = real(block)
-        if len(m) == 90:
-            m[i, j] += 1e-6
-            m[j, i] = m[i, j]
-        return m
-
-    monkeypatch.setattr(spectra, "_dense", perturbed)
+    # word and a fixed word) (_perturbed_222)
+    _perturb_block_222(monkeypatch, lambda *block: _perturbed_222(*block, where))
     with pytest.raises(ValidationError, match=r"weight block \(2, 2, 2\): w0 symmetry residual"):
         spectra.diagonalize(spectra.OpenChain(3, 6, Q))
 
@@ -1427,15 +1456,100 @@ def test_values_only_path_checks_the_w0_symmetry_it_splits_by(monkeypatch, where
 def test_values_only_check_catches_a_perturbed_block(monkeypatch):
     # H + 1e-6 on one dominant block shifts each of its values by 1e-6, past
     # EIG_RESIDUAL_TOL * max(1, |value|) against the seminormal spectra
-    real = spectra._dense
-
-    def shifted(block):
-        m = real(block)
-        return m + 1e-6 * np.eye(len(m)) if len(m) == 90 else m   # content (2, 2, 2)
-
-    monkeypatch.setattr(spectra, "_dense", shifted)
+    _perturb_block_222(monkeypatch, lambda diag, sites, off: (diag + 1e-6, sites, off))
     with pytest.raises(ValidationError, match=r"weight block \(2, 2, 2\): Kostka identity"):
         spectra.diagonalize(spectra.OpenChain(3, 6, Q))
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 9), (3, 6), (4, 5), (4, 6)])
+def test_values_only_path_builds_no_mirrored_block_dense(monkeypatch, n, N):
+    # a self-mirrored block is split by w0 from its site arrays; only the
+    # blocks w0 does not map onto themselves are scattered dense, once each
+    real, widths = spectra._dense, []
+    monkeypatch.setattr(spectra, "_dense", lambda block: widths.append(len(block[0])) or real(block))
+    spectra.diagonalize(spectra.OpenChain(n, N, Q))
+    shapes = tableaux.partitions_of(N, max_rows=n)
+    assert widths == [tableaux.multinomial(mu) for mu in shapes if spectra._palindrome(mu) is None]
+
+
+@pytest.mark.parametrize("n, sizes", [(2, range(1, 13)), (3, range(1, 8)), (4, range(1, 7)),
+                                      (5, [5])])
+def test_parity_halves_equal_the_dense_split(monkeypatch, n, sizes):
+    # the halves scattered from the site arrays equal, bit for bit, the
+    # halves split from the dense block on every self-mirrored dominant block
+    real, split = spectra._parity_halves, []
+
+    def checked(block, w0, mu):
+        got, want = real(block, w0, mu), parity_halves_dense(block, w0, mu)
+        assert len(got) == len(want), mu
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b), mu
+        split.append(mu)
+        return got
+
+    monkeypatch.setattr(spectra, "_parity_halves", checked)
+    for N in sizes:
+        shapes = tableaux.partitions_of(N, max_rows=n)
+        for q in (0.3, 0.7, 1.0, 1.37, 3.0):
+            split.clear()
+            spectra._dominant_blocks(spectra.OpenChain(n, N, q))
+            assert split == [mu for mu in shapes if spectra._palindrome(mu) is not None], (N, q)
+
+
+@pytest.mark.parametrize("where", ["II", "IJ", "IF"])
+def test_parity_halves_refuse_what_the_dense_split_refuses(where):
+    # the w0 check on the site arrays raises the dense check's error, with
+    # the same residual: 1e-6 on a pair word's diagonal, |off| for a
+    # missing mirror entry (_perturbed_222); a shift of every diagonal entry
+    # by 1e-6 passes both, with equal halves
+    basis, w0, _, _ = _block_222()
+    diag, sites, off = spectra._block_sites(spectra.OpenChain(3, 6, Q), basis)
+    block = _perturbed_222(diag, sites, off, where)
+    errors = []
+    for split in (spectra._parity_halves, parity_halves_dense):
+        with pytest.raises(ValidationError) as info:
+            split(block, w0, (2, 2, 2))
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    shifted = (diag + 1e-6, sites, off)
+    for a, b in zip(spectra._parity_halves(shifted, w0, (2, 2, 2)),
+                    parity_halves_dense(shifted, w0, (2, 2, 2))):
+        assert np.array_equal(a, b)
+
+
+def _largest_admitted(limit, mirrored):
+    """Over n <= 6, N <= 14, the (n, N) whose largest weight block, the most
+    even partition of N into n parts, is the widest one at most limit among
+    those that w0 maps (mirrored) or does not map onto themselves."""
+    found = []
+    for n in range(2, 7):
+        for N in range(2, 15):
+            base, extra = divmod(N, min(n, N))
+            mu = (base + 1,) * extra + (base,) * (min(n, N) - extra)
+            if (spectra._palindrome(mu) is not None) == mirrored:
+                found.append((tableaux.multinomial(mu), n, N))
+    return max(f for f in found if f[0] <= limit)[1:]
+
+
+@pytest.mark.parametrize("limit, mirrored, size", [(630, True, (3, 8)), (630, False, (4, 7)),
+                                                   (1716, True, (3, 9)),
+                                                   (1716, False, (2, 13))])
+def test_diagonalize_peak_stays_within_the_guard(monkeypatch, limit, mirrored, size):
+    # at each limit, the chain with the widest largest block the dense guard
+    # admits among those whose largest block w0 splits, and among those
+    # whose largest block is solved dense (_largest_admitted):
+    # the memory that the values-only diagonalize traces at its peak stays
+    # within the held-entries bound, 3 * limit^2 float64 entries
+    assert _largest_admitted(limit, mirrored) == size
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", str(limit))
+    chain = spectra.OpenChain(*size, Q)
+    tracemalloc.start()
+    try:
+        assert spectra.diagonalize(chain).total_dimension() == size[0] ** size[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spectra.HELD_BLOCKS_MULTIPLE * limit ** 2 * 8
 
 
 def test_classify_sectors_solves_the_vectors_it_needs(monkeypatch):

@@ -42,7 +42,7 @@ f^(N-k,k) = syt_dim((N - k, k)) of them (sector_multiplicity).
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, isfinite, log, sqrt
+from math import comb, exp, expm1, inf, isfinite, log, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -50,7 +50,7 @@ import numpy as np
 from .errors import (HELD_BLOCKS_MULTIPLE, ValidationError, check_dense_dim,
                      check_held_entries)
 from .qalgebra import check_label, dicke_labels, q_number
-from .tableaux import kostka, multinomial, partitions_of, ssyt_dim, standard_tableaux, syt_dim
+from .tableaux import kostka, multinomial, partitions_of, ssyt_dim, syt_dim, tableau_blocks
 
 CLUSTER_RTOL = 1e-8
 EIG_RESIDUAL_TOL = 1e-9
@@ -67,8 +67,21 @@ class OpenChain:
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
             raise ValidationError("n and N must be >= 1")
-        if not isfinite(self.q) or self.q <= 0:
-            raise ValidationError("q must be positive and finite")
+        _check_positive_q(self.q)
+
+
+def _check_positive_q(q: float) -> None:
+    """The one q rule of OpenChain and _seminormal_forms: q must be positive
+    and finite, and not so small (below about 7.46e-155) that q^-2
+    overflows, the generator step's rule (hecke._generator_step); H's
+    diagonal 1 - q^-2 (_sites_by_block) and the seminormal entries of order
+    q^-2 (_seminormal_entries) are finite wherever it holds."""
+    if not isfinite(q) or q <= 0:
+        raise ValidationError("q must be positive and finite")
+    try:
+        float(q) ** -2
+    except OverflowError:
+        raise ValidationError(f"q = {q!r} is too small: q^-2 overflows") from None
 
 
 @dataclass
@@ -317,7 +330,7 @@ def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -
         cols, sites = np.nonzero(src == letter)                    # (word, site k) pairs
         image, exps = keys[cols] + shift * ranked.powers[sites], twice[cols, sites]
     lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
-    table = np.array([q ** (0.5 * e) for e in range(lo, hi + 1)])
+    table = np.array([_power(q, 0.5 * e) for e in range(lo, hi + 1)])
     rows, entries = ranked.lookup(image), table[exps - lo]
     # hand each pair its matrix: the terms of source p are cols[cut[p]:cut[p + 1]]
     starts = np.cumsum([0] + [bounds[s + 1] - bounds[s] for s in sources])
@@ -330,6 +343,15 @@ def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -
         return m
 
     return (dense(p, s, t) for p, (s, t) in enumerate(pairs))
+
+
+def _power(q: float, x: float) -> float:
+    """q ** x for q > 0, inf where the float power overflows and raises
+    OverflowError (q^(N/2) past about 1.8e308), as numpy's power gives it."""
+    try:
+        return q ** x
+    except OverflowError:
+        return inf
 
 
 def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
@@ -583,20 +605,20 @@ def _seminormal_forms(shapes, q: float) -> list:
     that s_i S, the tableau with the two swapped, is standard) the entry
     sqrt(1 - [d]_q^-2) / q between S and s_i S: each 2 x 2 block has trace
     1 - q^-2 and determinant -q^-2, the eigenvalues 1 and -q^-2 of r.
-    The standard tableaux of every shape, Yamanouchi words, are laid end to
-    end like weight blocks and ranked once (_rank): s_i S is found from its
-    key like a swapped word, by the swap routine of H's blocks (_site_swaps),
-    and each shape takes its slice of every step.  Each entry is a Python
-    float from a table over the d that occur (_seminormal_entries, accurate
-    near q = 1 and bounded where q^(N-1) is not).  f^lambda past
-    max_dense_dim() is a SizeGuardError.
+    The standard tableaux of every shape, Yamanouchi words, come from one
+    pass (tableaux.tableau_blocks), laid end to end like weight blocks, and
+    are ranked once (_rank): s_i S is found from its key like a swapped
+    word, by the swap routine of H's blocks (_site_swaps), and each shape
+    takes its slice of every step.  Each entry is a Python float from a
+    table over the d that occur (_seminormal_entries, accurate near q = 1
+    and bounded where q^(N-1) is not).  q is held to OpenChain's rule
+    (_check_positive_q), and f^lambda past max_dense_dim() is a
+    SizeGuardError.
     """
-    if not isfinite(q) or q <= 0:
-        raise ValidationError("q must be positive and finite")
+    _check_positive_q(q)
     for shape in shapes:
         check_dense_dim(syt_dim(shape), f"seminormal form of shape {tuple(shape)}")
-    per_shape = [standard_tableaux(shape) for shape in shapes]
-    rows, bounds = np.concatenate(per_shape), np.cumsum([0] + [len(t) for t in per_shape])
+    rows, bounds = tableau_blocks(shapes)
     N, R = rows.shape[1], max(map(len, shapes))
     in_row = rows[:, :, None] == np.arange(R)
     # d from column + 1 - row, the content shifted by one
@@ -722,21 +744,25 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     highest weight vectors join (_clear_lower_sectors).  H from the block's
     site arrays (_block_apply) and E_1 by one dense product check |H B - B
     Lambda|, the closed-form coefficient |E_1^T E_1 B - kappa B| / kappa
-    with kappa = [N-k-m]_q [m-k+1]_q (up to about 1e8), and at the top rung
-    m = N-k the termination |E_1 B|, each relative to the rung's column
-    norms and RESIDUAL_CHUNK columns at a time, and the hw residual
-    |F_1 b| / |b| of each new highest weight vector b.  A sector whose worst
-    hw, kappa, termination or eigen residual exceeds HW_TOL, or is NaN, gets
-    a warning.  Block m holds spec rho_(N-k,k)(H) once for each k <= m
-    (K_{(N-k,k),(N-m,m)} = 1), so on every rung m <= N/2 the sorted
-    open-ladder values must equal the sorted union of those seminormal
-    spectra (_seminormal_spectra, as in diagonalize) within
-    EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or the rung gets a warning;
-    rung_residual is the worst difference.  The clusters are the runs of
-    each sector's ladder values at diagonalize's tol (_runs), each valued at
-    its mean, with multiplicity the run's ladders times N - 2k + 1 and the
-    hw residual of its first ladder.  ok holds when the sector counts match
-    the prediction and there is no warning.
+    with kappa = [N-k-m]_q [m-k+1]_q (up to about 1e8), read per ladder from
+    one table of [j]_q, j = 0..N, by its sector k, and at the top rung m =
+    N-k the termination |E_1 B|, each relative to the rung's column norms
+    (_column_norms) and RESIDUAL_CHUNK columns at a time, and the hw
+    residual |F_1 b| / |b| of each new highest weight vector b.  The open
+    ladders' values and residual rows are arrays; when sector k ends at rung
+    N-k its columns become its SectorLadders, and its worst hw, kappa,
+    termination and eigen residuals are the maxima of those rows: a sector
+    whose worst exceeds HW_TOL, or is NaN, gets a warning.  Block m holds
+    spec rho_(N-k,k)(H) once for each k <= m (K_{(N-k,k),(N-m,m)} = 1), so
+    on every rung m <= N/2 the sorted open-ladder values must equal the
+    sorted union of those seminormal spectra (_seminormal_spectra, as in
+    diagonalize) within EIG_RESIDUAL_TOL * max(1, |eigenvalue|), or the rung
+    gets a warning; rung_residual is the worst difference.  The clusters are
+    the runs of each sector's ladder values, from the same arrays, at
+    diagonalize's tol (_runs), each valued at its mean, with multiplicity
+    the run's ladders times N - 2k + 1 and the hw residual of its first
+    ladder.  ok holds when the sector counts match the prediction and there
+    is no warning.
     """
     if chain.n != 2:
         raise ValidationError("sector classification is defined for the n=2 slice")
@@ -749,8 +775,10 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     # empty block N + 1; each map is built as the sweep reaches it
     e_maps = _coproduct_maps(chain, "E", 1, words, np.append(bounds, bounds[-1]),
                              [(m, m + 1) for m in range(N + 1)])
-    sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
+    ended = {}      # k -> the values and residual rows of sector k's ladders
     warnings, rung_residual, rank_margin = [], 0.0, 1.0
+    # [j]_q for j = 0..N: kappa = [N-k-m]_q [m-k+1]_q from two lookups per ladder
+    brackets = np.array([q_number(j, q) for j in range(N + 1)])
     # open ladders, one column each: current rung, eigenvalue, sector
     # (increasing) and residual rows hw/kappa/term/eigen
     b, values, sector, res = np.zeros((1, 0)), np.zeros(0), np.zeros(0, dtype=int), np.zeros((4, 0))
@@ -775,48 +803,52 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
                                     f"eigenvalues of block {m} by {miss.max():.2e}, "
                                     f"above {EIG_RESIDUAL_TOL:g}")
         _clear_lower_sectors(b, sector)
-        norms = np.linalg.norm(b, axis=0)
-        res[0, fresh:] = np.linalg.norm(e_down.T @ b[:, fresh:], axis=0) / norms[fresh:]
+        norms = _column_norms(b)
+        res[0, fresh:] = _column_norms(e_down.T @ b[:, fresh:]) / norms[fresh:]
         up = e_up @ b
         top = int(np.searchsorted(sector, N - m))    # sector N - m ends here
-        ks, counts = np.unique(sector[:top], return_counts=True)
-        kappa = np.repeat([q_number(N - k - m, q) * q_number(m - k + 1, q) for k in ks.tolist()],
-                          counts)
+        kappa = brackets[N - m - sector[:top]] * brackets[m + 1 - sector[:top]]
         # d x RESIDUAL_CHUNK temporaries; the columns g of chunk c go on past this rung
         for lo in range(0, len(sector), RESIDUAL_CHUNK):
             c, g = slice(lo, lo + RESIDUAL_CHUNK), slice(lo, min(lo + RESIDUAL_CHUNK, top))
-            res[3, c] = np.maximum(res[3, c], np.linalg.norm(
-                _block_apply(block_sites, b[:, c]) - b[:, c] * values[c], axis=0) / norms[c])
-            res[1, g] = np.maximum(res[1, g], np.linalg.norm(
-                e_up.T @ up[:, g] - kappa[g] * b[:, g], axis=0) / (kappa[g] * norms[g]))
-        res[2, top:] = np.linalg.norm(up[:, top:], axis=0) / norms[top:]
+            res[3, c] = np.maximum(res[3, c], _column_norms(
+                _block_apply(block_sites, b[:, c]) - b[:, c] * values[c]) / norms[c])
+            res[1, g] = np.maximum(res[1, g], _column_norms(
+                e_up.T @ up[:, g] - kappa[g] * b[:, g]) / (kappa[g] * norms[g]))
+        res[2, top:] = _column_norms(up[:, top:]) / norms[top:]
         if top < len(sector):
-            sectors[N - m] = [SectorLadder(v, *r, 2 * m - N + 1)
-                              for v, r in zip(values[top:].tolist(), res[:, top:].T.tolist())]
+            ended[N - m] = values[top:], res[:, top:]
         b, values, sector, res = up[:, :top], values[:top], sector[:top], res[:, :top]
         e_down = e_up
 
+    sectors: dict[int, list[SectorLadder]] = {k: [] for k in range(N // 2 + 1)}
     clusters = []
-    for k, lads in sectors.items():
-        failing = []
-        for name in LADDER_RESIDUALS:
-            # np.max returns NaN when any residual is NaN, which fails the gate
-            worst = float(np.max([getattr(lad, name) for lad in lads], initial=0.0))
-            if not worst <= HW_TOL:
-                failing.append(f"{name} {worst:.2e}")
+    for k, (ladder_values, ladder_res) in sorted(ended.items()):
+        sectors[k] = [SectorLadder(v, *r, sector_dimension(N, k))
+                      for v, r in zip(ladder_values.tolist(), ladder_res.T.tolist())]
+        # a max over the ladders is NaN when any residual is NaN, which fails the gate
+        failing = [f"{name} {worst:.2e}"
+                   for name, worst in zip(LADDER_RESIDUALS, ladder_res.max(axis=1).tolist())
+                   if not worst <= HW_TOL]
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "
                             + ", ".join(failing))
         # increasing: each block's highest weight values are (_hw_eigenpairs)
-        clusters += _run_clusters(np.array([lad.eigenvalue for lad in lads]), tol,
-                                  sector_dimension(N, k), shapes[k], k,
-                                  [lad.hw_residual for lad in lads])
+        clusters += _run_clusters(ladder_values, tol, sector_dimension(N, k), shapes[k], k,
+                                  ladder_res[0].tolist())
     clusters.sort(key=lambda c: c.value)
     m_observed = {k: len(v) for k, v in sectors.items()}
     m_predicted = {k: sector_multiplicity(N, k) for k in range(N // 2 + 1)}
     ok = m_observed == m_predicted and not warnings
     return SectorReport(N, q, sectors, m_observed, m_predicted, warnings, ok, clusters, tol,
                         rung_residual, rank_margin)
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of a real array: the arithmetic of
+    np.linalg.norm(x, axis=0), so bit for bit its result, without its
+    dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=0))
 
 
 def _hw_eigenpairs(sites: tuple, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -937,7 +969,7 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     index = {content: b for b, content in enumerate(contents)}
     words, bounds = weight_blocks(n, N, contents)
     h = [_dense(sites) for sites in _sites_by_block(chain, words, bounds)]
-    worst = 0.0
+    worst = []
     for kind, j, removed, added in ops:
         pairs = []
         for b, content in enumerate(contents):
@@ -949,5 +981,6 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
                     continue            # y kills the whole block
             pairs.append((b, index[tuple(target)]))
         for (s, t), y in zip(pairs, _coproduct_maps(chain, kind, j, words, bounds, pairs)):
-            worst = max(worst, float(np.linalg.norm(h[t] @ y - y @ h[s], axis=0).max()))
-    return worst
+            worst.append(float(np.linalg.norm(h[t] @ y - y @ h[s], axis=0).max()))
+    # np.max returns NaN when any residual is NaN (an overflowed q power)
+    return float(np.max(worst, initial=0.0))

@@ -6,7 +6,9 @@ closed products in exact integer arithmetic; Kostka numbers come from
 backtracking enumeration, so every number is traceable to first
 principles.  These counts predict the eigenspace dimensions and
 multiplicities of the invariant open chain, and the standard tableaux
-themselves index its seminormal form (spectra.sector_hamiltonian).
+themselves index its seminormal form (spectra.sector_hamiltonian): the
+tableaux of every shape come from one pass (tableau_blocks), laid end to
+end like weight blocks, and standard_tableaux is its one-shape call.
 """
 
 from math import comb, perm
@@ -93,26 +95,53 @@ def syt_dim(shape: Partition) -> int:
     return quotient
 
 
+def tableau_blocks(shapes) -> tuple[np.ndarray, np.ndarray]:
+    """The standard Young tableaux of a list of shapes of one N in one pass:
+    a (D, N) int64 array of Yamanouchi words (entry k + 1 of a tableau sits
+    in row word[k], rows counted from 0), shape after shape in the order of
+    shapes and each shape's words in lexicographic order, and the int64
+    bounds of the shapes, shape i's tableaux being words[bounds[i]:bounds[i
+    + 1]], from syt_dim; laid out as spectra.weight_blocks lays out weight
+    blocks.
+
+    Built one entry at a time from rows (cells left per row, cells filled
+    per row, word so far), one starting row per shape: each prefix row is
+    followed by the rows that can take the next entry (not full, and shorter
+    than the row above), in increasing order, so a row never leaves its
+    shape and the shapes stay in the order of their starting rows.  Shapes
+    of different sizes are a ValidationError, and more than MAX_SPARSE_WORDS
+    tableaux of one shape (syt_dim) a SizeGuardError."""
+    shapes = [check_partition(shape) for shape in shapes]
+    sizes = [syt_dim(shape) for shape in shapes]
+    for shape, size in zip(shapes, sizes):
+        check_sparse_words(size, f"standard tableaux of shape {shape}")
+    if len({sum(shape) for shape in shapes}) > 1:
+        raise ValidationError(f"shapes must be partitions of one N, got {shapes}")
+    N, R = sum(shapes[0]) if shapes else 0, max(map(len, shapes), default=0)
+    rows = np.zeros((len(shapes), 2 * R + N), dtype=np.int64)
+    for i, shape in enumerate(shapes):
+        rows[i, :len(shape)] = shape
+    for k in range(2 * R, 2 * R + N):
+        left, filled = rows[:, :R], rows[:, R:2 * R]
+        takes = left > 0
+        takes[:, 1:] &= filled[:, 1:] < filled[:, :-1]
+        prefix, row = np.nonzero(takes)
+        rows = rows[prefix]
+        at = np.arange(len(prefix))
+        rows[at, row] -= 1
+        rows[at, R + row] += 1
+        rows[:, k] = row
+    bounds = np.zeros(len(shapes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    return rows[:, 2 * R:], bounds
+
+
 def standard_tableaux(shape: Partition) -> np.ndarray:
     """The standard Young tableaux of a shape as an (f, N) int64 array of
-    Yamanouchi words: entry k + 1 of a tableau sits in row word[k] (rows
-    counted from 0).  The words are in lexicographic order, built one entry
-    at a time from rows (cells filled per row, word so far): each prefix is
-    followed by the rows that can take the next entry (not full, and
-    shorter than the row above), in increasing order.  More than
-    MAX_SPARSE_WORDS tableaux (syt_dim) is a SizeGuardError."""
-    shape = check_partition(shape)
-    check_sparse_words(syt_dim(shape), f"standard tableaux of shape {shape}")
-    R, N = len(shape), sum(shape)
-    rows = np.zeros((1, R + N), dtype=np.int64)
-    for k in range(R, R + N):
-        filled = rows[:, :R]
-        above = np.hstack([np.full((len(rows), 1), N), filled[:, :-1]])
-        prefix, row = np.nonzero((filled < shape) & (filled < above))
-        rows = rows[prefix]
-        rows[np.arange(len(prefix)), row] += 1
-        rows[:, k] = row
-    return rows[:, R:]
+    Yamanouchi words in lexicographic order: the one-shape call of
+    tableau_blocks.  More than MAX_SPARSE_WORDS tableaux (syt_dim) is a
+    SizeGuardError."""
+    return tableau_blocks([shape])[0]
 
 
 def _ssyt_count(shape: Partition, content: tuple[int, ...]) -> int:

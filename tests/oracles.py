@@ -317,14 +317,15 @@ def symmetry_residual_per_word(n, N, q):
 
 def sector_warnings_pairwise(sectors):
     """classify_sectors' ladder warnings, one scan per sector and residual:
-    the worst of each residual over the sector's ladders, and a warning
-    naming every one above HW_TOL."""
+    the worst of each residual over the sector's ladders by np.max, so that
+    a NaN residual is the worst, and a warning naming every worst not
+    within HW_TOL."""
     warnings = []
     for k, lads in sectors.items():
         failing = []
         for name in LADDER_RESIDUALS:
-            worst = max((getattr(lad, name) for lad in lads), default=0.0)
-            if worst > HW_TOL:
+            worst = float(np.max([getattr(lad, name) for lad in lads], initial=0.0))
+            if not worst <= HW_TOL:
                 failing.append(f"{name} {worst:.2e}")
         if failing:
             warnings.append(f"sector {k} ladder residuals above {HW_TOL:g}: "

@@ -1,6 +1,7 @@
 import tracemalloc
+import warnings
 from decimal import Decimal, getcontext
-from math import comb, factorial, log, prod
+from math import comb, factorial, isnan, log, prod
 
 import numpy as np
 import pytest
@@ -1021,6 +1022,73 @@ def test_sector_pass_matches_the_pairwise_scans(q):
         rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
         assert rep.warnings == sector_warnings_pairwise(rep.sectors), N
         assert None not in [c.sector for c in rep.clusters], N
+
+
+@pytest.mark.parametrize("N, q, failing", [(N, q, 0) for q in (0.7, 1.37) for N in range(2, 11)]
+                         + [(9, 300.0, 1), (8, 1e3, 1), (7, 1e-3, 1), (6, 1e4, 1)])
+def test_sector_warnings_are_the_maxima_of_the_ladders_they_report(N, q, failing):
+    # the far-q cases FAIL on the kappa residual of one sector, with every
+    # count right; none of these cases raises a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
+    want = sector_warnings_pairwise(rep.sectors)
+    assert rep.warnings == want and len(want) == failing, (N, q, rep.warnings)
+    assert rep.ok == (not failing)
+
+
+def test_sector_warnings_fail_a_nan_residual(monkeypatch):
+    # at q = 7.46e-155 the entries of order q^-2 are about 1.8e308 and the
+    # ladder residuals of N = 3 overflow to NaN and inf, which both fail
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = spectra.classify_sectors(spectra.OpenChain(2, 3, 7.46e-155))
+    want = sector_warnings_pairwise(rep.sectors)
+    assert rep.warnings == want
+    assert "kappa_residual nan" in want[0] and "eigen_residual inf" in want[1]
+    # one NaN ladder among the five of sector 3 at N = 6, which ends on the
+    # rung it starts: its NaN residuals fail the gate although the sector's
+    # other ladders pass
+    real = spectra._clear_lower_sectors
+
+    def clear(b, sector):
+        real(b, sector)
+        if sector[-1] == 3:
+            b[:, -1] = np.nan
+
+    monkeypatch.setattr(spectra, "_clear_lower_sectors", clear)
+    with np.errstate(invalid="ignore"):
+        rep = spectra.classify_sectors(spectra.OpenChain(2, 6, 1.37))
+    lads = rep.sectors[3]
+    assert len(lads) == 5 and all(lad.eigen_residual <= spectra.HW_TOL for lad in lads[:-1])
+    assert isnan(lads[-1].eigen_residual)
+    assert rep.warnings == sector_warnings_pairwise(rep.sectors)
+    assert rep.warnings == ["sector 3 ladder residuals above 1e-08: hw_residual nan, "
+                            "termination_residual nan, eigen_residual nan"]
+
+
+def test_spectra_refuse_q_whose_inverse_square_overflows():
+    # one q rule for OpenChain and the seminormal forms: q^-2 is finite at
+    # q = 7.46e-155 and overflows at 7.45e-155, where H's diagonal 1 - q^-2
+    # and the seminormal entries raised a bare OverflowError
+    def calls(q):
+        return [lambda: spectra.diagonalize(spectra.OpenChain(2, 3, q)),
+                lambda: spectra.classify_sectors(spectra.OpenChain(2, 3, q)),
+                lambda: spectra.sector_hamiltonian((2, 1), q),
+                lambda: spectra.symmetry_residual(2, 3, q),
+                lambda: spectra.verify_decomposition(2, 3, q)]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = [call() for call in calls(7.46e-155)]
+    # q^{H_1} holds q^-3 = inf there: the residual is NaN, not a finite number
+    assert isnan(results[3])
+    for call in calls(7.45e-155):
+        with pytest.raises(ValidationError, match="q = 7.45e-155 is too small: q\\^-2 overflows"):
+            call()
+    for q in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="q must be positive and finite"):
+            spectra.OpenChain(2, 3, q)
+        with pytest.raises(ValidationError, match="q must be positive and finite"):
+            spectra.sector_hamiltonian((2, 1), q)
 
 
 def test_symmetry_residual_values():

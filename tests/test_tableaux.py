@@ -198,6 +198,31 @@ def test_standard_tableaux_enumeration_bound(monkeypatch):
     assert len(tableaux.standard_tableaux((3, 3))) == 5
 
 
+def test_tableau_blocks_are_the_per_shape_tableaux_end_to_end():
+    # one pass over every shape with at most R rows gives each shape's
+    # standard_tableaux in the order of the shapes, bounded by syt_dim
+    for N in range(1, 9):
+        for R in range(1, N + 1):
+            shapes = tableaux.partitions_of(N, max_rows=R)
+            words, bounds = tableaux.tableau_blocks(shapes)
+            want = np.concatenate([tableaux.standard_tableaux(lam) for lam in shapes])
+            assert words.dtype == want.dtype and np.array_equal(words, want), (N, R)
+            sizes = [tableaux.syt_dim(lam) for lam in shapes]
+            assert bounds.tolist() == np.cumsum([0] + sizes).tolist(), (N, R)
+
+
+def test_tableau_blocks_refuse_per_shape(monkeypatch):
+    # the bound holds per shape, not for the pass: 30 tableaux of N = 6 in
+    # shapes of at most 10 pass a bound of 15, one shape of 16 does not
+    monkeypatch.setattr("braidlab.errors.MAX_SPARSE_WORDS", 15)
+    shapes = [(6,), (5, 1), (4, 2), (3, 3), (4, 1, 1)]
+    assert len(tableaux.tableau_blocks(shapes)[0]) == 30
+    with pytest.raises(SizeGuardError, match=r"shape \(3, 2, 1\): 16 words"):
+        tableaux.tableau_blocks(shapes + [(3, 2, 1)])
+    with pytest.raises(ValidationError, match="one N"):
+        tableaux.tableau_blocks([(3, 1), (2, 1)])
+
+
 def test_kostka_numbers_do_not_depend_on_the_order_of_the_content():
     for n in range(1, 5):
         for N in range(1, 7):

@@ -18,7 +18,7 @@ and E/F degenerate to the combinatorial crystal moves.
 """
 
 from itertools import combinations
-from math import comb, fsum, isfinite
+from math import comb, copysign, fsum, inf, isfinite
 
 import numpy as np
 
@@ -31,13 +31,30 @@ from .states import TensorState, Word
 DickeLabel = tuple[int, ...]
 
 
+def _power(q: float, x: float) -> float:
+    """q ** x, an infinity where the float power overflows and raises
+    OverflowError (q^(N/2) past about 1.8e308), as numpy's power gives it,
+    -inf for a negative q to an odd power: the one power of the ladders,
+    q-integers and coproduct maps, so that no q that _check_q admits makes
+    them raise."""
+    try:
+        return q ** x
+    except OverflowError:
+        return copysign(inf, q) if x % 2 == 1 else inf
+
+
 def q_number(k: int, q: float) -> float:
     """[k]_q = (q^k - q^-k)/(q - q^-1) as the sum q^(k-1) + q^(k-3) + ...
     + q^(1-k), correctly rounded (math.fsum), and [-k]_q = -[k]_q: free of
-    the quotient's loss of about eps/|q - 1| relative near q = 1."""
+    the quotient's loss of about eps/|q - 1| relative near q = 1.  A power
+    that overflows (_power), or a sum of finite powers past the largest
+    float, makes it infinite, of the sign of its terms."""
     if k < 0:
         return -q_number(-k, q)
-    return fsum(q ** (k - 1 - 2 * i) for i in range(k))
+    try:
+        return fsum(_power(q, k - 1 - 2 * i) for i in range(k))
+    except OverflowError:
+        return inf if q > 0 or k % 2 else -inf
 
 
 def q_factorial(k: int, q: float) -> float:
@@ -75,7 +92,7 @@ def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int
             e = total + step - 2 * left
             power = powers.get(e)
             if power is None:
-                power = powers[e] = q ** (0.5 * e)
+                power = powers[e] = _power(q, 0.5 * e)
             coeff = amp * power
             s = out.get(w2, 0.0) + coeff
             if s == 0.0:
@@ -105,7 +122,7 @@ def apply_qEps(state: TensorState, j: int, q: float) -> TensorState:
     _check_species_index(j, state.n, diagonal=True)
     _check_q(q)
     return TensorState._trusted(state.n, state.N,
-                                {w: a * q ** w.count(j) for w, a in state.amps.items()})
+                                {w: a * _power(q, w.count(j)) for w, a in state.amps.items()})
 
 
 def apply_qH(state: TensorState, j: int, q: float) -> TensorState:
@@ -113,7 +130,7 @@ def apply_qH(state: TensorState, j: int, q: float) -> TensorState:
     _check_species_index(j, state.n, diagonal=False)
     _check_q(q)
     return TensorState._trusted(state.n, state.N,
-                                {w: a * q ** (w.count(j) - w.count(j + 1))
+                                {w: a * _power(q, w.count(j) - w.count(j + 1))
                                  for w, a in state.amps.items()})
 
 

@@ -17,14 +17,17 @@ not map onto itself.
 
 Every weight-block operator comes from one ranked-word builder, run once per
 decomposition: weight_blocks lays the blocks of a list of contents end to
-end, _rank keys all their words block-major, and _sites_by_block (H),
-_w0_positions (the w0 images in self-mirrored blocks) and _coproduct_maps
-(E_j, F_j, q^{H_j}, q^{eps_j}) take N - 1 or one vectorized steps over
-every block and hand each block its slice.  block_matrix, coproduct_block
-and sector_matrix are the one-content calls of the same code.  One swap
-routine, _site_swaps, links each flagged word to its i, i+1 swap by key: H's
-blocks flag the words whose letters at i, i+1 differ, and the seminormal
-forms the standard tableaux whose entries i, i+1 share no row or column.
+end, _rank keys all their words block-major, and _hamiltonian_terms (H's
+diagonal and swaps), _w0_positions (the w0 images in self-mirrored blocks)
+and _coproduct_terms (the terms of E_j, F_j, q^{H_j}, q^{eps_j}) take
+N - 1 or one vectorized steps over every block.  _sites_by_block and
+_coproduct_maps hand each block its slice, as site arrays or dense maps;
+block_matrix, coproduct_block and sector_matrix are the one-content calls
+of the same code.  One swap routine, _swap_steps, links each flagged word
+to its i, i+1 swap by key: H flags the words whose letters at i, i+1
+differ, and the seminormal forms the standard tableaux whose entries i,
+i+1 share no row or column.  symmetry_residual takes [H, y] straight from
+the terms, over one ranking of every block, with no dense block or map.
 
 For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
 words with k high letters, and sector k is the irrep lambda = (N - k, k),
@@ -42,14 +45,14 @@ f^(N-k,k) = syt_dim((N - k, k)) of them (sector_multiplicity).
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, inf, isfinite, log, sqrt
+from math import comb, exp, expm1, isfinite, log, nan, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (HELD_BLOCKS_MULTIPLE, ValidationError, check_dense_dim,
                      check_held_entries)
-from .qalgebra import check_label, dicke_labels, q_number
+from .qalgebra import _power, check_label, dicke_labels, q_number
 from .tableaux import kostka, multinomial, partitions_of, ssyt_dim, syt_dim, tableau_blocks
 
 CLUSTER_RTOL = 1e-8
@@ -74,8 +77,10 @@ def _check_positive_q(q: float) -> None:
     """The one q rule of OpenChain and _seminormal_forms: q must be positive
     and finite, and not so small (below about 7.46e-155) that q^-2
     overflows, the generator step's rule (hecke._generator_step); H's
-    diagonal 1 - q^-2 (_sites_by_block) and the seminormal entries of order
-    q^-2 (_seminormal_entries) are finite wherever it holds."""
+    diagonal terms 1 - q^-2 (_hamiltonian_terms) and the seminormal entries
+    of order q^-2 (_seminormal_entries) are finite wherever it holds, and
+    the builders refuse a diagonal whose sum of them overflows
+    (_check_finite_diagonal)."""
     if not isfinite(q) or q <= 0:
         raise ValidationError("q must be positive and finite")
     try:
@@ -212,44 +217,69 @@ def _rank(n: int, N: int, words, bounds) -> _Ranked:
     return _Ranked(words, powers, block, keys, stride, lookup)
 
 
-def _site_swaps(ranked: _Ranked, bounds: np.ndarray, moves: np.ndarray) -> list:
-    """Per block of ranked (bounds) and per site i, the (rows, cols) that
-    link every word flagged in moves[:, i] (column) to its i, i+1 swap
-    (row), in positions within the block: one key lookup per site over
-    every block at once, each block taking its slice.  A swap outside the
-    ranked words is a ValidationError."""
-    first = np.repeat(bounds[:-1], np.diff(bounds))     # each word's block start
+def _swap_steps(ranked: _Ranked, moves: np.ndarray) -> list:
+    """Per site i, the (rows, cols) that link every word flagged in
+    moves[:, i] (cols, increasing) to its i, i+1 swap (rows), in positions
+    within ranked: one key lookup per site over every block at once.  A
+    swap outside the ranked words is a ValidationError."""
     # the key of the i, i+1 swap minus the word's: (w[i+1] - w[i]) (n^(N-1-i) - n^(N-2-i))
     shift = np.diff(ranked.words, axis=1) * -np.diff(ranked.powers)
     steps = []
     for i in range(moves.shape[1]):
         cols = np.flatnonzero(moves[:, i])
-        rows = ranked.lookup(ranked.keys[cols] + shift[cols, i])
-        steps.append((rows - first[rows], cols - first[cols], np.searchsorted(cols, bounds)))
-    return [[(rows[a[b]:a[b + 1]], cols[a[b]:a[b + 1]]) for rows, cols, a in steps]
+        steps.append((ranked.lookup(ranked.keys[cols] + shift[cols, i]), cols))
+    return steps
+
+
+def _site_swaps(steps: list, bounds: np.ndarray) -> list:
+    """The swaps of _swap_steps per block of bounds and per site i, each
+    block taking its slice of every step, in positions within the block."""
+    first = np.repeat(bounds[:-1], np.diff(bounds))     # each word's block start
+    cuts = [(rows - first[rows], cols - first[cols], np.searchsorted(cols, bounds))
+            for rows, cols in steps]
+    return [[(rows[a[b]:a[b + 1]], cols[a[b]:a[b + 1]]) for rows, cols, a in cuts]
             for b in range(len(bounds) - 1)]
 
 
-def _sites_by_block(chain: OpenChain, words, bounds) -> list:
-    """H on every weight block of words (blocks end to end, bounds), as one
-    site-array triple (diag, sites, 1/q) per block, from one ranking (_rank)
-    and N - 1 vectorized steps.
+def _hamiltonian_terms(chain: OpenChain, ranked: _Ranked) -> tuple[np.ndarray, list]:
+    """H on every ranked word as (diag, steps): its diagonal and, per site
+    j, the swaps (_swap_steps) whose entries are 1/q.
 
     Per site j, over all words at once, r_j adds 1 to diag for an equal pair
     and 1 - q^-2 for a decreasing pair (summed over j in increasing order),
-    and 1/q at the (rows, cols) of _site_swaps: cols are the words whose
+    and 1/q at the (rows, cols) of the swap: cols are the words whose
     letters at j, j+1 differ, rows the swapped words, which stay in their
-    block.  Each block gets its slice of diag.  No (row, col) occurs twice.
+    block.  No (row, col) occurs twice.  A diagonal that overflows (q^-2
+    times the number of decreasing pairs past the largest float) is a
+    ValidationError.
     """
-    N, q, bounds = chain.N, chain.q, np.asarray(bounds)
-    ranked = _rank(chain.n, N, words, bounds)
+    N, q = chain.N, chain.q
     x, y = ranked.words[:, :-1], ranked.words[:, 1:]
     diag = np.zeros(len(x))
     c = 1.0 - q ** -2
     for j in range(N - 1):
         diag += np.where(x[:, j] == y[:, j], 1.0, np.where(x[:, j] > y[:, j], c, 0.0))
-    return [(diag[lo:hi], sites, 1.0 / q)
-            for lo, hi, sites in zip(bounds[:-1], bounds[1:], _site_swaps(ranked, bounds, x != y))]
+    _check_finite_diagonal(diag, q, f"H's diagonal on {N} sites")
+    return diag, _swap_steps(ranked, x != y)
+
+
+def _check_finite_diagonal(diag: np.ndarray, q: float, what: str) -> None:
+    """Refuse a builder diagonal that overflowed to -inf (sums of terms of
+    order -q^-2 at q near the q rule's edge): eigvalsh would fail to
+    converge on it, and every residual past it would read NaN."""
+    if not np.isfinite(diag).all():
+        raise ValidationError(f"q = {q!r} is too small: {what} overflows")
+
+
+def _sites_by_block(chain: OpenChain, words, bounds) -> list:
+    """H on every weight block of words (blocks end to end, bounds), as one
+    site-array triple (diag, sites, 1/q) per block, from one ranking (_rank)
+    and N - 1 vectorized steps (_hamiltonian_terms), each block taking its
+    slice of the diagonal and of every site's swaps (_site_swaps)."""
+    bounds = np.asarray(bounds)
+    diag, steps = _hamiltonian_terms(chain, _rank(chain.n, chain.N, words, bounds))
+    return [(diag[lo:hi], sites, 1.0 / chain.q)
+            for lo, hi, sites in zip(bounds[:-1], bounds[1:], _site_swaps(steps, bounds))]
 
 
 def _block_sites(chain: OpenChain, basis) -> tuple:
@@ -289,35 +319,54 @@ def block_matrix(chain: OpenChain, basis) -> np.ndarray:
     return _dense(_block_sites(chain, basis))
 
 
-def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -> Iterator:
-    """Matrices of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
-    from block s into block t for each (s, t) in pairs, over the blocks of
-    words laid end to end (bounds), from one ranking (_rank); block t must
-    hold every image word of block s, or it is a ValidationError when the
-    call returns.  The terms are found and checked at once; each dense
-    matrix is built when the iterator reaches its pair, so a sweep that
-    keeps one or two at a time holds no more than that.
+def _pointers(index: np.ndarray, size: int) -> np.ndarray:
+    """The size + 1 bounds ptr of an increasing int array index over 0..size
+    - 1: the items equal to c are index[ptr[c]:ptr[c + 1]]."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=size), out=ptr[1:])
+    return ptr
+
+
+def _gather(ptr: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every item ptr[at[i]] .. ptr[at[i] + 1] - 1, end to end in the order
+    of at, as (i, item) arrays."""
+    counts = ptr[at + 1] - ptr[at]
+    owner = np.repeat(np.arange(len(at)), counts)
+    return owner, np.arange(len(owner)) + np.repeat(ptr[at] - (np.cumsum(counts) - counts), counts)
+
+
+class _Terms(NamedTuple):
+    """The (row, col, entry) terms of one coproduct operator over the
+    (source, target) block pairs of _coproduct_terms."""
+    rows: np.ndarray        # position of each term's image word among the ranked words
+    cols: np.ndarray        # position of its source word, increasing within each pair
+    entries: np.ndarray     # its power of q
+    cut: np.ndarray         # the terms of pairs[p] are [cut[p]:cut[p + 1]]
+
+
+def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, bounds,
+                     pairs) -> _Terms:
+    """The terms of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH",
+    "qEps") from block s into block t for each (s, t) in pairs, over ranked
+    weight blocks laid end to end (bounds); block t must hold every image
+    word of block s, or it is a ValidationError.
 
     Every term of every source block at once: the E_j or F_j term at site k
     moves the key by +-n^(N-1-k), with q to half of (j count - j+1 count)
     right of k minus left of k, from one cumulative sum, and the key moves
     from block s to block t by (t - s) n^N.  Every power of q (diagonal kinds
-    too, per word) is a Python float from a table over the exponents that
-    occur: each matrix equals the sparse operator bit for bit.
+    too, per word, each word its own image) is a Python float from a table
+    over the exponents that occur, inf where it overflows (_power): each
+    term equals the sparse operator's bit for bit.
     """
     n, N, q = chain.n, chain.N, chain.q
     if kind not in ("E", "F", "qH", "qEps") or not 1 <= j <= (n if kind == "qEps" else n - 1):
         raise ValidationError(f"no coproduct operator {kind}_{j} for n={n}")
-    bounds = np.asarray(bounds)
-    ranked = _rank(n, N, words, bounds)
-    sources = [s for s, _ in pairs]
-    take = np.concatenate([np.arange(bounds[s], bounds[s + 1]) for s in sources]
-                          + [np.zeros(0, dtype=np.int64)])
+    s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     # the source words end to end, and each one's key in its target block
+    pair, take = _gather(bounds, s)
     src = ranked.words[take]
-    moved = np.repeat(np.array([t - s for s, t in pairs], dtype=np.int64),
-                      bounds[1:][sources] - bounds[:-1][sources])
-    keys = ranked.keys[take] + moved.astype(src.dtype) * ranked.stride
+    keys = ranked.keys[take] + (t - s)[pair].astype(src.dtype) * ranked.stride
     step = (src == j).astype(np.int64) - (src == j + 1)
     # every term at once: source columns, image keys, twice the exponent of q
     if kind == "qH" or kind == "qEps":
@@ -331,27 +380,31 @@ def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -
         image, exps = keys[cols] + shift * ranked.powers[sites], twice[cols, sites]
     lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
     table = np.array([_power(q, 0.5 * e) for e in range(lo, hi + 1)])
-    rows, entries = ranked.lookup(image), table[exps - lo]
-    # hand each pair its matrix: the terms of source p are cols[cut[p]:cut[p + 1]]
-    starts = np.cumsum([0] + [bounds[s + 1] - bounds[s] for s in sources])
-    cut = np.searchsorted(cols, starts)
+    # the terms of pair p have their source words in take[pair == p]
+    return _Terms(ranked.lookup(image), take[cols], table[exps - lo],
+                  np.searchsorted(pair[cols], np.arange(len(s) + 1)))
+
+
+def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -> Iterator:
+    """Matrices of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
+    from block s into block t for each (s, t) in pairs, over the blocks of
+    words laid end to end (bounds): the dense view of _coproduct_terms, from
+    one ranking (_rank).  The terms are found and checked at once; each
+    dense matrix is built when the iterator reaches its pair, so a sweep
+    that keeps one or two at a time holds no more than that.  Each matrix
+    equals the sparse operator bit for bit.
+    """
+    bounds = np.asarray(bounds)
+    terms = _coproduct_terms(chain, kind, j, _rank(chain.n, chain.N, words, bounds), bounds,
+                             pairs)
 
     def dense(p, s, t):
-        a, b = cut[p], cut[p + 1]
+        a, b = terms.cut[p], terms.cut[p + 1]
         m = np.zeros((bounds[t + 1] - bounds[t], bounds[s + 1] - bounds[s]))
-        m[rows[a:b] - bounds[t], cols[a:b] - starts[p]] = entries[a:b]
+        m[terms.rows[a:b] - bounds[t], terms.cols[a:b] - bounds[s]] = terms.entries[a:b]
         return m
 
     return (dense(p, s, t) for p, (s, t) in enumerate(pairs))
-
-
-def _power(q: float, x: float) -> float:
-    """q ** x for q > 0, inf where the float power overflows and raises
-    OverflowError (q^(N/2) past about 1.8e308), as numpy's power gives it."""
-    try:
-        return q ** x
-    except OverflowError:
-        return inf
 
 
 def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.ndarray:
@@ -379,8 +432,10 @@ def _check_guard(chain: OpenChain, held: str | None) -> None:
     time, dense or as its two w0 halves (_dominant_blocks), within
     max_dense_dim()^2 entries.  What a caller holds at once must also stay
     within HELD_BLOCKS_MULTIPLE = 3 times max_dense_dim()^2 entries, 384 MiB
-    at the default 4096: held "all" (symmetry_residual) counts H on every
-    block, held "sectors" (classify_sectors, n = 2) the builder arrays its
+    at the default 4096: held "all" (symmetry_residual) counts sum d^2 over
+    every block, at least the sum d_s d_t slots (source word, target-block
+    row) of the one operator kind it holds at a time, held "sectors"
+    (classify_sectors, n = 2) the builder arrays its
     sweep keeps, from their sizes (the words and H's site arrays, N 2^N
     entries each, and the E_1 terms of _coproduct_maps, 3 N 2^(N-1)), and
     its widest rung m: the E_1 maps into and out of block m, the d_m x d_m
@@ -608,12 +663,13 @@ def _seminormal_forms(shapes, q: float) -> list:
     The standard tableaux of every shape, Yamanouchi words, come from one
     pass (tableaux.tableau_blocks), laid end to end like weight blocks, and
     are ranked once (_rank): s_i S is found from its key like a swapped
-    word, by the swap routine of H's blocks (_site_swaps), and each shape
-    takes its slice of every step.  Each entry is a Python float from a
-    table over the d that occur (_seminormal_entries, accurate near q = 1
-    and bounded where q^(N-1) is not).  q is held to OpenChain's rule
-    (_check_positive_q), and f^lambda past max_dense_dim() is a
-    SizeGuardError.
+    word, by the swap routine of H's blocks (_swap_steps), and each shape
+    takes its slice of every step (_site_swaps).  Each entry is a Python
+    float from a table over the d that occur (_seminormal_entries, accurate
+    near q = 1 and bounded where q^(N-1) is not).  q is held to OpenChain's
+    rule (_check_positive_q), a diagonal that overflows (sums of terms of
+    order -q^-2 near that rule's edge) is a ValidationError, and f^lambda
+    past max_dense_dim() is a SizeGuardError.
     """
     _check_positive_q(q)
     for shape in shapes:
@@ -628,9 +684,10 @@ def _seminormal_forms(shapes, q: float) -> list:
     t = log(q)
     diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
     diag = diag[d - lo].sum(axis=1)
-    ranked = _rank(R, N, rows + 1, bounds)
+    _check_finite_diagonal(diag, q, "the seminormal diagonal")
+    steps = _swap_steps(_rank(R, N, rows + 1, bounds), np.abs(d) > 1)
     forms = []
-    for a, b, sites in zip(bounds[:-1], bounds[1:], _site_swaps(ranked, bounds, np.abs(d) > 1)):
+    for a, b, sites in zip(bounds[:-1], bounds[1:], _site_swaps(steps, bounds)):
         m, entries = np.diag(diag[a:b]), off[d[a:b] - lo]
         for i, (swapped, cols) in enumerate(sites):
             m[swapped, cols] = entries[cols, i]
@@ -949,14 +1006,18 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     q^{H_j} and q^{eps_j}; zero in exact arithmetic by the invariance of the
     chain.
 
-    Every weight block is built once, from one pass of the ranked-word
-    builder: H_mu as the dense scatter of its site arrays (_sites_by_block,
-    as block_matrix), and per operator kind one _coproduct_maps call gives y
-    from every block mu into the block nu it maps into, so the number of
-    rankings depends on n and not on the number of blocks.  The residual is
-    the worst column norm of H_nu Y - Y H_mu, the norm of [H, y] v for each
-    basis word v of block mu.  The sweep holds every H block at once, so
-    the size guard counts all of them (_check_guard with held "all").
+    Every weight block is ranked once (_rank), and [H, y] is taken from
+    sparse terms over that ranking, with no dense H block or y map: H's
+    diagonal and swaps (_hamiltonian_terms), and per operator kind y's
+    terms from every block into the block it maps into (_coproduct_terms).
+    The residual is the worst norm of [H, y] e_c over the basis words c,
+    for E_j and F_j from _ladder_commutator, for the diagonal kinds from
+    _diagonal_commutator.  A kind with a non-finite entry (a q power that
+    overflowed, which the zeros of [H, y] turn into NaN) reads NaN, and NaN
+    is the worst.  The size guard counts every block, sum d^2 entries
+    (_check_guard with held "all"): one kind holds one slot per (source
+    word, target-block row), sum d_s d_t over its block pairs, which is at
+    most that, and each kind's slots are freed before the next is built.
     """
     chain = OpenChain(n, N, q)
     _check_guard(chain, "all")
@@ -968,7 +1029,15 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     contents = dicke_labels(n, N)
     index = {content: b for b, content in enumerate(contents)}
     words, bounds = weight_blocks(n, N, contents)
-    h = [_dense(sites) for sites in _sites_by_block(chain, words, bounds)]
+    ranked = _rank(n, N, words, bounds)
+    diag, steps = _hamiltonian_terms(chain, ranked)
+    # H's swaps sorted by column: the swaps p of word c are h_rows[h_ptr[c]:h_ptr[c + 1]]
+    empty = np.zeros(0, dtype=np.int64)
+    h_rows = np.concatenate([empty, *(rows for rows, _ in steps)])
+    h_cols = np.concatenate([empty, *(cols for _, cols in steps)])
+    order = np.argsort(h_cols, kind="stable")
+    h_rows, h_cols = h_rows[order], h_cols[order]
+    h = h_rows, h_cols, _pointers(h_cols, len(diag)), 1.0 / q
     worst = []
     for kind, j, removed, added in ops:
         pairs = []
@@ -980,7 +1049,59 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
                 if target[removed - 1] < 0:
                     continue            # y kills the whole block
             pairs.append((b, index[tuple(target)]))
-        for (s, t), y in zip(pairs, _coproduct_maps(chain, kind, j, words, bounds, pairs)):
-            worst.append(float(np.linalg.norm(h[t] @ y - y @ h[s], axis=0).max()))
-    # np.max returns NaN when any residual is NaN (an overflowed q power)
+        terms = _coproduct_terms(chain, kind, j, ranked, bounds, pairs)
+        if not np.isfinite(terms.entries).all():
+            worst.append(nan)           # an overflowed q power: 0 * inf in [H, y]
+        elif removed is None:
+            worst.append(_diagonal_commutator(h, terms))
+        else:
+            worst.append(_ladder_commutator(diag, h, terms, bounds, pairs))
+    # np.max returns NaN when any residual is NaN
     return float(np.max(worst, initial=0.0))
+
+
+def _ladder_commutator(diag: np.ndarray, h: tuple, terms: _Terms, bounds: np.ndarray,
+                       pairs: list) -> float:
+    """Max over the source words c of |[H, y] e_c| for y = E_j or F_j, from
+    H's diagonal, h = H's swaps (rows, cols) sorted by column with their
+    column bounds and entry 1/q, and y's terms (_coproduct_terms) over the
+    block pairs (s, t), s increasing.
+
+    [H, y] e_c is (a) every term (r, c, v) of y times diag[r] - diag[c],
+    plus (b) v/q at every swap of r (H after y), minus (c) 1/q times the
+    terms of y's column p at every swap p of c (y after H).  np.add.at sums
+    each part in turn into one slot per (source word, target-block row),
+    laid out like the dense y maps, source word c of pair (s, t) owning d_t
+    slots in a row, and np.add.reduceat over each word's slots gives its
+    squared norm.
+    """
+    h_rows, h_cols, h_ptr, off = h
+    rows, cols, v = terms.rows, terms.cols, terms.entries
+    sizes = np.diff(bounds)
+    within = np.arange(len(diag)) - np.repeat(bounds[:-1], sizes)   # position in its block
+    s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    pair, take = _gather(bounds, s)                         # the source words, increasing
+    widths = sizes[t][pair]
+    start = np.zeros(len(diag), dtype=np.int64)             # each source word's first slot
+    start[take] = np.cumsum(widths) - widths
+    acc = np.zeros(int(widths.sum()))
+    np.add.at(acc, start[cols] + within[rows], v * (diag[rows] - diag[cols]))     # (a)
+    term, swap = _gather(h_ptr, rows)
+    np.add.at(acc, start[cols[term]] + within[h_rows[swap]], v[term] * off)      # (b)
+    del term, swap                                          # before (c)'s are built
+    swap, term = _gather(_pointers(cols, len(diag)), h_rows)
+    np.add.at(acc, start[h_cols[swap]] + within[rows[term]], v[term] * -off)     # (c)
+    acc *= acc
+    return sqrt(float(np.add.reduceat(acc, start[take]).max(initial=0.0)))
+
+
+def _diagonal_commutator(h: tuple, terms: _Terms) -> float:
+    """Max over the words c of |[H, y] e_c| for a diagonal y = q^{H_j} or
+    q^{eps_j} with entry t_c at word c (_coproduct_terms), from H's swaps
+    (h, as _ladder_commutator takes it): (t_c - t_p)/q at each swap p of
+    c, no two of them at one word, so no slot sums them."""
+    h_rows, h_cols, h_ptr, off = h
+    t = np.zeros(len(h_ptr) - 1)
+    t[terms.cols] = terms.entries
+    values = (t[h_cols] - t[h_rows]) * off
+    return sqrt(float(np.bincount(h_cols, weights=values * values, minlength=len(t)).max()))

@@ -1,5 +1,6 @@
 import tracemalloc
 from decimal import Decimal, localcontext
+from math import inf
 
 import numpy as np
 import pytest
@@ -20,6 +21,30 @@ def test_q_number_values():
     assert qalgebra.q_number(3, 1.3) == pytest.approx(1.3 ** 2 + 1 + 1.3 ** -2)
     assert qalgebra.q_number(4, 1.0) == 4.0                      # limit
     assert qalgebra.q_number(5, 1.0 + 1e-12) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("q", [1e-150, 1e150])
+def test_powers_overflow_to_inf_at_both_ends_of_the_q_range(q):
+    # q^(+-2), q^(+-2.5) and q^(+-3) pass the largest float at both ends of
+    # the range _check_q admits, where the float power raised a bare
+    # OverflowError; the q-integers, the ladder tails and q^{H_j}, q^{eps_j}
+    # take them as inf (qalgebra._power), and the finite powers beside them
+    # are the float powers they were
+    assert qalgebra.q_number(2, q) == q + 1 / q
+    assert qalgebra.q_number(4, q) == qalgebra.q_number(5, -q) == -qalgebra.q_number(-4, q) == inf
+    assert qalgebra.q_number(4, -q) == -inf
+    # finite powers whose correctly rounded sum passes the largest float
+    assert qalgebra.q_number(2704, 1.3) == inf
+    huge = q > 1
+    up = qalgebra.apply_E(TensorState.basis(2, (1,) * 6), 1, q).amps
+    assert up[(2,) + (1,) * 5 if huge else (1,) * 5 + (2,)] == inf
+    assert up[(1, 1, 2, 1, 1, 1)] == q ** 0.5 * 1.0
+    down = qalgebra.apply_F(TensorState.basis(2, (2,) * 6), 1, q).amps
+    assert down[(2,) * 5 + (1,) if huge else (1,) + (2,) * 5] == inf
+    assert qalgebra.apply_qH(TensorState.basis(2, (1, 1, 1) if huge else (2, 2, 2)), 1,
+                             q).amps == {(1, 1, 1) if huge else (2, 2, 2): inf}
+    if huge:
+        assert qalgebra.apply_qEps(TensorState.basis(2, (1, 1, 1)), 1, q).amps == {(1, 1, 1): inf}
 
 
 def test_q_factorial_and_binomial():

@@ -423,8 +423,8 @@ def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
     # verify_decomposition(2, N, q) ranks its words a fixed number of times
     # (the one-pass builders: the seminormal forms of every shape, H and
     # E_1 of every block), diagonalize too (the seminormal forms, H and the
-    # w0 images of the dominant blocks), and symmetry_residual once for H
-    # and once per operator kind
+    # w0 images of the dominant blocks), and symmetry_residual once in all,
+    # H and every operator kind sharing one ranking
     real = spectra._rank
     calls = []
     monkeypatch.setattr(spectra, "_rank", lambda *args: calls.append(args) or real(*args))
@@ -446,7 +446,7 @@ def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
             calls.clear()
             spectra.symmetry_residual(n, N, Q)
             counts.append(len(calls))
-        assert counts == [1 + 3 * (n - 1) + n] * 3, (n, counts)
+        assert counts == [1] * 3, (n, counts)
 
 
 def test_coproduct_block_rejects_a_target_that_is_not_the_image_block():
@@ -1091,6 +1091,29 @@ def test_spectra_refuse_q_whose_inverse_square_overflows():
             spectra.sector_hamiltonian((2, 1), q)
 
 
+def test_builders_refuse_a_diagonal_that_overflows():
+    # at q = 7.46e-155 (q^-2 about 1.8e308) two decreasing pairs of one word
+    # sum H's diagonal to -inf, and two seminormal entries of order -q^-2 the
+    # seminormal one: refused, where LAPACK failed to converge or a w0
+    # symmetry residual read NaN; at N = 3, n = 2 neither overflows (above)
+    q = 7.46e-155
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in [lambda: spectra.verify_decomposition(2, 5, q),
+                     lambda: spectra.diagonalize(spectra.OpenChain(3, 3, q)),
+                     lambda: spectra.sector_hamiltonian((1, 1, 1), q)]:
+            with pytest.raises(ValidationError,
+                               match="q = 7.46e-155 is too small: the seminormal diagonal"):
+                call()
+        for call in [lambda: spectra.block_matrix(spectra.OpenChain(2, 5, q),
+                                                  spectra.weight_basis(2, 5, (3, 2))),
+                     lambda: spectra.symmetry_residual(3, 3, q)]:
+            with pytest.raises(ValidationError, match="is too small: H's diagonal on"):
+                call()
+        # [N]_q passes the largest float at q = 1e-110 from N = 4: kappa is
+        # inf there, a failing report, not an OverflowError
+        assert not spectra.classify_sectors(spectra.OpenChain(2, 4, 1e-110)).ok
+
+
 def test_symmetry_residual_values():
     assert spectra.symmetry_residual(2, 3, 1.3) < 1e-11
     assert spectra.symmetry_residual(2, 2, 0.7) < 1e-12
@@ -1099,24 +1122,40 @@ def test_symmetry_residual_values():
 
 
 def test_symmetry_residual_matches_per_word_sweep():
+    # every n <= 4 at short N, and the two sizes the benchmark runs
+    sizes = ([(2, N) for N in range(1, 8)] + [(3, N) for N in range(1, 6)]
+             + [(4, N) for N in range(1, 5)] + [(3, 6), (2, 9)])
     for q in (0.7, 1.0, 1.5, 2.0):
-        for n, N in [(2, N) for N in range(1, 8)] + [(3, N) for N in range(1, 6)]:
+        for n, N in sizes:
             fast = spectra.symmetry_residual(n, N, q)
             assert abs(fast - symmetry_residual_per_word(n, N, q)) <= 1e-12, (n, N, q)
+
+
+def test_symmetry_residual_builds_no_dense_block_or_map(monkeypatch):
+    # [H, y] comes from sparse terms over one ranking: neither H's dense
+    # scatter nor a dense y map is built, at any n
+    def dense(*args):
+        raise AssertionError("a dense H block or y map was built")
+
+    monkeypatch.setattr(spectra, "_dense", dense)
+    monkeypatch.setattr(spectra, "_coproduct_maps", dense)
+    for n, N in [(1, 4), (2, 6), (3, 4), (4, 3)]:
+        assert spectra.symmetry_residual(n, N, Q) < 1e-12, (n, N)
 
 
 def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
     # one off-diagonal entry of the (2, 2) block of H is changed: H no longer
     # commutes with E_1 and F_1, and the sweep must say so
-    real = spectra._dense
+    real = spectra._hamiltonian_terms
 
-    def perturbed(block):
-        m = real(block)
-        if len(m) == 6:             # block (2, 2), the only one 6 words wide at N = 4
-            m[0, 1] += 0.1
-        return m
+    def perturbed(chain, ranked):
+        diag, steps = real(chain, ranked)
+        words = ranked.words.tolist()
+        # a second swap entry 1/q at (1122, 1212) of block (2, 2) doubles it
+        extra = np.array([words.index([1, 1, 2, 2])]), np.array([words.index([1, 2, 1, 2])])
+        return diag, steps + [extra]
 
-    monkeypatch.setattr(spectra, "_dense", perturbed)
+    monkeypatch.setattr(spectra, "_hamiltonian_terms", perturbed)
     assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
 
 
@@ -1124,18 +1163,46 @@ def test_symmetry_residual_sees_a_perturbed_block(monkeypatch):
 def test_symmetry_residual_sweeps_every_operator_kind(monkeypatch, name):
     # each operator, followed by a weight that varies within a weight block,
     # no longer commutes with H; the sweep must build it to see that
-    real = spectra._coproduct_maps
+    real = spectra._coproduct_terms
 
-    def weighted(chain, kind, j, words, bounds, pairs):
-        maps = real(chain, kind, j, words, bounds, pairs)
+    def weighted(chain, kind, j, ranked, bounds, pairs):
+        terms = real(chain, kind, j, ranked, bounds, pairs)
         if kind == name.removeprefix("apply_"):
-            targets = [words[bounds[t]:bounds[t + 1]] for _, t in pairs]
-            maps = [m * np.array([float(w[0]) for w in target]).reshape(-1, 1)
-                    for m, target in zip(maps, targets)]
-        return maps
+            # each term times the first letter of its image word
+            terms = terms._replace(entries=terms.entries * ranked.words[terms.rows, 0])
+        return terms
 
-    monkeypatch.setattr(spectra, "_coproduct_maps", weighted)
+    monkeypatch.setattr(spectra, "_coproduct_terms", weighted)
     assert spectra.symmetry_residual(2, 4, 1.3) > 1e-3
+
+
+@pytest.mark.parametrize("n, N", [(2, 5), (3, 4)])
+def test_symmetry_residual_of_a_weighted_y_is_its_dense_commutator(monkeypatch, n, N):
+    # each operator kind in turn, followed by a weight that varies within a
+    # weight block, has [H, y] of order one on many rows of every column:
+    # the sweep's worst column norm must be the one that the dense products
+    # H_t Y - Y H_s of every block pair give for the same terms
+    real = spectra._coproduct_terms
+    chain = spectra.OpenChain(n, N, Q)
+    for kind, j, _, _ in _coproduct_cases(n, Q, (N,) + (0,) * (n - 1)):
+        def weighted(chain, k, i, ranked, bounds, pairs, kind=kind, j=j):
+            terms = real(chain, k, i, ranked, bounds, pairs)
+            if (k, i) == (kind, j):
+                terms = terms._replace(entries=terms.entries * ranked.words[terms.rows, 0])
+            return terms
+
+        monkeypatch.setattr(spectra, "_coproduct_terms", weighted)
+        want = 0.0
+        for content in qalgebra.dicke_labels(n, N):
+            image = next(im for k, i, _, im in _coproduct_cases(n, Q, content) if (k, i) == (kind, j))
+            if image is None:
+                continue
+            source, target = (spectra.weight_basis(n, N, c) for c in (content, image))
+            y = spectra.coproduct_block(chain, kind, j, source, target)
+            h_t, h_s = spectra.block_matrix(chain, target), spectra.block_matrix(chain, source)
+            want = max(want, float(np.linalg.norm(h_t @ y - y @ h_s, axis=0).max()))
+        got = spectra.symmetry_residual(n, N, Q)
+        assert want > 1e-3 and abs(got - want) <= 1e-12 * want, (kind, j, got, want)
 
 
 def test_symmetry_residual_guard(monkeypatch):

@@ -14,13 +14,16 @@ the rank margin of E_1, min |R_ii| / max |R_ii| of its QR at the worst rung
 (compared with no threshold), and the rung residual, the worst difference
 on any rung up to the middle between the sorted open-ladder values and the
 seminormal spectra of the sectors that rung holds; each case ends in PASS
-or FAIL as its report does.  Exits 1 when any case fails.
+or FAIL as its report does.  A case that classify_sectors refuses (a q
+whose E_1 powers overflow, say) prints the refusal and FAIL, and the survey
+goes on.  Exits 1 when any case fails.
 """
 
 import argparse
 import sys
 
 from braidlab import spectra
+from braidlab.errors import BraidlabError
 from cli_diff import int_list
 
 # column header -> SectorLadder field
@@ -42,8 +45,13 @@ def _values_text(values) -> str:
 
 def survey(N: int, q: float) -> bool:
     """Print the table of one chain; True when its report passes."""
-    rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
     print(f"open chain n=2, N={N}, q={q}")
+    try:
+        rep = spectra.classify_sectors(spectra.OpenChain(2, N, q))
+    except BraidlabError as exc:
+        print(f"refused: {exc}")
+        print("FAIL")
+        return False
     print(f"{'k':>3} {'m_k':>5} {'d_k':>5} {'eigenvalues':<{VALUES_WIDTH}} "
           + " ".join(f"{name:>10}" for name in RESIDUALS))
     total = 0

@@ -108,7 +108,12 @@ def _rearrangements(word: Word) -> int:
 
 
 def q_symmetrize(state: TensorState, q: float) -> TensorState:
-    return shuffle_apply(state, q ** 2, q)
+    """Y_N(q^2); a q^2 past the largest float is refused."""
+    try:
+        z = q ** 2
+    except OverflowError:
+        raise ValidationError(f"q = {q!r} is too large: q^2 overflows") from None
+    return shuffle_apply(state, z, q)
 
 
 def q_antisymmetrize(state: TensorState, q: float) -> TensorState:

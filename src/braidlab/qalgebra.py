@@ -161,13 +161,24 @@ def ordered_word(label: DickeLabel) -> Word:
     return tuple(w)
 
 
+def _bracket_factorial(m: int, q: float) -> float:
+    """[[m]]! at z = q^2, refused past the largest float, where an inf
+    bracket would scale a state to zero."""
+    try:
+        out = bracket_factorial(m, q * q)
+    except OverflowError:
+        out = inf
+    if not isfinite(out):
+        raise ValidationError(f"q = {q!r} is too large: [[{m}]]! at q^2 overflows")
+    return out
+
+
 def dicke_norm(label: DickeLabel, q: float) -> float:
     """Norm of the unnormalized q-symmetric state: sqrt([[N]]!/prod [[m_i]]!)."""
-    N = sum(label)
     denom = 1.0
     for m in label:
-        denom *= bracket_factorial(m, q * q)
-    return (bracket_factorial(N, q * q) / denom) ** 0.5
+        denom *= _bracket_factorial(m, q)
+    return (_bracket_factorial(sum(label), q) / denom) ** 0.5
 
 
 def q_dicke(n: int, N: int, label, q: float) -> TensorState:
@@ -180,11 +191,12 @@ def q_dicke(n: int, N: int, label, q: float) -> TensorState:
     label = check_label(n, N, label)
     if not isfinite(q) or q <= 0:
         raise ValidationError("q must be positive and finite")
-    state = q_symmetrize(TensorState.basis(n, ordered_word(label)), q)
+    norm = dicke_norm(label, q)
     scale = 1.0
     for m in label:
-        scale *= bracket_factorial(m, q * q)
-    return state.scale(1.0 / (scale * dicke_norm(label, q)))
+        scale *= _bracket_factorial(m, q)
+    state = q_symmetrize(TensorState.basis(n, ordered_word(label)), q)
+    return state.scale(1.0 / (scale * norm))
 
 
 def verify_canonical_action(n: int, N: int, q: float, label, j: int) -> dict:
@@ -197,9 +209,9 @@ def verify_canonical_action(n: int, N: int, q: float, label, j: int) -> dict:
     _check_species_index(j, n, diagonal=False)
     kj, kj1 = label[j - 1], label[j]
     b = q_dicke(n, N, label, q)
-    report = {"label": label, "j": j,
-              "qh_eigenvalue": q ** (kj - kj1),
-              "residual_qH": apply_qH(b, j, q).sub(b.scale(q ** (kj - kj1))).norm()}
+    qh = _power(q, kj - kj1)
+    report = {"label": label, "j": j, "qh_eigenvalue": qh,
+              "residual_qH": apply_qH(b, j, q).sub(b.scale(qh)).norm()}
     if kj == 0:
         report["coefficient"] = 0.0
         report["residual_E"] = apply_E(b, j, q).norm()

@@ -17,17 +17,18 @@ not map onto itself.
 
 Every weight-block operator comes from one ranked-word builder, run once per
 decomposition: weight_blocks lays the blocks of a list of contents end to
-end, _rank keys all their words block-major, and _hamiltonian_terms (H's
-diagonal and swaps), _w0_positions (the w0 images in self-mirrored blocks)
-and _coproduct_terms (the terms of E_j, F_j, q^{H_j}, q^{eps_j}) take
-N - 1 or one vectorized steps over every block.  _sites_by_block and
-_coproduct_maps hand each block its slice, as site arrays or dense maps;
+end, _rank alone turns them into a block layout (_Ranked: block-major keys,
+each word's block start), and every builder takes that layout and ranks
+nothing: _hamiltonian_terms (H's diagonal and swaps), _w0_positions (the
+w0 images in self-mirrored blocks) and _coproduct_terms (the terms of E_j,
+F_j, q^{H_j}, q^{eps_j}) take N - 1 or one vectorized steps over every
+block, and _sites_by_block and _coproduct_maps hand each block its slice.
 block_matrix, coproduct_block and sector_matrix are the one-content calls
 of the same code.  One swap routine, _swap_steps, links each flagged word
 to its i, i+1 swap by key: H flags the words whose letters at i, i+1
 differ, and the seminormal forms the standard tableaux whose entries i,
 i+1 share no row or column.  symmetry_residual takes [H, y] straight from
-the terms, over one ranking of every block, with no dense block or map.
+the terms, with no dense block or map.
 
 For n = 2 the weight-k block is the binomial(N, k)-dimensional space of
 words with k high letters, and sector k is the irrep lambda = (N - k, k),
@@ -80,7 +81,7 @@ def _check_positive_q(q: float) -> None:
     diagonal terms 1 - q^-2 (_hamiltonian_terms) and the seminormal entries
     of order q^-2 (_seminormal_entries) are finite wherever it holds, and
     the builders refuse a diagonal whose sum of them overflows
-    (_check_finite_diagonal)."""
+    (_check_finite)."""
     if not isfinite(q) or q <= 0:
         raise ValidationError("q must be positive and finite")
     try:
@@ -166,7 +167,8 @@ class _Ranked(NamedTuple):
     """Weight blocks laid end to end, ranked by _rank."""
     words: np.ndarray       # (D, N) letters, int64 (object past int64 keys)
     powers: np.ndarray      # n^(N-1-j) per position j
-    block: np.ndarray       # block index of each word
+    bounds: np.ndarray      # int64: block b is words[bounds[b]:bounds[b + 1]]
+    first: np.ndarray       # int64 position of each word's block start
     keys: np.ndarray        # block * stride + base-n key of the word, increasing
     stride: int             # n^N: a key plus (t - b) * stride names the word in block t
     lookup: Callable        # wanted keys -> positions in words
@@ -194,6 +196,7 @@ def _rank(n: int, N: int, words, bounds) -> _Ranked:
     array (not a whole weight block), are a ValidationError.
     """
     words = _word_array(n, N, words)
+    bounds = np.asarray(bounds, dtype=np.int64)
     sizes = np.diff(bounds)
     stride = n ** N
     # the sentinel past the last block; keys overflow int64 beyond 2^63,
@@ -214,7 +217,7 @@ def _rank(n: int, N: int, words, bounds) -> _Ranked:
             raise ValidationError("basis is not a whole weight block")
         return pos
 
-    return _Ranked(words, powers, block, keys, stride, lookup)
+    return _Ranked(words, powers, bounds, np.repeat(bounds[:-1], sizes), keys, stride, lookup)
 
 
 def _swap_steps(ranked: _Ranked, moves: np.ndarray) -> list:
@@ -231,10 +234,10 @@ def _swap_steps(ranked: _Ranked, moves: np.ndarray) -> list:
     return steps
 
 
-def _site_swaps(steps: list, bounds: np.ndarray) -> list:
-    """The swaps of _swap_steps per block of bounds and per site i, each
-    block taking its slice of every step, in positions within the block."""
-    first = np.repeat(bounds[:-1], np.diff(bounds))     # each word's block start
+def _site_swaps(steps: list, ranked: _Ranked) -> list:
+    """The swaps of _swap_steps per ranked block and per site i, each block
+    taking its slice of every step, in positions within the block."""
+    bounds, first = ranked.bounds, ranked.first
     cuts = [(rows - first[rows], cols - first[cols], np.searchsorted(cols, bounds))
             for rows, cols in steps]
     return [[(rows[a[b]:a[b + 1]], cols[a[b]:a[b + 1]]) for rows, cols, a in cuts]
@@ -259,33 +262,33 @@ def _hamiltonian_terms(chain: OpenChain, ranked: _Ranked) -> tuple[np.ndarray, l
     c = 1.0 - q ** -2
     for j in range(N - 1):
         diag += np.where(x[:, j] == y[:, j], 1.0, np.where(x[:, j] > y[:, j], c, 0.0))
-    _check_finite_diagonal(diag, q, f"H's diagonal on {N} sites")
+    _check_finite(diag, q, f"H's diagonal on {N} sites")
     return diag, _swap_steps(ranked, x != y)
 
 
-def _check_finite_diagonal(diag: np.ndarray, q: float, what: str) -> None:
-    """Refuse a builder diagonal that overflowed to -inf (sums of terms of
-    order -q^-2 at q near the q rule's edge): eigvalsh would fail to
-    converge on it, and every residual past it would read NaN."""
-    if not np.isfinite(diag).all():
-        raise ValidationError(f"q = {q!r} is too small: {what} overflows")
+def _check_finite(values: np.ndarray, q: float, what: str) -> None:
+    """Refuse builder values that overflowed before LAPACK reads them: it
+    would fail to converge, and every residual past them would read NaN."""
+    if not np.isfinite(values).all():
+        size = "large" if q > 1 else "small"
+        raise ValidationError(f"q = {q!r} is too {size}: {what} overflows")
 
 
-def _sites_by_block(chain: OpenChain, words, bounds) -> list:
-    """H on every weight block of words (blocks end to end, bounds), as one
-    site-array triple (diag, sites, 1/q) per block, from one ranking (_rank)
-    and N - 1 vectorized steps (_hamiltonian_terms), each block taking its
-    slice of the diagonal and of every site's swaps (_site_swaps)."""
-    bounds = np.asarray(bounds)
-    diag, steps = _hamiltonian_terms(chain, _rank(chain.n, chain.N, words, bounds))
+def _sites_by_block(chain: OpenChain, ranked: _Ranked) -> list:
+    """H on every ranked block as one site-array triple (diag, sites, 1/q)
+    per block, from N - 1 vectorized steps (_hamiltonian_terms), each block
+    taking its slice of the diagonal and of every site's swaps
+    (_site_swaps)."""
+    diag, steps = _hamiltonian_terms(chain, ranked)
+    bounds = ranked.bounds
     return [(diag[lo:hi], sites, 1.0 / chain.q)
-            for lo, hi, sites in zip(bounds[:-1], bounds[1:], _site_swaps(steps, bounds))]
+            for lo, hi, sites in zip(bounds[:-1], bounds[1:], _site_swaps(steps, ranked))]
 
 
 def _block_sites(chain: OpenChain, basis) -> tuple:
     """H on one weight block as site arrays (diag, sites, 1/q): the
     one-content call of _sites_by_block."""
-    return _sites_by_block(chain, basis, np.array([0, len(basis)]))[0]
+    return _sites_by_block(chain, _rank(chain.n, chain.N, basis, [0, len(basis)]))[0]
 
 
 def _dense(block: tuple) -> np.ndarray:
@@ -342,14 +345,15 @@ class _Terms(NamedTuple):
     cols: np.ndarray        # position of its source word, increasing within each pair
     entries: np.ndarray     # its power of q
     cut: np.ndarray         # the terms of pairs[p] are [cut[p]:cut[p + 1]]
+    sources: np.ndarray     # the source words of every pair, pair after pair
+    targets: np.ndarray     # the target block of each source word
 
 
-def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, bounds,
-                     pairs) -> _Terms:
+def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, pairs) -> _Terms:
     """The terms of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH",
-    "qEps") from block s into block t for each (s, t) in pairs, over ranked
-    weight blocks laid end to end (bounds); block t must hold every image
-    word of block s, or it is a ValidationError.
+    "qEps") from ranked block s into ranked block t for each (s, t) in
+    pairs; block t must hold every image word of block s, or it is a
+    ValidationError.
 
     Every term of every source block at once: the E_j or F_j term at site k
     moves the key by +-n^(N-1-k), with q to half of (j count - j+1 count)
@@ -364,7 +368,7 @@ def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, bound
         raise ValidationError(f"no coproduct operator {kind}_{j} for n={n}")
     s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     # the source words end to end, and each one's key in its target block
-    pair, take = _gather(bounds, s)
+    pair, take = _gather(ranked.bounds, s)
     src = ranked.words[take]
     keys = ranked.keys[take] + (t - s)[pair].astype(src.dtype) * ranked.stride
     step = (src == j).astype(np.int64) - (src == j + 1)
@@ -382,21 +386,21 @@ def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, bound
     table = np.array([_power(q, 0.5 * e) for e in range(lo, hi + 1)])
     # the terms of pair p have their source words in take[pair == p]
     return _Terms(ranked.lookup(image), take[cols], table[exps - lo],
-                  np.searchsorted(pair[cols], np.arange(len(s) + 1)))
+                  np.searchsorted(pair[cols], np.arange(len(s) + 1)), take, t[pair])
 
 
-def _coproduct_maps(chain: OpenChain, kind: str, j: int, words, bounds, pairs) -> Iterator:
+def _coproduct_maps(chain: OpenChain, kind: str, j: int, ranked: _Ranked, pairs) -> Iterator:
     """Matrices of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
-    from block s into block t for each (s, t) in pairs, over the blocks of
-    words laid end to end (bounds): the dense view of _coproduct_terms, from
-    one ranking (_rank).  The terms are found and checked at once; each
-    dense matrix is built when the iterator reaches its pair, so a sweep
-    that keeps one or two at a time holds no more than that.  Each matrix
-    equals the sparse operator bit for bit.
+    from ranked block s into ranked block t for each (s, t) in pairs: the
+    dense view of _coproduct_terms.  The terms are found and checked at
+    once, an overflowed power of q refused; each dense matrix is built when
+    the iterator reaches its pair, so a sweep that keeps one or two at a
+    time holds no more than that.  Each matrix equals the sparse operator
+    bit for bit.
     """
-    bounds = np.asarray(bounds)
-    terms = _coproduct_terms(chain, kind, j, _rank(chain.n, chain.N, words, bounds), bounds,
-                             pairs)
+    terms = _coproduct_terms(chain, kind, j, ranked, pairs)
+    _check_finite(terms.entries, chain.q, f"the {kind}_{j} map")
+    bounds = ranked.bounds
 
     def dense(p, s, t):
         a, b = terms.cut[p], terms.cut[p + 1]
@@ -414,8 +418,8 @@ def coproduct_block(chain: OpenChain, kind: str, j: int, source, target) -> np.n
     of _coproduct_maps, source and target ranked as two blocks."""
     source, target = (_word_array(chain.n, chain.N, ws) for ws in (source, target))
     words = np.concatenate([source, target])
-    return next(_coproduct_maps(chain, kind, j, words, np.array([0, len(source), len(words)]),
-                                [(0, 1)]))
+    ranked = _rank(chain.n, chain.N, words, [0, len(source), len(words)])
+    return next(_coproduct_maps(chain, kind, j, ranked, [(0, 1)]))
 
 
 def _orbit_size(n: int, shape) -> int:
@@ -435,9 +439,9 @@ def _check_guard(chain: OpenChain, held: str | None) -> None:
     at the default 4096: held "all" (symmetry_residual) counts sum d^2 over
     every block, at least the sum d_s d_t slots (source word, target-block
     row) of the one operator kind it holds at a time, held "sectors"
-    (classify_sectors, n = 2) the builder arrays its
-    sweep keeps, from their sizes (the words and H's site arrays, N 2^N
-    entries each, and the E_1 terms of _coproduct_maps, 3 N 2^(N-1)), and
+    (classify_sectors, n = 2) the builder arrays its sweep keeps, from their
+    sizes (the words, ranked once, and H's site arrays, N 2^N entries each,
+    and the E_1 terms of _coproduct_maps, 3 N 2^(N-1)), and
     its widest rung m: the E_1 maps into and out of block m, the d_m x d_m
     ladder array and its E_1 image, and for m <= N/2 Q, R and the copy of
     the E_1 map that numpy's complete QR factors.  So "sectors" admits
@@ -468,17 +472,19 @@ def _runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _w0_positions(n: int, N: int, words, bounds, letters) -> np.ndarray:
-    """Position within its block of the w0 image of each word, for weight
-    blocks laid end to end (bounds) that w0 maps onto themselves, block i
+def _w0_positions(ranked: _Ranked, blocks, letters) -> dict:
+    """Block b -> position within block b of the w0 image of each word, for
+    the ranked blocks in blocks, which w0 maps onto themselves, blocks[i]
     over the alphabet 1..letters[i]: the word reversed, each letter a sent
-    to letters[i] + 1 - a.  The blocks are ranked once, as one array
-    (_rank); an image outside its block is a ValidationError."""
-    bounds = np.asarray(bounds)
-    ranked, sizes = _rank(n, N, words, bounds), np.diff(bounds)
-    flip = np.repeat(np.asarray(letters, dtype=ranked.words.dtype), sizes)[:, None]
-    image = (flip - ranked.words[:, ::-1]) @ ranked.powers + ranked.block * ranked.stride
-    return ranked.lookup(image) - np.repeat(bounds[:-1], sizes)
+    to letters[i] + 1 - a.  An image outside its block is a
+    ValidationError."""
+    owner, take = _gather(ranked.bounds, np.asarray(blocks, dtype=np.int64))
+    words = ranked.words[take]
+    flip = np.asarray(letters, dtype=words.dtype)[owner][:, None]
+    # the image's key minus the word's: (flip - reversed word) - (word - 1) in base n
+    at = ranked.lookup(ranked.keys[take] + (flip + 1 - words[:, ::-1] - words) @ ranked.powers)
+    at -= ranked.first[take]
+    return dict(zip(blocks, np.split(at, np.cumsum(np.diff(ranked.bounds)[blocks])[:-1])))
 
 
 def diagonalize(chain: OpenChain) -> SpectralDecomposition:
@@ -563,14 +569,12 @@ def _dominant_blocks(chain: OpenChain) -> dict:
     shapes = partitions_of(N, max_rows=n)
     solved = [_palindrome(mu) or mu for mu in shapes]
     contents = [(*c, *[0] * (n - len(c))) for c in solved]
-    words, bounds = weight_blocks(n, N, contents)
-    sites = _sites_by_block(chain, words, bounds)
+    ranked = _rank(n, N, *weight_blocks(n, N, contents))
+    sites = _sites_by_block(chain, ranked)
     mirrored = [b for b, c in enumerate(solved) if c == c[::-1]]     # (N,) always is
-    ends = np.cumsum([0] + [bounds[b + 1] - bounds[b] for b in mirrored])
-    w0 = _w0_positions(n, N, np.concatenate([words[bounds[b]:bounds[b + 1]] for b in mirrored]),
-                       ends, [len(solved[b]) for b in mirrored])
-    images = {b: w0[lo:hi] for b, lo, hi in zip(mirrored, ends, ends[1:])}
-    return {content: _solve_block(sites[b], images.get(b), mu)
+    w0 = _w0_positions(ranked, mirrored, [len(solved[b]) for b in mirrored])
+    del ranked          # the solves read only the site arrays and w0 images
+    return {content: _solve_block(sites[b], w0.get(b), mu)
             for b, (mu, content) in enumerate(zip(shapes, contents))}
 
 
@@ -684,10 +688,11 @@ def _seminormal_forms(shapes, q: float) -> list:
     t = log(q)
     diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
     diag = diag[d - lo].sum(axis=1)
-    _check_finite_diagonal(diag, q, "the seminormal diagonal")
-    steps = _swap_steps(_rank(R, N, rows + 1, bounds), np.abs(d) > 1)
+    _check_finite(diag, q, "the seminormal diagonal")
+    ranked = _rank(R, N, rows + 1, bounds)
     forms = []
-    for a, b, sites in zip(bounds[:-1], bounds[1:], _site_swaps(steps, bounds)):
+    for a, b, sites in zip(bounds[:-1], bounds[1:],
+                           _site_swaps(_swap_steps(ranked, np.abs(d) > 1), ranked)):
         m, entries = np.diag(diag[a:b]), off[d[a:b] - lo]
         for i, (swapped, cols) in enumerate(sites):
             m[swapped, cols] = entries[cols, i]
@@ -793,9 +798,10 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     H compressed onto it and one f^lambda-wide eigh; rank_margin is the
     worst min |R_ii| / max |R_ii| of those QRs, compared with no tolerance.
     Every block's words and H's site arrays come from one builder pass, and
-    E_1 from every block m to m+1 from one _coproduct_maps call, under the
-    guard _check_guard "sectors"; F_1 from block m to m-1 is the transpose
-    of the previous E_1 map, which it equals exactly in this basis.  The
+    E_1 from every block m to m+1 from one _coproduct_maps call over the
+    same ranking, under the guard _check_guard "sectors"; F_1 from block m
+    to m-1 is the transpose of the previous E_1 map, which it equals exactly
+    in this basis.  The
     open ladders are one column array, sectors increasing, advanced once
     per block and cleared of the lower sectors on every rung once block m's
     highest weight vectors join (_clear_lower_sectors).  H from the block's
@@ -827,11 +833,12 @@ def classify_sectors(chain: OpenChain) -> SectorReport:
     N, q = chain.N, chain.q
     shapes, shape_values, tol = _seminormal_spectra(chain)     # shapes[k] = (N - k, k)
     words, bounds = weight_blocks(2, N, [(N - m, m) for m in range(N + 1)])
-    sites = _sites_by_block(chain, words, bounds)
-    # E_1 from every block m into m + 1 from one ranking, block N into an
-    # empty block N + 1; each map is built as the sweep reaches it
-    e_maps = _coproduct_maps(chain, "E", 1, words, np.append(bounds, bounds[-1]),
-                             [(m, m + 1) for m in range(N + 1)])
+    # blocks 0..N and an empty block N + 1, ranked once for H and for E_1
+    # from every block m into m + 1, block N into the empty one; each map is
+    # built as the sweep reaches it
+    ranked = _rank(2, N, words, np.append(bounds, bounds[-1]))
+    sites = _sites_by_block(chain, ranked)
+    e_maps = _coproduct_maps(chain, "E", 1, ranked, [(m, m + 1) for m in range(N + 1)])
     ended = {}      # k -> the values and residual rows of sector k's ladders
     warnings, rung_residual, rank_margin = [], 0.0, 1.0
     # [j]_q for j = 0..N: kappa = [N-k-m]_q [m-k+1]_q from two lookups per ladder
@@ -1028,8 +1035,7 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     ops += [("qEps", j, None, None) for j in range(1, n + 1)]
     contents = dicke_labels(n, N)
     index = {content: b for b, content in enumerate(contents)}
-    words, bounds = weight_blocks(n, N, contents)
-    ranked = _rank(n, N, words, bounds)
+    ranked = _rank(n, N, *weight_blocks(n, N, contents))
     diag, steps = _hamiltonian_terms(chain, ranked)
     # H's swaps sorted by column: the swaps p of word c are h_rows[h_ptr[c]:h_ptr[c + 1]]
     empty = np.zeros(0, dtype=np.int64)
@@ -1049,23 +1055,22 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
                 if target[removed - 1] < 0:
                     continue            # y kills the whole block
             pairs.append((b, index[tuple(target)]))
-        terms = _coproduct_terms(chain, kind, j, ranked, bounds, pairs)
+        terms = _coproduct_terms(chain, kind, j, ranked, pairs)
         if not np.isfinite(terms.entries).all():
             worst.append(nan)           # an overflowed q power: 0 * inf in [H, y]
         elif removed is None:
             worst.append(_diagonal_commutator(h, terms))
         else:
-            worst.append(_ladder_commutator(diag, h, terms, bounds, pairs))
+            worst.append(_ladder_commutator(diag, h, terms, ranked))
     # np.max returns NaN when any residual is NaN
     return float(np.max(worst, initial=0.0))
 
 
-def _ladder_commutator(diag: np.ndarray, h: tuple, terms: _Terms, bounds: np.ndarray,
-                       pairs: list) -> float:
+def _ladder_commutator(diag: np.ndarray, h: tuple, terms: _Terms, ranked: _Ranked) -> float:
     """Max over the source words c of |[H, y] e_c| for y = E_j or F_j, from
     H's diagonal, h = H's swaps (rows, cols) sorted by column with their
-    column bounds and entry 1/q, and y's terms (_coproduct_terms) over the
-    block pairs (s, t), s increasing.
+    column bounds and entry 1/q, and y's terms (_coproduct_terms) over
+    ranked block pairs (s, t), s increasing.
 
     [H, y] e_c is (a) every term (r, c, v) of y times diag[r] - diag[c],
     plus (b) v/q at every swap of r (H after y), minus (c) 1/q times the
@@ -1077,13 +1082,10 @@ def _ladder_commutator(diag: np.ndarray, h: tuple, terms: _Terms, bounds: np.nda
     """
     h_rows, h_cols, h_ptr, off = h
     rows, cols, v = terms.rows, terms.cols, terms.entries
-    sizes = np.diff(bounds)
-    within = np.arange(len(diag)) - np.repeat(bounds[:-1], sizes)   # position in its block
-    s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    pair, take = _gather(bounds, s)                         # the source words, increasing
-    widths = sizes[t][pair]
+    within = np.arange(len(diag)) - ranked.first            # position in its block
+    widths = np.diff(ranked.bounds)[terms.targets]
     start = np.zeros(len(diag), dtype=np.int64)             # each source word's first slot
-    start[take] = np.cumsum(widths) - widths
+    start[terms.sources] = np.cumsum(widths) - widths
     acc = np.zeros(int(widths.sum()))
     np.add.at(acc, start[cols] + within[rows], v * (diag[rows] - diag[cols]))     # (a)
     term, swap = _gather(h_ptr, rows)
@@ -1092,7 +1094,7 @@ def _ladder_commutator(diag: np.ndarray, h: tuple, terms: _Terms, bounds: np.nda
     swap, term = _gather(_pointers(cols, len(diag)), h_rows)
     np.add.at(acc, start[h_cols[swap]] + within[rows[term]], v[term] * -off)     # (c)
     acc *= acc
-    return sqrt(float(np.add.reduceat(acc, start[take]).max(initial=0.0)))
+    return sqrt(float(np.add.reduceat(acc, start[terms.sources]).max(initial=0.0)))
 
 
 def _diagonal_commutator(h: tuple, terms: _Terms) -> float:

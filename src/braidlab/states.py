@@ -21,7 +21,7 @@ add.
 """
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -104,10 +104,18 @@ class TensorState:
         return TensorState._trusted(self.n, self.N, out)
 
     def normalized(self) -> "TensorState":
+        """Where the norm overflows, divided by the largest magnitude first."""
         nrm = self.norm()
         if nrm == 0.0:
             raise ValidationError("cannot normalize the zero state")
-        return self.scale(1.0 / nrm)
+        if isfinite(nrm):
+            return self.scale(1.0 / nrm)
+        sizes = list(map(abs, self.amps.values()))
+        if not all(map(isfinite, sizes)):
+            raise ValidationError("cannot normalize a state with a non-finite amplitude")
+        top = max(sizes)
+        return TensorState._trusted(self.n, self.N,
+                                    {w: a / top for w, a in self.amps.items()}).normalized()
 
     def to_dense(self) -> np.ndarray:
         """Row-major dense vector; index of word (i_1..i_N) is sum (i_k-1) n^(N-k)."""

@@ -50,8 +50,8 @@ from braidlab.hecke import apply_generator, reduced_words_by_length
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
 from braidlab.spectra import (CLUSTER_RTOL, EIG_RESIDUAL_TOL, HW_TOL, LADDER_RESIDUALS,
                               RESIDUAL_CHUNK, OpenChain, _block_apply, _block_sites, _dense,
-                              _dominant_blocks, _parity_halves, _w0_positions, block_matrix,
-                              weight_basis)
+                              _dominant_blocks, _parity_halves, _rank, _w0_positions,
+                              block_matrix, weight_basis)
 from braidlab.tableaux import partitions_of
 from braidlab.states import TensorState, all_words
 
@@ -344,6 +344,12 @@ def highest_weight_svd(h, f):
     return vals, kernel @ rot
 
 
+def block_w0_positions(n, N, basis, letters):
+    """The w0 positions (_w0_positions) of one weight block over the
+    alphabet 1..letters, ranked on its own."""
+    return _w0_positions(_rank(n, N, basis, [0, len(basis)]), [0], [letters])[0]
+
+
 def dominant_eigenpairs(chain):
     """content -> (words, increasing eigenvalues, eigenvectors) of each
     weight block that spectra._dominant_blocks solves, one per partition
@@ -366,7 +372,7 @@ def dominant_eigenpairs(chain):
         if letters != letters[::-1]:
             vals, vecs = np.linalg.eigh(_dense(sites))
         else:
-            w0 = _w0_positions(chain.n, chain.N, words, [0, len(words)], [len(mu)])
+            w0 = block_w0_positions(chain.n, chain.N, words, len(mu))
             positions = np.arange(len(w0))
             pairs, fixed = np.flatnonzero(w0 > positions), np.flatnonzero(w0 == positions)
             k, scale = len(pairs), sqrt(0.5)

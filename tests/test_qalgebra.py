@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 from math import inf
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidlab import qalgebra, tableaux
 from braidlab.errors import ValidationError
-from braidlab.hecke import apply_generator, bracket, bracket_factorial
+from braidlab.hecke import apply_generator, bracket, bracket_factorial, q_symmetrize
 from braidlab.states import TensorState, all_words
 
 from oracles import inversion_count, multiset_permutations, raising_per_label
@@ -45,6 +46,29 @@ def test_powers_overflow_to_inf_at_both_ends_of_the_q_range(q):
                              q).amps == {(1, 1, 1) if huge else (2, 2, 2): inf}
     if huge:
         assert qalgebra.apply_qEps(TensorState.basis(2, (1, 1, 1)), 1, q).amps == {(1, 1, 1): inf}
+
+
+def test_q_dicke_refuses_a_q_whose_brackets_overflow():
+    # [[m]]! at z = q^2 past the largest float: z^i raised a bare
+    # OverflowError (q = 1e110, m = 3), or the product reached inf and scaled
+    # the state to zero (q = 1e30, N = 4) or made the bracket inf (q^2 = inf
+    # at 1.5e154); each is refused naming q, and q_symmetrize refuses a q
+    # whose square raises
+    for q, N, label, m in [(1e110, 3, (2, 1), 3), (1e30, 4, (2, 2), 4),
+                           (1.5e154, 3, (2, 1), 2)]:
+        for call in (lambda: qalgebra.q_dicke(2, N, label, q),
+                     lambda: qalgebra.dicke_norm(label, q),
+                     lambda: qalgebra.verify_canonical_action(2, N, q, label, 1)):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"q = {q!r} is too large: [[{m}]]! at q^2 overflows")):
+                call()
+    with pytest.raises(ValidationError, match=re.escape("q = 1.5e+154 is too large: q^2")):
+        q_symmetrize(TensorState.basis(2, (1, 2)), 1.5e154)
+    # below those edges the state is the one it was, of norm one
+    assert qalgebra.q_dicke(2, 3, (2, 1), 1e30).norm() == pytest.approx(1.0)
+    # q^{H_j} = q^(k_j - k_{j+1}) is inf where the float power raised
+    report = qalgebra.verify_canonical_action(2, 3, 1e-110, (0, 3), 1)
+    assert report["qh_eigenvalue"] == inf
 
 
 def test_q_factorial_and_binomial():

@@ -64,6 +64,22 @@ def test_sector_survey_runs_every_case_and_fails_if_one_does():
     assert lines[-1] == "survey: 2 of 4 cases PASS"
 
 
+def test_sector_survey_prints_a_refused_case_as_fail_and_goes_on():
+    # at q = 1e150 N = 5 is a failing report and N = 6 a refusal (E_1's
+    # powers q^(+-5/2) overflow), which ended the survey in a traceback; the
+    # refusal is that case's FAIL, the survey goes on and exits 1
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_survey.py"),
+                           "--N", "5-6", "--q", "1e150"], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    lines = done.stdout.splitlines()
+    at = lines.index("open chain n=2, N=6, q=1e+150")
+    assert lines[at + 1:] == ["refused: q = 1e+150 is too large: the E_1 map overflows", "FAIL",
+                              "survey: 0 of 2 cases PASS"]
+    assert lines[at - 1] == "FAIL"
+
+
 def test_distinctness_scan_reports_the_smallest_gap():
     # every weight block of N <= 6 at the default q values, through sector_matrix
     lines = run_script("distinctness_scan.py", "--max-N", "6").splitlines()

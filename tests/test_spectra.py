@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from decimal import Decimal, getcontext
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 
 from braidlab import qalgebra, spectra, tableaux
-from braidlab.errors import SizeGuardError, ValidationError
-from braidlab.hecke import bracket
+from braidlab.errors import BraidlabError, SizeGuardError, ValidationError
+from braidlab.hecke import bracket, q_symmetrize, r_matrix, word_sum_operator
 from braidlab.states import TensorState
 
-from oracles import (block_map, dense_hamiltonian, dominant_eigenpairs, eigen_blocks,
-                     hamiltonian_apply, highest_weight_svd, multiset_permutations,
-                     parity_halves_dense, reference_clusters, sector_warnings_pairwise,
-                     seminormal_loop, state_to_dense, symmetry_residual_per_word)
+from oracles import (block_map, block_w0_positions, dense_hamiltonian, dominant_eigenpairs,
+                     eigen_blocks, hamiltonian_apply, highest_weight_svd,
+                     multiset_permutations, parity_halves_dense, reference_clusters,
+                     sector_warnings_pairwise, seminormal_loop, state_to_dense,
+                     symmetry_residual_per_word)
 
 Q = 1.3
 
@@ -235,9 +237,8 @@ def test_vectors_path_with_a_wrong_w0_fails_the_check(monkeypatch):
     # H: the coupling check before the split refuses them
     real = spectra._w0_positions
 
-    def rolled(n, N, words, bounds, letters):
-        w0 = real(n, N, words, bounds, letters)
-        return np.concatenate([np.roll(w0[lo:hi], 1) for lo, hi in zip(bounds[:-1], bounds[1:])])
+    def rolled(ranked, blocks, letters):
+        return {b: np.roll(w0, 1) for b, w0 in real(ranked, blocks, letters).items()}
 
     monkeypatch.setattr(spectra, "_w0_positions", rolled)
     with pytest.raises(ValidationError, match="w0 symmetry residual"):
@@ -371,21 +372,19 @@ def test_one_pass_builder_matches_one_content_calls_and_the_sparse_path(q):
             contents = qalgebra.dicke_labels(n, N)
             index = {c: b for b, c in enumerate(contents)}
             words, bounds = spectra.weight_blocks(n, N, contents)
+            ranked = spectra._rank(n, N, words, bounds)
             blocks = [words[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-            sites = spectra._sites_by_block(chain, words, bounds)
+            sites = spectra._sites_by_block(chain, ranked)
             mirrored = [b for b, c in enumerate(contents) if _w0_alphabet(c)]
             letters = [_w0_alphabet(contents[b]) for b in mirrored]
-            ends = np.cumsum([0] + [len(blocks[b]) for b in mirrored])
-            w0 = spectra._w0_positions(n, N, np.concatenate([blocks[b] for b in mirrored]), ends,
-                                       letters)
+            w0 = spectra._w0_positions(ranked, mirrored, letters)
             for b, content in enumerate(contents):
                 basis = spectra.weight_basis(n, N, content)
                 assert blocks[b].dtype == basis.dtype and np.array_equal(blocks[b], basis)
                 assert _same_sites(sites[b], spectra._block_sites(chain, basis)), (n, N, content)
-            for b, k, lo, hi in zip(mirrored, letters, ends, ends[1:]):
-                got = w0[lo:hi]
-                assert np.array_equal(got, spectra._w0_positions(n, N, blocks[b],
-                                                                 [0, hi - lo], [k]))
+            for b, k in zip(mirrored, letters):
+                got = w0[b]
+                assert np.array_equal(got, block_w0_positions(n, N, blocks[b], k))
                 assert got.tolist() == _w0_images(blocks[b], k), (n, N, contents[b])
             cases = {}              # (kind, j) -> (sparse operator, [(source, target)])
             for b, content in enumerate(contents):
@@ -394,7 +393,7 @@ def test_one_pass_builder_matches_one_content_calls_and_the_sparse_path(q):
                     if image is not None:
                         pairs.append((b, index[image]))
             for (kind, j), (op, pairs) in cases.items():
-                maps = list(spectra._coproduct_maps(chain, kind, j, words, bounds, pairs))
+                maps = list(spectra._coproduct_maps(chain, kind, j, ranked, pairs))
                 assert len(maps) == len(pairs)
                 for (s, t), m in zip(pairs, maps):
                     assert np.array_equal(
@@ -409,44 +408,46 @@ def test_one_pass_builder_past_int64_keys():
     chain = spectra.OpenChain(2, 70, Q)
     contents = [(70, 0), (69, 1), (68, 2)]
     words, bounds = spectra.weight_blocks(2, 70, contents)
+    ranked = spectra._rank(2, 70, words, bounds)
     blocks = [words[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    for b, sites in enumerate(spectra._sites_by_block(chain, words, bounds)):
+    for b, sites in enumerate(spectra._sites_by_block(chain, ranked)):
         assert _same_sites(sites, spectra._block_sites(chain, blocks[b]))
     for kind, op in [("E", lambda s: qalgebra.apply_E(s, 1, Q)),
                      ("F", lambda s: qalgebra.apply_F(s, 1, Q))]:
         pairs = [(0, 1), (1, 2)] if kind == "E" else [(1, 0), (2, 1)]
-        for (s, t), m in zip(pairs, spectra._coproduct_maps(chain, kind, 1, words, bounds, pairs)):
+        for (s, t), m in zip(pairs, spectra._coproduct_maps(chain, kind, 1, ranked, pairs)):
             assert np.array_equal(m, block_map(op, 2, blocks[s], blocks[t])), (kind, s)
 
 
 def test_rank_calls_do_not_grow_with_the_number_of_blocks(monkeypatch):
-    # verify_decomposition(2, N, q) ranks its words a fixed number of times
-    # (the one-pass builders: the seminormal forms of every shape, H and
-    # E_1 of every block), diagonalize too (the seminormal forms, H and the
-    # w0 images of the dominant blocks), and symmetry_residual once in all,
-    # H and every operator kind sharing one ranking
+    # verify_decomposition(2, N, q) ranks twice, the seminormal tableaux of
+    # every shape and then every weight block's words once, shared by H and
+    # E_1; diagonalize twice, the tableaux and then the dominant blocks once,
+    # shared by H and the w0 images; symmetry_residual once in all, H and
+    # every operator kind sharing one ranking
     real = spectra._rank
     calls = []
     monkeypatch.setattr(spectra, "_rank", lambda *args: calls.append(args) or real(*args))
-    counts = []
+
+    def ranked_words():
+        return [len(args[2]) for args in calls]
+
     for N in (5, 9, 12):
         calls.clear()
         assert spectra.verify_decomposition(2, N, Q).ok
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2], counts
-    counts = []
+        shapes = tableaux.partitions_of(N, max_rows=2)
+        assert ranked_words() == [sum(map(tableaux.syt_dim, shapes)), 2 ** N], N
     for N in (4, 5, 6):
         calls.clear()
         spectra.diagonalize(spectra.OpenChain(3, N, Q))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2], counts
+        shapes = tableaux.partitions_of(N, max_rows=3)
+        assert ranked_words() == [sum(map(tableaux.syt_dim, shapes)),
+                                  sum(map(tableaux.multinomial, shapes))], N
     for n in (2, 3):
-        counts = []
         for N in (4, 5, 6):
             calls.clear()
             spectra.symmetry_residual(n, N, Q)
-            counts.append(len(calls))
-        assert counts == [1] * 3, (n, counts)
+            assert ranked_words() == [n ** N], (n, N)
 
 
 def test_coproduct_block_rejects_a_target_that_is_not_the_image_block():
@@ -1114,6 +1115,57 @@ def test_builders_refuse_a_diagonal_that_overflows():
         assert not spectra.classify_sectors(spectra.OpenChain(2, 4, 1e-110)).ok
 
 
+def test_classify_sectors_refuses_an_e1_map_that_overflows():
+    # E_1's tail powers reach q^(+-(N-1)/2): past the largest float they are
+    # inf, and LAPACK failed to converge on the map (LinAlgError) or the
+    # report read NaN; the map is refused first, naming q.  Where the powers
+    # stay finite (N = 4, 5 at 1e+-110 and 1e+-150) the report fails as it did
+    with np.errstate(all="ignore"):
+        for N, q in [(6, 1e150), (7, 1e110), (8, 1e-150), (5, 1e160), (6, 1e-150),
+                     (7, 1e-110)]:
+            for call in (lambda: spectra.classify_sectors(spectra.OpenChain(2, N, q)),
+                         lambda: spectra.verify_decomposition(2, N, q)):
+                size = "large" if q > 1 else "small"
+                with pytest.raises(ValidationError, match=re.escape(
+                        f"q = {q!r} is too {size}: the E_1 map overflows")):
+                    call()
+        for N in (4, 5):
+            for q in (1e110, 1e-110, 1e150, 1e-150):
+                assert not spectra.classify_sectors(spectra.OpenChain(2, N, q)).ok, (N, q)
+
+
+@pytest.mark.parametrize("q", [1e110, 1e-110, 1e150, 1e-150, 1e160, 1e-160, 7.46e-155, 1.5e154])
+def test_only_braidlab_errors_escape_at_the_ends_of_the_q_range(q):
+    # near the ends of the float range each public call returns (inf and NaN
+    # included) or refuses with a BraidlabError; numpy's LinAlgError and bare
+    # OverflowErrors escaped before
+    calls = [lambda N=N: spectra.classify_sectors(spectra.OpenChain(2, N, q))
+             for N in range(2, 9)]
+    for n, N in [(2, 3), (2, 5), (3, 3), (3, 4), (4, 3)]:
+        calls += [lambda n=n, N=N: spectra.diagonalize(spectra.OpenChain(n, N, q)),
+                  lambda n=n, N=N: spectra.verify_decomposition(n, N, q),
+                  lambda n=n, N=N: spectra.symmetry_residual(n, N, q)]
+    for n, N in [(2, 2), (2, 3), (2, 4), (3, 3)]:
+        for label in qalgebra.dicke_labels(n, N):
+            word = qalgebra.ordered_word(label)
+            calls += [lambda n=n, N=N, label=label: qalgebra.q_dicke(n, N, label, q),
+                      lambda n=n, N=N, label=label: qalgebra.verify_canonical_action(
+                          n, N, q, label, 1),
+                      lambda n=n, word=word: q_symmetrize(TensorState.basis(n, word), q),
+                      lambda n=n, N=N, word=word: word_sum_operator(
+                          N, N - 1, q, TensorState.basis(n, word))]
+        calls.append(lambda n=n, N=N: qalgebra.generate_basis_by_raising(n, N, q))
+    calls += [lambda n=n: r_matrix(n, q) for n in (2, 3)]
+    calls += [lambda shape=shape: spectra.sector_hamiltonian(shape, q)
+              for shape in [(2, 1), (3, 2), (2, 2, 1)]]
+    with np.errstate(all="ignore"):
+        for call in calls:
+            try:
+                call()
+            except BraidlabError:
+                pass
+
+
 def test_symmetry_residual_values():
     assert spectra.symmetry_residual(2, 3, 1.3) < 1e-11
     assert spectra.symmetry_residual(2, 2, 0.7) < 1e-12
@@ -1165,8 +1217,8 @@ def test_symmetry_residual_sweeps_every_operator_kind(monkeypatch, name):
     # no longer commutes with H; the sweep must build it to see that
     real = spectra._coproduct_terms
 
-    def weighted(chain, kind, j, ranked, bounds, pairs):
-        terms = real(chain, kind, j, ranked, bounds, pairs)
+    def weighted(chain, kind, j, ranked, pairs):
+        terms = real(chain, kind, j, ranked, pairs)
         if kind == name.removeprefix("apply_"):
             # each term times the first letter of its image word
             terms = terms._replace(entries=terms.entries * ranked.words[terms.rows, 0])
@@ -1185,8 +1237,8 @@ def test_symmetry_residual_of_a_weighted_y_is_its_dense_commutator(monkeypatch, 
     real = spectra._coproduct_terms
     chain = spectra.OpenChain(n, N, Q)
     for kind, j, _, _ in _coproduct_cases(n, Q, (N,) + (0,) * (n - 1)):
-        def weighted(chain, k, i, ranked, bounds, pairs, kind=kind, j=j):
-            terms = real(chain, k, i, ranked, bounds, pairs)
+        def weighted(chain, k, i, ranked, pairs, kind=kind, j=j):
+            terms = real(chain, k, i, ranked, pairs)
             if (k, i) == (kind, j):
                 terms = terms._replace(entries=terms.entries * ranked.words[terms.rows, 0])
             return terms
@@ -1520,7 +1572,7 @@ def test_w0_parity_halves_have_the_spectrum_of_the_whole_block(monkeypatch):
                     continue
                 pairs, fixed = _w0_counts(n, N, content)
                 basis = spectra.weight_basis(n, N, content)
-                w0 = spectra._w0_positions(n, N, basis, [0, len(basis)], [n])
+                w0 = block_w0_positions(n, N, basis, n)
                 for q in QS_SEMINORMAL:
                     block = spectra._block_sites(spectra.OpenChain(n, N, q), basis)
                     want = real(spectra._dense(block))
@@ -1538,7 +1590,7 @@ def _block_222():
     wide), each one's w0 image, and the positions that w0 swaps (I < J) and
     fixes."""
     basis = spectra.weight_basis(3, 6, (2, 2, 2))
-    w0 = spectra._w0_positions(3, 6, basis, [0, len(basis)], [3])
+    w0 = block_w0_positions(3, 6, basis, 3)
     return (basis, w0, np.flatnonzero(w0 > np.arange(len(w0))),
             np.flatnonzero(w0 == np.arange(len(w0))))
 
@@ -1548,9 +1600,9 @@ def _perturb_block_222(monkeypatch, change):
     every _sites_by_block call."""
     real = spectra._sites_by_block
 
-    def perturbed(chain, words, bounds):
+    def perturbed(chain, ranked):
         return [change(*block) if len(block[0]) == 90 else block
-                for block in real(chain, words, bounds)]
+                for block in real(chain, ranked)]
 
     monkeypatch.setattr(spectra, "_sites_by_block", perturbed)
 

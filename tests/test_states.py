@@ -33,6 +33,26 @@ def test_norm_overflows_to_inf():
     assert TensorState(2, 1, {(1,): 1e150, (2,): 1e150}).norm() == sqrt(1e150 ** 2 + 1e150 ** 2)
 
 
+def test_normalized_scales_an_overflowing_norm_first():
+    # a norm that overflows gave the zero state (a scale by 1/inf); the
+    # amplitudes are divided by the largest magnitude first, a non-finite
+    # amplitude is refused, and finite norms keep their bits
+    unit = TensorState(2, 1, {(1,): 1e300, (2,): -1e300}).normalized()
+    assert unit.amps == {(1,): 1.0 / sqrt(2.0), (2,): -1.0 / sqrt(2.0)}
+    small = 3e300 / 1.7e308
+    big = TensorState(2, 2, {(1, 2): 1.7e308, (2, 1): 3e300}).normalized()
+    assert big.amps == {(1, 2): 1.0 / sqrt(1.0 + small ** 2),
+                        (2, 1): small * (1.0 / sqrt(1.0 + small ** 2))}
+    for bad in (float("inf"), float("nan"), complex(0.0, float("inf"))):
+        with pytest.raises(ValidationError, match="non-finite amplitude"):
+            TensorState(2, 1, {(1,): 1e300, (2,): bad}).normalized()
+    state = TensorState(2, 2, {(1, 2): 3.0, (2, 1): -4e-3, (2, 2): 1.5e150})
+    assert state.normalized().amps == state.scale(1.0 / state.norm()).amps
+    # E_1^2 on x_1^2 at q = 1e160 holds 1e160-sized amplitudes: a unit state
+    raised = qalgebra.generate_basis_by_raising(2, 2, 1e160)
+    assert raised[(0, 2)].amps == {(2, 2): 1.0}
+
+
 def test_add_cancellation_prunes():
     a = TensorState(2, 2, {(1, 2): 1.0, (2, 1): 0.5})
     b = TensorState(2, 2, {(1, 2): -1.0})

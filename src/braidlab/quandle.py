@@ -13,8 +13,13 @@ residues x_i = i - 1) in all I/O.
 The maps are index arrays computed from the table: the inverse rows by one
 argsort, and the 0/1 matrices of r, r^{-1} and M_a scattered from target
 arrays (_permutation_matrix).  r_j on word indices is one routine,
-_braid_targets, for pairs (QuandleBraid.matrix) and for words
-(orbit_to_automaton).  The orbit tracer (_cycles) still steps word tuples.
+_braid_targets, for pairs (QuandleBraid.matrix), for words
+(orbit_to_automaton) and for the centralizer check, which composes it with
+Delta(M_a) on word indices.  The cycle finder (_cycles) still steps tuples:
+pairs through pair_map (dihedral_spectrum) and words through braid_on_word
+(orbit_automaton).  They wait for perfbench/run.py to stop keeping every
+pass's CLI stdout, because a faster orbits pass runs more passes and the
+stdout kept reads as a peak-memory regression.
 """
 
 import json
@@ -156,7 +161,10 @@ class QuandleBraid:
     def matrix(self) -> np.ndarray:
         """Permutation matrix on V_n tensor V_n (n^2 x n^2), built on first
         use: pair_map alone needs none.  Column a n + b holds its 1 at
-        pair_map(a, b), from the words of length 2 under r_1."""
+        pair_map(a, b), from the words of length 2 under r_1.  Its order n^2
+        is held to the dense guard before it is built, so n <= 64 at the
+        default BRAIDLAB_MAX_DIM."""
+        check_dense_dim(self.n ** 2, "quandle braid matrix")
         return _permutation_matrix(_braid_targets(np.array(self.table.op), 2, 1))
 
 
@@ -169,7 +177,9 @@ def braid_solution(table: QuandleTable) -> QuandleBraid:
 
 def inverse_solution(table: QuandleTable) -> np.ndarray:
     """Matrix of r^{-1}(a, b) = (a >^{-1} b, a): column a n + b holds its 1
-    at row (a >^{-1} b) n + a."""
+    at row (a >^{-1} b) n + a.  Its order n^2 is held to the dense guard
+    before the rack check and before anything is built."""
+    check_dense_dim(table.n ** 2, "inverse braid matrix")
     _require_rack(table)
     inv = _inverse_rows(table)
     return _permutation_matrix((inv * table.n + np.arange(table.n)[:, None]).ravel())
@@ -203,18 +213,28 @@ class QuandleSpectrum:
         """(n^2 x dim) dense complex arrays over the pair basis, aligned
         with eigenvalues: a cycle of length L contributes (1/sqrt(L))
         sum_t lambda^{-t} r^t (seed) for each L-th root lambda, so the seed
-        coefficient is real positive."""
+        coefficient is real positive.
+
+        The arrays hold n^2 complex columns of n^2 entries, 2 n^4 float
+        entries in all, and are filled in place, so that is their peak.  It
+        is held to the held-entries rule before anything is allocated:
+        n <= 70 at the default BRAIDLAB_MAX_DIM."""
         n = self.n
-        by_value: dict[int, list[np.ndarray]] = {}
+        check_held_entries(2 * n ** 4, f"dihedral spectrum eigenvectors: {n * n} complex "
+                                       f"columns of {n * n} entries")
+        cols = {root: np.zeros((n * n, dim), dtype=complex)
+                for root, dim in zip(self.roots, self.dimensions)}
+        filled = dict.fromkeys(self.roots, 0)
         for cyc in self.cycles:
             L = len(cyc)
             for j in range(L):
                 lam = np.exp(2j * np.pi * j / L)
-                v = np.zeros(n * n, dtype=complex)
+                root = _root_exponent(n, L, j)
+                v = cols[root][:, filled[root]]
                 for t, (a, b) in enumerate(cyc):
                     v[a * n + b] += lam ** (-t) / np.sqrt(L)
-                by_value.setdefault(_root_exponent(n, L, j), []).append(v)
-        return [np.column_stack(by_value[root]) for root in self.roots]
+                filled[root] += 1
+        return [cols[root] for root in self.roots]
 
 
 def _root_exponent(n: int, L: int, j: int) -> int:
@@ -276,27 +296,24 @@ def quandle_group_rep(table: QuandleTable, a: int) -> np.ndarray:
 def centralizer_residual(table: QuandleTable, N: int) -> int:
     """Max-entry residual of r_j Delta(M_a) - Delta(M_a) r_j over all a, j.
 
-    Both sides are compositions of permutations of the word set, so the
-    check is exact; the result is 0 whenever the centralizer property holds.
+    Both sides are permutations of the n^N word indices, so the check is
+    exact: 1 if T_j[D_a] differs from D_a[T_j] at any word, 0 whenever the
+    centralizer property holds.  T_j is _braid_targets; D_a applies the
+    inverse row of a to every letter, built one generator a at a time.  The
+    call holds the N - 1 target arrays and a few arrays for one a, O(N n^N)
+    entries, and costs O(n N n^N) array work.
     """
     n = table.n
     _check_orbits(table, N)
-    inv = _inverse_rows(table).tolist()
-    words = all_words(n, N)
-
-    def delta_m(word, a):
-        # M_a e_c = e_{L_a^{-1}(c)} sitewise
-        return tuple(inv[a][x - 1] + 1 for x in word)
-
-    worst = 0
-    for a in range(n):
-        for j in range(1, N):
-            for w in words:
-                lhs = braid_on_word(table, delta_m(w, a), j)
-                rhs = delta_m(braid_on_word(table, w, j), a)
-                if lhs != rhs:
-                    worst = 1
-    return worst
+    op = np.array(table.op, dtype=np.int64)
+    targets = [_braid_targets(op, N, j) for j in range(1, N)]
+    for row in _inverse_rows(table):
+        image = row
+        for _ in range(N - 1):
+            image = (image[:, None] * n + row).ravel()
+        if any(not np.array_equal(t[image], image[t]) for t in targets):
+            return 1
+    return 0
 
 
 @dataclass

@@ -25,11 +25,13 @@ and eigen_blocks is the per-content
 eigen solve that diagonalize replaced by one solve per partition, split by
 w0 where w0 maps the block onto itself: one eigh of spectra.block_matrix
 for every weight block, with no w0 symmetry and no orbit counting, so the
-reference shares no mechanism with the paths it checks.  Two more are
+reference shares no mechanism with the paths it checks.  Three more are
 the loops that array code replaced: sink_completion_dense completes dense
-0/1 matrices, where automata.complete_with_sink extends target arrays, and
+0/1 matrices, where automata.complete_with_sink extends target arrays,
 quandle_flags_by_loops is the triple loop over (a, b, c) that
-quandle.validate replaced by one row of the table at a time.  Last, the
+quandle.validate replaced by one row of the table at a time, and
+centralizer_residual_per_word steps word tuples, where
+quandle.centralizer_residual composes word-index permutations.  Last, the
 per-step path of the sparse kernels, which now step on amplitude dicts and
 build one state per public call: generator_filtering_always is the
 generator step filtering its result for zeros every time, shuffle_per_step
@@ -45,6 +47,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
+from braidlab import quandle
 from braidlab.errors import ValidationError
 from braidlab.hecke import apply_generator, reduced_words_by_length
 from braidlab.qalgebra import apply_E, apply_F, apply_qEps, apply_qH, dicke_labels, q_number
@@ -245,6 +248,32 @@ def quandle_flags_by_loops(table):
     rack = shelf and all(sorted(row) == list(range(n)) for row in op)
     quandle = rack and all(op[a][a] == a for a in range(n))
     return {"shelf": shelf, "rack": rack, "quandle": quandle}
+
+
+def centralizer_residual_per_word(table, N):
+    """Max-entry residual of r_j Delta(M_a) - Delta(M_a) r_j over all a, j,
+    one word tuple at a time through quandle.braid_on_word.  The inverse
+    rows are read through quandle._inverse_rows at call time, so a test
+    that replaces them feeds this loop and quandle.centralizer_residual the
+    same rows."""
+    n = table.n
+    quandle._check_orbits(table, N)
+    inv = quandle._inverse_rows(table).tolist()
+    words = all_words(n, N)
+
+    def delta_m(word, a):
+        # M_a e_c = e_{L_a^{-1}(c)} sitewise
+        return tuple(inv[a][x - 1] + 1 for x in word)
+
+    worst = 0
+    for a in range(n):
+        for j in range(1, N):
+            for w in words:
+                lhs = quandle.braid_on_word(table, delta_m(w, a), j)
+                rhs = delta_m(quandle.braid_on_word(table, w, j), a)
+                if lhs != rhs:
+                    worst = 1
+    return worst
 
 
 def random_stochastic(n, rng):

@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -10,7 +12,7 @@ from braidlab import automata, quandle
 from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.states import all_words
 
-from oracles import quandle_flags_by_loops
+from oracles import centralizer_residual_per_word, quandle_flags_by_loops
 
 
 def conjugation_quandle_s3():
@@ -29,6 +31,17 @@ def conjugation_quandle_s3():
 
     op = tuple(tuple(index[mul(mul(inv(a), b), a)] for b in elems) for a in elems)
     return quandle.QuandleTable(6, op)
+
+
+def relabelled_dihedral(n, seed):
+    """The dihedral table of Z_n with its labels permuted at random."""
+    p = list(range(n))
+    random.Random(seed).shuffle(p)
+    op = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            op[p[a]][p[b]] = p[(2 * a - b) % n]
+    return quandle.QuandleTable(n, tuple(map(tuple, op)))
 
 
 def test_validate_dihedral_and_trivial():
@@ -208,6 +221,58 @@ def test_dihedral_spectrum_rejects_even():
         quandle.dihedral_spectrum(4)
 
 
+def never(*args):
+    raise AssertionError("a dense quandle map was built past its guard")
+
+
+@pytest.mark.parametrize("limit", [24, 96])
+def test_dense_braid_maps_are_refused_before_they_are_built(monkeypatch, limit):
+    # the n^2 x n^2 maps of r and r^{-1} are held to the dense guard at
+    # order n^2, before the rack check; at the default guard n = 200 would
+    # be 12.8 GB of int64
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", str(limit))
+    n = math.isqrt(limit)
+    table = quandle.dihedral(n)
+    assert quandle.braid_solution(table).matrix.shape == (n * n, n * n)
+    assert quandle.inverse_solution(table).shape == (n * n, n * n)
+    table = quandle.dihedral(n + 1)
+    braid = quandle.braid_solution(table)
+    monkeypatch.setattr(quandle, "_permutation_matrix", never)
+    monkeypatch.setattr(quandle, "validate", never)
+    with pytest.raises(SizeGuardError, match=f"dimension {(n + 1) ** 2} exceeds guard {limit}"):
+        braid.matrix
+    with pytest.raises(SizeGuardError, match=f"dimension {(n + 1) ** 2} exceeds guard {limit}"):
+        quandle.inverse_solution(table)
+
+
+@pytest.mark.parametrize("limit, n", [(24, 5), (96, 9)])
+def test_dihedral_eigenvectors_are_refused_before_they_are_built(monkeypatch, limit, n):
+    # n^2 complex columns of n^2 entries count 2 n^4 entries against
+    # 3 limit^2: n is the largest odd size admitted, n + 2 is refused
+    monkeypatch.setenv("BRAIDLAB_MAX_DIM", str(limit))
+    assert 2 * n ** 4 <= 3 * limit ** 2 < 2 * (n + 2) ** 4
+    assert sum(v.shape[1] for v in quandle.dihedral_spectrum(n).eigenvectors) == n * n
+    spec = quandle.dihedral_spectrum(n + 2)
+    monkeypatch.setattr(np, "zeros", never)
+    with pytest.raises(SizeGuardError, match=f"hold {2 * (n + 2) ** 4} entries"):
+        spec.eigenvectors
+
+
+def test_dihedral_eigenvectors_peak_within_their_count():
+    # the columns are filled in place: the peak is the 2 n^4 float entries
+    # counted, plus array headers and bookkeeping (0.14 % at n = 21); a
+    # build that stacks finished vectors holds twice the count
+    n = 21
+    spec = quandle.dihedral_spectrum(n)
+    tracemalloc.start()
+    try:
+        spec.eigenvectors
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * 2 * n ** 4 * 8
+
+
 def test_quandle_group_rep_examples():
     t = quandle.dihedral(3)
     m1 = quandle.quandle_group_rep(t, 0)
@@ -234,6 +299,52 @@ def test_centralizer_residual_zero():
     trivial = quandle.QuandleTable(3, tuple(tuple(range(3)) for _ in range(3)))
     assert quandle.centralizer_residual(trivial, 2) == 0
     assert quandle.centralizer_residual(quandle.tetrahedron(), 3) == 0
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_centralizer_residual_matches_the_per_word_loop(N):
+    trivial = quandle.QuandleTable(3, tuple(tuple(range(3)) for _ in range(3)))
+    for t in (quandle.dihedral(3), quandle.dihedral(5), quandle.dihedral(7),
+              quandle.tetrahedron(), trivial, relabelled_dihedral(5, seed=31)):
+        assert quandle.centralizer_residual(t, N) == centralizer_residual_per_word(t, N) == 0
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_centralizer_residual_sees_a_row_that_is_no_automorphism(monkeypatch, N):
+    # the automorphisms of R_5 are the affine maps x -> u x + c, and a
+    # transposition of two labels is not one, so Delta of it does not
+    # commute with r_j; no valid rack reaches this through the public API
+    def transpositions(table):
+        rows = np.tile(np.arange(table.n), (table.n, 1))
+        for a in range(table.n):
+            b = (a + 1) % table.n
+            rows[a, [a, b]] = rows[a, [b, a]]
+        return rows
+
+    t = quandle.dihedral(5)
+    monkeypatch.setattr(quandle, "_inverse_rows", transpositions)
+    assert quandle.centralizer_residual(t, N) == centralizer_residual_per_word(t, N) == 1
+
+
+def test_centralizer_residual_at_the_orbit_guard_edge():
+    # 78,125 and 99,856 words, both under the orbit guard of 10^5
+    assert quandle.centralizer_residual(quandle.dihedral(5), 7) == 0
+    assert quandle.centralizer_residual(quandle.dihedral(316), 2) == 0
+
+
+def test_centralizer_residual_holds_one_generator_at_a_time():
+    # the call holds the table (n^2 <= n^N entries), N - 1 target arrays,
+    # the arrays a target is built from and one generator's image with its
+    # two compositions: (N + 5) n^N int64 entries, 5.3 MiB here.  All n
+    # images held at once would be 316 x 99,856 entries, 241 MiB
+    t, N = quandle.dihedral(316), 2
+    tracemalloc.start()
+    try:
+        quandle.centralizer_residual(t, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (N + 5) * t.n ** N * 8
 
 
 @pytest.mark.parametrize("N", [0, -1])

@@ -15,7 +15,7 @@ the rank margin of E_1, min |R_ii| / max |R_ii| of its QR at the worst rung
 on any rung up to the middle between the sorted open-ladder values and the
 seminormal spectra of the sectors that rung holds; each case ends in PASS
 or FAIL as its report does.  A case that classify_sectors refuses (a q
-whose E_1 powers overflow, say) prints the refusal and FAIL, and the survey
+past the chain's q rule, say) prints the refusal and FAIL, and the survey
 goes on.  Exits 1 when any case fails.
 """
 

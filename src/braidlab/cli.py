@@ -18,7 +18,7 @@ import numpy as np
 
 from . import automata, qalgebra, quandle, spectra, tableaux
 from .automata import SCHEMA
-from .errors import SizeGuardError, ValidationError
+from .errors import SizeGuardError, ValidationError, check_q
 from .hecke import reduced_words_by_length, shuffle_apply
 from .states import TensorState
 
@@ -112,6 +112,7 @@ def cmd_shuffle(args) -> None:
     if len(word) != args.N:
         raise ValidationError(f"state word length {len(word)} != N={args.N}")
     if args.z == "q2":
+        check_q(args.q, -2, 2)     # the q rule of q_symmetrize, Y_N(q^2)
         z = args.q ** 2
     elif args.z == "minus1":
         z = -1.0

@@ -1,11 +1,13 @@
 """Shared exceptions, the dense-size guard, the held-entries rule, the
-sparse-state bound and the check on q."""
+sparse-state bound and the q-range rule."""
 
 import os
+import sys
 from math import isfinite
 
 DEFAULT_MAX_DIM = 4096
 MAX_SPARSE_WORDS = 10 ** 6
+FLOAT_MAX = sys.float_info.max  # the q rule's limit (check_q)
 # dense matrices held at once: their entries <= this * max_dense_dim()^2
 HELD_BLOCKS_MULTIPLE = 3
 
@@ -63,8 +65,28 @@ def check_sparse_words(count: int, context: str) -> None:
                              f"bound {MAX_SPARSE_WORDS}")
 
 
-def _check_q(q) -> None:
-    """Refuse q = 0 and non-finite q, where the Hecke and ladder operators
-    divide by zero or lose words and amplitudes to inf and NaN."""
-    if q == 0 or not isfinite(q):
-        raise ValidationError("q must be nonzero and finite")
+def check_q(q, low, high, terms: int = 1, positive: bool = False) -> None:
+    """The one q rule of every public call that takes q: refuse q outside
+    its domain, nonzero and finite (with positive, as for the chain and the
+    q-Dicke states, positive and finite), or so far from 1 that a power of
+    q the call forms overflows.
+
+    low <= 0 <= high are the least and the greatest power of q the call
+    forms from its sizes, and terms the number of such powers it sums (or
+    multiplies out of sums): q is refused when terms |q|^high (|q| > 1) or
+    terms |q|^low (|q| < 1) passes the largest float.  Every power of q the
+    call forms is then finite, so no interior site handles an overflow; an
+    operator applied over and over (ladders over rungs, word sums,
+    commutators) can still overflow its result."""
+    if not isfinite(q) or (q <= 0 if positive else q == 0):
+        raise ValidationError(f"q must be {'positive' if positive else 'nonzero'} and finite")
+    size = abs(float(q))
+    power = high if size >= 1 else low
+    try:
+        if terms * size ** power <= FLOAT_MAX:
+            return
+    except OverflowError:       # the float power, or a count past the float range
+        pass
+    count = f"{terms} x " if terms > 1 else ""
+    raise ValidationError(f"q = {float(q)!r} is too {'large' if size >= 1 else 'small'}: "
+                          f"{count}q^{power:g} overflows")

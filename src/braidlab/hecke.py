@@ -20,6 +20,9 @@ reduced-word suffix once per summed state: the canonical reduced words are
 suffix-closed, so a memo of suffix images (_word_sum) applies each of the
 N! - 1 nonempty suffixes once, where one word at a time applies every letter
 of every word.
+
+Each public operator holds q to the q rule (errors.check_q) once, for the
+1/q and q^-2 of the generator step and, in q_symmetrize, z = q^2.
 """
 
 from collections import Counter
@@ -28,7 +31,7 @@ from math import fsum, isnan
 
 import numpy as np
 
-from .errors import SizeGuardError, ValidationError, _check_q, check_sparse_words
+from .errors import SizeGuardError, ValidationError, check_q, check_sparse_words
 from .states import TensorState, Word, _add_into, all_words
 from .tableaux import multinomial
 
@@ -42,7 +45,7 @@ def r_matrix(n: int, q: float) -> np.ndarray:
     the lexicographic word basis: column w is the generator step on w."""
     if n < 2:
         raise ValidationError("r_matrix needs n >= 2")
-    _check_q(q)  # the crystal limit q -> 0 is handled separately
+    check_q(q, -2, 0)  # the crystal limit q -> 0 is handled separately
     m = np.zeros((n * n, n * n))
     for col, w in enumerate(all_words(n, 2)):
         for (a, b), amp in _generator_step({w: 1.0}, 1, q).items():
@@ -54,19 +57,16 @@ def apply_generator(state: TensorState, i: int, q: float) -> TensorState:
     """Apply r at sites (i, i+1), 1 <= i <= N-1, without materializing matrices."""
     if not 1 <= i <= state.N - 1:
         raise ValidationError(f"generator index {i} out of range [1,{state.N - 1}]")
-    _check_q(q)
+    check_q(q, -2, 0)
     # a swap of two letters keeps every word in [1,n]^N
     return TensorState._trusted(state.n, state.N, _generator_step(state.amps, i, q))
 
 
 def _generator_step(amps: dict, i: int, q: float) -> dict:
     """r at sites (i, i+1) on an amplitude dict, as a new dict without exact
-    zeros; i and q are the caller's to check, except that a q so small that
-    q^-2 overflows (|q| below about 7.46e-155) is a ValidationError."""
-    try:
-        c = 1.0 - q ** -2
-    except OverflowError:
-        raise ValidationError(f"q = {q!r} is too small: q^-2 overflows") from None
+    zeros; i and q are the caller's to check, q by check_q(q, -2, 0): the
+    step forms 1/q and q^-2."""
+    c = 1.0 - q ** -2
     out = {}
     for w, amp in amps.items():
         x, y = w[i - 1], w[i]
@@ -85,7 +85,7 @@ def _generator_step(amps: dict, i: int, q: float) -> dict:
 def shuffle_apply(state: TensorState, z, q: float) -> TensorState:
     """Apply the shuffle operator Y_N(z), factors S_1 first.  Its states
     hold rearrangements of the input words only; their count is bounded first."""
-    _check_q(q)
+    check_q(q, -2, 0)
     contents = {tuple(sorted(w)) for w in state.amps}
     check_sparse_words(sum(map(_rearrangements, contents)), "shuffled state")
     amps = state.amps
@@ -108,12 +108,9 @@ def _rearrangements(word: Word) -> int:
 
 
 def q_symmetrize(state: TensorState, q: float) -> TensorState:
-    """Y_N(q^2); a q^2 past the largest float is refused."""
-    try:
-        z = q ** 2
-    except OverflowError:
-        raise ValidationError(f"q = {q!r} is too large: q^2 overflows") from None
-    return shuffle_apply(state, z, q)
+    """Y_N(q^2)."""
+    check_q(q, -2, 2)
+    return shuffle_apply(state, q ** 2, q)
 
 
 def q_antisymmetrize(state: TensorState, q: float) -> TensorState:
@@ -181,7 +178,7 @@ def word_sum_operator(N: int, ell: int, q: float, state: TensorState) -> TensorS
         raise ValidationError(f"word length {ell} out of range [0,{lmax}]")
     if state.N != N:
         raise ValidationError(f"state has N={state.N}, expected {N}")
-    _check_q(q)
+    check_q(q, -2, 0)
     if not ell:
         return state
     words = reduced_words_by_length(N).get(ell, [])
@@ -219,7 +216,7 @@ def conjecture_commutator_check(N: int, n: int, q: float) -> float:
     """
     if N > 4 or n > 3:
         raise ValidationError("desk-scale check limited to N <= 4, n <= 3")
-    _check_q(q)
+    check_q(q, -2, 0)
     lmax = N * (N - 1) // 2
     by_length = reduced_words_by_length(N) if lmax else {}
     lengths = range(1, lmax + 1)

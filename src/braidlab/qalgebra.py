@@ -15,15 +15,20 @@ the closed-form canonical action
 with F_j inverting it at the same coefficient and q^{H_j} acting by
 q^(k_j - k_{j+1}).  At q -> 0 the states collapse onto their ordered words
 and E/F degenerate to the combinatorial crystal moves.
+
+Each public call holds q to the q rule (errors.check_q) for the largest
+power of q it forms: q^(+-(N-1)/2) for the ladder tails, q^(+-N) for
+q^{H_j}, q^N for q^{eps_j}, q^(+-(k-1)) for [k]_q and q^(N(N-1)) for the
+q-Dicke brackets [[N]]! at q^2.
 """
 
 from itertools import combinations
-from math import comb, copysign, fsum, inf, isfinite
+from math import comb, factorial, fsum
 
 import numpy as np
 
 from . import automata
-from .errors import (ValidationError, _check_q, check_dense_dim, check_held_entries,
+from .errors import (ValidationError, check_dense_dim, check_held_entries, check_q,
                      check_sparse_words)
 from .hecke import bracket_factorial, q_symmetrize
 from .states import TensorState, Word
@@ -31,33 +36,21 @@ from .states import TensorState, Word
 DickeLabel = tuple[int, ...]
 
 
-def _power(q: float, x: float) -> float:
-    """q ** x, an infinity where the float power overflows and raises
-    OverflowError (q^(N/2) past about 1.8e308), as numpy's power gives it,
-    -inf for a negative q to an odd power: the one power of the ladders,
-    q-integers and coproduct maps, so that no q that _check_q admits makes
-    them raise."""
-    try:
-        return q ** x
-    except OverflowError:
-        return copysign(inf, q) if x % 2 == 1 else inf
-
-
 def q_number(k: int, q: float) -> float:
     """[k]_q = (q^k - q^-k)/(q - q^-1) as the sum q^(k-1) + q^(k-3) + ...
     + q^(1-k), correctly rounded (math.fsum), and [-k]_q = -[k]_q: free of
-    the quotient's loss of about eps/|q - 1| relative near q = 1.  A power
-    that overflows (_power), or a sum of finite powers past the largest
-    float, makes it infinite, of the sign of its terms."""
+    the quotient's loss of about eps/|q - 1| relative near q = 1.  q is held
+    to the rule for k powers q^(+-(k-1))."""
     if k < 0:
         return -q_number(-k, q)
-    try:
-        return fsum(_power(q, k - 1 - 2 * i) for i in range(k))
-    except OverflowError:
-        return inf if q > 0 or k % 2 else -inf
+    check_q(q, 1 - k, k - 1, k)
+    return fsum(q ** (k - 1 - 2 * i) for i in range(k))
 
 
 def q_factorial(k: int, q: float) -> float:
+    """[k]_q! = [1]_q ... [k]_q: the product of k! powers up to
+    q^(+-k(k-1)/2)."""
+    check_q(q, -k * (k - 1) // 2, k * (k - 1) // 2, factorial(k))
     out = 1.0
     for j in range(1, k + 1):
         out *= q_number(j, q)
@@ -92,7 +85,7 @@ def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int
             e = total + step - 2 * left
             power = powers.get(e)
             if power is None:
-                power = powers[e] = _power(q, 0.5 * e)
+                power = powers[e] = q ** (0.5 * e)
             coeff = amp * power
             s = out.get(w2, 0.0) + coeff
             if s == 0.0:
@@ -106,31 +99,31 @@ def _apply_ladder(state: TensorState, j: int, q: float, source: int, target: int
 def apply_E(state: TensorState, j: int, q: float) -> TensorState:
     """Raising operator: one letter j becomes j+1."""
     _check_species_index(j, state.n, diagonal=False)
-    _check_q(q)
+    check_q(q, (1 - state.N) / 2, (state.N - 1) / 2)
     return _apply_ladder(state, j, q, source=j, target=j + 1)
 
 
 def apply_F(state: TensorState, j: int, q: float) -> TensorState:
     """Lowering operator: one letter j+1 becomes j."""
     _check_species_index(j, state.n, diagonal=False)
-    _check_q(q)
+    check_q(q, (1 - state.N) / 2, (state.N - 1) / 2)
     return _apply_ladder(state, j, q, source=j + 1, target=j)
 
 
 def apply_qEps(state: TensorState, j: int, q: float) -> TensorState:
     """Diagonal operator: multiplies each word by q^(count of letter j)."""
     _check_species_index(j, state.n, diagonal=True)
-    _check_q(q)
+    check_q(q, 0, state.N)
     return TensorState._trusted(state.n, state.N,
-                                {w: a * _power(q, w.count(j)) for w, a in state.amps.items()})
+                                {w: a * q ** w.count(j) for w, a in state.amps.items()})
 
 
 def apply_qH(state: TensorState, j: int, q: float) -> TensorState:
     """Diagonal operator: q^(count of j minus count of j+1) per word."""
     _check_species_index(j, state.n, diagonal=False)
-    _check_q(q)
+    check_q(q, -state.N, state.N)
     return TensorState._trusted(state.n, state.N,
-                                {w: a * _power(q, w.count(j) - w.count(j + 1))
+                                {w: a * q ** (w.count(j) - w.count(j + 1))
                                  for w, a in state.amps.items()})
 
 
@@ -161,24 +154,16 @@ def ordered_word(label: DickeLabel) -> Word:
     return tuple(w)
 
 
-def _bracket_factorial(m: int, q: float) -> float:
-    """[[m]]! at z = q^2, refused past the largest float, where an inf
-    bracket would scale a state to zero."""
-    try:
-        out = bracket_factorial(m, q * q)
-    except OverflowError:
-        out = inf
-    if not isfinite(out):
-        raise ValidationError(f"q = {q!r} is too large: [[{m}]]! at q^2 overflows")
-    return out
-
-
 def dicke_norm(label: DickeLabel, q: float) -> float:
-    """Norm of the unnormalized q-symmetric state: sqrt([[N]]!/prod [[m_i]]!)."""
+    """Norm of the unnormalized q-symmetric state: sqrt([[N]]!/prod [[m_i]]!).
+    [[N]]! at z = q^2 is the product of N! powers up to q^(N(N-1)), the
+    largest that the q-Dicke states form; q must be positive."""
+    N = sum(label)
+    check_q(q, 0, N * (N - 1), factorial(N), positive=True)
     denom = 1.0
     for m in label:
-        denom *= _bracket_factorial(m, q)
-    return (_bracket_factorial(sum(label), q) / denom) ** 0.5
+        denom *= bracket_factorial(m, q * q)
+    return (bracket_factorial(N, q * q) / denom) ** 0.5
 
 
 def q_dicke(n: int, N: int, label, q: float) -> TensorState:
@@ -187,14 +172,13 @@ def q_dicke(n: int, N: int, label, q: float) -> TensorState:
     Built by q-symmetrizing the ordered word, dividing by the bracket
     factorials of the multiplicities, then by the closed-form norm; the
     result has coefficient q^(inversions) / norm on each permuted word.
+    q is held to the q rule by dicke_norm and q_symmetrize.
     """
     label = check_label(n, N, label)
-    if not isfinite(q) or q <= 0:
-        raise ValidationError("q must be positive and finite")
     norm = dicke_norm(label, q)
     scale = 1.0
     for m in label:
-        scale *= _bracket_factorial(m, q)
+        scale *= bracket_factorial(m, q * q)
     state = q_symmetrize(TensorState.basis(n, ordered_word(label)), q)
     return state.scale(1.0 / (scale * norm))
 
@@ -204,12 +188,14 @@ def verify_canonical_action(n: int, N: int, q: float, label, j: int) -> dict:
 
     Returns the expected coefficient and the residual norms of
     E_j b - c b', F_j b' - c b, and (q^{H_j} - q^(k_j - k_{j+1})) b.
+    Besides the states' powers (q_dicke), it forms q^(+-N) (q^{H_j}).
     """
     label = check_label(n, N, label)
     _check_species_index(j, n, diagonal=False)
+    check_q(q, -N, N, positive=True)
     kj, kj1 = label[j - 1], label[j]
     b = q_dicke(n, N, label, q)
-    qh = _power(q, kj - kj1)
+    qh = q ** (kj - kj1)
     report = {"label": label, "j": j, "qh_eigenvalue": qh,
               "residual_qH": apply_qH(b, j, q).sub(b.scale(qh)).norm()}
     if kj == 0:
@@ -241,8 +227,14 @@ def generate_basis_by_raising(n: int, N: int, q: float) -> dict[DickeLabel, Tens
     (35 steps at n = 3, N = 7, where one string per label takes 252), and
     no intermediate state is normalized, so every state is the one its own
     string gives, bit for bit.
+
+    The string of x_n^N holds [N]_q!^(n-1) (E_j^p carries [p]_q!): (N!)^(n-1)
+    powers up to q^(+-(n-1)N(N-1)/2), the largest amplitude of any string,
+    and that power is held to the q rule.
     """
     check_sparse_words(n ** N, "raising basis")
+    power = (n - 1) * N * (N - 1) / 2
+    check_q(q, -power, power, factorial(N) ** (n - 1))
     # exponents (p_1, ..., p_j) of the E-string so far -> its state
     grown = {(): TensorState.basis(n, (1,) * N)}
     for j in range(1, n):
@@ -307,12 +299,16 @@ def crystal_automaton(n: int, N: int, q: float | None = None, labels: str = "non
     With labels="canonical" or "rescaled" the DOT edge weights carry the
     q-coefficients of the corresponding raising/lowering action on q-Dicke
     states: canonical uses the symmetric sqrt form on both E and F; rescaled
-    uses 1 on E and the product form on F.
+    uses 1 on E and the product form on F.  The product [a]_q [b]_q, a + b
+    <= N + 1, holds at most ab <= ((N + 1)/2)^2 powers up to q^(+-(N-1)),
+    and q must be positive.
     """
     if labels not in ("none", "canonical", "rescaled"):
         raise ValidationError("labels must be none, canonical, or rescaled")
-    if labels != "none" and (q is None or not isfinite(q) or q <= 0):
-        raise ValidationError("coefficient labels need a positive finite q")
+    if labels != "none":
+        if q is None:
+            raise ValidationError("coefficient labels need a positive finite q")
+        check_q(q, 1 - N, N - 1, ((N + 1) // 2) * ((N + 2) // 2), positive=True)
     if n < 1 or N < 0:
         raise ValidationError(f"labels need n >= 1 and N >= 0, got n={n}, N={N}")
     size = comb(N + n - 1, n - 1)

@@ -130,8 +130,9 @@ def _inverse_rows(table: QuandleTable) -> np.ndarray:
 
 
 def _permutation_matrix(targets: np.ndarray) -> np.ndarray:
-    """The int 0/1 matrix sending basis vector s to basis vector targets[s]."""
-    m = np.zeros((len(targets), len(targets)), dtype=int)
+    """The 0/1 matrix sending basis vector s to basis vector targets[s], as
+    int8: one byte per entry, where int64 took eight."""
+    m = np.zeros((len(targets), len(targets)), dtype=np.int8)
     m[targets, np.arange(len(targets))] = 1
     return m
 

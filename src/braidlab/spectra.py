@@ -42,18 +42,22 @@ built dense.  Every rung clears each ladder of the lower sectors' ladders
 and checks their values against the seminormal spectra; the n = 2 clusters
 come from the ladders of each sector, and sector k must hold
 f^(N-k,k) = syt_dim((N - k, k)) of them (sector_multiplicity).
+
+q is held to the q rule (errors.check_q) once per chain, by OpenChain, for
+the largest power of q that any chain call forms, and by _seminormal_forms
+for the seminormal diagonal.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
-from math import comb, exp, expm1, isfinite, log, nan, sqrt
+from math import comb, exp, expm1, log, sqrt
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (HELD_BLOCKS_MULTIPLE, ValidationError, check_dense_dim,
-                     check_held_entries)
-from .qalgebra import _power, check_label, dicke_labels, q_number
+                     check_held_entries, check_q)
+from .qalgebra import check_label, dicke_labels, q_number
 from .tableaux import kostka, multinomial, partitions_of, ssyt_dim, syt_dim, tableau_blocks
 
 CLUSTER_RTOL = 1e-8
@@ -64,6 +68,12 @@ RESIDUAL_CHUNK = 128
 
 @dataclass(frozen=True)
 class OpenChain:
+    """The open chain H = sum_j r_j on V_n^(x)N at q > 0.  q is held here,
+    once for every chain call, to the q rule (check_q) for the largest power
+    of q they form, q^(+-N) (q^{H_j} and q^{eps_j} in coproduct_block and
+    symmetry_residual).  It bounds the E_j and F_j tails q^(+-(N-1)/2), the
+    q-integers and kappa, of order q^(+-(N-1)), and H's N - 1 diagonal terms
+    1 - q^-2; q^-2 is formed at every N."""
     n: int
     N: int
     q: float
@@ -71,23 +81,7 @@ class OpenChain:
     def __post_init__(self):
         if self.n < 1 or self.N < 1:
             raise ValidationError("n and N must be >= 1")
-        _check_positive_q(self.q)
-
-
-def _check_positive_q(q: float) -> None:
-    """The one q rule of OpenChain and _seminormal_forms: q must be positive
-    and finite, and not so small (below about 7.46e-155) that q^-2
-    overflows, the generator step's rule (hecke._generator_step); H's
-    diagonal terms 1 - q^-2 (_hamiltonian_terms) and the seminormal entries
-    of order q^-2 (_seminormal_entries) are finite wherever it holds, and
-    the builders refuse a diagonal whose sum of them overflows
-    (_check_finite)."""
-    if not isfinite(q) or q <= 0:
-        raise ValidationError("q must be positive and finite")
-    try:
-        float(q) ** -2
-    except OverflowError:
-        raise ValidationError(f"q = {q!r} is too small: q^-2 overflows") from None
+        check_q(self.q, -max(self.N, 2), self.N, positive=True)
 
 
 @dataclass
@@ -252,9 +246,7 @@ def _hamiltonian_terms(chain: OpenChain, ranked: _Ranked) -> tuple[np.ndarray, l
     and 1 - q^-2 for a decreasing pair (summed over j in increasing order),
     and 1/q at the (rows, cols) of the swap: cols are the words whose
     letters at j, j+1 differ, rows the swapped words, which stay in their
-    block.  No (row, col) occurs twice.  A diagonal that overflows (q^-2
-    times the number of decreasing pairs past the largest float) is a
-    ValidationError.
+    block.  No (row, col) occurs twice.
     """
     N, q = chain.N, chain.q
     x, y = ranked.words[:, :-1], ranked.words[:, 1:]
@@ -262,16 +254,7 @@ def _hamiltonian_terms(chain: OpenChain, ranked: _Ranked) -> tuple[np.ndarray, l
     c = 1.0 - q ** -2
     for j in range(N - 1):
         diag += np.where(x[:, j] == y[:, j], 1.0, np.where(x[:, j] > y[:, j], c, 0.0))
-    _check_finite(diag, q, f"H's diagonal on {N} sites")
     return diag, _swap_steps(ranked, x != y)
-
-
-def _check_finite(values: np.ndarray, q: float, what: str) -> None:
-    """Refuse builder values that overflowed before LAPACK reads them: it
-    would fail to converge, and every residual past them would read NaN."""
-    if not np.isfinite(values).all():
-        size = "large" if q > 1 else "small"
-        raise ValidationError(f"q = {q!r} is too {size}: {what} overflows")
 
 
 def _sites_by_block(chain: OpenChain, ranked: _Ranked) -> list:
@@ -360,8 +343,8 @@ def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, pairs
     right of k minus left of k, from one cumulative sum, and the key moves
     from block s to block t by (t - s) n^N.  Every power of q (diagonal kinds
     too, per word, each word its own image) is a Python float from a table
-    over the exponents that occur, inf where it overflows (_power): each
-    term equals the sparse operator's bit for bit.
+    over the exponents that occur: each term equals the sparse operator's
+    bit for bit.
     """
     n, N, q = chain.n, chain.N, chain.q
     if kind not in ("E", "F", "qH", "qEps") or not 1 <= j <= (n if kind == "qEps" else n - 1):
@@ -383,7 +366,7 @@ def _coproduct_terms(chain: OpenChain, kind: str, j: int, ranked: _Ranked, pairs
         cols, sites = np.nonzero(src == letter)                    # (word, site k) pairs
         image, exps = keys[cols] + shift * ranked.powers[sites], twice[cols, sites]
     lo, hi = int(exps.min(initial=0)), int(exps.max(initial=0))
-    table = np.array([_power(q, 0.5 * e) for e in range(lo, hi + 1)])
+    table = np.array([q ** (0.5 * e) for e in range(lo, hi + 1)])
     # the terms of pair p have their source words in take[pair == p]
     return _Terms(ranked.lookup(image), take[cols], table[exps - lo],
                   np.searchsorted(pair[cols], np.arange(len(s) + 1)), take, t[pair])
@@ -393,13 +376,11 @@ def _coproduct_maps(chain: OpenChain, kind: str, j: int, ranked: _Ranked, pairs)
     """Matrices of E_j, F_j, q^{H_j} or q^{eps_j} (kind "E", "F", "qH", "qEps")
     from ranked block s into ranked block t for each (s, t) in pairs: the
     dense view of _coproduct_terms.  The terms are found and checked at
-    once, an overflowed power of q refused; each dense matrix is built when
-    the iterator reaches its pair, so a sweep that keeps one or two at a
-    time holds no more than that.  Each matrix equals the sparse operator
+    once; each dense matrix is built when the iterator reaches its pair, so
+    a sweep that keeps one or two at a time holds no more than that.  Each matrix equals the sparse operator
     bit for bit.
     """
     terms = _coproduct_terms(chain, kind, j, ranked, pairs)
-    _check_finite(terms.entries, chain.q, f"the {kind}_{j} map")
     bounds = ranked.bounds
 
     def dense(p, s, t):
@@ -670,12 +651,11 @@ def _seminormal_forms(shapes, q: float) -> list:
     word, by the swap routine of H's blocks (_swap_steps), and each shape
     takes its slice of every step (_site_swaps).  Each entry is a Python
     float from a table over the d that occur (_seminormal_entries, accurate
-    near q = 1 and bounded where q^(N-1) is not).  q is held to OpenChain's
-    rule (_check_positive_q), a diagonal that overflows (sums of terms of
-    order -q^-2 near that rule's edge) is a ValidationError, and f^lambda
-    past max_dense_dim() is a SizeGuardError.
+    near q = 1 and bounded where q^(N-1) is not).  q is held to the q rule
+    (check_q) for each diagonal's N - 1 terms of order q^-2 at most, and
+    f^lambda past max_dense_dim() is a SizeGuardError.
     """
-    _check_positive_q(q)
+    check_q(q, -2, 0, sum(shapes[0]) - 1, positive=True)
     for shape in shapes:
         check_dense_dim(syt_dim(shape), f"seminormal form of shape {tuple(shape)}")
     rows, bounds = tableau_blocks(shapes)
@@ -688,7 +668,6 @@ def _seminormal_forms(shapes, q: float) -> list:
     t = log(q)
     diag, off = np.array([_seminormal_entries(k, t) if k else (0.0, 0.0) for k in steps]).T
     diag = diag[d - lo].sum(axis=1)
-    _check_finite(diag, q, "the seminormal diagonal")
     ranked = _rank(R, N, rows + 1, bounds)
     forms = []
     for a, b, sites in zip(bounds[:-1], bounds[1:],
@@ -1019,12 +998,11 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
     terms from every block into the block it maps into (_coproduct_terms).
     The residual is the worst norm of [H, y] e_c over the basis words c,
     for E_j and F_j from _ladder_commutator, for the diagonal kinds from
-    _diagonal_commutator.  A kind with a non-finite entry (a q power that
-    overflowed, which the zeros of [H, y] turn into NaN) reads NaN, and NaN
-    is the worst.  The size guard counts every block, sum d^2 entries
-    (_check_guard with held "all"): one kind holds one slot per (source
-    word, target-block row), sum d_s d_t over its block pairs, which is at
-    most that, and each kind's slots are freed before the next is built.
+    _diagonal_commutator; a NaN residual is the worst.  The size guard
+    counts every block, sum d^2 entries (_check_guard with held "all"): one
+    kind holds one slot per (source word, target-block row), sum d_s d_t
+    over its block pairs, which is at most that, and each kind's slots are
+    freed before the next is built.
     """
     chain = OpenChain(n, N, q)
     _check_guard(chain, "all")
@@ -1056,9 +1034,7 @@ def symmetry_residual(n: int, N: int, q: float) -> float:
                     continue            # y kills the whole block
             pairs.append((b, index[tuple(target)]))
         terms = _coproduct_terms(chain, kind, j, ranked, pairs)
-        if not np.isfinite(terms.entries).all():
-            worst.append(nan)           # an overflowed q power: 0 * inf in [H, y]
-        elif removed is None:
+        if removed is None:
             worst.append(_diagonal_commutator(h, terms))
         else:
             worst.append(_ladder_commutator(diag, h, terms, ranked))

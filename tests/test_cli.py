@@ -476,6 +476,16 @@ def test_well_formed_table_files_still_load(tmp_path, capsys):
         assert code == 0 and json.loads(out)
 
 
+def test_shuffle_takes_q_squared_through_the_q_rule(capsys):
+    # --z q2 is Y_N(q^2): a q whose square overflows is refused naming q and
+    # the power, where the bare float power failed with "numerical overflow"
+    code, out, err = run(capsys, "shuffle", "--N", "4", "--state", "1212", "--q", "1e200")
+    assert (code, out) == (2, "")
+    assert err == "braidlab: q = 1e+200 is too large: q^2 overflows\n"
+    code, out, _ = run(capsys, "shuffle", "--N", "3", "--state", "112", "--q", "1.3")
+    assert code == 0 and json.loads(out)["z"] == cli.fnum(1.3 ** 2)
+
+
 def test_emit_refuses_non_finite_floats(capsys):
     # a NaN that bypasses fnum never reaches stdout as non-JSON text
     for value in (float("nan"), float("inf")):

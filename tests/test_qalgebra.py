@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from decimal import Decimal, localcontext
-from math import inf
+from math import factorial
 
 import numpy as np
 import pytest
@@ -27,48 +27,62 @@ def test_q_number_values():
 @pytest.mark.parametrize("q", [1e-150, 1e150])
 def test_powers_overflow_to_inf_at_both_ends_of_the_q_range(q):
     # q^(+-2), q^(+-2.5) and q^(+-3) pass the largest float at both ends of
-    # the range _check_q admits, where the float power raised a bare
-    # OverflowError; the q-integers, the ladder tails and q^{H_j}, q^{eps_j}
-    # take them as inf (qalgebra._power), and the finite powers beside them
-    # are the float powers they were
-    assert qalgebra.q_number(2, q) == q + 1 / q
-    assert qalgebra.q_number(4, q) == qalgebra.q_number(5, -q) == -qalgebra.q_number(-4, q) == inf
-    assert qalgebra.q_number(4, -q) == -inf
-    # finite powers whose correctly rounded sum passes the largest float
-    assert qalgebra.q_number(2704, 1.3) == inf
+    # the float range; the q-integers, the ladder tails and q^{H_j}, q^{eps_j}
+    # that would form them (as inf) refuse q by the q rule, naming q and the
+    # power, and the powers that fit are the float powers
     huge = q > 1
-    up = qalgebra.apply_E(TensorState.basis(2, (1,) * 6), 1, q).amps
-    assert up[(2,) + (1,) * 5 if huge else (1,) * 5 + (2,)] == inf
-    assert up[(1, 1, 2, 1, 1, 1)] == q ** 0.5 * 1.0
-    down = qalgebra.apply_F(TensorState.basis(2, (2,) * 6), 1, q).amps
-    assert down[(2,) * 5 + (1,) if huge else (1,) + (2,) * 5] == inf
-    assert qalgebra.apply_qH(TensorState.basis(2, (1, 1, 1) if huge else (2, 2, 2)), 1,
-                             q).amps == {(1, 1, 1) if huge else (2, 2, 2): inf}
+    side = "large" if huge else "small"
+
+    def refused(call, q, power, terms=1):
+        count = f"{terms} x " if terms > 1 else ""
+        with pytest.raises(ValidationError, match=re.escape(
+                f"q = {q!r} is too {side}: {count}q^{power if huge else -power:g} overflows")):
+            call()
+
+    assert qalgebra.q_number(2, q) == q + 1 / q
+    refused(lambda: qalgebra.q_number(4, q), q, 3, 4)
+    refused(lambda: qalgebra.q_number(5, -q), -q, 4, 5)
+    refused(lambda: qalgebra.q_number(-4, q), q, 3, 4)
+    refused(lambda: qalgebra.q_number(4, -q), -q, 3, 4)
+    # finite powers whose correctly rounded sum passes the largest float
+    with pytest.raises(ValidationError, match=re.escape(
+            "q = 1.3 is too large: 2704 x q^2703 overflows")):
+        qalgebra.q_number(2704, 1.3)
+    refused(lambda: qalgebra.apply_E(TensorState.basis(2, (1,) * 6), 1, q), q, 2.5)
+    assert qalgebra.apply_E(TensorState.basis(2, (1,) * 3), 1, q).amps == {
+        (2, 1, 1): q ** 1.0, (1, 2, 1): 1.0, (1, 1, 2): q ** -1.0}
+    refused(lambda: qalgebra.apply_F(TensorState.basis(2, (2,) * 6), 1, q), q, 2.5)
+    refused(lambda: qalgebra.apply_qH(TensorState.basis(2, (1, 1, 1) if huge else (2, 2, 2)),
+                                      1, q), q, 3)
     if huge:
-        assert qalgebra.apply_qEps(TensorState.basis(2, (1, 1, 1)), 1, q).amps == {(1, 1, 1): inf}
+        refused(lambda: qalgebra.apply_qEps(TensorState.basis(2, (1, 1, 1)), 1, q), q, 3)
 
 
 def test_q_dicke_refuses_a_q_whose_brackets_overflow():
     # [[m]]! at z = q^2 past the largest float: z^i raised a bare
     # OverflowError (q = 1e110, m = 3), or the product reached inf and scaled
     # the state to zero (q = 1e30, N = 4) or made the bracket inf (q^2 = inf
-    # at 1.5e154); each is refused naming q, and q_symmetrize refuses a q
-    # whose square raises
-    for q, N, label, m in [(1e110, 3, (2, 1), 3), (1e30, 4, (2, 2), 4),
-                           (1.5e154, 3, (2, 1), 2)]:
-        for call in (lambda: qalgebra.q_dicke(2, N, label, q),
-                     lambda: qalgebra.dicke_norm(label, q),
-                     lambda: qalgebra.verify_canonical_action(2, N, q, label, 1)):
+    # at 1.5e154); each is refused by the q rule for [[N]]!'s N! powers up to
+    # q^(N(N-1)), naming q, or first by the check's own q^N of q^{H_j}, and
+    # q_symmetrize refuses a q whose square overflows
+    for q, N, label, own in [(1e110, 3, (2, 1), "q^3"), (1e30, 4, (2, 2), None),
+                             (1.5e154, 3, (2, 1), "q^3")]:
+        brackets = f"{factorial(N)} x q^{N * (N - 1)}"
+        for call, power in ((lambda: qalgebra.q_dicke(2, N, label, q), brackets),
+                            (lambda: qalgebra.dicke_norm(label, q), brackets),
+                            (lambda: qalgebra.verify_canonical_action(2, N, q, label, 1),
+                             own or brackets)):
             with pytest.raises(ValidationError, match=re.escape(
-                    f"q = {q!r} is too large: [[{m}]]! at q^2 overflows")):
+                    f"q = {q!r} is too large: {power} overflows")):
                 call()
     with pytest.raises(ValidationError, match=re.escape("q = 1.5e+154 is too large: q^2")):
         q_symmetrize(TensorState.basis(2, (1, 2)), 1.5e154)
     # below those edges the state is the one it was, of norm one
     assert qalgebra.q_dicke(2, 3, (2, 1), 1e30).norm() == pytest.approx(1.0)
-    # q^{H_j} = q^(k_j - k_{j+1}) is inf where the float power raised
-    report = qalgebra.verify_canonical_action(2, 3, 1e-110, (0, 3), 1)
-    assert report["qh_eigenvalue"] == inf
+    # q^{H_j} = q^(k_j - k_{j+1}) would be inf: refused with q^-N
+    with pytest.raises(ValidationError, match=re.escape(
+            "q = 1e-110 is too small: q^-3 overflows")):
+        qalgebra.verify_canonical_action(2, 3, 1e-110, (0, 3), 1)
 
 
 def test_q_factorial_and_binomial():

@@ -273,6 +273,24 @@ def test_dihedral_eigenvectors_peak_within_their_count():
     assert peak <= 1.01 * 2 * n ** 4 * 8
 
 
+def test_braid_matrix_peak_is_one_byte_per_entry():
+    # the 0/1 permutation matrices are int8: braid_solution(dihedral(64)).matrix,
+    # the largest the dense guard admits at the default, traces about n^4
+    # bytes (16 MiB), where int64 entries traced 128 MiB
+    n = 64
+    braid = quandle.braid_solution(quandle.dihedral(n))
+    tracemalloc.start()
+    try:
+        m = braid.matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (n * n, n * n) and m.dtype == np.int8
+    assert peak <= 1.05 * n ** 4
+    t = quandle.dihedral(5)
+    assert quandle.inverse_solution(t).dtype == quandle.quandle_group_rep(t, 0).dtype == np.int8
+
+
 def test_quandle_group_rep_examples():
     t = quandle.dihedral(3)
     m1 = quandle.quandle_group_rep(t, 0)

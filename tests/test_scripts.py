@@ -65,9 +65,9 @@ def test_sector_survey_runs_every_case_and_fails_if_one_does():
 
 
 def test_sector_survey_prints_a_refused_case_as_fail_and_goes_on():
-    # at q = 1e150 N = 5 is a failing report and N = 6 a refusal (E_1's
-    # powers q^(+-5/2) overflow), which ended the survey in a traceback; the
-    # refusal is that case's FAIL, the survey goes on and exits 1
+    # at q = 1e150 N = 5 and N = 6 are refusals (the chain's q rule for
+    # q^(+-N)); a refusal ended the survey in a traceback, and now it is
+    # that case's FAIL, the survey goes on and exits 1
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "sector_survey.py"),
                            "--N", "5-6", "--q", "1e150"], capture_output=True, text=True,
@@ -75,7 +75,7 @@ def test_sector_survey_prints_a_refused_case_as_fail_and_goes_on():
     assert done.returncode == 1 and "Traceback" not in done.stderr
     lines = done.stdout.splitlines()
     at = lines.index("open chain n=2, N=6, q=1e+150")
-    assert lines[at + 1:] == ["refused: q = 1e+150 is too large: the E_1 map overflows", "FAIL",
+    assert lines[at + 1:] == ["refused: q = 1e+150 is too large: q^6 overflows", "FAIL",
                               "survey: 0 of 2 cases PASS"]
     assert lines[at - 1] == "FAIL"
 

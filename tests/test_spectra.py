@@ -1040,9 +1040,14 @@ def test_sector_warnings_are_the_maxima_of_the_ladders_they_report(N, q, failing
 
 def test_sector_warnings_fail_a_nan_residual(monkeypatch):
     # at q = 7.46e-155 the entries of order q^-2 are about 1.8e308 and the
-    # ladder residuals of N = 3 overflow to NaN and inf, which both fail
+    # ladder residuals of N = 3 overflowed to NaN and inf: the q rule refuses
+    # that q now (q^-3), and at q = 1e-96, which it admits, the ladders over
+    # the rungs still overflow to NaN and inf, which both fail
+    with pytest.raises(ValidationError, match=re.escape(
+            "q = 7.46e-155 is too small: q^-3 overflows")):
+        spectra.classify_sectors(spectra.OpenChain(2, 3, 7.46e-155))
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = spectra.classify_sectors(spectra.OpenChain(2, 3, 7.46e-155))
+        rep = spectra.classify_sectors(spectra.OpenChain(2, 3, 1e-96))
     want = sector_warnings_pairwise(rep.sectors)
     assert rep.warnings == want
     assert "kappa_residual nan" in want[0] and "eigen_residual inf" in want[1]
@@ -1068,23 +1073,25 @@ def test_sector_warnings_fail_a_nan_residual(monkeypatch):
 
 
 def test_spectra_refuse_q_whose_inverse_square_overflows():
-    # one q rule for OpenChain and the seminormal forms: q^-2 is finite at
-    # q = 7.46e-155 and overflows at 7.45e-155, where H's diagonal 1 - q^-2
-    # and the seminormal entries raised a bare OverflowError
+    # one q rule for the chain, q^(+-N) of q^{H_j} and q^{eps_j}, and one for
+    # the seminormal forms, N - 1 diagonal terms of order q^-2: at N = 3 both
+    # refuse q = 7.46e-155, where q^-2 is finite but q^{H_1} held q^-3 = inf
+    # and the residual read NaN, and 7.45e-155, where q^-2 overflows and H's
+    # diagonal 1 - q^-2 and the seminormal entries raised a bare OverflowError
     def calls(q):
         return [lambda: spectra.diagonalize(spectra.OpenChain(2, 3, q)),
                 lambda: spectra.classify_sectors(spectra.OpenChain(2, 3, q)),
-                lambda: spectra.sector_hamiltonian((2, 1), q),
                 lambda: spectra.symmetry_residual(2, 3, q),
                 lambda: spectra.verify_decomposition(2, 3, q)]
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = [call() for call in calls(7.46e-155)]
-    # q^{H_1} holds q^-3 = inf there: the residual is NaN, not a finite number
-    assert isnan(results[3])
-    for call in calls(7.45e-155):
-        with pytest.raises(ValidationError, match="q = 7.45e-155 is too small: q\\^-2 overflows"):
-            call()
+    for q in (7.46e-155, 7.45e-155):
+        for call in calls(q):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"q = {q!r} is too small: q^-3 overflows")):
+                call()
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"q = {q!r} is too small: 2 x q^-2 overflows")):
+            spectra.sector_hamiltonian((2, 1), q)
     for q in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="q must be positive and finite"):
             spectra.OpenChain(2, 3, q)
@@ -1095,43 +1102,40 @@ def test_spectra_refuse_q_whose_inverse_square_overflows():
 def test_builders_refuse_a_diagonal_that_overflows():
     # at q = 7.46e-155 (q^-2 about 1.8e308) two decreasing pairs of one word
     # sum H's diagonal to -inf, and two seminormal entries of order -q^-2 the
-    # seminormal one: refused, where LAPACK failed to converge or a w0
-    # symmetry residual read NaN; at N = 3, n = 2 neither overflows (above)
+    # seminormal one, where LAPACK failed to converge or a w0 symmetry
+    # residual read NaN: the q rule refuses them first, the chain's for
+    # q^(+-N) and the seminormal forms' for N - 1 terms of q^-2
     q = 7.46e-155
-    with np.errstate(over="ignore", invalid="ignore"):
-        for call in [lambda: spectra.verify_decomposition(2, 5, q),
-                     lambda: spectra.diagonalize(spectra.OpenChain(3, 3, q)),
-                     lambda: spectra.sector_hamiltonian((1, 1, 1), q)]:
-            with pytest.raises(ValidationError,
-                               match="q = 7.46e-155 is too small: the seminormal diagonal"):
-                call()
-        for call in [lambda: spectra.block_matrix(spectra.OpenChain(2, 5, q),
-                                                  spectra.weight_basis(2, 5, (3, 2))),
-                     lambda: spectra.symmetry_residual(3, 3, q)]:
-            with pytest.raises(ValidationError, match="is too small: H's diagonal on"):
-                call()
-        # [N]_q passes the largest float at q = 1e-110 from N = 4: kappa is
-        # inf there, a failing report, not an OverflowError
-        assert not spectra.classify_sectors(spectra.OpenChain(2, 4, 1e-110)).ok
+    for call, power in [(lambda: spectra.verify_decomposition(2, 5, q), "q^-5"),
+                        (lambda: spectra.diagonalize(spectra.OpenChain(3, 3, q)), "q^-3"),
+                        (lambda: spectra.sector_hamiltonian((1, 1, 1), q), "2 x q^-2"),
+                        (lambda: spectra.block_matrix(spectra.OpenChain(2, 5, q),
+                                                      spectra.weight_basis(2, 5, (3, 2))), "q^-5"),
+                        (lambda: spectra.symmetry_residual(3, 3, q), "q^-3")]:
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"q = 7.46e-155 is too small: {power} overflows")):
+            call()
+    # [N]_q passes the largest float at q = 1e-110 from N = 4: kappa was inf
+    # there, a failing report; the chain's q^-4 refuses it
+    with pytest.raises(ValidationError, match=re.escape("q = 1e-110 is too small: q^-4 overflows")):
+        spectra.classify_sectors(spectra.OpenChain(2, 4, 1e-110))
 
 
 def test_classify_sectors_refuses_an_e1_map_that_overflows():
-    # E_1's tail powers reach q^(+-(N-1)/2): past the largest float they are
+    # E_1's tail powers reach q^(+-(N-1)/2): past the largest float they were
     # inf, and LAPACK failed to converge on the map (LinAlgError) or the
-    # report read NaN; the map is refused first, naming q.  Where the powers
-    # stay finite (N = 4, 5 at 1e+-110 and 1e+-150) the report fails as it did
-    with np.errstate(all="ignore"):
-        for N, q in [(6, 1e150), (7, 1e110), (8, 1e-150), (5, 1e160), (6, 1e-150),
-                     (7, 1e-110)]:
-            for call in (lambda: spectra.classify_sectors(spectra.OpenChain(2, N, q)),
-                         lambda: spectra.verify_decomposition(2, N, q)):
-                size = "large" if q > 1 else "small"
-                with pytest.raises(ValidationError, match=re.escape(
-                        f"q = {q!r} is too {size}: the E_1 map overflows")):
-                    call()
-        for N in (4, 5):
-            for q in (1e110, 1e-110, 1e150, 1e-150):
-                assert not spectra.classify_sectors(spectra.OpenChain(2, N, q)).ok, (N, q)
+    # report read NaN.  The chain's q rule, for q^(+-N), refuses them first,
+    # naming q, and so it does where the tails stay finite and the report
+    # failed (N = 4, 5 at 1e+-110 and 1e+-150)
+    cases = [(6, 1e150), (7, 1e110), (8, 1e-150), (5, 1e160), (6, 1e-150), (7, 1e-110)]
+    cases += [(N, q) for N in (4, 5) for q in (1e110, 1e-110, 1e150, 1e-150)]
+    for N, q in cases:
+        for call in (lambda: spectra.classify_sectors(spectra.OpenChain(2, N, q)),
+                     lambda: spectra.verify_decomposition(2, N, q)):
+            size, power = ("large", N) if q > 1 else ("small", -N)
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"q = {q!r} is too {size}: q^{power} overflows")):
+                call()
 
 
 @pytest.mark.parametrize("q", [1e110, 1e-110, 1e150, 1e-150, 1e160, 1e-160, 7.46e-155, 1.5e154])

@@ -14,7 +14,8 @@ tableau counts that the n = 2 sector counts are), `quandle orbits` of the
 dihedral quandle as JSON and as DOT, and `automaton --example` exa01 and e1
 as JSON, as DOT and running a word of length N (see run_word).  The
 dihedral quandle of order N runs once per N, whatever n: its table JSON
-(`quandle dihedral --n N`) for N >= 2 and its `--spectrum` for odd N >= 3.
+(`quandle dihedral --n N`) for N >= 2 and its `--spectrum` for odd N >= 3,
+and the spectra of orders 101 and 301 run once per call.
 For N <= 8 the shuffle operator runs too: `shuffle --z q2` and `shuffle
 --z minus1` on the ordered word of that composition for every n and q, and
 `shuffle --reduced-words` once per N.  Each checkout is imported
@@ -167,6 +168,7 @@ def main(argv=None) -> int:
         cases += dihedral_cases(N)
         if N <= SHUFFLE_MAX_N:
             cases.append(["shuffle", "--N", str(N), "--reduced-words"])
+    cases += [["quandle", "dihedral", "--n", str(n), "--spectrum"] for n in (101, 301)]
     old, new = run_checkout(args.old, cases), run_checkout(args.new, cases)
     differing = 0
     for case, a, b in zip(cases, old, new):

@@ -221,11 +221,9 @@ def cmd_quandle(args) -> None:
         else:
             raise ValidationError("quandle orbits needs --n or --table")
         if args.dot:
-            quandle.check_orbit_dot(table, args.N)
-        graph = quandle.orbit_automaton(table, args.N)
-        if args.dot:
-            sys.stdout.write(automata.to_dot(quandle.orbit_to_automaton(graph, table)))
+            sys.stdout.write(automata.to_dot(quandle.braid_automaton(table, args.N)))
         else:
+            graph = quandle.orbit_automaton(table, args.N)
             payload = {"schema": SCHEMA, "n": table.n, "N": args.N,
                        "order": graph.order,
                        "cycles": {str(j): [["".join(f"x{x}" for x in w) for w in cyc]

@@ -23,7 +23,7 @@ q-Dicke brackets [[N]]! at q^2.
 """
 
 from itertools import combinations
-from math import comb, factorial, fsum
+from math import comb, factorial, frexp, fsum, ldexp
 
 import numpy as np
 
@@ -224,22 +224,30 @@ def generate_basis_by_raising(n: int, N: int, q: float) -> dict[DickeLabel, Tens
     The strings share prefixes, so they are grown as a tree: E_1^p for
     p = 0..N from x_1^N, then on each of those states the powers of E_2 up
     to p, and so on.  Each E_j step is applied once per distinct prefix
-    (35 steps at n = 3, N = 7, where one string per label takes 252), and
-    no intermediate state is normalized, so every state is the one its own
-    string gives, bit for bit.
+    (35 steps at n = 3, N = 7, where one string per label takes 252).  Each
+    state entering a level is scaled by the power of two that brings its
+    largest amplitude into [0.5, 1).  That scaling is exact, so every state
+    normalizes to the bits its own unscaled string gives (wherever that
+    string stays inside the float range), and no state carries more than
+    one level's growth.
 
-    The string of x_n^N holds [N]_q!^(n-1) (E_j^p carries [p]_q!): (N!)^(n-1)
-    powers up to q^(+-(n-1)N(N-1)/2), the largest amplitude of any string,
-    and that power is held to the q rule.
+    One level, E_j^p with p <= N on a state with no letter j + 1, forms
+    [p]_q! with tails up to q^(+-N(N-1)/2): at most N! powers up to
+    q^(+-N(N-1)/2), and that power is held to the q rule.  The whole string
+    of x_n^N holds [N]_q!^(n-1), which overflows first for n >= 3.
     """
     check_sparse_words(n ** N, "raising basis")
-    power = (n - 1) * N * (N - 1) / 2
-    check_q(q, -power, power, factorial(N) ** (n - 1))
+    levels = min(n - 1, 1)      # n = 1 forms no power of q
+    power = levels * N * (N - 1) / 2
+    check_q(q, -power, power, factorial(N) ** levels)
     # exponents (p_1, ..., p_j) of the E-string so far -> its state
     grown = {(): TensorState.basis(n, (1,) * N)}
     for j in range(1, n):
         level = {}
         for prefix, state in grown.items():
+            shift = -frexp(max(map(abs, state.amps.values()), default=1.0))[1]
+            state = TensorState._trusted(n, N, {w: ldexp(a, shift)
+                                                for w, a in state.amps.items()})
             top = prefix[-1] if prefix else N       # p_j <= p_{j-1} <= ... <= N
             for p in range(top + 1):
                 level[prefix + (p,)] = state

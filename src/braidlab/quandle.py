@@ -13,13 +13,14 @@ residues x_i = i - 1) in all I/O.
 The maps are index arrays computed from the table: the inverse rows by one
 argsort, and the 0/1 matrices of r, r^{-1} and M_a scattered from target
 arrays (_permutation_matrix).  r_j on word indices is one routine,
-_braid_targets, for pairs (QuandleBraid.matrix), for words
-(orbit_to_automaton) and for the centralizer check, which composes it with
-Delta(M_a) on word indices.  The cycle finder (_cycles) still steps tuples:
-pairs through pair_map (dihedral_spectrum) and words through braid_on_word
-(orbit_automaton).  They wait for perfbench/run.py to stop keeping every
-pass's CLI stdout, because a faster orbits pass runs more passes and the
-stdout kept reads as a peak-memory regression.
+_braid_targets, for pairs (QuandleBraid.matrix), for words (braid_automaton,
+which the DOT export builds from the table alone) and for the centralizer
+check, which composes it with Delta(M_a) on word indices.  The dihedral
+cycles on pairs come in closed form (dihedral_spectrum).  Only
+orbit_automaton still steps tuples, words through braid_on_word in _cycles:
+it waits for perfbench/run.py to stop keeping every pass's CLI stdout,
+because a faster orbits pass runs more passes and the stdout kept reads as
+a peak-memory regression.
 """
 
 import json
@@ -91,31 +92,13 @@ def tetrahedron() -> QuandleTable:
     return QuandleTable(4, ((0, 2, 3, 1), (3, 1, 0, 2), (1, 3, 2, 0), (2, 0, 1, 3)))
 
 
-def _check_orbit_size(n: int, N: int) -> None:
-    if n ** N > ORBIT_GUARD:
-        raise SizeGuardError(f"n^N = {n**N} exceeds the orbit guard {ORBIT_GUARD}")
-
-
 def _check_orbits(table: QuandleTable, N: int) -> None:
     """The checks of orbit_automaton, in order, before any word is built."""
     if N < 1:
         raise ValidationError("N must be >= 1")
-    _check_orbit_size(table.n, N)
+    if table.n ** N > ORBIT_GUARD:
+        raise SizeGuardError(f"n^N = {table.n ** N} exceeds the orbit guard {ORBIT_GUARD}")
     _require_rack(table)
-
-
-def _check_orbit_transitions(n: int, N: int) -> None:
-    check_dense_dim(n ** N, "orbit automaton")
-    check_held_entries((N - 1) * n ** (2 * N),
-                       f"orbit automaton: {N - 1} dense {n ** N} x {n ** N} transition matrices")
-
-
-def check_orbit_dot(table: QuandleTable, N: int) -> None:
-    """The checks of orbit_automaton, then those of orbit_to_automaton, so
-    that an orbit automaton past a guard is refused before any cycle is
-    traced."""
-    _check_orbits(table, N)
-    _check_orbit_transitions(table.n, N)
 
 
 def _require_rack(table: QuandleTable) -> None:
@@ -144,8 +127,19 @@ def _braid_targets(op: np.ndarray, N: int, j: int) -> np.ndarray:
     n = len(op)
     index = np.arange(n ** N)
     hi, lo = n ** (N - j), n ** (N - j - 1)
-    a, b = index // hi % n, index // lo % n
-    return index + (b - a) * hi + (op[b, a] - b) * lo
+    # in place: index, both letters and the target are the only arrays held
+    a = index // hi
+    a %= n
+    b = index // lo
+    b %= n
+    target = op[b, a]
+    target -= b
+    target *= lo
+    b -= a
+    b *= hi
+    target += b
+    target += index
+    return target
 
 
 @dataclass(frozen=True)
@@ -207,7 +201,7 @@ class QuandleSpectrum:
     eigenvalues: list
     dimensions: list
     roots: list = field(repr=False)     # the n-th root exponent of each eigenvalue
-    cycles: list = field(repr=False)    # the cycles of the braid on pairs (_cycles)
+    cycles: list = field(repr=False)    # the cycles of the braid on pairs, from least pairs
 
     @cached_property
     def eigenvectors(self) -> list:
@@ -265,19 +259,27 @@ def _cycles(items, step) -> list[list]:
 def dihedral_spectrum(n: int) -> QuandleSpectrum:
     """Eigenvalues and eigenspaces of the dihedral braid solution, n odd.
 
-    Every eigenvalue is an n-th root of unity.  A cycle of length L of the
-    braid on pairs contributes one eigenvector for each L-th root, so the
-    dimensions are counted from the cycle lengths alone; the eigenvectors
-    are built only when QuandleSpectrum.eigenvectors is read.  For prime n
-    every off-diagonal cycle has full length n and the eigenspace
-    dimensions are (n-1, ..., n-1) with 2n-1 at eigenvalue 1; for composite
-    odd n shorter cycles occur and the non-unit eigenspaces shrink.
+    Every eigenvalue is an n-th root of unity.  The cycles of the braid on
+    pairs come in closed form: with d = b - a, r^t(a, b) = (a + t d, b + t d)
+    mod n, so the cycle of (a, b) has length L = n / gcd(n, d) and its least
+    pair is the one with a < gcd(n, d).  Seeded at those pairs in sorted
+    order, the cycles come in the order a trace from the least unvisited
+    pair gives, and no pair is traced.  A cycle of length L contributes one
+    eigenvector for each L-th root, so the dimensions are counted from the
+    cycle lengths alone; the eigenvectors are built only when
+    QuandleSpectrum.eigenvectors is read.  This proves the prime-n
+    statement: gcd(n, d) = 1 for every d != 0, so L = n, and the n - 1 full
+    cycles give the eigenspace dimensions (n-1, ..., n-1), with 2n-1 at
+    eigenvalue 1 from them and the n fixed pairs (d = 0).  For composite
+    odd n shorter cycles occur and the non-unit eigenspaces shrink.  The
+    n^2 pairs are held to the sparse-state bound, as the table is.
     """
     if n < 3 or n % 2 == 0:
         raise ValidationError("the dihedral spectrum statement covers odd n >= 3")
-    braid = braid_solution(dihedral(n))
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    cycles = _cycles(pairs, lambda pair: braid.pair_map(*pair))
+    check_sparse_words(n * n, f"quandle table n={n}, n^2 entries")
+    seeds = sorted((a, (a + d) % n) for d in range(n) for a in range(math.gcd(n, d)))
+    cycles = [[((a + t * (b - a)) % n, (b + t * (b - a)) % n)
+               for t in range(n // math.gcd(n, b - a))] for a, b in seeds]
     dims = Counter(_root_exponent(n, len(cyc), j) for cyc in cycles for j in range(len(cyc)))
     roots = sorted(dims, key=lambda r: (r == 0, r))
     return QuandleSpectrum(n, [np.exp(2j * np.pi * root / n) for root in roots],
@@ -342,19 +344,31 @@ def orbit_automaton(table: QuandleTable, N: int) -> OrbitGraph:
     return OrbitGraph(table.n, N, cycles, order)
 
 
-def orbit_to_automaton(graph: OrbitGraph, table: QuandleTable) -> automata.Automaton:
+def braid_automaton(table: QuandleTable, N: int) -> automata.Automaton:
     """Word-level automaton of the braid generators, for DOT export: one
-    target array of n^N word indices per generator r_j.  Its dense view of
-    N - 1 matrices n^N x n^N, built only where it is read, is held to the
-    dense guard and the held-entries rule before anything is built."""
-    n, N = graph.n, graph.N
-    _check_orbit_transitions(n, N)
+    target array of n^N word indices per generator r_j, from the table
+    alone, with no cycle traced.  The checks of orbit_automaton come first
+    (N, the orbit guard, the rack check); then its dense view of N - 1
+    matrices n^N x n^N, built only where it is read, is held to the dense
+    guard and the held-entries rule.  All of them run before anything is
+    built."""
+    _check_orbits(table, N)
+    n = table.n
+    check_dense_dim(n ** N, "orbit automaton")
+    check_held_entries((N - 1) * n ** (2 * N),
+                       f"orbit automaton: {N - 1} dense {n ** N} x {n ** N} transition matrices")
     op = np.array(table.op, dtype=np.int64)
     transitions = {f"s{j}": automata.TransitionMatrix.from_targets(_braid_targets(op, N, j))
                    for j in range(1, N)}
     labels = tuple("".join(f"x{x}" for x in w) for w in all_words(n, N))
     return automata.Automaton(n ** N, tuple(transitions), transitions, 1,
                               frozenset(), labels)
+
+
+def orbit_to_automaton(graph: OrbitGraph, table: QuandleTable) -> automata.Automaton:
+    """The braid_automaton of the graph's word length: the automaton needs
+    only graph.N, not the traced cycles."""
+    return braid_automaton(table, graph.N)
 
 
 def table_to_json(table: QuandleTable) -> str:

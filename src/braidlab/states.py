@@ -21,6 +21,7 @@ add.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import isfinite, sqrt
 
 import numpy as np
@@ -167,5 +168,6 @@ def index_word(idx: int, n: int, N: int) -> Word:
 
 
 def all_words(n: int, N: int) -> list[Word]:
-    """All n^N words in lexicographic order."""
-    return [index_word(i, n, N) for i in range(n ** N)]
+    """All n^N words in lexicographic order, which is the order of their
+    indices (word_index)."""
+    return list(product(range(1, n + 1), repeat=N))

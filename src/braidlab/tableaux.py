@@ -2,8 +2,8 @@
 
 Standard-tableau dimensions come from the Frobenius form of the hook
 length formula and semistandard ones from Weyl's dimension formula, both
-closed products in exact integer arithmetic; Kostka numbers come from
-backtracking enumeration, so every number is traceable to first
+closed products in exact integer arithmetic; Kostka numbers come from the
+branching rule over horizontal strips, so every number is traceable to first
 principles.  These counts predict the eigenspace dimensions and
 multiplicities of the invariant open chain, and the standard tableaux
 themselves index its seminormal form (spectra.sector_hamiltonian): the
@@ -11,6 +11,8 @@ tableaux of every shape come from one pass (tableau_blocks), laid end to
 end like weight blocks, and standard_tableaux is its one-shape call.
 """
 
+from functools import cache
+from itertools import product
 from math import comb, perm
 
 import numpy as np
@@ -144,42 +146,6 @@ def standard_tableaux(shape: Partition) -> np.ndarray:
     return tableau_blocks([shape])[0]
 
 
-def _ssyt_count(shape: Partition, content: tuple[int, ...]) -> int:
-    """Backtracking count of semistandard fillings in which entry i appears
-    exactly content[i-1] times.
-
-    Rows weakly increase, columns strictly increase.
-    """
-    rows, n = len(shape), len(content)
-    if rows > n:
-        return 0
-    remaining = list(content)
-
-    def fill(i, j, above_rows):
-        # above_rows[r][j] = entry at row r, column j (rows already filled up to (i, j))
-        if i == rows:
-            return 1
-        if j == shape[i]:
-            return fill(i + 1, 0, above_rows)
-        lo = 1
-        if j > 0:
-            lo = max(lo, above_rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, above_rows[i - 1][j] + 1)
-        total = 0
-        for v in range(lo, n + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            above_rows[i].append(v)
-            total += fill(i, j + 1, above_rows)
-            above_rows[i].pop()
-            remaining[v - 1] += 1
-        return total
-
-    return fill(0, 0, [[] for _ in range(rows)])
-
-
 def ssyt_dim(shape: Partition, n: int) -> int:
     """Number of semistandard Young tableaux of the given shape with entries
     in [1, n]; the dimension of the corresponding irreducible gl_n module.
@@ -211,14 +177,35 @@ def ssyt_dim(shape: Partition, n: int) -> int:
 
 
 def kostka(shape: Partition, content) -> int:
-    """Kostka number: semistandard tableaux of the given shape and content."""
+    """Kostka number: semistandard tableaux of the given shape and content,
+    by the branching rule (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. I section 5).  The cells that hold the largest letter
+    form a horizontal strip, so K(lambda, mu) is the sum of K(nu, mu') over
+    every nu that interlaces lambda (lambda_{i+1} <= nu_i <= lambda_i) with
+    |lambda| - |nu| the last part of mu, where mu' is mu without that part.
+    The recursion is memoized within one call; a shape with more rows than
+    letters counts 0."""
     shape = check_partition(shape)
     content = tuple(int(c) for c in content)
     if any(c < 0 for c in content):
         raise ValidationError("content entries must be nonnegative")
     if sum(shape) != sum(content):
         raise ValidationError(f"|shape|={sum(shape)} and |content|={sum(content)} differ")
-    return _ssyt_count(shape, content)
+
+    @cache
+    def count(outer, letters):
+        if len(outer) > letters:
+            return 0
+        if not letters:
+            return 1
+        # cells cut from each row: at most part - below, content[letters - 1] in all
+        cuts = product(*(range(part - below + 1)
+                         for part, below in zip(outer, outer[1:] + (0,))))
+        return sum(count(tuple(part - c for part, c in zip(outer, cut) if part > c),
+                         letters - 1)
+                   for cut in cuts if sum(cut) == content[letters - 1])
+
+    return count(shape, len(content))
 
 
 def multinomial(parts) -> int:

@@ -29,9 +29,11 @@ reference shares no mechanism with the paths it checks.  Three more are
 the loops that array code replaced: sink_completion_dense completes dense
 0/1 matrices, where automata.complete_with_sink extends target arrays,
 quandle_flags_by_loops is the triple loop over (a, b, c) that
-quandle.validate replaced by one row of the table at a time, and
+quandle.validate replaced by one row of the table at a time,
 centralizer_residual_per_word steps word tuples, where
-quandle.centralizer_residual composes word-index permutations.  Last, the
+quandle.centralizer_residual composes word-index permutations, and
+dihedral_spectrum_traced traces the dihedral braid's cycles pair by pair,
+where quandle.dihedral_spectrum seeds them in closed form.  Last, the
 per-step path of the sparse kernels, which now step on amplitude dicts and
 build one state per public call: generator_filtering_always is the
 generator step filtering its result for zeros every time, shuffle_per_step
@@ -42,6 +44,7 @@ sub_by_scale and norm_by_numpy are sub as add of scale(-1.0) and the norm
 through numpy.
 """
 
+from collections import Counter
 from itertools import permutations, product
 from math import factorial, sqrt
 
@@ -274,6 +277,21 @@ def centralizer_residual_per_word(table, N):
                 if lhs != rhs:
                     worst = 1
     return worst
+
+
+def dihedral_spectrum_traced(n):
+    """The QuandleSpectrum of the dihedral braid, n odd, with its cycles
+    traced pair by pair: quandle._cycles over QuandleBraid.pair_map, each
+    cycle started at the least unvisited pair, where
+    quandle.dihedral_spectrum seeds them in closed form."""
+    braid = quandle.braid_solution(quandle.dihedral(n))
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    cycles = quandle._cycles(pairs, lambda pair: braid.pair_map(*pair))
+    dims = Counter(quandle._root_exponent(n, len(cyc), j)
+                   for cyc in cycles for j in range(len(cyc)))
+    roots = sorted(dims, key=lambda r: (r == 0, r))
+    return quandle.QuandleSpectrum(n, [np.exp(2j * np.pi * root / n) for root in roots],
+                                   [dims[root] for root in roots], roots, cycles)
 
 
 def random_stochastic(n, rng):

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidlab import cli, errors, quandle, spectra
+from braidlab import automata, cli, errors, quandle, spectra
 
 
 def run(capsys, *argv):
@@ -529,6 +529,20 @@ def test_orbit_dot_guards_run_before_the_orbits(capsys, monkeypatch, tmp_path):
     table.write_text(json.dumps({"n": 2, "op": [1, 1, 1, 1]}))
     code, out, err = run(capsys, "quandle", "orbits", "--table", str(table), "--N", "13", "--dot")
     assert code == 2 and out == "" and "not a rack" in err
+
+
+def test_orbit_dot_is_built_without_tracing_an_orbit(capsys, monkeypatch):
+    # the DOT needs only the target arrays: it prints the automaton of the
+    # traced orbits byte for byte, and orbit_automaton never runs
+    t = quandle.dihedral(3)
+    expected = automata.to_dot(quandle.orbit_to_automaton(quandle.orbit_automaton(t, 7), t))
+
+    def never(table, N):
+        raise AssertionError("orbit_automaton ran for the DOT export")
+
+    monkeypatch.setattr(quandle, "orbit_automaton", never)
+    code, out, err = run(capsys, "quandle", "orbits", "--n", "3", "--N", "7", "--dot")
+    assert code == 0 and err == "" and out == expected
 
 
 def test_quandle_table_guard_exit_code(capsys):

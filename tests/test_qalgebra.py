@@ -275,6 +275,17 @@ def test_generate_basis_by_raising_agrees_with_q_dicke():
             assert state.sub(qalgebra.q_dicke(n, N, label, q)).norm() < 1e-12
 
 
+@pytest.mark.parametrize("q", [1e17, 1e20])
+def test_raising_basis_holds_one_level_of_growth(q):
+    # the whole string of x_4^4 holds [4]_q!^3, 13824 x q^18, which
+    # overflows at q = 1e17; each level's state is scaled back, so only one
+    # level's 24 x q^6 is formed and the states are q_dicke's
+    basis = qalgebra.generate_basis_by_raising(4, 4, q)
+    assert list(basis) == qalgebra.dicke_labels(4, 4)
+    for label, state in basis.items():
+        assert state.sub(qalgebra.q_dicke(4, 4, label, q)).norm() < 1e-10, label
+
+
 def test_raising_tree_gives_every_string_bit_for_bit(monkeypatch):
     # the E-strings grown as a tree: each state equals its own string's
     # state normalized, amplitude for amplitude with ==, and each E_j step

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 import tracemalloc
 from itertools import permutations
 
@@ -12,7 +13,8 @@ from braidlab import automata, quandle
 from braidlab.errors import SizeGuardError, ValidationError
 from braidlab.states import all_words
 
-from oracles import centralizer_residual_per_word, quandle_flags_by_loops
+from oracles import (centralizer_residual_per_word, dihedral_spectrum_traced,
+                     quandle_flags_by_loops)
 
 
 def conjugation_quandle_s3():
@@ -216,6 +218,26 @@ def test_dihedral_spectrum_composite_odd_differs_from_prime_pattern():
     assert sum(spec.dimensions) == 81
 
 
+def test_dihedral_spectrum_matches_the_pair_trace():
+    # the closed-form cycles are the traced ones, in the traced order, so
+    # the dimensions, the roots and every eigenvector array agree bit for bit
+    for n in range(3, 41, 2):
+        spec, traced = quandle.dihedral_spectrum(n), dihedral_spectrum_traced(n)
+        assert spec.cycles == traced.cycles, n
+        assert spec.dimensions == traced.dimensions and spec.roots == traced.roots, n
+        assert spec.eigenvalues == traced.eigenvalues, n
+        for ours, theirs in zip(spec.eigenvectors, traced.eigenvectors, strict=True):
+            assert ours.tobytes() == theirs.tobytes(), n
+
+
+def test_dihedral_spectrum_runs_in_seconds_at_n_999():
+    # tracing the 998,001 pairs took about 170 s; the closed form about 0.6 s
+    start = time.perf_counter()
+    spec = quandle.dihedral_spectrum(999)
+    assert time.perf_counter() - start < 10
+    assert sum(spec.dimensions) == 999 ** 2
+
+
 def test_dihedral_spectrum_rejects_even():
     with pytest.raises(ValidationError):
         quandle.dihedral_spectrum(4)
@@ -351,10 +373,11 @@ def test_centralizer_residual_at_the_orbit_guard_edge():
 
 
 def test_centralizer_residual_holds_one_generator_at_a_time():
-    # the call holds the table (n^2 <= n^N entries), N - 1 target arrays,
-    # the arrays a target is built from and one generator's image with its
-    # two compositions: (N + 5) n^N int64 entries, 5.3 MiB here.  All n
-    # images held at once would be 316 x 99,856 entries, 241 MiB
+    # the call holds the table (n^2 = n^N entries here), N - 1 target
+    # arrays, the arrays a target is built from and one generator's image
+    # with its two compositions: it traces 6.13 n^N int64 entries, 4.7 MiB,
+    # held here to 6.3 n^N.  All n images held at once would be 316 x
+    # 99,856 entries, 241 MiB
     t, N = quandle.dihedral(316), 2
     tracemalloc.start()
     try:
@@ -362,7 +385,23 @@ def test_centralizer_residual_holds_one_generator_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (N + 5) * t.n ** N * 8
+    assert peak <= 6.3 * t.n ** N * 8
+
+
+@pytest.mark.parametrize("n, N", [(316, 2), (5, 7)])
+def test_braid_targets_hold_four_word_arrays(n, N):
+    # one target array is built in place from the word index and both
+    # letters: four n^N int64 arrays at the peak, where the index, both
+    # letters, op[b, a] and the partial sums took five to six
+    op = np.array(quandle.dihedral(n).op, dtype=np.int64)
+    for j in (1, N - 1):
+        tracemalloc.start()
+        try:
+            quandle._braid_targets(op, N, j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.2 * n ** N * 8, j
 
 
 @pytest.mark.parametrize("N", [0, -1])

@@ -109,8 +109,9 @@ def test_cli_diff_finds_no_difference_between_a_checkout_and_itself():
                        "--q", "0.7,1.5").splitlines()
     # 8 commands per (n, N, q) with the two shuffles, 10 commands without
     # q per (n, N), and per N the reduced words, with the dihedral table of
-    # N = 2 and 3 and the spectrum of N = 3
-    assert lines == ["0 of 162 runs differ"]
+    # N = 2 and 3 and the spectrum of N = 3; the spectra of n = 101 and 301
+    # once
+    assert lines == ["0 of 164 runs differ"]
 
 
 def test_cli_diff_prints_the_lines_that_differ(tmp_path):
@@ -129,4 +130,4 @@ def test_cli_diff_prints_the_lines_that_differ(tmp_path):
     assert done.stdout.splitlines() == [
         "verify --n 2 --N 2 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
         "verify --n 2 --N 3 --q 1.5", "  -stderr: PASS", "  +stderr: PASSED",
-        "2 of 41 runs differ"]
+        "2 of 43 runs differ"]
